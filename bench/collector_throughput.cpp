@@ -1,7 +1,7 @@
 // Collection-tier throughput baseline: how fast estimates fold into
 // sketches, how compact the wire format is, how fast the sharded collector
-// ingests record batches — and how much thread-per-shard concurrent ingest
-// buys over the single-threaded path.
+// ingests record batches — and how much multi-producer ingest into the
+// lane-locked concurrent collector buys over the single-threaded path.
 //
 // Pipeline measured (the deployment data path end to end):
 //   synthetic trace --stream--> exporter sketches --drain--> wire bytes
@@ -74,11 +74,10 @@ bool write_json(const std::string& path) {
 
 /// Concurrent-ingest measurement: `threads` producers each decode and submit
 /// `epochs` epoch-batches (total records = threads x epochs x batch) into a
-/// thread-per-shard collector; the clock stops when quiesce() returns, so
-/// queued work is fully merged. Returns records/sec.
+/// lane-locked collector; a submit returns once its batch is merged, so the
+/// clock stops when the last producer joins. Returns records/sec.
 double run_concurrent(const std::vector<std::uint8_t>& bytes, std::size_t batch_records,
-                      std::uint32_t epochs, std::size_t shard_count, std::size_t threads,
-                      std::uint64_t* fallbacks) {
+                      std::uint32_t epochs, std::size_t shard_count, std::size_t threads) {
   collect::ConcurrentCollectorConfig cfg;
   cfg.shard_count = shard_count;
   collect::ConcurrentShardedCollector collector(cfg);
@@ -92,14 +91,12 @@ double run_concurrent(const std::vector<std::uint8_t>& bytes, std::size_t batch_
         auto batch = collect::decode_records(bytes.data(), bytes.size());
         const auto epoch = static_cast<std::uint32_t>(t * epochs + e);
         for (auto& r : batch) r.epoch = epoch;
-        collector.submit(std::move(batch));
+        collector.submit(batch);
       }
     });
   }
   for (auto& p : producers) p.join();
-  collector.quiesce();
   const double elapsed = seconds_since(start);
-  *fallbacks = collector.fallback_ingests();
   const double total = static_cast<double>(batch_records) * epochs * static_cast<double>(threads);
   return total / elapsed;
 }
@@ -300,16 +297,13 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
   }
 
   // --- Stage 3b: threads-vs-throughput sweep over the concurrent collector
-  // (thread-per-shard workers; producers decode in parallel too, exactly as
-  // many networked vantage feeds would).
+  // (lane-grouped inline merges; producers decode in parallel too, exactly
+  // as many networked vantage feeds would).
   for (const std::size_t threads : thread_sweep) {
-    std::uint64_t fallbacks = 0;
-    const double rate =
-        run_concurrent(bytes, records.size(), epochs, shard_count, threads, &fallbacks);
+    const double rate = run_concurrent(bytes, records.size(), epochs, shard_count, threads);
     const std::string suffix = "_t" + std::to_string(threads);
     print_metric("mt_collector_rate" + suffix, rate, "records/s");
     print_metric("mt_speedup" + suffix, rate / serial_rate, "x");
-    print_metric("mt_fallbacks" + suffix, static_cast<double>(fallbacks), "records");
   }
 
   // --- Stage 4: query sanity + memory accounting.

@@ -4,8 +4,9 @@
 //
 //   * loopback — the in-memory pipe, client and agent on one thread
 //     (protocol + framing + decode cost, no kernel);
-//   * unix socket — a real AF_UNIX stream, agent on its own thread with
-//     thread-per-shard ingest behind it (the shard-per-process shape).
+//   * unix socket — a real AF_UNIX stream, agent on its own thread merging
+//     each batch inline into its lane-locked collector (the
+//     shard-per-process shape).
 //
 // Also reports the frame overhead (wire bytes per record) so the cost of
 // the framing layer over raw batch encoding is visible. Prints one
@@ -128,8 +129,7 @@ double run_backend(const std::vector<collect::EstimateRecord>& batch, std::uint3
   drive();
   // The clock stops when the agent's collector has merged everything —
   // which for the socket backend means waiting for the agent THREAD to
-  // read what drain() only pushed into the kernel buffer, not just for the
-  // collector lanes to quiesce (records_ingested() quiesces per call).
+  // read what drain() only pushed into the kernel buffer.
   const auto expected = static_cast<std::uint64_t>(batch.size()) * epochs;
   // 60s cap: on a loaded single-core box the agent thread can trail the
   // client by tens of seconds at full batch sizes.
@@ -155,7 +155,6 @@ int run_partitioned(const std::vector<collect::EstimateRecord>& batch, std::uint
   for (std::size_t i = 0; i < n_agents; ++i) {
     transport::CollectorAgentConfig cfg;
     cfg.collector.shard_count = shards;
-    cfg.collector.queue_capacity = 0;  // one thread: skip worker handoff
     agents.push_back(std::make_unique<transport::CollectorAgent>(cfg));
   }
   const auto poll_all = [&agents] {
@@ -218,8 +217,6 @@ int run(std::uint64_t target_packets, std::uint32_t epochs, std::size_t shards,
   {
     transport::CollectorAgentConfig cfg;
     cfg.collector.shard_count = shards;
-    // Queueless mode: on one thread, worker handoff is pure overhead.
-    cfg.collector.queue_capacity = 0;
     transport::CollectorAgent agent(cfg);
     double overhead = 0.0;
     const double rate = run_backend(
@@ -244,7 +241,7 @@ int run(std::uint64_t target_packets, std::uint32_t epochs, std::size_t shards,
     if (const int rc = run_partitioned(batch, epochs, shards, n_agents); rc != 0) return rc;
   }
 
-  // --- Unix socket: the deployment shape (agent thread + shard workers).
+  // --- Unix socket: the deployment shape (client thread + agent thread).
   {
     transport::CollectorAgentConfig cfg;
     cfg.collector.shard_count = shards;

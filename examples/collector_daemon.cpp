@@ -1,6 +1,6 @@
 // The shard-per-process deployment unit: a standalone collector daemon that
 // listens on a TCP or Unix-domain socket, drains framed EstimateRecord
-// batches from any number of vantage-point clients into a thread-per-shard
+// batches from any number of vantage-point clients into a lane-locked
 // ConcurrentShardedCollector, and answers fleet queries in place.
 //
 //   ./collector_daemon --listen unix:/tmp/rlir-collector.sock
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
       std::printf("collector_daemon: slow-span log at %ld ms\n", slow_query_ms);
     }
     auto listener = std::make_unique<transport::SocketListener>(address);
-    std::printf("collector_daemon: listening on %s (%zu shards, thread-per-shard ingest)\n",
+    std::printf("collector_daemon: listening on %s (%zu shards, lane-locked ingest)\n",
                 listener->address().to_string().c_str(), shards);
     std::fflush(stdout);
     agent.set_listener(std::move(listener));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 
 namespace rlir::collect {
@@ -16,6 +17,28 @@ CollectorConfig lane_config(const ConcurrentCollectorConfig& config) {
   return cfg;
 }
 
+double relative_accuracy(const EstimateRecord& record) {
+  return record.sketch.config().relative_accuracy;
+}
+double relative_accuracy(const RecordView& record) { return record.sketch.relative_accuracy; }
+
+/// Where a record's bins live: the owned sketch's heap array, or the wire
+/// bytes a view borrows.
+const void* bins_of(const EstimateRecord& record) {
+  const auto& bins = record.sketch.bins();
+  return bins.empty() ? nullptr : &*bins.begin();
+}
+const void* bins_of(const RecordView& record) { return record.sketch.bins; }
+
+/// Grouping scratch, one per submitting thread and reused across batches, so
+/// steady-state ingest allocates nothing per batch.
+struct LaneGrouping {
+  std::vector<std::size_t> lane_of;  // lane of each batch index
+  std::vector<std::size_t> bounds;   // lane l's share is order[bounds[l], bounds[l + 1])
+  std::vector<std::size_t> order;    // batch indexes grouped by lane
+};
+thread_local LaneGrouping grouping;
+
 }  // namespace
 
 ConcurrentShardedCollector::ConcurrentShardedCollector(ConcurrentCollectorConfig config)
@@ -23,178 +46,69 @@ ConcurrentShardedCollector::ConcurrentShardedCollector(ConcurrentCollectorConfig
   if (config_.shard_count == 0) {
     throw std::invalid_argument("ConcurrentShardedCollector: shard_count must be >= 1");
   }
-  auto& r = obs_.registry();
-  fallbacks_ = r.counter("rlir_collect_fallback_ingests_total", obs_.labels());
-  submitted_ = r.counter("rlir_collect_records_submitted_total", obs_.labels());
+  submitted_ = obs_.registry().counter("rlir_collect_records_submitted_total", obs_.labels());
   // top_k_quantile is validated by the lane ShardedCollector constructors.
   lanes_.reserve(config_.shard_count);
   for (std::size_t i = 0; i < config_.shard_count; ++i) {
     lanes_.push_back(std::make_unique<Lane>(lane_config(config_)));
-    lanes_.back()->depth =
-        r.gauge("rlir_collect_lane_queue_depth", obs_.labels_with("lane", std::to_string(i)));
-  }
-  if (threaded()) {
-    for (auto& lane : lanes_) {
-      lane->worker = std::thread([this, lane = lane.get()] { worker_loop(*lane); });
-    }
   }
 }
 
-ConcurrentShardedCollector::~ConcurrentShardedCollector() {
-  if (!threaded()) return;
-  for (auto& lane : lanes_) {
-    {
-      const std::lock_guard<std::mutex> lock(lane->queue_mu);
-      lane->stop = true;
-    }
-    lane->queue_ready.notify_all();
-  }
-  for (auto& lane : lanes_) {
-    if (lane->worker.joinable()) lane->worker.join();
-  }
-}
-
-void ConcurrentShardedCollector::apply(Lane& lane, const EstimateRecord& record) {
-  const std::lock_guard<std::mutex> lock(lane.state_mu);
-  lane.state.ingest(record);
-}
-
-void ConcurrentShardedCollector::submit(EstimateRecord record) {
-  // Validate on the submitting thread so the throw lands where the bug is;
-  // workers then merge unconditionally.
-  if (record.sketch.config().relative_accuracy != config_.sketch.relative_accuracy) {
-    throw std::invalid_argument(
-        "ConcurrentShardedCollector::submit: record sketch accuracy differs from config");
-  }
-  submitted_->increment();
-  Lane& lane = lane_for(record.key);
-  if (threaded()) {
-    {
-      std::unique_lock<std::mutex> lock(lane.queue_mu);
-      if (lane.queue.size() < config_.queue_capacity) {
-        lane.queue.push_back(std::move(record));
-        ++lane.pending;
-        lane.depth->set(static_cast<std::int64_t>(lane.queue.size()));
-        lock.unlock();
-        lane.queue_ready.notify_one();
-        return;
-      }
-    }
-    // Queue full: backpressure resolves on the submitting thread, which pays
-    // for the merge itself instead of blocking the other producers. Ordering
-    // vs still-queued records is irrelevant — merge is commutative and exact.
-    fallbacks_->increment();
-  }
-  apply(lane, record);
-}
-
-void ConcurrentShardedCollector::submit(std::vector<EstimateRecord> batch) {
-  for (const auto& record : batch) {
-    if (record.sketch.config().relative_accuracy != config_.sketch.relative_accuracy) {
+template <typename Record>
+void ConcurrentShardedCollector::merge_by_lane(const std::vector<Record>& batch) {
+  const std::size_t n_lanes = lanes_.size();
+  LaneGrouping& g = grouping;
+  g.lane_of.resize(batch.size());
+  g.bounds.assign(n_lanes + 1, 0);
+  // Validate and route in one pass. No lane is touched until the whole batch
+  // has passed, so a bad record rejects the batch whole.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (relative_accuracy(batch[i]) != config_.sketch.relative_accuracy) {
       throw std::invalid_argument(
           "ConcurrentShardedCollector::submit: record sketch accuracy differs from config");
     }
+    g.lane_of[i] = batch[i].key.hash() % n_lanes;
+    ++g.bounds[g.lane_of[i]];
   }
   submitted_->add(batch.size());
-  if (!threaded()) {
-    for (auto& record : batch) apply(lane_for(record.key), record);
-    return;
-  }
-  std::vector<std::vector<EstimateRecord>> per_lane(lanes_.size());
-  for (auto& record : batch) {
-    per_lane[record.key.hash() % lanes_.size()].push_back(std::move(record));
-  }
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    auto& chunk = per_lane[i];
-    if (chunk.empty()) continue;
-    Lane& lane = *lanes_[i];
-    std::size_t accepted = 0;
-    {
-      const std::lock_guard<std::mutex> lock(lane.queue_mu);
-      // One critical section admits as much of the chunk as fits.
-      while (accepted < chunk.size() && lane.queue.size() < config_.queue_capacity) {
-        lane.queue.push_back(std::move(chunk[accepted]));
-        ++accepted;
+  // Counting sort: the prefix sums make bounds[l] the end of lane l's share,
+  // and filling from the back walks it down to the start while keeping each
+  // lane's records in submission order.
+  std::partial_sum(g.bounds.begin(), g.bounds.end(), g.bounds.begin());
+  g.order.resize(batch.size());
+  for (std::size_t i = batch.size(); i-- > 0;) g.order[--g.bounds[g.lane_of[i]]] = i;
+  // One lock hold per lane share, never two lanes at once. Producers racing
+  // on a lane interleave whole shares, which converges to the serial state
+  // because merge is exact and commutative.
+  for (std::size_t l = 0; l < n_lanes; ++l) {
+    if (g.bounds[l] == g.bounds[l + 1]) continue;
+    Lane& lane = *lanes_[l];
+    const std::lock_guard<std::mutex> lock(lane.state_mu);
+    const std::size_t last = g.bounds[l + 1];
+    for (std::size_t k = g.bounds[l]; k < last; ++k) {
+      // A lane's records are scattered through the batch, so the hardware
+      // prefetcher cannot run ahead of this loop. Request the record 16
+      // ahead, and the bins of the record 8 ahead, whose own bytes have
+      // arrived by now.
+      if (k + 16 < last) {
+        const auto* ahead = reinterpret_cast<const char*>(&batch[g.order[k + 16]]);
+        for (std::size_t b = 0; b < sizeof(Record); b += 64) __builtin_prefetch(ahead + b);
       }
-      lane.pending += accepted;
-      lane.depth->set(static_cast<std::int64_t>(lane.queue.size()));
-    }
-    if (accepted > 0) lane.queue_ready.notify_one();
-    if (accepted < chunk.size()) {
-      // Overflow spills to the inline path in one state-lock session.
-      fallbacks_->add(chunk.size() - accepted);
-      const std::lock_guard<std::mutex> state_lock(lane.state_mu);
-      for (std::size_t r = accepted; r < chunk.size(); ++r) lane.state.ingest(chunk[r]);
+      if (k + 8 < last) __builtin_prefetch(bins_of(batch[g.order[k + 8]]));
+      lane.state.ingest(batch[g.order[k]]);
     }
   }
+}
+
+void ConcurrentShardedCollector::submit(const std::vector<EstimateRecord>& batch) {
+  merge_by_lane(batch);
 }
 
 void ConcurrentShardedCollector::submit_views(const std::vector<RecordView>& batch) {
-  for (const auto& record : batch) {
-    if (record.sketch.relative_accuracy != config_.sketch.relative_accuracy) {
-      throw std::invalid_argument(
-          "ConcurrentShardedCollector::submit: record sketch accuracy differs from config");
-    }
-  }
-  if (batch.empty()) return;
-  submitted_->add(batch.size());
-  // Inline application, holding each record's lane lock only while merging
-  // it; consecutive same-lane records reuse the held lock. This is the
-  // queue-full fallback path generalized: correct under concurrency because
-  // merge is exact and commutative, synchronous because views borrow the
-  // caller's buffer.
-  std::unique_lock<std::mutex> lock;
-  std::size_t locked_lane = lanes_.size();  // sentinel: nothing locked yet
-  for (const auto& record : batch) {
-    const std::size_t l = record.key.hash() % lanes_.size();
-    if (l != locked_lane) {
-      // Release before acquiring: two callers must never each hold a lane
-      // lock while waiting on the other's.
-      if (lock.owns_lock()) lock.unlock();
-      lock = std::unique_lock<std::mutex>(lanes_[l]->state_mu);
-      locked_lane = l;
-    }
-    lanes_[l]->state.ingest(record);
-  }
-}
-
-void ConcurrentShardedCollector::worker_loop(Lane& lane) {
-  std::vector<EstimateRecord> local;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(lane.queue_mu);
-      lane.queue_ready.wait(lock, [&] { return lane.stop || !lane.queue.empty(); });
-      if (lane.queue.empty()) return;  // stop requested and fully drained
-      // Batch-drain: one queue critical section per wake-up, merges applied
-      // outside it so producers are never blocked behind sketch work.
-      local.assign(std::make_move_iterator(lane.queue.begin()),
-                   std::make_move_iterator(lane.queue.end()));
-      lane.queue.clear();
-      lane.depth->set(0);
-    }
-    {
-      const std::lock_guard<std::mutex> state_lock(lane.state_mu);
-      for (const auto& record : local) lane.state.ingest(record);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(lane.queue_mu);
-      lane.pending -= local.size();
-      if (lane.pending == 0) lane.queue_drained.notify_all();
-    }
-    local.clear();
-  }
-}
-
-void ConcurrentShardedCollector::quiesce() {
-  if (!threaded()) return;  // queueless submits complete synchronously
-  for (auto& lane : lanes_) {
-    std::unique_lock<std::mutex> lock(lane->queue_mu);
-    lane->queue_drained.wait(lock, [&] { return lane->pending == 0; });
-  }
+  merge_by_lane(batch);
 }
 
 void ConcurrentShardedCollector::set_history(SketchHistoryStore* history) {
-  quiesce();
   for (auto& lane : lanes_) {
     const std::lock_guard<std::mutex> lock(lane->state_mu);
     lane->state.set_history(history);
@@ -208,14 +122,12 @@ SketchHistoryStore* ConcurrentShardedCollector::history() {
 
 std::optional<double> ConcurrentShardedCollector::flow_quantile(const net::FiveTuple& key,
                                                                 double q) {
-  quiesce();
   Lane& lane = lane_for(key);
   const std::lock_guard<std::mutex> lock(lane.state_mu);
   return lane.state.flow_quantile(key, q);
 }
 
 std::optional<FlowSummary> ConcurrentShardedCollector::flow_summary(const net::FiveTuple& key) {
-  quiesce();
   Lane& lane = lane_for(key);
   const std::lock_guard<std::mutex> lock(lane.state_mu);
   return lane.state.flow_summary(key);
@@ -223,7 +135,6 @@ std::optional<FlowSummary> ConcurrentShardedCollector::flow_summary(const net::F
 
 std::optional<common::LatencySketch> ConcurrentShardedCollector::flow_sketch(
     const net::FiveTuple& key) {
-  quiesce();
   Lane& lane = lane_for(key);
   const std::lock_guard<std::mutex> lock(lane.state_mu);
   const auto* sketch = lane.state.flow(key);
@@ -232,7 +143,6 @@ std::optional<common::LatencySketch> ConcurrentShardedCollector::flow_sketch(
 }
 
 std::optional<common::LatencySketch> ConcurrentShardedCollector::link_distribution(LinkId link) {
-  quiesce();
   common::LatencySketch merged(config_.sketch);
   bool seen = false;
   for (auto& lane : lanes_) {
@@ -247,7 +157,6 @@ std::optional<common::LatencySketch> ConcurrentShardedCollector::link_distributi
 }
 
 std::vector<LinkId> ConcurrentShardedCollector::links() {
-  quiesce();
   std::vector<LinkId> ids;
   for (auto& lane : lanes_) {
     const std::lock_guard<std::mutex> lock(lane->state_mu);
@@ -261,7 +170,6 @@ std::vector<LinkId> ConcurrentShardedCollector::links() {
 
 std::vector<std::pair<LinkId, common::LatencySketch>>
 ConcurrentShardedCollector::link_distributions() {
-  quiesce();
   std::map<LinkId, common::LatencySketch> merged;
   for (auto& lane : lanes_) {
     const std::lock_guard<std::mutex> lock(lane->state_mu);
@@ -275,7 +183,6 @@ ConcurrentShardedCollector::link_distributions() {
 }
 
 common::LatencySketch ConcurrentShardedCollector::fleet() {
-  quiesce();
   common::LatencySketch all(config_.sketch);
   for (auto& lane : lanes_) {
     const std::lock_guard<std::mutex> lock(lane->state_mu);
@@ -286,7 +193,6 @@ common::LatencySketch ConcurrentShardedCollector::fleet() {
 
 std::vector<RankedFlowSummary> ConcurrentShardedCollector::top_k_ranked(std::size_t k,
                                                                         double q) {
-  quiesce();
   std::vector<RankedFlowSummary> ranked;
   for (auto& lane : lanes_) {
     const std::lock_guard<std::mutex> lock(lane->state_mu);
@@ -306,7 +212,6 @@ std::vector<FlowSummary> ConcurrentShardedCollector::top_k_flows(std::size_t k, 
 }
 
 ShardedCollector ConcurrentShardedCollector::snapshot() {
-  quiesce();
   CollectorConfig cfg;
   cfg.shard_count = config_.shard_count;
   cfg.sketch = config_.sketch;
@@ -320,7 +225,6 @@ ShardedCollector ConcurrentShardedCollector::snapshot() {
 }
 
 std::size_t ConcurrentShardedCollector::flow_count() {
-  quiesce();
   std::size_t n = 0;
   for (auto& lane : lanes_) {
     const std::lock_guard<std::mutex> lock(lane->state_mu);
@@ -330,7 +234,6 @@ std::size_t ConcurrentShardedCollector::flow_count() {
 }
 
 std::uint64_t ConcurrentShardedCollector::records_ingested() {
-  quiesce();
   std::uint64_t n = 0;
   for (auto& lane : lanes_) {
     const std::lock_guard<std::mutex> lock(lane->state_mu);
@@ -340,7 +243,6 @@ std::uint64_t ConcurrentShardedCollector::records_ingested() {
 }
 
 std::uint64_t ConcurrentShardedCollector::estimates_ingested() {
-  quiesce();
   std::uint64_t n = 0;
   for (auto& lane : lanes_) {
     const std::lock_guard<std::mutex> lock(lane->state_mu);
@@ -350,7 +252,6 @@ std::uint64_t ConcurrentShardedCollector::estimates_ingested() {
 }
 
 std::size_t ConcurrentShardedCollector::epoch_count() {
-  quiesce();
   std::vector<std::uint32_t> epochs;
   for (auto& lane : lanes_) {
     const std::lock_guard<std::mutex> lock(lane->state_mu);
@@ -363,7 +264,6 @@ std::size_t ConcurrentShardedCollector::epoch_count() {
 }
 
 std::vector<std::size_t> ConcurrentShardedCollector::shard_flow_counts() {
-  quiesce();
   std::vector<std::size_t> counts;
   counts.reserve(lanes_.size());
   for (auto& lane : lanes_) {
@@ -371,10 +271,6 @@ std::vector<std::size_t> ConcurrentShardedCollector::shard_flow_counts() {
     counts.push_back(lane->state.flow_count());
   }
   return counts;
-}
-
-std::uint64_t ConcurrentShardedCollector::fallback_ingests() const {
-  return fallbacks_->value();
 }
 
 }  // namespace rlir::collect

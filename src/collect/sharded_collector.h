@@ -19,8 +19,12 @@
 // paying O(flows·log flows) once per query instead of O(log flows) plus a
 // quantile walk on EVERY record is the right side of the trade by orders of
 // magnitude. Consequence: queries mutate the index — the external
-// synchronization this class already requires must treat them as writes
-// (the concurrent wrapper's per-lane state lock already does).
+// synchronization this class already requires must treat them as writes.
+//
+// This class is single-threaded. ConcurrentShardedCollector runs one
+// single-shard instance per lane behind that lane's lock: it groups each
+// submitted batch by lane and merges every lane's share inline under one
+// hold of the lock, and takes the same lock for queries.
 #pragma once
 
 #include <cstdint>

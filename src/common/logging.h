@@ -13,8 +13,8 @@ namespace rlir::common {
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 namespace detail {
-/// Global threshold storage. Atomic: the collection tier logs from worker
-/// and scheduler threads, so reads/writes must not race.
+/// Global threshold storage. Atomic: the collection tier logs from agent,
+/// producer and scheduler threads, so reads/writes must not race.
 std::atomic<int>& log_threshold_storage();
 
 void log_line(LogLevel level, std::string_view msg);

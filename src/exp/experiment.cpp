@@ -118,8 +118,8 @@ ExperimentResult run_two_hop_experiment(const ExperimentConfig& config) {
   sim::PipelineConfig pipe_cfg;
   pipe_cfg.switch1.link_bps = config.link_bps;
   pipe_cfg.switch2.link_bps = config.link_bps;
-  pipe_cfg.switch1.capacity_bytes = config.queue_capacity_bytes;
-  pipe_cfg.switch2.capacity_bytes = config.queue_capacity_bytes;
+  pipe_cfg.switch1.capacity_bytes = config.switch_buffer_bytes;
+  pipe_cfg.switch2.capacity_bytes = config.switch_buffer_bytes;
   sim::TwoHopPipeline pipeline(pipe_cfg);
   if (config.inject_references) pipeline.set_reference_injector(&sender);
   pipeline.set_cross_injector(&injector);

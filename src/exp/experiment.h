@@ -54,7 +54,7 @@ struct ExperimentConfig {
   bool inject_references = true;
 
   /// Bottleneck buffer; 500KB ≈ 400us at 10G.
-  std::uint64_t queue_capacity_bytes = 500 * 1000;
+  std::uint64_t switch_buffer_bytes = 500 * 1000;
 
   /// Residual clock-synchronization error bound at the receiver (0 =
   /// perfectly synchronized, the paper's implicit assumption). Non-zero

@@ -114,21 +114,24 @@ std::size_t CollectorAgent::service(Connection& conn) {
       frames_received_ += 1;
       handle_frame(conn, *frame);
     }
-  } catch (const FrameError&) {
-    // Bad magic/version/type/CRC/length: the stream cannot be resynced.
-    protocol_errors_ += 1;
-    obs_.trace().record(obs::EventKind::kCrcPoison, protocol_errors_, obs_.id());
-    conn.stream->close();
-    conn.dead = true;
   } catch (const std::runtime_error&) {
-    // Framing was sound but a payload was corrupt (record batch or query
-    // that fails its own format checks). Same verdict: drop the peer.
-    protocol_errors_ += 1;
-    obs_.trace().record(obs::EventKind::kCrcPoison, protocol_errors_, obs_.id());
-    conn.stream->close();
-    conn.dead = true;
+    // FrameError (bad magic/version/type/CRC/length: the stream cannot be
+    // resynced) or a sound frame whose payload fails its own format checks.
+    drop_peer(conn);
+  } catch (const std::invalid_argument&) {
+    // A well-formed request the collector refuses, e.g. a record batch
+    // sketched at another relative accuracy. The peer is misconfigured, not
+    // this agent: drop it and keep serving everyone else.
+    drop_peer(conn);
   }
   return frames;
+}
+
+void CollectorAgent::drop_peer(Connection& conn) {
+  protocol_errors_ += 1;
+  obs_.trace().record(obs::EventKind::kCrcPoison, protocol_errors_, obs_.id());
+  conn.stream->close();
+  conn.dead = true;
 }
 
 void CollectorAgent::handle_frame(Connection& conn, const FrameView& frame) {
@@ -238,9 +241,9 @@ void CollectorAgent::handle_frame(Connection& conn, const FrameView& frame) {
           // history-enabled and plain agents and the coordinator's coverage
           // merge reports the truth.
           if (history_ == nullptr) break;
-          // The tee rides ingest, so the quiesce barrier means every record
-          // submitted before this query is in the store.
-          collector_.quiesce();
+          // The tee rides ingest, which is complete when submit_views()
+          // returns, so every record received before this query is in the
+          // store.
           collect::WindowCoverage cov;
           if (query.kind == QueryKind::kWindowFleet) {
             auto sketch = history_->window_fleet(query.epoch_first, query.epoch_last, &cov);

@@ -13,17 +13,20 @@
 //   decode_record_views_prefix loop ──┘
 //        │ RecordView batches (borrowing the frame payload; docs/WIRE.md)
 //        ▼
-//   ConcurrentShardedCollector (per-lane inline merge, no materialization)
+//   ConcurrentShardedCollector (batch grouped by lane, each lane's share
+//   merged inline under its lock; no materialization)
 //
 // poll() is the single-threaded reactor step: accept pending connections,
 // read every readable byte, process complete frames, flush reply bytes.
 // A connection that violates the protocol (bad magic/CRC/length, a frame
-// type only agents send) is counted and dropped — on a raw byte stream
-// there is no safe resync. run() wraps poll() into a daemon loop.
+// type only agents send, a record batch at another sketch accuracy) is
+// counted and dropped — on a raw byte stream there is no safe resync.
+// run() wraps poll() into a daemon loop.
 //
-// Threading: poll()/run() from one thread at a time. The collector itself
-// is thread-safe, so queries against collector() from other threads are
-// fine (they quiesce), as is wiring additional in-process producers.
+// Threading: poll()/run() from one thread at a time; the agent starts no
+// threads of its own. The collector itself is thread-safe, so queries
+// against collector() from other threads are fine, as is wiring additional
+// in-process producers.
 #pragma once
 
 #include <atomic>
@@ -89,7 +92,8 @@ class CollectorAgent {
   void run(const std::atomic<bool>& stop,
            timebase::Duration idle_sleep = timebase::Duration::milliseconds(1));
 
-  /// The shard-group state (thread-safe; queries quiesce ingest).
+  /// The shard-group state (thread-safe; a query sees every batch whose
+  /// poll() has returned).
   [[nodiscard]] collect::ConcurrentShardedCollector& collector() { return collector_; }
 
   /// The attached history store; nullptr unless config.enable_history.
@@ -127,6 +131,8 @@ class CollectorAgent {
   /// Reads available bytes and processes the frames they complete; marks the
   /// connection dead on protocol violations.
   std::size_t service(Connection& conn);
+  /// Counts a protocol violation, records the event and drops the peer.
+  void drop_peer(Connection& conn);
   void handle_frame(Connection& conn, const FrameView& frame);
   void flush_outbox(Connection& conn);
 
@@ -134,10 +140,9 @@ class CollectorAgent {
   /// Declared before collector_ so the agent's registry/trace exist when
   /// the collector config is patched to share them.
   obs::Instrumented obs_;
-  /// Owned history store (enable_history). Declared before collector_: the
-  /// collector tees into it from worker threads, so it must be constructed
-  /// before ingest can start and destroyed only after ~collector_ has
-  /// drained and joined the workers.
+  /// Owned history store (enable_history). Declared before collector_, which
+  /// holds a borrowed pointer to it: the store is built before the collector
+  /// can ingest and destroyed after it.
   std::unique_ptr<collect::SketchHistoryStore> history_;
   collect::ConcurrentShardedCollector collector_;
   std::unique_ptr<Listener> listener_;

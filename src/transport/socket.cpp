@@ -10,10 +10,8 @@
 
 #include <cerrno>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <string_view>
 #include <system_error>
 #include <utility>
 
@@ -80,15 +78,6 @@ class SocketStream final : public ByteStream {
 
   std::size_t write_some_vectored(const ConstBuffer* buffers, std::size_t count) override {
     if (fd_ < 0 || count == 0) return 0;
-    // RLIR_VECTORED_IO=off falls back to the base one-span-at-a-time loop —
-    // the same escape hatch RLIR_CRC32C=software provides for the CRC
-    // dispatch: A/B the syscall batching at runtime (docs/PERFORMANCE.md)
-    // and sidestep it if a platform's sendmsg misbehaves.
-    static const bool disabled = [] {
-      const char* env = std::getenv("RLIR_VECTORED_IO");
-      return env != nullptr && std::string_view(env) == "off";
-    }();
-    if (disabled) return ByteStream::write_some_vectored(buffers, count);
     // One sendmsg for the whole queue segment. iovec and ConstBuffer are not
     // layout-compatible (iov_base is non-const void*), so spans are staged
     // into a bounded on-stack array; a queue deeper than kMaxIov just takes

@@ -99,7 +99,7 @@ class FaultyByteStream final : public ByteStream {
   void close() override { inner_->close(); }
 
   /// Kills the connection NOW — for tests that cut at a condition the plan
-  /// can't express in bytes (e.g. "once the pipe is quiescent").
+  /// can't express in bytes (e.g. "once the pipe is drained").
   void cut_now() { cut(); }
 
   // --- Fault accounting ----------------------------------------------------

@@ -1,15 +1,18 @@
-// ConcurrentShardedCollector: thread-per-shard ingest must converge to
+// ConcurrentShardedCollector: lane-grouped inline ingest must converge to
 // exactly the state a serial ShardedCollector reaches on the same records —
-// bin for bin — regardless of producer count, queue pressure (fallback
-// path), or the queueless mutex-per-shard mode. quiesce() is the barrier
-// that makes queries consistent; these tests are the TSan job's main
+// bin for bin — regardless of producer count or whether batches arrive as
+// owned records or as wire views. A submit is complete when it returns, so
+// a query right after it sees it; these tests are the TSan job's main
 // workload.
 #include "collect/concurrent_collector.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -52,6 +55,17 @@ std::vector<EstimateRecord> make_workload(std::uint64_t seed, std::uint32_t coun
         make_record(i % flows, i % 4, i % 3, 20e3 + 1e3 * (i % flows), rng, 10));
   }
   return records;
+}
+
+/// Splits `items` into consecutive batches of at most `size`.
+template <typename T>
+std::vector<std::vector<T>> chunks(const std::vector<T>& items, std::size_t size) {
+  std::vector<std::vector<T>> out;
+  for (std::size_t i = 0; i < items.size(); i += size) {
+    const auto first = items.begin() + static_cast<std::ptrdiff_t>(i);
+    out.emplace_back(first, first + static_cast<std::ptrdiff_t>(std::min(size, items.size() - i)));
+  }
+  return out;
 }
 
 /// The equivalence oracle: serial collector state vs concurrent snapshot,
@@ -119,13 +133,13 @@ TEST(ConcurrentCollectorTest, ManyProducersMatchSerialExactly) {
 
   ConcurrentCollectorConfig cfg;
   cfg.shard_count = 4;
-  cfg.queue_capacity = 64;  // small enough that producers race the workers
   ConcurrentShardedCollector concurrent(cfg);
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&concurrent, slice = slices[p]]() mutable {
-      for (auto& r : slice) concurrent.submit(std::move(r));
+    producers.emplace_back([&concurrent, &slice = slices[p]] {
+      // Small multi-lane batches, so producers race on every lane lock.
+      for (const auto& batch : chunks(slice, 16)) concurrent.submit(batch);
     });
   }
   for (auto& t : producers) t.join();
@@ -133,57 +147,48 @@ TEST(ConcurrentCollectorTest, ManyProducersMatchSerialExactly) {
   expect_equal_state(serial, concurrent.snapshot(), kFlows);
 }
 
-TEST(ConcurrentCollectorTest, FullQueueTakesFallbackPathAndStaysExact) {
-  constexpr std::uint32_t kFlows = 40;
-  const auto records = make_workload(7, 600, kFlows);
-  ShardedCollector serial(CollectorConfig{2, {}});
-  serial.ingest(records);
+TEST(ConcurrentCollectorTest, ManyProducersSubmitViewsMatchSerialExactly) {
+  constexpr std::uint32_t kFlows = 120;
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kBatch = 50;
+  constexpr int kProducers = 4;
+  std::vector<std::vector<EstimateRecord>> slices;
+  ShardedCollector serial(CollectorConfig{kLanes, {}});
+  for (int p = 0; p < kProducers; ++p) {
+    slices.push_back(make_workload(200 + p, 400, kFlows));
+    serial.ingest(slices.back());
+    // Every batch a producer submits spans every lane (lane = hash % lanes).
+    for (const auto& batch : chunks(slices.back(), kBatch)) {
+      std::set<std::size_t> lanes;
+      for (const auto& r : batch) lanes.insert(r.key.hash() % kLanes);
+      ASSERT_EQ(lanes.size(), kLanes) << "producer " << p;
+    }
+  }
 
   ConcurrentCollectorConfig cfg;
-  cfg.shard_count = 2;
-  cfg.queue_capacity = 1;  // essentially every submission collides
+  cfg.shard_count = kLanes;
   ConcurrentShardedCollector concurrent(cfg);
   std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&concurrent, &records, p] {
-      for (std::size_t i = p; i < records.size(); i += 4) concurrent.submit(records[i]);
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&concurrent, &slice = slices[p]] {
+      const auto bytes = encode_records(slice);
+      std::vector<RecordView> views;
+      decode_record_views_prefix(bytes.data(), bytes.size(), views);
+      for (const auto& batch : chunks(views, kBatch)) concurrent.submit_views(batch);
     });
   }
   for (auto& t : producers) t.join();
 
-  EXPECT_GT(concurrent.fallback_ingests(), 0u);
   expect_equal_state(serial, concurrent.snapshot(), kFlows);
 }
 
-TEST(ConcurrentCollectorTest, QueuelessModeIsMutexPerShardAndStaysExact) {
-  constexpr std::uint32_t kFlows = 40;
-  const auto records = make_workload(9, 500, kFlows);
-  ShardedCollector serial(CollectorConfig{4, {}});
-  serial.ingest(records);
-
-  ConcurrentCollectorConfig cfg;
-  cfg.shard_count = 4;
-  cfg.queue_capacity = 0;  // no worker threads: submit() merges inline
-  ConcurrentShardedCollector concurrent(cfg);
-  EXPECT_FALSE(concurrent.threaded());
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&concurrent, &records, p] {
-      for (std::size_t i = p; i < records.size(); i += 4) concurrent.submit(records[i]);
-    });
-  }
-  for (auto& t : producers) t.join();
-
-  EXPECT_EQ(concurrent.fallback_ingests(), 0u);
-  expect_equal_state(serial, concurrent.snapshot(), kFlows);
-}
-
-TEST(ConcurrentCollectorTest, QueriesQuiesceImplicitly) {
+TEST(ConcurrentCollectorTest, QueryRightAfterSubmitSeesIt) {
   common::Xoshiro256 rng(11);
   ConcurrentShardedCollector collector;
   const auto record = make_record(3, 0, 0, 80e3, rng, 50);
-  collector.submit(record);
-  // No explicit quiesce: the query itself must observe the submission.
+  collector.submit({record});
+  // A submit is complete when it returns: the next query observes it.
   const auto summary = collector.flow_summary(record.key);
   ASSERT_TRUE(summary.has_value());
   EXPECT_EQ(summary->packets, record.sketch.count());
@@ -198,7 +203,7 @@ TEST(ConcurrentCollectorTest, LinkAndFleetQueriesMergeAcrossLanes) {
   for (std::uint32_t i = 0; i < 30; ++i) {
     auto r = make_record(i, i % 2, 0, i % 2 == 0 ? 10e3 : 200e3, rng, 10);
     (i % 2 == 0 ? link0_direct : link1_direct).merge(r.sketch);
-    collector.submit(std::move(r));
+    collector.submit({r});
   }
   EXPECT_EQ(collector.links(), (std::vector<LinkId>{0, 1}));
   const auto link0 = collector.link_distribution(0);
@@ -211,12 +216,16 @@ TEST(ConcurrentCollectorTest, LinkAndFleetQueriesMergeAcrossLanes) {
 }
 
 TEST(ConcurrentCollectorTest, AccuracyMismatchThrowsOnSubmittingThread) {
+  common::Xoshiro256 rng(13);
   ConcurrentShardedCollector collector;
-  EstimateRecord r;
-  r.key = make_key(1);
-  r.sketch = common::LatencySketch(common::LatencySketchConfig{0.05, 128});
-  r.sketch.add(100.0);
-  EXPECT_THROW(collector.submit(std::move(r)), std::invalid_argument);
+  const auto good = make_record(2, 0, 0, 50e3, rng);
+  EstimateRecord bad;
+  bad.key = make_key(1);
+  bad.sketch = common::LatencySketch(common::LatencySketchConfig{0.05, 128});
+  bad.sketch.add(100.0);
+  // The whole batch is rejected: the valid record ahead of the bad one is
+  // not merged either.
+  EXPECT_THROW(collector.submit({good, bad}), std::invalid_argument);
   EXPECT_EQ(collector.flow_count(), 0u);
   EXPECT_EQ(collector.records_ingested(), 0u);
 }
@@ -236,10 +245,10 @@ TEST(ConcurrentCollectorTest, ShardFlowCountsCoverAllLanes) {
   EXPECT_EQ(collector.epoch_count(), 3u);
 }
 
-TEST(ConcurrentCollectorTest, QuiesceIsABarrierForConcurrentReaders) {
-  // One writer streams records while a reader repeatedly queries; every
-  // query must see internally consistent (quiesced) state and never crash
-  // or race. The final state must be exact.
+TEST(ConcurrentCollectorTest, ReaderRacingWriterSeesMonotoneCountsAndEndsExact) {
+  // One writer streams one-record batches while a reader repeatedly
+  // queries; every query must read consistent lane state and never crash or
+  // race. The final state must be exact.
   constexpr std::uint32_t kFlows = 60;
   const auto records = make_workload(33, 1'000, kFlows);
   ShardedCollector serial(CollectorConfig{4, {}});
@@ -247,12 +256,11 @@ TEST(ConcurrentCollectorTest, QuiesceIsABarrierForConcurrentReaders) {
 
   ConcurrentCollectorConfig cfg;
   cfg.shard_count = 4;
-  cfg.queue_capacity = 32;
   ConcurrentShardedCollector concurrent(cfg);
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
-    for (const auto& r : records) concurrent.submit(r);
+    for (const auto& r : records) concurrent.submit({r});
     done.store(true);
   });
   std::uint64_t last_records = 0;

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 
 #include "common/rng.h"
@@ -139,6 +140,13 @@ struct ReverseEcmpCase {
   int k;
   const char* hasher;
 };
+
+// Names each case "k<k>_<hasher>". Without it gtest prints the struct's raw
+// bytes — padding and the string pointer included — so the discovered test
+// names would change from one run to the next.
+void PrintTo(const ReverseEcmpCase& c, std::ostream* os) {
+  *os << 'k' << c.k << '_' << c.hasher;
+}
 
 class ReverseEcmpSweep : public ::testing::TestWithParam<ReverseEcmpCase> {
  protected:

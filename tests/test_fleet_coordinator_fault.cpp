@@ -6,7 +6,7 @@
 //       exactly its hash slots to the survivors (sticky homes elsewhere);
 //   (b) record conservation holds end to end:
 //         submitted == sum(ingested) + shed + inflight
-//       (exact, because the kill lands at a pipe-quiescent point — nothing
+//       (exact, because the kill lands where every pipe is drained — nothing
 //       was in flight to be silently destroyed);
 //   (c) post-rebalance fleet queries merge the reachable agents without
 //       double counting: flows that never lived on the dead agent answer
@@ -89,15 +89,15 @@ TEST(FleetCoordinatorFault, AgentKillMidStreamRebalancesAndConserves) {
     pc.pump();
     fleet.poll_all();
     ++steps;
-    // Mid-stream (several epochs delivered, several to come), at a
-    // quiescent point: drain every queue and pipe first, so the cut
+    // Mid-stream (several epochs delivered, several to come), at an idle
+    // point: drain every client buffer and pipe first, so the cut
     // destroys no in-flight bytes and conservation stays EXACT. (A cut
     // with bytes in the pipe loses them silently — at-most-once delivery —
     // which a test of exact accounting must not race with.)
     if (!killed && steps == 12) {
       for (int i = 0; i < 200 && !pc.drain(8); ++i) fleet.poll_all();
       fleet.poll_all();
-      ASSERT_EQ(pc.records_inflight(), 0u) << "kill point not quiescent";
+      ASSERT_EQ(pc.records_inflight(), 0u) << "kill point not idle";
       routed_to_victim_at_kill = pc.records_routed(kVictim);
       ASSERT_GT(routed_to_victim_at_kill, 0u) << "victim saw no traffic before the kill";
       fleet.kill(kVictim);

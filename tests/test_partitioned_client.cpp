@@ -108,7 +108,6 @@ void settle(PartitionedClient& pc, AgentFleet& fleet) {
     if (all_healthy_empty) break;
   }
   fleet.poll_all();
-  for (auto& agent : fleet.agents) agent->collector().quiesce();
 }
 
 TEST(PartitionedClient, ValidatesConfigAndSealsEndpoints) {
@@ -276,7 +275,6 @@ TEST(PartitionedClient, QueuedRecordsOnDownEndpointAreInflightThenDelivered) {
   // stranded records are the inflight conservation term, not a failure.
   EXPECT_TRUE(pc.drain(64));
   fleet.poll_all();
-  for (auto& agent : fleet.agents) agent->collector().quiesce();
   EXPECT_EQ(pc.records_inflight(), stranded);
   EXPECT_EQ(fleet.total_ingested() + pc.records_shed() + pc.records_inflight(),
             pc.stats().records_submitted);

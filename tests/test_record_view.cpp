@@ -151,11 +151,9 @@ TEST(RecordViewTest, ConcurrentSubmitViewsMatchesSubmit) {
   cfg.shard_count = 4;
   ConcurrentShardedCollector from_records(cfg);
   ConcurrentShardedCollector from_views(cfg);
-  for (const auto& r : batch) from_records.submit(r);
+  from_records.submit(batch);
   from_views.submit_views(views);
 
-  from_records.quiesce();
-  from_views.quiesce();
   for (const auto& r : batch) {
     const auto a = from_views.flow_summary(r.key);
     const auto b = from_records.flow_summary(r.key);

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -20,11 +22,13 @@ namespace rlir::transport {
 namespace {
 
 std::vector<collect::EstimateRecord> make_batch(std::size_t n, std::uint32_t epoch,
-                                                std::uint64_t seed = 11) {
+                                                std::uint64_t seed = 11,
+                                                common::LatencySketchConfig sketch = {}) {
   common::Xoshiro256 rng(seed);
   std::vector<collect::EstimateRecord> records;
   for (std::size_t i = 0; i < n; ++i) {
     collect::EstimateRecord r;
+    r.sketch = common::LatencySketch(sketch);
     r.key.src = net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(i));
     r.key.dst = net::Ipv4Address(10, 1, 0, static_cast<std::uint8_t>(i));
     r.key.src_port = static_cast<std::uint16_t>(1000 + i);
@@ -115,7 +119,6 @@ TEST(TransportClient, ShedsOldestBatchWhenBufferFull) {
 
   ASSERT_TRUE(client.drain());
   agent.poll();
-  agent.collector().quiesce();
   // The SURVIVORS are the newest epochs — oldest-first shedding.
   EXPECT_EQ(agent.stats().records_ingested, 40u);
   const auto epochs = agent.collector().snapshot().epochs_seen();
@@ -146,7 +149,6 @@ TEST(TransportClient, DialFailuresBackOffThenRecover) {
 
   ASSERT_TRUE(client.drain());
   agent.poll();
-  agent.collector().quiesce();
   EXPECT_EQ(agent.stats().records_ingested, 4u);
 }
 
@@ -174,7 +176,6 @@ TEST(TransportClient, MidStreamDisconnectResendsWholeFrameAfterReconnect) {
   // BYTE on the new connection — the new decoder never sees a torn frame.
   for (int i = 0; i < 200 && !client.drain(8); ++i) agent.poll();
   agent.poll();
-  agent.collector().quiesce();
   EXPECT_EQ(client.stats().reconnects, 1u);
   EXPECT_EQ(agent.stats().records_ingested, 8u);
   EXPECT_EQ(agent.stats().protocol_errors, 0u);
@@ -244,6 +245,46 @@ TEST(TransportClient, AgentDropsPeerThatNeverReadsReplies) {
   EXPECT_EQ(agent.connection_count(), 0u);
   EXPECT_GE(agent.protocol_errors(), 1u);
   EXPECT_LT(sent, 100) << "outbox cap never tripped";
+}
+
+TEST(TransportClient, AgentStartsNoThreads) {
+  // Ingest runs inline on the poll thread; the agent owns no workers.
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "no /proc/self/task on this platform";
+  const auto threads = [&tasks] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const auto before = threads();
+  CollectorAgent agent;
+  EXPECT_EQ(threads(), before);
+}
+
+TEST(TransportClient, AgentDropsPeerWithMismatchedSketchAccuracy) {
+  // A well-formed batch sketched at another relative accuracy is a
+  // misconfigured peer, not a reason for the agent to stop: that peer is
+  // dropped like any protocol violator and every other peer keeps streaming.
+  CollectorAgent agent;  // sketches at the default 0.01
+  LoopbackDialer good_dialer{&agent};
+  LoopbackDialer bad_dialer{&agent};
+  CollectorClient good(CollectorClientConfig{}, good_dialer.factory());
+  CollectorClient bad(CollectorClientConfig{}, bad_dialer.factory());
+
+  good.submit(0, make_batch(20, 0));
+  bad.submit(0, make_batch(20, 0, 12, common::LatencySketchConfig{0.02, 2048}));
+  ASSERT_TRUE(good.drain());
+  ASSERT_TRUE(bad.drain());
+  EXPECT_NO_THROW(agent.poll());
+  EXPECT_EQ(agent.protocol_errors(), 1u);
+  EXPECT_EQ(agent.connection_count(), 1u);  // only the bad peer is gone
+  EXPECT_EQ(agent.events().snapshot().count(obs::EventKind::kCrcPoison), 1u);
+
+  good.submit(1, make_batch(20, 1));
+  ASSERT_TRUE(good.drain());
+  EXPECT_NO_THROW(agent.poll());
+  EXPECT_EQ(good.stats().reconnects, 0u);
+  EXPECT_EQ(agent.stats().records_ingested, 40u);  // all of the good peer's, none of the bad's
+  EXPECT_EQ(agent.protocol_errors(), 1u);
 }
 
 TEST(TransportClient, AgentDropsPeerOnCorruptPayloadInsideValidFrame) {
