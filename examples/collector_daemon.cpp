@@ -44,7 +44,7 @@ int usage(const char* argv0) {
                "  --metrics-every N     stderr health line every N ingested epochs (default 8)\n"
                "  --quiet               suppress the periodic health line\n"
                "  --http ADDR           serve GET /metrics, /healthz, /trace on ADDR\n"
-               "  --history             keep the epoch history store (kWindow* queries)\n"
+               "  --history             keep the epoch history store (windowed queries)\n"
                "  --slo-ns NS           watch windowed p99 > NS per flow (implies --history)\n"
                "  --slow-query-ms MS    log spans slower than MS to the event trace\n",
                argv0);
@@ -52,7 +52,7 @@ int usage(const char* argv0) {
 }
 
 /// One operator-readable line per N epochs: the always-on heartbeat between
-/// full scrapes (kMetrics queries or the --metrics exit dump).
+/// full scrapes (metrics queries or the --metrics exit dump).
 void print_health_line(rlir::transport::CollectorAgent& agent) {
   const auto stats = agent.stats();
   const auto events = agent.events().snapshot();
@@ -113,8 +113,8 @@ int main(int argc, char** argv) {
   try {
     const auto address = transport::SocketAddress::parse(listen_text);
     // Always-on self-profiling ring: decode/ingest/answer spans per frame,
-    // served back through kTraceSpans and GET /trace. Declared before the
-    // agent so the agent's bind in its ctor sees a live recorder.
+    // served back through span-ring queries and GET /trace. Declared before
+    // the agent so the agent's bind in its ctor sees a live recorder.
     obs::SpanRecorder spans;
     transport::CollectorAgentConfig cfg;
     cfg.collector.shard_count = shards;
@@ -235,8 +235,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.queries_answered),
                 static_cast<unsigned long long>(stats.protocol_errors));
     if (dump_metrics) {
-      // Same content a kMetrics query ships: registry + AgentStats field
-      // table + event counters, in Prometheus text.
+      // Same content a metrics query ships: registry + collector totals
+      // + event counters, in Prometheus text.
       auto scrape = agent.scrape();
       obs::append_event_counters(scrape.metrics, scrape.events);
       std::fputs(obs::to_prometheus(scrape.metrics).c_str(), stdout);

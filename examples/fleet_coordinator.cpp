@@ -207,26 +207,28 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
                 flow.p50_ns / 1e3, flow.p99_ns / 1e3);
   }
 
+  const auto counter = [](const obs::Scrape& scrape, const char* name) {
+    return static_cast<unsigned long long>(obs::counter_total(scrape.metrics, name));
+  };
   std::printf("\nper-agent stats:\n");
-  const auto per_agent = coord.per_agent_stats();
+  const auto per_agent = coord.per_agent_scrapes();
   for (std::size_t i = 0; i < per_agent.size(); ++i) {
     if (!per_agent[i].has_value()) {
       std::printf("  agent %zu: UNREACHABLE\n", i);
       continue;
     }
     std::printf("  agent %zu: %8llu records, %8llu estimates, %5llu flows, %3llu epochs\n", i,
-                static_cast<unsigned long long>(per_agent[i]->records_ingested),
-                static_cast<unsigned long long>(per_agent[i]->estimates_ingested),
-                static_cast<unsigned long long>(per_agent[i]->flows),
-                static_cast<unsigned long long>(per_agent[i]->epochs));
+                counter(*per_agent[i], "rlir_agent_records_ingested_total"),
+                counter(*per_agent[i], "rlir_agent_estimates_ingested_total"),
+                counter(*per_agent[i], "rlir_agent_flows_total"),
+                counter(*per_agent[i], "rlir_agent_epochs_total"));
   }
 
-  const auto totals = coord.fleet_stats();
+  const auto ingested = counter(coord.fleet_metrics(), "rlir_agent_records_ingested_total");
   const auto delivered = pc.stats().records_submitted - pc.records_shed();
-  const bool conserved = totals.records_ingested == delivered;
+  const bool conserved = ingested == delivered;
   std::printf("\nconservation: sprayed %llu records, fleet ingested %llu -> %s\n",
-              static_cast<unsigned long long>(delivered),
-              static_cast<unsigned long long>(totals.records_ingested),
+              static_cast<unsigned long long>(delivered), ingested,
               conserved ? "exact" : "MISMATCH");
   if (!conserved) {
     // Lost records are exactly what the flight recorder exists for: dump the

@@ -1,5 +1,5 @@
 // One-shot fleet health report: dial every collector agent, scrape its
-// metrics + event trace through the kMetrics query plane, and print the
+// metrics + event trace through the metrics query target, and print the
 // merged roll-up the way an operator's `top` would — fleet totals first,
 // then the per-agent breakdown and recent fault events.
 //
@@ -41,18 +41,6 @@ net::FiveTuple demo_key(std::uint32_t i) {
   key.dst_port = 443;
   key.proto = static_cast<std::uint8_t>(net::IpProto::kUdp);
   return key;
-}
-
-/// Sum of every counter sample named `name` in the snapshot, across label
-/// sets — the "fleet total" read of a merged scrape.
-std::uint64_t counter_total(const obs::MetricsSnapshot& snap, const char* name) {
-  std::uint64_t total = 0;
-  for (const auto& sample : snap.samples) {
-    if (sample.kind == obs::MetricKind::kCounter && sample.name == name) {
-      total += sample.counter;
-    }
-  }
-  return total;
 }
 
 /// "E1:E2" -> inclusive epoch window; false on malformed text.
@@ -122,9 +110,9 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
     poll_local();
   }
 
-  // --- The scrape: one kMetrics fan-out, merged + per-agent. The fan-out
+  // --- The scrape: one metrics fan-out, merged + per-agent. The fan-out
   // is traced (the coordinator carries a span ring), so the report can end
-  // with a worst-hop breakdown pulled back through kTraceSpans.
+  // with a worst-hop breakdown pulled back through a span-ring fan-out.
   obs::SpanRecorder coord_spans;
   transport::QueryCoordinatorConfig coord_cfg;
   coord_cfg.instruments.spans = &coord_spans;
@@ -156,17 +144,17 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
   std::printf("  records %llu  estimates %llu  flows %llu  epochs %llu  "
               "queries %llu  protocol errors %llu\n",
               static_cast<unsigned long long>(
-                  counter_total(fleet.metrics, "rlir_agent_records_ingested_total")),
+                  obs::counter_total(fleet.metrics, "rlir_agent_records_ingested_total")),
               static_cast<unsigned long long>(
-                  counter_total(fleet.metrics, "rlir_agent_estimates_ingested_total")),
+                  obs::counter_total(fleet.metrics, "rlir_agent_estimates_ingested_total")),
               static_cast<unsigned long long>(
-                  counter_total(fleet.metrics, "rlir_agent_flows_total")),
+                  obs::counter_total(fleet.metrics, "rlir_agent_flows_total")),
               static_cast<unsigned long long>(
-                  counter_total(fleet.metrics, "rlir_agent_epochs_total")),
+                  obs::counter_total(fleet.metrics, "rlir_agent_epochs_total")),
               static_cast<unsigned long long>(
-                  counter_total(fleet.metrics, "rlir_agent_queries_answered_total")),
+                  obs::counter_total(fleet.metrics, "rlir_agent_queries_answered_total")),
               static_cast<unsigned long long>(
-                  counter_total(fleet.metrics, "rlir_agent_protocol_errors_total")));
+                  obs::counter_total(fleet.metrics, "rlir_agent_protocol_errors_total")));
   std::printf("  events: connect %llu  disconnect %llu  shed %llu  crc %llu  "
               "rebalance %llu  epoch-flush %llu  (dropped %llu)\n\n",
               static_cast<unsigned long long>(fleet.events.count(obs::EventKind::kConnect)),
@@ -187,19 +175,19 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
                 "%2llu conns accepted  %llu disconnects\n",
                 i,
                 static_cast<unsigned long long>(
-                    counter_total(s.metrics, "rlir_agent_records_ingested_total")),
+                    obs::counter_total(s.metrics, "rlir_agent_records_ingested_total")),
                 static_cast<unsigned long long>(
-                    counter_total(s.metrics, "rlir_agent_flows_total")),
+                    obs::counter_total(s.metrics, "rlir_agent_flows_total")),
                 static_cast<unsigned long long>(
-                    counter_total(s.metrics, "rlir_agent_epochs_total")),
+                    obs::counter_total(s.metrics, "rlir_agent_epochs_total")),
                 static_cast<unsigned long long>(
-                    counter_total(s.metrics, "rlir_agent_connections_accepted_total")),
+                    obs::counter_total(s.metrics, "rlir_agent_connections_accepted_total")),
                 static_cast<unsigned long long>(s.events.count(obs::EventKind::kDisconnect)));
   }
 
   // --- Where the scrape's time went, worst hop per stage: the coordinator's
   // merge/leg/query spans plus each agent's decode/ingest/answer spans,
-  // reassembled across processes via the kTraceSpans fan-out.
+  // reassembled across processes via the span-ring fan-out.
   const auto trace = coord.collect_trace();
   if (trace.size() > 0) {
     struct Worst {
@@ -227,7 +215,7 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
   }
 
   if (windowed) {
-    // Time-travel query: the kWindowFleet fan-out over each agent's history
+    // Time-travel query: a windowed fleet fan-out over each agent's history
     // store, merged bin-for-bin with honest coverage labeling.
     std::printf("\nfleet latency over epoch window [%u, %u]:\n", window_first, window_last);
     const auto result = coord.window_fleet(window_first, window_last);

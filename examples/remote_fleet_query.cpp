@@ -24,6 +24,7 @@
 
 #include "collect/epoch_scheduler.h"
 #include "collect/fleet.h"
+#include "obs/metrics.h"
 #include "rli/sender.h"
 #include "rlir/demux.h"
 #include "rlir/sender_agent.h"
@@ -171,55 +172,49 @@ int run(const std::string& connect_text) {
     return std::optional<transport::QueryReply>{};
   };
 
-  transport::Query fleet_q;
-  fleet_q.kind = transport::QueryKind::kFleet;
-  const auto fleet_reply = ask(fleet_q);
-  if (!fleet_reply.has_value()) {
+  const auto fleet_reply = ask({.target = transport::Target::kFleet});
+  if (!fleet_reply.has_value() || fleet_reply->entries.size() != 1) {
     std::fprintf(stderr, "fleet query got no reply\n");
     return 1;
   }
-  const auto& dist = fleet_reply->fleet;
+  const auto& dist = fleet_reply->entries.front().sketch;
   std::printf("remote fleet-wide latency: p50 %8.1fus  p90 %8.1fus  p99 %8.1fus  max %8.1fus "
               "(%llu estimates)\n",
               dist.quantile(0.5) / 1e3, dist.quantile(0.9) / 1e3, dist.quantile(0.99) / 1e3,
               dist.max() / 1e3, static_cast<unsigned long long>(dist.count()));
 
-  transport::Query top_q;
-  top_q.kind = transport::QueryKind::kTopK;
-  top_q.k = 5;
-  top_q.q = 0.99;
-  const auto top_reply = ask(top_q);
+  const auto top_reply = ask({.target = transport::Target::kTopK, .k = 5, .q = 0.99});
   if (!top_reply.has_value()) {
     std::fprintf(stderr, "top-k query got no reply\n");
     return 1;
   }
   std::printf("\nremote top-5 worst flows by p99:\n");
-  for (const auto& [rank, flow] : top_reply->top) {
+  for (const auto& entry : top_reply->entries) {
+    const auto flow = collect::summarize(entry.flow, entry.sketch);
     std::printf("  %-44s %6llu pkts  p50 %8.1fus  p99 %8.1fus\n",
                 flow.key.to_string().c_str(), static_cast<unsigned long long>(flow.packets),
                 flow.p50_ns / 1e3, flow.p99_ns / 1e3);
   }
 
-  transport::Query stats_q;
-  stats_q.kind = transport::QueryKind::kStats;
-  const auto stats_reply = ask(stats_q);
-  if (!stats_reply.has_value()) {
-    std::fprintf(stderr, "stats query got no reply\n");
+  const auto metrics_reply = ask({.target = transport::Target::kMetrics});
+  if (!metrics_reply.has_value()) {
+    std::fprintf(stderr, "metrics query got no reply\n");
     return 1;
   }
-  const auto& as = stats_reply->stats;
+  const auto counter = [&metrics_reply](const char* name) {
+    return static_cast<unsigned long long>(
+        obs::counter_total(metrics_reply->scrape.metrics, name));
+  };
+  const auto records = counter("rlir_agent_records_ingested_total");
   std::printf("\nagent: %llu records / %llu estimates across %llu flows, %llu epochs; "
               "%llu frames, %llu protocol errors\n",
-              static_cast<unsigned long long>(as.records_ingested),
-              static_cast<unsigned long long>(as.estimates_ingested),
-              static_cast<unsigned long long>(as.flows),
-              static_cast<unsigned long long>(as.epochs),
-              static_cast<unsigned long long>(as.frames_received),
-              static_cast<unsigned long long>(as.protocol_errors));
-  const bool conserved = as.records_ingested == cs.records_submitted - cs.records_shed;
+              records, counter("rlir_agent_estimates_ingested_total"),
+              counter("rlir_agent_flows_total"), counter("rlir_agent_epochs_total"),
+              counter("rlir_agent_frames_received_total"),
+              counter("rlir_agent_protocol_errors_total"));
+  const bool conserved = records == cs.records_submitted - cs.records_shed;
   std::printf("conservation: client shipped %llu records, agent ingested %llu -> %s\n",
-              static_cast<unsigned long long>(cs.records_submitted - cs.records_shed),
-              static_cast<unsigned long long>(as.records_ingested),
+              static_cast<unsigned long long>(cs.records_submitted - cs.records_shed), records,
               conserved ? "exact" : "MISMATCH");
   return conserved ? 0 : 1;
 }

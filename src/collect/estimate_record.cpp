@@ -22,11 +22,22 @@ using common::wire::take_f64;
 constexpr std::array<char, 4> kMagic = {'R', 'L', 'E', 'S'};
 constexpr std::size_t kHeaderSize = kMagic.size() + 4 + 8;      // magic, version, count
 constexpr std::size_t kKeyedFixedSize = 13 + 4 + 2 + 4;        // key, link, sender, epoch
-constexpr std::size_t kSketchFixedSize = 8 + 4 +               // accuracy, max_bins
-                                         8 + 8 + 8 + 8 + 4;    // zero, sum, min, max, bin count
+/// Smallest encoded record (no bins): what a claimed batch count is checked
+/// against before anything is reserved for it.
+constexpr std::size_t kMinRecordSize = kKeyedFixedSize + kSketchFixedSize;
 constexpr std::size_t kBinSize = 4 + 8;                        // index, count
 /// Corruption guard: no honest sketch carries this many bins.
 constexpr std::uint32_t kMaxWireBins = 1u << 20;
+
+/// Reads a batch's record count and checks that that many smallest records
+/// fit in the bytes left — a lying count fails here, before any reserve.
+std::uint64_t take_count(const std::uint8_t*& p, const std::uint8_t* end) {
+  const auto count = take<std::uint64_t>(p);
+  if (count > static_cast<std::size_t>(end - p) / kMinRecordSize) {
+    throw std::runtime_error("EstimateRecord: record count exceeds payload");
+  }
+  return count;
+}
 
 void encode_record(const EstimateRecord& r, std::uint8_t*& p) {
   put<std::uint32_t>(p, r.key.src.value());
@@ -193,8 +204,8 @@ std::size_t decode_record_views_prefix(const std::uint8_t* data, std::size_t siz
   if (version != kEstimateWireVersion) {
     throw std::runtime_error("EstimateRecord: unsupported version " + std::to_string(version));
   }
-  const auto count = take<std::uint64_t>(p);
-  if (count < (1u << 20)) out.reserve(out.size() + count);  // don't trust a corrupt count
+  const auto count = take_count(p, end);
+  out.reserve(out.size() + count);
   for (std::uint64_t i = 0; i < count; ++i) {
     out.push_back(decode_record_view(p, end));
   }
@@ -291,9 +302,9 @@ DecodedBatch decode_records_prefix(const std::uint8_t* data, std::size_t size) {
   if (version != kEstimateWireVersion) {
     throw std::runtime_error("EstimateRecord: unsupported version " + std::to_string(version));
   }
-  const auto count = take<std::uint64_t>(p);
+  const auto count = take_count(p, end);
   DecodedBatch batch;
-  if (count < (1u << 20)) batch.records.reserve(count);  // don't trust a corrupt count
+  batch.records.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     batch.records.push_back(decode_record(p, end));
   }

@@ -154,6 +154,11 @@ void decode_record_body_views(const std::uint8_t* data, std::size_t size,
 // The sketch portion of a record (config, moments, bins) is a format of its
 // own, reused by the transport tier's query replies to ship bare sketches.
 
+/// Bytes of a sketch segment before its bins (accuracy, max bins, zero count,
+/// sum, min, max, bin count) — an empty sketch's whole segment, and the floor
+/// a decoder checks a claimed entry count against.
+inline constexpr std::size_t kSketchFixedSize = 8 + 4 + 8 + 8 + 8 + 8 + 4;
+
 /// Exact wire size of one sketch's segment in bytes.
 [[nodiscard]] std::size_t sketch_wire_size(const common::LatencySketch& sketch);
 /// Writes the sketch segment at `p`, advancing it; the caller guarantees

@@ -136,8 +136,7 @@ std::optional<double> ShardedCollector::flow_quantile(const net::FiveTuple& key,
   return sketch->quantile(q);
 }
 
-FlowSummary ShardedCollector::summarize(const net::FiveTuple& key,
-                                        const common::LatencySketch& sketch) const {
+FlowSummary summarize(const net::FiveTuple& key, const common::LatencySketch& sketch) {
   FlowSummary s;
   s.key = key;
   s.packets = sketch.count();

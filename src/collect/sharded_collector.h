@@ -78,6 +78,12 @@ using RankedFlowSummary = std::pair<double, FlowSummary>;
   return a.second.key < b.second.key;
 }
 
+/// The summary derived from a flow's merged sketch — the one derivation
+/// every top-k path uses (collector, rank index, coordinator), so a summary
+/// rebuilt from a sketch shipped over the wire is identical to the local one.
+[[nodiscard]] FlowSummary summarize(const net::FiveTuple& key,
+                                    const common::LatencySketch& sketch);
+
 /// Drops the ranking values, keeping order.
 [[nodiscard]] std::vector<FlowSummary> strip_ranks(std::vector<RankedFlowSummary>&& ranked);
 
@@ -201,8 +207,6 @@ class ShardedCollector {
   /// The scan implementation behind top_k_flows_scan and the un-indexed
   /// fallback of top_k_ranked — one copy of the ordering/tie-break rules.
   [[nodiscard]] std::vector<RankedFlowSummary> top_k_ranked_scan(std::size_t k, double q) const;
-  [[nodiscard]] FlowSummary summarize(const net::FiveTuple& key,
-                                      const common::LatencySketch& sketch) const;
 
   CollectorConfig config_;
   std::vector<Shard> shards_;

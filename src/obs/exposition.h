@@ -21,8 +21,8 @@
 namespace rlir::obs {
 
 /// Appends one synthetic counter sample — how scrape paths fold values that
-/// live outside the registry (e.g. the transport AgentStats field table)
-/// into a snapshot without double-registering them.
+/// live outside the registry (e.g. an agent's collector totals) into a
+/// snapshot without double-registering them.
 void append_counter(MetricsSnapshot& snap, std::string name, Labels labels,
                     std::uint64_t value);
 

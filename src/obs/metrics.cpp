@@ -119,6 +119,16 @@ std::size_t MetricsRegistry::size() const {
   return entries_.size();
 }
 
+std::uint64_t counter_total(const MetricsSnapshot& snap, std::string_view name) {
+  std::uint64_t total = 0;
+  for (const auto& sample : snap.samples) {
+    if (sample.kind == MetricKind::kCounter && sample.name == name) {
+      total = saturating_add_u64(total, sample.counter);
+    }
+  }
+  return total;
+}
+
 MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts) {
   // Same identity-key map as the registry, so the merged snapshot comes out
   // in the same deterministic order a single registry would produce.

@@ -156,6 +156,10 @@ class MetricsRegistry {
   return sum < a ? ~std::uint64_t{0} : sum;
 }
 
+/// Sum (saturating) of every counter sample named `name`, across label sets
+/// — the "fleet total" read of a scrape or a merged roll-up.
+[[nodiscard]] std::uint64_t counter_total(const MetricsSnapshot& snap, std::string_view name);
+
 /// Fleet roll-up: samples with the same (kind, name, labels) merge —
 /// counters sum (saturating), gauges keep the max, histograms union
 /// bin-wise (exact, like every sketch merge in the system). A key appearing

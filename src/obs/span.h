@@ -9,8 +9,8 @@
 // with the work: in the widened RLTF query payload and in the optional
 // record-batch trailer (docs/WIRE.md), so a CollectorAgent's decode/ingest/
 // answer spans parent to the CollectorClient span that shipped the bytes,
-// and a QueryCoordinator can pull every agent's ring (kTraceSpans) and
-// reassemble the cross-process tree.
+// and a QueryCoordinator can pull every agent's ring (a span-ring query)
+// and reassemble the cross-process tree.
 //
 // Tracing is OPT-IN: a null SpanRecorder* in obs::Instruments means every
 // instrumentation site is a pointer check and nothing else — existing
@@ -45,7 +45,7 @@ struct TraceContext {
 };
 
 /// Which instrumented stage a span measures. Values are wire bytes
-/// (kTraceSpans replies); extend at the end and bump kSpanKindCount.
+/// (span-ring query replies); extend at the end and bump kSpanKindCount.
 enum class SpanKind : std::uint8_t {
   kClientQuery = 1,    ///< CollectorClient send_query -> reply/loss.
   kClientPump = 2,     ///< One pump() that moved bytes.

@@ -19,6 +19,11 @@ using common::wire::take;
 constexpr std::uint32_t kMaxSamples = 1u << 20;
 constexpr std::uint32_t kMaxLabels = 64;
 constexpr std::uint32_t kMaxEvents = 1u << 20;
+/// Smallest encoded sample (u8 kind | empty name | no labels | u64 value)
+/// and event (u8 kind | i64 ts | u64 value | empty detail): a claimed count
+/// must fit in the bytes left at this size before anything is reserved.
+constexpr std::size_t kMinSampleSize = 1 + 2 + 4 + 8;
+constexpr std::size_t kMinEventSize = 1 + 8 + 8 + 2;
 
 [[nodiscard]] std::size_t str_wire_size(const std::string& s) { return 2 + s.size(); }
 
@@ -124,6 +129,7 @@ Scrape decode_scrape(const std::uint8_t*& p, const std::uint8_t* end) {
   if (sample_count > kMaxSamples) {
     throw std::runtime_error("obs wire: implausible sample count");
   }
+  need(p, end, std::size_t{sample_count} * kMinSampleSize);
   scrape.metrics.samples.reserve(sample_count);
   for (std::uint32_t i = 0; i < sample_count; ++i) {
     MetricSample s;
@@ -166,6 +172,7 @@ Scrape decode_scrape(const std::uint8_t*& p, const std::uint8_t* end) {
   if (event_count > kMaxEvents) {
     throw std::runtime_error("obs wire: implausible event count");
   }
+  need(p, end, std::size_t{event_count} * kMinEventSize);
   scrape.events.events.reserve(event_count);
   for (std::uint32_t i = 0; i < event_count; ++i) {
     Event ev;

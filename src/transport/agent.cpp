@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "collect/estimate_record.h"
+#include "obs/exposition.h"
 
 namespace rlir::transport {
 
@@ -39,6 +40,10 @@ CollectorAgent::CollectorAgent(CollectorAgentConfig config)
   c_.connections = r.gauge("rlir_agent_connections", base);
   c_.connections_accepted = r.counter("rlir_agent_connections_accepted_total", base);
   c_.connections_closed = r.counter("rlir_agent_connections_closed_total", base);
+  c_.frames_received = r.counter("rlir_agent_frames_received_total", base);
+  c_.batches_received = r.counter("rlir_agent_batches_received_total", base);
+  c_.queries_answered = r.counter("rlir_agent_queries_answered_total", base);
+  c_.protocol_errors = r.counter("rlir_agent_protocol_errors_total", base);
   c_.batch_records = r.histogram("rlir_agent_batch_records", base);
   spans_ = obs_.spans();
   if (spans_ != nullptr) spans_->bind_metrics(&r, base);
@@ -111,7 +116,7 @@ std::size_t CollectorAgent::service(Connection& conn) {
     // until the next service call), so the borrow is safe.
     while (auto frame = conn.decoder.next_view()) {
       frames += 1;
-      frames_received_ += 1;
+      c_.frames_received->increment();
       handle_frame(conn, *frame);
     }
   } catch (const std::runtime_error&) {
@@ -128,8 +133,8 @@ std::size_t CollectorAgent::service(Connection& conn) {
 }
 
 void CollectorAgent::drop_peer(Connection& conn) {
-  protocol_errors_ += 1;
-  obs_.trace().record(obs::EventKind::kCrcPoison, protocol_errors_, obs_.id());
+  c_.protocol_errors->increment();
+  obs_.trace().record(obs::EventKind::kCrcPoison, c_.protocol_errors->value(), obs_.id());
   conn.stream->close();
   conn.dead = true;
 }
@@ -165,7 +170,7 @@ void CollectorAgent::handle_frame(Connection& conn, const FrameView& frame) {
         if (spans_ != nullptr) decode_ns += obs::SpanRecorder::now_ns() - t;
         p += consumed;
         remaining -= consumed;
-        batches_received_ += 1;
+        c_.batches_received->increment();
         frame_records += view_scratch_.size();
         c_.batch_records->observe(static_cast<double>(view_scratch_.size()));
         if (!view_scratch_.empty()) {
@@ -199,96 +204,24 @@ void CollectorAgent::handle_frame(Connection& conn, const FrameView& frame) {
     }
     case FrameType::kQuery: {
       const auto query = decode_query(frame.payload, frame.size);
-      // Counted before building the reply so a kStats answer includes the
-      // query it is answering.
-      queries_answered_ += 1;
+      // Counted before building the reply so a scrape includes the query
+      // it is answering.
+      c_.queries_answered->increment();
       // The answer span parents to whatever context the query carried
-      // (client hop, or bare coordinator leg). kTraceSpans is never traced:
+      // (client hop, or bare coordinator leg). A span pull is never traced:
       // pulling a trace must not pollute it.
-      const bool trace_answer = spans_ != nullptr && query.kind != QueryKind::kTraceSpans;
+      const bool trace_answer = spans_ != nullptr && query.target != Target::kSpans;
       const std::int64_t answer_t0 = trace_answer ? obs::SpanRecorder::now_ns() : 0;
-      QueryReply reply;
-      reply.kind = query.kind;
-      switch (query.kind) {
-        case QueryKind::kFleet:
-          reply.fleet = collector_.fleet();
-          break;
-        case QueryKind::kTopK:
-          // Ranked form so a higher tier can merge several agents' answers;
-          // served from the live collector's per-lane rank indexes
-          // (O(k·lanes)), not a state copy.
-          reply.top = collector_.top_k_ranked(query.k, query.q);
-          break;
-        case QueryKind::kFlowQuantile:
-          reply.quantile = collector_.flow_quantile(query.key, query.q);
-          break;
-        case QueryKind::kStats:
-          reply.stats = stats();
-          break;
-        case QueryKind::kFlowSketch:
-          reply.flow_sketch = collector_.flow_sketch(query.key);
-          break;
-        case QueryKind::kLinks:
-          reply.links = collector_.link_distributions();
-          break;
-        case QueryKind::kMetrics:
-          reply.scrape = scrape();
-          break;
-        case QueryKind::kWindowFleet:
-        case QueryKind::kWindowLink:
-        case QueryKind::kWindowFlowQuantile: {
-          // No store attached -> covered=false, absent: a fleet can mix
-          // history-enabled and plain agents and the coordinator's coverage
-          // merge reports the truth.
-          if (history_ == nullptr) break;
-          // The tee rides ingest, which is complete when submit_views()
-          // returns, so every record received before this query is in the
-          // store.
-          collect::WindowCoverage cov;
-          if (query.kind == QueryKind::kWindowFleet) {
-            auto sketch = history_->window_fleet(query.epoch_first, query.epoch_last, &cov);
-            if (cov.covered) reply.window_sketch = std::move(sketch);
-          } else if (query.kind == QueryKind::kWindowLink) {
-            reply.window_sketch =
-                history_->window_link(query.epoch_first, query.epoch_last, query.k, &cov);
-          } else {
-            reply.window_sketch =
-                history_->window_flow(query.epoch_first, query.epoch_last, query.key, &cov);
-            if (reply.window_sketch.has_value()) {
-              reply.quantile = reply.window_sketch->quantile(query.q);
-            }
-          }
-          reply.window.covered = cov.covered;
-          reply.window.complete = cov.complete;
-          reply.window.first = cov.covered_first;
-          reply.window.last = cov.covered_last;
-          reply.window.records = cov.records;
-          break;
-        }
-        case QueryKind::kTraceSpans: {
-          // No recorder attached -> empty ring, honestly: count 0, total 0.
-          if (spans_ == nullptr) break;
-          obs::SpanRecorderSnapshot snap = spans_->snapshot();
-          if (query.trace.valid()) {
-            std::erase_if(snap.spans, [&](const obs::Span& s) {
-              return s.trace_id != query.trace.trace_id;
-            });
-          }
-          reply.spans = std::move(snap.spans);
-          reply.spans_dropped = snap.dropped;
-          reply.spans_total = snap.total;
-          break;
-        }
-      }
+      const QueryReply reply = answer(query);
       if (trace_answer) {
-        obs::Span answer;
-        answer.trace_id = query.trace.trace_id;
-        answer.parent_id = query.trace.span_id;
-        answer.kind = obs::SpanKind::kAgentAnswer;
-        answer.start_ns = answer_t0;
-        answer.end_ns = obs::SpanRecorder::now_ns();
-        answer.label = query_kind_name(query.kind);
-        spans_->record(std::move(answer));
+        obs::Span answer_span;
+        answer_span.trace_id = query.trace.trace_id;
+        answer_span.parent_id = query.trace.span_id;
+        answer_span.kind = obs::SpanKind::kAgentAnswer;
+        answer_span.start_ns = answer_t0;
+        answer_span.end_ns = obs::SpanRecorder::now_ns();
+        answer_span.label = query_name(query);
+        spans_->record(std::move(answer_span));
       }
       const auto bytes = encode_frame(FrameType::kQueryReply, encode_reply(reply));
       if (conn.outbox.size() - conn.outbox_offset + bytes.size() > config_.max_outbox_bytes) {
@@ -303,6 +236,75 @@ void CollectorAgent::handle_frame(Connection& conn, const FrameView& frame) {
       // Only agents produce replies; receiving one is a protocol violation.
       throw FrameError("CollectorAgent: unexpected kQueryReply frame");
   }
+}
+
+QueryReply CollectorAgent::answer(const Query& query) {
+  QueryReply reply;
+  // One entry per sketch found; an unseen link or flow adds none.
+  const auto add = [&reply](collect::LinkId link, const net::FiveTuple& flow,
+                            std::optional<common::LatencySketch> sketch) {
+    if (sketch.has_value()) reply.entries.push_back({link, flow, std::move(*sketch)});
+  };
+  if (query.window.has_value()) {
+    // No store attached -> covered=false, no entries: a fleet can mix
+    // history-enabled and plain agents and the coordinator's coverage merge
+    // reports the truth. The tee rides ingest, which is complete when
+    // submit_views() returns, so every record received before this query is
+    // in the store.
+    collect::WindowCoverage cov;
+    if (history_ != nullptr) {
+      const auto [first, last] = *query.window;
+      if (query.target == Target::kFleet) {
+        auto sketch = history_->window_fleet(first, last, &cov);
+        if (cov.covered) add(0, {}, std::move(sketch));
+      } else if (query.target == Target::kLink) {
+        add(query.link, {}, history_->window_link(first, last, query.link, &cov));
+      } else {  // decode admits a window on fleet, link and flow only
+        add(0, query.flow, history_->window_flow(first, last, query.flow, &cov));
+      }
+    }
+    reply.coverage =
+        WindowInfo{cov.covered, cov.complete, cov.covered_first, cov.covered_last, cov.records};
+    return reply;
+  }
+  switch (query.target) {
+    case Target::kFleet:
+      add(0, {}, collector_.fleet());
+      break;
+    case Target::kLink:
+      add(query.link, {}, collector_.link_distribution(query.link));
+      break;
+    case Target::kLinks:
+      for (auto& [link, sketch] : collector_.link_distributions()) add(link, {}, std::move(sketch));
+      break;
+    case Target::kFlow:
+      add(0, query.flow, collector_.flow_sketch(query.flow));
+      break;
+    case Target::kTopK:
+      // Ranked from the live collector's per-lane rank indexes (O(k·lanes)),
+      // not a state copy; each flow ships its sketch so a higher tier can
+      // rank, summarize and merge several agents' answers exactly.
+      for (const auto& [rank, flow] : collector_.top_k_ranked(query.k, query.q)) {
+        add(0, flow.key, collector_.flow_sketch(flow.key));
+      }
+      break;
+    case Target::kMetrics:
+      reply.body = ReplyBody::kScrape;
+      reply.scrape = scrape();
+      break;
+    case Target::kSpans:
+      // No recorder attached -> empty ring, honestly: count 0, total 0.
+      reply.body = ReplyBody::kSpans;
+      if (spans_ == nullptr) break;
+      reply.spans = spans_->snapshot();
+      if (query.trace.valid()) {
+        std::erase_if(reply.spans.spans, [&](const obs::Span& s) {
+          return s.trace_id != query.trace.trace_id;
+        });
+      }
+      break;
+  }
+  return reply;
 }
 
 void CollectorAgent::flush_outbox(Connection& conn) {
@@ -332,24 +334,30 @@ obs::Scrape CollectorAgent::scrape() {
   // unsealed tail so the scrape's record counter matches the collector's.
   if (history_ != nullptr) history_->refresh_cells();
   s.metrics = obs_.registry().snapshot();
-  // The AgentStats counters ride along as synthetic samples (field table):
-  // they live outside the registry, so this is their only identity — a
-  // coordinator merge sums them exactly like registry counters.
-  append_agent_stats(s.metrics, stats(), obs_.labels());
+  // The collector totals live in the collector, not the registry, so this
+  // is their only identity — a coordinator merge sums them exactly like
+  // registry counters.
+  const obs::Labels base = obs_.labels();
+  obs::append_counter(s.metrics, "rlir_agent_records_ingested_total", base,
+                      collector_.records_ingested());
+  obs::append_counter(s.metrics, "rlir_agent_estimates_ingested_total", base,
+                      collector_.estimates_ingested());
+  obs::append_counter(s.metrics, "rlir_agent_flows_total", base, collector_.flow_count());
+  obs::append_counter(s.metrics, "rlir_agent_epochs_total", base, collector_.epoch_count());
   s.events = obs_.trace().snapshot();
   return s;
 }
 
-AgentStats CollectorAgent::stats() {
-  AgentStats s;
+CollectorAgent::Stats CollectorAgent::stats() {
+  Stats s;
   s.records_ingested = collector_.records_ingested();
   s.estimates_ingested = collector_.estimates_ingested();
   s.flows = collector_.flow_count();
   s.epochs = collector_.epoch_count();
-  s.frames_received = frames_received_;
-  s.batches_received = batches_received_;
-  s.queries_answered = queries_answered_;
-  s.protocol_errors = protocol_errors_;
+  s.frames_received = c_.frames_received->value();
+  s.batches_received = c_.batches_received->value();
+  s.queries_answered = c_.queries_answered->value();
+  s.protocol_errors = c_.protocol_errors->value();
   return s;
 }
 

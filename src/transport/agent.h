@@ -59,7 +59,7 @@ struct CollectorAgentConfig {
   /// Observability attachment; shared with the owned collector. Null
   /// members = the agent owns a private registry/trace.
   obs::Instruments instruments;
-  /// Attach a history store and serve the kWindow* time-travel queries.
+  /// Attach a history store and serve windowed (time-travel) queries.
   /// Off by default: the store is a per-record ingest tee plus resident
   /// memory, which a pure live-query deployment should not pay for.
   bool enable_history = false;
@@ -100,13 +100,25 @@ class CollectorAgent {
   /// Thread-safe like the collector (internally locked).
   [[nodiscard]] collect::SketchHistoryStore* history() { return history_.get(); }
 
-  /// Counters served to kStats queries (collector totals + agent protocol
-  /// accounting).
-  [[nodiscard]] AgentStats stats();
+  /// Collector totals plus protocol accounting — the numbers a scrape
+  /// carries as rlir_agent_<field>_total.
+  struct Stats {
+    std::uint64_t records_ingested = 0;
+    std::uint64_t estimates_ingested = 0;
+    std::uint64_t flows = 0;
+    std::uint64_t epochs = 0;
+    std::uint64_t frames_received = 0;
+    std::uint64_t batches_received = 0;
+    std::uint64_t queries_answered = 0;
+    std::uint64_t protocol_errors = 0;
+  };
+  /// An in-process view over the collector and the registry cells (the
+  /// registry is the single source of truth, as for CollectorClient::stats).
+  [[nodiscard]] Stats stats();
 
-  /// The full observability state a kMetrics reply (or a local --metrics
-  /// dump) carries: the registry snapshot, the AgentStats counters as
-  /// synthetic rlir_agent_* samples (field table), and the event trace.
+  /// The full observability state a Target::kMetrics reply (or a local
+  /// --metrics dump) carries: the registry snapshot, the collector totals
+  /// appended as rlir_agent_* counters, and the event trace.
   [[nodiscard]] obs::Scrape scrape();
 
   /// The registry/trace this agent (and its collector) report into.
@@ -116,7 +128,7 @@ class CollectorAgent {
   [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
   [[nodiscard]] std::uint64_t connections_accepted() const { return accepted_; }
   [[nodiscard]] std::uint64_t connections_closed() const { return closed_; }
-  [[nodiscard]] std::uint64_t protocol_errors() const { return protocol_errors_; }
+  [[nodiscard]] std::uint64_t protocol_errors() const { return c_.protocol_errors->value(); }
 
  private:
   struct Connection {
@@ -134,6 +146,9 @@ class CollectorAgent {
   /// Counts a protocol violation, records the event and drops the peer.
   void drop_peer(Connection& conn);
   void handle_frame(Connection& conn, const FrameView& frame);
+  /// Builds the reply to one query: sketch entries from the collector (live)
+  /// or the history store (window), a scrape, or the span ring.
+  [[nodiscard]] QueryReply answer(const Query& query);
   void flush_outbox(Connection& conn);
 
   CollectorAgentConfig config_;
@@ -148,27 +163,26 @@ class CollectorAgent {
   std::unique_ptr<Listener> listener_;
   std::vector<std::unique_ptr<Connection>> connections_;
 
-  /// Protocol counters stay plain members (single poll thread): they are
-  /// served through the AgentStats field table at scrape time, so putting
-  /// them in the registry too would create duplicate metric identities.
+  /// Connection counts stay plain members (single poll thread): they are
+  /// the event values of connect/disconnect records.
   std::uint64_t accepted_ = 0;
   std::uint64_t closed_ = 0;
-  std::uint64_t frames_received_ = 0;
-  std::uint64_t batches_received_ = 0;
-  std::uint64_t queries_answered_ = 0;
-  std::uint64_t protocol_errors_ = 0;
 
   struct Cells {
     obs::Gauge* connections;
     obs::Counter* connections_accepted;
     obs::Counter* connections_closed;
+    obs::Counter* frames_received;
+    obs::Counter* batches_received;
+    obs::Counter* queries_answered;
+    obs::Counter* protocol_errors;
     obs::Histogram* batch_records;
   };
   Cells c_{};
 
   /// Tracing attachment (null = off): decode/ingest spans per record-batch
   /// frame (parented to the client flush via the RLTC trailer), one answer
-  /// span per query, and the ring kTraceSpans serves from.
+  /// span per query, and the ring Target::kSpans serves from.
   obs::SpanRecorder* spans_ = nullptr;
 
   /// Reused across poll()s so the hot path allocates nothing per call: the

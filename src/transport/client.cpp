@@ -269,8 +269,8 @@ void CollectorClient::send_query(const Query& query) {
   Query wire_query = query;
   // Start the round-trip span and splice it into the propagated context, so
   // the agent's answer span parents to THIS hop (not the coordinator leg two
-  // hops up). kTraceSpans is the meta-query: never traced, filter untouched.
-  if (spans_ != nullptr && query.kind != QueryKind::kTraceSpans) {
+  // hops up). A span pull is the meta-query: never traced, filter untouched.
+  if (spans_ != nullptr && query.target != Target::kSpans) {
     query_span_ = obs::Span{};
     query_span_.trace_id =
         query.trace.valid() ? query.trace.trace_id : spans_->new_trace_id();
@@ -278,7 +278,7 @@ void CollectorClient::send_query(const Query& query) {
     query_span_.parent_id = query.trace.span_id;
     query_span_.kind = obs::SpanKind::kClientQuery;
     query_span_.start_ns = obs::SpanRecorder::now_ns();
-    query_span_.label = query_kind_name(query.kind);
+    query_span_.label = query_name(query);
     query_span_active_ = true;
     wire_query.trace = obs::TraceContext{query_span_.trace_id, query_span_.span_id};
   }

@@ -19,18 +19,6 @@ common::LatencySketch merge_fleet_sketches(const std::vector<common::LatencySket
   return merged;
 }
 
-collect::FlowSummary summarize_flow(const net::FiveTuple& key,
-                                    const common::LatencySketch& sketch) {
-  collect::FlowSummary s;
-  s.key = key;
-  s.packets = sketch.count();
-  s.mean_ns = sketch.mean();
-  s.p50_ns = sketch.quantile(0.5);
-  s.p99_ns = sketch.quantile(0.99);
-  s.max_ns = sketch.max();
-  return s;
-}
-
 std::vector<collect::RankedFlowSummary> merge_ranked_top_k(
     const std::vector<std::vector<collect::RankedFlowSummary>>& parts, std::size_t k,
     const FlowResolver& resolve) {
@@ -59,16 +47,6 @@ std::vector<collect::RankedFlowSummary> merge_ranked_top_k(
   return merged;
 }
 
-AgentStats merge_agent_stats(const std::vector<AgentStats>& parts) {
-  AgentStats total;
-  for (const auto& part : parts) {
-    for (const auto& field : kAgentStatsFields) {
-      total.*(field.member) = saturating_add(total.*(field.member), part.*(field.member));
-    }
-  }
-  return total;
-}
-
 obs::Scrape merge_scrapes(const std::vector<obs::Scrape>& parts) {
   obs::Scrape merged;
   std::vector<obs::MetricsSnapshot> snaps;
@@ -76,23 +54,46 @@ obs::Scrape merge_scrapes(const std::vector<obs::Scrape>& parts) {
   for (const auto& part : parts) {
     snaps.push_back(part.metrics);
     for (std::size_t i = 0; i < obs::kEventKindCount; ++i) {
-      merged.events.counts[i] = saturating_add(merged.events.counts[i], part.events.counts[i]);
+      merged.events.counts[i] =
+          obs::saturating_add_u64(merged.events.counts[i], part.events.counts[i]);
     }
-    merged.events.dropped = saturating_add(merged.events.dropped, part.events.dropped);
+    merged.events.dropped = obs::saturating_add_u64(merged.events.dropped, part.events.dropped);
   }
   merged.metrics = obs::merge_snapshots(snaps);
   return merged;
 }
 
-WindowInfo merge_window_info(const std::vector<std::optional<QueryReply>>& parts) {
-  WindowInfo merged;
-  bool all_complete = !parts.empty();
-  for (const auto& part : parts) {
-    if (!part.has_value()) {
+namespace {
+
+/// What one sketch fan-out merges to: entries by (link, flow), ascending.
+struct MergedSketches {
+  std::map<std::pair<collect::LinkId, net::FiveTuple>, common::LatencySketch> entries;
+  WindowInfo coverage;
+};
+
+/// The one merge every sketch fan-out goes through. Entries with the same
+/// (link, flow) merge bin-wise across agents (exact; an accuracy mismatch
+/// throws std::invalid_argument). Coverage unions the window replies:
+/// covered = any agent covered, bounds = union of covered bounds, records =
+/// saturating sum, and complete = EVERY agent answered AND answered
+/// complete — a missed agent or an evicted epoch anywhere makes the fleet
+/// answer incomplete, which is the honest signal (partial truth, clearly
+/// labeled). No replies at all is uncovered and incomplete.
+[[nodiscard]] MergedSketches merge_sketch_replies(std::vector<std::optional<QueryReply>> replies) {
+  MergedSketches out;
+  WindowInfo& merged = out.coverage;
+  bool all_complete = !replies.empty();
+  for (auto& reply : replies) {
+    if (!reply.has_value()) {
       all_complete = false;  // a missed agent is unknown coverage: incomplete
       continue;
     }
-    const WindowInfo& w = part->window;
+    for (auto& entry : reply->entries) {
+      auto [it, inserted] =
+          out.entries.try_emplace({entry.link, entry.flow}, std::move(entry.sketch));
+      if (!inserted) it->second.merge(entry.sketch);
+    }
+    const WindowInfo w = reply->coverage.value_or(WindowInfo{});
     if (!w.complete) all_complete = false;
     if (!w.covered) continue;
     if (!merged.covered) {
@@ -103,11 +104,35 @@ WindowInfo merge_window_info(const std::vector<std::optional<QueryReply>>& parts
       merged.first = std::min(merged.first, w.first);
       merged.last = std::max(merged.last, w.last);
     }
-    merged.records = saturating_add(merged.records, w.records);
+    merged.records = obs::saturating_add_u64(merged.records, w.records);
   }
   merged.complete = merged.covered && all_complete;
-  return merged;
+  return out;
 }
+
+/// The merged sketch of a single-entry target (fleet, link, flow); nullopt
+/// when no reachable agent answered with one.
+[[nodiscard]] std::optional<common::LatencySketch> only_entry(MergedSketches&& merged) {
+  if (merged.entries.empty()) return std::nullopt;
+  return std::move(merged.entries.begin()->second);
+}
+
+/// A window fan-out's answer. An empty merged sketch carries no bins and
+/// reads as absent, like a window nothing covered.
+[[nodiscard]] WindowResult window_result(MergedSketches&& merged) {
+  WindowResult out;
+  out.window = merged.coverage;
+  out.sketch = only_entry(std::move(merged));
+  if (out.sketch.has_value() && out.sketch->empty()) out.sketch.reset();
+  return out;
+}
+
+/// An inclusive epoch window, swapped if reversed.
+[[nodiscard]] EpochWindow ordered(std::uint32_t first, std::uint32_t last) {
+  return EpochWindow{std::min(first, last), std::max(first, last)};
+}
+
+}  // namespace
 
 // --- The coordinator -------------------------------------------------------
 
@@ -204,7 +229,7 @@ std::vector<std::optional<QueryReply>> QueryCoordinator::fan_out(const Query& qu
   // one-outstanding-query simplicity.
   std::vector<std::optional<QueryReply>> replies;
   replies.reserve(clients_.size());
-  if (spans_ == nullptr || query.kind == QueryKind::kTraceSpans) {
+  if (spans_ == nullptr || query.target == Target::kSpans) {
     // Untraced, or the meta-query (pulling a trace must not pollute it).
     for (std::size_t i = 0; i < clients_.size(); ++i) replies.push_back(ask(i, query));
     return replies;
@@ -218,7 +243,7 @@ std::vector<std::optional<QueryReply>> QueryCoordinator::fan_out(const Query& qu
   merge.parent_id = query.trace.span_id;
   merge.kind = obs::SpanKind::kCoordMerge;
   merge.start_ns = obs::SpanRecorder::now_ns();
-  merge.label = query_kind_name(query.kind);
+  merge.label = query_name(query);
   last_trace_id_ = merge.trace_id;
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     obs::Span leg;
@@ -244,13 +269,10 @@ AssembledTrace QueryCoordinator::collect_trace(std::uint64_t trace_id) {
   if (trace_id == 0) trace_id = last_trace_id_;
   AssembledTrace out;
   out.trace_id = trace_id;
-  Query q;
-  q.kind = QueryKind::kTraceSpans;
-  if (trace_id != 0) q.trace = obs::TraceContext{trace_id, 0};
-  auto replies = fan_out(q);
+  auto replies = fan_out(Query{.target = Target::kSpans, .trace = {trace_id, 0}});
   // The coordinator's own ring holds the trace's merge, leg, and client-hop
   // spans (clients share this recorder). The pull above added nothing to it:
-  // kTraceSpans is untraced end to end.
+  // a span pull is untraced end to end.
   if (spans_ != nullptr) {
     out.processes.emplace_back(
         "coordinator", trace_id != 0 ? spans_->for_trace(trace_id) : spans_->snapshot().spans);
@@ -258,31 +280,31 @@ AssembledTrace QueryCoordinator::collect_trace(std::uint64_t trace_id) {
   for (std::size_t i = 0; i < replies.size(); ++i) {
     if (!replies[i].has_value()) continue;
     out.agents_answered += 1;
-    out.spans_dropped = saturating_add(out.spans_dropped, replies[i]->spans_dropped);
-    out.processes.emplace_back("agent" + std::to_string(i), std::move(replies[i]->spans));
+    out.spans_dropped = obs::saturating_add_u64(out.spans_dropped, replies[i]->spans.dropped);
+    out.processes.emplace_back("agent" + std::to_string(i), std::move(replies[i]->spans.spans));
   }
   return out;
 }
 
 common::LatencySketch QueryCoordinator::fleet() {
-  Query q;
-  q.kind = QueryKind::kFleet;
-  std::vector<common::LatencySketch> parts;
-  for (auto& reply : fan_out(q)) {
-    if (reply.has_value()) parts.push_back(std::move(reply->fleet));
-  }
-  return merge_fleet_sketches(parts);
+  return only_entry(merge_sketch_replies(fan_out(Query{.target = Target::kFleet})))
+      .value_or(common::LatencySketch{});
 }
 
 std::vector<collect::RankedFlowSummary> QueryCoordinator::top_k_ranked(std::size_t k,
                                                                        double q) {
-  Query query;
-  query.kind = QueryKind::kTopK;
-  query.k = static_cast<std::uint32_t>(std::min<std::size_t>(k, ~std::uint32_t{0}));
-  query.q = q;
+  const Query query{.target = Target::kTopK,
+                    .k = static_cast<std::uint32_t>(std::min<std::size_t>(k, ~std::uint32_t{0})),
+                    .q = q};
+  // Each agent's worst flows arrive as sketches; rank and summarize them
+  // with the collector's own derivation, so the values are identical.
   std::vector<std::vector<collect::RankedFlowSummary>> parts;
   for (auto& reply : fan_out(query)) {
-    if (reply.has_value()) parts.push_back(std::move(reply->top));
+    if (!reply.has_value()) continue;
+    auto& part = parts.emplace_back();
+    for (const auto& entry : reply->entries) {
+      part.emplace_back(entry.sketch.quantile(q), collect::summarize(entry.flow, entry.sketch));
+    }
   }
   // Duplicates (a flow with records on several agents) are resolved from
   // the flow's exact merged sketch — never double-counted.
@@ -291,8 +313,8 @@ std::vector<collect::RankedFlowSummary> QueryCoordinator::top_k_ranked(std::size
                                 -> std::optional<collect::RankedFlowSummary> {
                               auto sketch = flow_sketch(key);
                               if (!sketch.has_value()) return std::nullopt;
-                              return collect::RankedFlowSummary{sketch->quantile(q),
-                                                                summarize_flow(key, *sketch)};
+                              return collect::RankedFlowSummary{
+                                  sketch->quantile(q), collect::summarize(key, *sketch)};
                             });
 }
 
@@ -302,17 +324,7 @@ std::vector<collect::FlowSummary> QueryCoordinator::top_k_flows(std::size_t k, d
 
 std::optional<common::LatencySketch> QueryCoordinator::flow_sketch(
     const net::FiveTuple& key) {
-  Query q;
-  q.kind = QueryKind::kFlowSketch;
-  q.key = key;
-  std::vector<common::LatencySketch> parts;
-  for (auto& reply : fan_out(q)) {
-    if (reply.has_value() && reply->flow_sketch.has_value()) {
-      parts.push_back(std::move(*reply->flow_sketch));
-    }
-  }
-  if (parts.empty()) return std::nullopt;
-  return merge_fleet_sketches(parts);
+  return only_entry(merge_sketch_replies(fan_out(Query{.target = Target::kFlow, .flow = key})));
 }
 
 std::optional<double> QueryCoordinator::flow_quantile(const net::FiveTuple& key, double q) {
@@ -323,71 +335,31 @@ std::optional<double> QueryCoordinator::flow_quantile(const net::FiveTuple& key,
 
 std::vector<std::pair<collect::LinkId, common::LatencySketch>>
 QueryCoordinator::link_distributions() {
-  Query q;
-  q.kind = QueryKind::kLinks;
-  std::map<collect::LinkId, common::LatencySketch> merged;
-  for (auto& reply : fan_out(q)) {
-    if (!reply.has_value()) continue;
-    for (auto& [link, sketch] : reply->links) {
-      auto [it, inserted] = merged.try_emplace(link, sketch.config());
-      it->second.merge(sketch);
-    }
+  std::vector<std::pair<collect::LinkId, common::LatencySketch>> links;
+  for (auto& [key, sketch] :
+       merge_sketch_replies(fan_out(Query{.target = Target::kLinks})).entries) {
+    links.emplace_back(key.first, std::move(sketch));
   }
-  return {merged.begin(), merged.end()};
+  return links;
 }
-
-namespace {
-
-/// Shared tail of every window fan-out: coverage union + exact sketch merge
-/// (empty sketches skipped — they carry no bins and merging one whose
-/// accuracy differs would throw where ignoring it is exact).
-[[nodiscard]] WindowResult merge_window_replies(
-    const std::vector<std::optional<QueryReply>>& replies) {
-  WindowResult out;
-  out.window = merge_window_info(replies);
-  std::vector<common::LatencySketch> parts;
-  for (const auto& reply : replies) {
-    if (!reply.has_value() || !reply->window_sketch.has_value()) continue;
-    if (reply->window_sketch->empty()) continue;
-    parts.push_back(*reply->window_sketch);
-  }
-  if (!parts.empty()) out.sketch = merge_fleet_sketches(parts);
-  return out;
-}
-
-}  // namespace
 
 WindowResult QueryCoordinator::window_fleet(std::uint32_t epoch_first,
                                             std::uint32_t epoch_last) {
-  if (epoch_first > epoch_last) std::swap(epoch_first, epoch_last);
-  Query q;
-  q.kind = QueryKind::kWindowFleet;
-  q.epoch_first = epoch_first;
-  q.epoch_last = epoch_last;
-  return merge_window_replies(fan_out(q));
+  return window_result(merge_sketch_replies(
+      fan_out(Query{.target = Target::kFleet, .window = ordered(epoch_first, epoch_last)})));
 }
 
 WindowResult QueryCoordinator::window_link(collect::LinkId link, std::uint32_t epoch_first,
                                            std::uint32_t epoch_last) {
-  if (epoch_first > epoch_last) std::swap(epoch_first, epoch_last);
-  Query q;
-  q.kind = QueryKind::kWindowLink;
-  q.k = link;
-  q.epoch_first = epoch_first;
-  q.epoch_last = epoch_last;
-  return merge_window_replies(fan_out(q));
+  return window_result(merge_sketch_replies(fan_out(Query{
+      .target = Target::kLink, .link = link, .window = ordered(epoch_first, epoch_last)})));
 }
 
 WindowResult QueryCoordinator::window_flow_sketch(const net::FiveTuple& key,
                                                   std::uint32_t epoch_first,
                                                   std::uint32_t epoch_last) {
-  if (epoch_first > epoch_last) std::swap(epoch_first, epoch_last);
-  Query q;
-  q.kind = QueryKind::kWindowFlowQuantile;
-  q.key = key;
-  q.epoch_first = epoch_first;
-  q.epoch_last = epoch_last;
-  return merge_window_replies(fan_out(q));
+  return window_result(merge_sketch_replies(fan_out(Query{
+      .target = Target::kFlow, .flow = key, .window = ordered(epoch_first, epoch_last)})));
 }
 
 std::optional<double> QueryCoordinator::window_flow_quantile(const net::FiveTuple& key,
@@ -401,33 +373,9 @@ std::optional<double> QueryCoordinator::window_flow_quantile(const net::FiveTupl
   return result.sketch->quantile(q);
 }
 
-std::vector<std::optional<AgentStats>> QueryCoordinator::per_agent_stats() {
-  Query q;
-  q.kind = QueryKind::kStats;
-  std::vector<std::optional<AgentStats>> stats;
-  for (auto& reply : fan_out(q)) {
-    if (reply.has_value()) {
-      stats.push_back(reply->stats);
-    } else {
-      stats.push_back(std::nullopt);
-    }
-  }
-  return stats;
-}
-
-AgentStats QueryCoordinator::fleet_stats() {
-  std::vector<AgentStats> parts;
-  for (const auto& stats : per_agent_stats()) {
-    if (stats.has_value()) parts.push_back(*stats);
-  }
-  return merge_agent_stats(parts);
-}
-
 std::vector<std::optional<obs::Scrape>> QueryCoordinator::per_agent_scrapes() {
-  Query q;
-  q.kind = QueryKind::kMetrics;
   std::vector<std::optional<obs::Scrape>> scrapes;
-  for (auto& reply : fan_out(q)) {
+  for (auto& reply : fan_out(Query{.target = Target::kMetrics})) {
     if (reply.has_value()) {
       scrapes.push_back(std::move(reply->scrape));
     } else {

@@ -2,16 +2,18 @@
 // CollectorClient connection per CollectorAgent, fans every query out to
 // all of them, and merges the replies EXACTLY:
 //
-//   * fleet / link / flow sketches  -> LatencySketch::merge (bin-wise
-//     addition — associative, commutative, exact);
-//   * ranked top-k                  -> merge of the per-agent ranked lists
-//     under the shared worst-first ordering; a flow that (exceptionally)
-//     appears in several agents' lists is re-resolved from its merged
-//     flow sketch instead of double-counted;
-//   * flow quantiles                -> computed from the MERGED flow sketch
-//     (quantiles don't merge; bins do), so a flow split across agents
-//     still answers exactly;
-//   * stats                         -> saturating sums of agent counters.
+//   * sketch replies (fleet / link / every link / flow, live or windowed)
+//     -> one routine: entries with the same (link, flow) merge bin-wise
+//     (LatencySketch::merge — associative, commutative, exact), window
+//     coverage unions;
+//   * ranked top-k -> each agent's flows are ranked and summarized here
+//     from the sketches they ship, then merged under the shared
+//     worst-first ordering; a flow that (exceptionally) appears in several
+//     agents' lists is re-resolved from its merged flow sketch instead of
+//     double-counted;
+//   * quantiles -> computed from the MERGED sketch (quantiles don't merge;
+//     bins do), so a flow split across agents still answers exactly;
+//   * scrapes -> counters sum (saturating), gauges max, histograms union.
 //
 // Exactness contract: answers are bin-for-bin identical to a single
 // collector that ingested every record the queried agents ingested. For
@@ -69,36 +71,12 @@ using FlowResolver =
     const std::vector<std::vector<collect::RankedFlowSummary>>& parts, std::size_t k,
     const FlowResolver& resolve = {});
 
-/// The summary a collector derives from a flow's merged sketch (same field
-/// derivations as ShardedCollector, so re-resolved entries are identical).
-[[nodiscard]] collect::FlowSummary summarize_flow(const net::FiveTuple& key,
-                                                  const common::LatencySketch& sketch);
-
-/// a + b clamped to the maximum (fleet counter sums must not wrap).
-[[nodiscard]] constexpr std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t sum = a + b;
-  return sum < a ? ~std::uint64_t{0} : sum;
-}
-
-/// Field-wise saturating sum of agent counter replies. Driven by the
-/// kAgentStatsFields table (messages.h), so a field added there merges —
-/// and round-trips the kStats codec — without touching this function.
-[[nodiscard]] AgentStats merge_agent_stats(const std::vector<AgentStats>& parts);
-
 /// Fleet roll-up of per-agent scrapes: counters sum (saturating), gauges
 /// max, histograms sketch-union (obs::merge_snapshots); event COUNTS and
 /// drops sum element-wise, while the merged `events.events` list stays
 /// empty — per-event detail belongs to the per-agent breakdown, not the
 /// roll-up.
 [[nodiscard]] obs::Scrape merge_scrapes(const std::vector<obs::Scrape>& parts);
-
-/// Coverage union over one window fan-out: covered = any agent covered,
-/// bounds = union of covered bounds, records = saturating sum, and
-/// complete = EVERY agent answered AND answered complete — a missed agent
-/// or an evicted epoch anywhere makes the fleet answer incomplete, which
-/// is the honest signal (partial truth, clearly labeled). Empty input is
-/// uncovered and incomplete.
-[[nodiscard]] WindowInfo merge_window_info(const std::vector<std::optional<QueryReply>>& parts);
 
 /// A window query's merged fleet answer: the exact bin-for-bin union of
 /// the agents' window sketches plus what that union actually covered.
@@ -112,14 +90,14 @@ struct WindowResult {
 /// A cross-process trace reassembled by QueryCoordinator::collect_trace:
 /// the coordinator's own spans (merge, legs, and its agent-facing clients'
 /// query spans — they share the coordinator's recorder) plus every
-/// reachable agent's ring, pulled via kTraceSpans.
+/// reachable agent's ring, pulled via a Target::kSpans fan-out.
 struct AssembledTrace {
   std::uint64_t trace_id = 0;
   /// (process name, its spans): "coordinator" first (when the coordinator
   /// has a recorder), then "agentN" for each agent that answered — the
   /// exact shape obs::to_chrome_trace takes.
   std::vector<std::pair<std::string, std::vector<obs::Span>>> processes;
-  /// Agents that answered the kTraceSpans fan-out.
+  /// Agents that answered the span-ring fan-out.
   std::size_t agents_answered = 0;
   /// Sum of the answering rings' evictions — nonzero means the assembly may
   /// have gaps (spans aged out before the pull).
@@ -186,7 +164,7 @@ class QueryCoordinator {
   [[nodiscard]] std::vector<std::pair<collect::LinkId, common::LatencySketch>>
   link_distributions();
 
-  // --- Time-travel window queries (kWindow* fan-out over agent history) ---
+  // --- Time-travel window queries (windowed fan-out over agent history) ----
   // Inclusive epoch ranges, swapped if reversed. Exactness contract as
   // above: the merged sketch is bin-for-bin what a single history store
   // holding every agent's records would answer over the union coverage.
@@ -207,12 +185,7 @@ class QueryCoordinator {
                                                            std::uint32_t epoch_last,
                                                            WindowInfo* window = nullptr);
 
-  /// Per-agent counters; nullopt for agents that didn't answer.
-  [[nodiscard]] std::vector<std::optional<AgentStats>> per_agent_stats();
-  /// Saturating field-wise sum over the agents that answered.
-  [[nodiscard]] AgentStats fleet_stats();
-
-  // --- Tracing (kTraceSpans fan-out over agent span rings) -----------------
+  // --- Tracing (span-ring fan-out) -----------------------------------------
 
   /// Pulls every agent's span ring (filtered to `trace_id` when nonzero;
   /// 0 = the last traced fan-out, falling back to whole rings when no
@@ -224,8 +197,10 @@ class QueryCoordinator {
   /// when tracing is off).
   [[nodiscard]] std::uint64_t last_trace_id() const { return last_trace_id_; }
 
-  /// Per-agent metric/event scrapes (kMetrics fan-out); nullopt for agents
-  /// that didn't answer.
+  /// Per-agent metric/event scrapes (Target::kMetrics fan-out); nullopt for
+  /// agents that didn't answer. The rlir_agent_*_total counters (records,
+  /// estimates, flows, epochs, frames, batches, queries, protocol errors)
+  /// read through obs::counter_total.
   [[nodiscard]] std::vector<std::optional<obs::Scrape>> per_agent_scrapes();
   /// The reachable fleet's merged scrape (merge_scrapes over the answers):
   /// counters sum, gauges max, histograms union bin-for-bin, event counts

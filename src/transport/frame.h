@@ -26,7 +26,10 @@
 
 namespace rlir::transport {
 
-inline constexpr std::uint8_t kFrameVersion = 1;
+/// Bumped whenever a payload layout changes incompatibly (2: the query
+/// codec in transport/messages.h); a peer on any other version is refused at
+/// its first frame.
+inline constexpr std::uint8_t kFrameVersion = 2;
 
 /// Header bytes preceding every payload: magic(4) + version(1) + type(1) +
 /// reserved(2) + length(4) + crc(4).

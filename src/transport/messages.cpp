@@ -7,7 +7,6 @@
 #include "collect/estimate_record.h"
 #include "common/wire.h"
 #include "net/ipv4.h"
-#include "obs/exposition.h"
 
 namespace rlir::transport {
 
@@ -19,19 +18,18 @@ using common::wire::take;
 using common::wire::take_f64;
 
 constexpr std::size_t kTupleSize = 4 + 4 + 2 + 2 + 1;
-constexpr std::size_t kQuerySize = 1 + 4 + 8 + kTupleSize + 4 + 4;
-/// Optional query trace block: u8 flags(=1) | u64 trace_id | u64 parent.
-constexpr std::size_t kTraceBlockSize = 1 + 8 + 8;
-constexpr std::size_t kTracedQuerySize = kQuerySize + kTraceBlockSize;
+/// target | flags | link | 5-tuple | k | q | epoch_first | epoch_last
+/// | trace_id | parent_span_id — one size, traced or not.
+constexpr std::size_t kQuerySize = 1 + 1 + 4 + kTupleSize + 4 + 8 + 4 + 4 + 8 + 8;
+/// Query and reply flag bit 0: a window (query) / coverage block (reply)
+/// follows. Every other bit is reserved and rejected.
+constexpr std::uint8_t kFlagBlock = 1;
 /// Window-reply coverage block: u8 flags | u32 first | u32 last | u64 records.
 constexpr std::size_t kWindowInfoSize = 1 + 4 + 4 + 8;
-constexpr std::size_t kTopEntrySize = 8 + kTupleSize + 8 + 8 + 8 + 8 + 8;
-/// Fixed part of one kTraceSpans span entry (the label bytes follow).
+/// Smallest encoded entry of each counted list — the floor a claimed count is
+/// checked against before anything is reserved for it.
+constexpr std::size_t kSketchEntryMinSize = 4 + kTupleSize + collect::kSketchFixedSize;
 constexpr std::size_t kSpanEntryFixedSize = 8 + 8 + 8 + 1 + 8 + 8 + 2;
-/// Corruption guards, mirroring the record format's bin guard.
-constexpr std::uint32_t kMaxTopEntries = 1u << 20;
-constexpr std::uint32_t kMaxLinkEntries = 1u << 20;
-constexpr std::uint32_t kMaxSpanEntries = 1u << 20;
 
 void put_tuple(std::uint8_t*& p, const net::FiveTuple& key) {
   put<std::uint32_t>(p, key.src.value());
@@ -49,11 +47,6 @@ net::FiveTuple take_tuple(const std::uint8_t*& p) {
   key.dst_port = take<std::uint16_t>(p);
   key.proto = take<std::uint8_t>(p);
   return key;
-}
-
-[[nodiscard]] bool known_kind(std::uint8_t k) {
-  return k >= static_cast<std::uint8_t>(QueryKind::kFleet) &&
-         k <= static_cast<std::uint8_t>(QueryKind::kTraceSpans);
 }
 
 void put_window(std::uint8_t*& p, const WindowInfo& window) {
@@ -83,205 +76,130 @@ void put_window(std::uint8_t*& p, const WindowInfo& window) {
   return window;
 }
 
-/// A present flag must be exactly 0 or 1 (reject-don't-guess).
-[[nodiscard]] bool take_present(const std::uint8_t*& p, const std::uint8_t* end) {
-  if (end - p < 1) throw std::runtime_error("QueryReply: truncated present flag");
-  const auto present = take<std::uint8_t>(p);
-  if (present > 1) throw std::runtime_error("QueryReply: bad present flag");
-  return present == 1;
+/// Reads a u32 list count and checks that `count` entries of at least
+/// `min_entry` bytes fit in what is left — so a lying count fails here,
+/// before any reserve, instead of allocating for entries that never come.
+[[nodiscard]] std::uint32_t take_count(const std::uint8_t*& p, const std::uint8_t* end,
+                                       std::size_t min_entry) {
+  if (end - p < 4) throw std::runtime_error("QueryReply: truncated entry count");
+  const auto count = take<std::uint32_t>(p);
+  if (count > static_cast<std::size_t>(end - p) / min_entry) {
+    throw std::runtime_error("QueryReply: entry count exceeds payload");
+  }
+  return count;
 }
 
 }  // namespace
 
-const char* query_kind_name(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kFleet: return "fleet";
-    case QueryKind::kTopK: return "top_k";
-    case QueryKind::kFlowQuantile: return "flow_quantile";
-    case QueryKind::kStats: return "stats";
-    case QueryKind::kFlowSketch: return "flow_sketch";
-    case QueryKind::kLinks: return "links";
-    case QueryKind::kMetrics: return "metrics";
-    case QueryKind::kWindowFleet: return "window_fleet";
-    case QueryKind::kWindowLink: return "window_link";
-    case QueryKind::kWindowFlowQuantile: return "window_flow_quantile";
-    case QueryKind::kTraceSpans: return "trace_spans";
+std::string query_name(const Query& query) {
+  const char* name = "?";
+  switch (query.target) {
+    case Target::kFleet: name = "fleet"; break;
+    case Target::kLink: name = "link"; break;
+    case Target::kLinks: name = "links"; break;
+    case Target::kFlow: name = "flow"; break;
+    case Target::kTopK: name = "top_k"; break;
+    case Target::kMetrics: name = "metrics"; break;
+    case Target::kSpans: name = "spans"; break;
   }
-  return "?";
-}
-
-void append_agent_stats(obs::MetricsSnapshot& snap, const AgentStats& stats,
-                        const obs::Labels& base_labels) {
-  for (const auto& field : kAgentStatsFields) {
-    obs::append_counter(snap, std::string("rlir_agent_") + field.name + "_total",
-                        base_labels, stats.*(field.member));
-  }
+  return query.window.has_value() ? std::string("window_") + name : std::string(name);
 }
 
 std::vector<std::uint8_t> encode_query(const Query& query) {
-  const bool traced = query.trace.valid();
-  std::vector<std::uint8_t> buf(traced ? kTracedQuerySize : kQuerySize);
+  std::vector<std::uint8_t> buf(kQuerySize);
   std::uint8_t* p = buf.data();
-  put<std::uint8_t>(p, static_cast<std::uint8_t>(query.kind));
+  put<std::uint8_t>(p, static_cast<std::uint8_t>(query.target));
+  put<std::uint8_t>(p, query.window.has_value() ? kFlagBlock : 0);
+  put<std::uint32_t>(p, query.link);
+  put_tuple(p, query.flow);
   put<std::uint32_t>(p, query.k);
   put_f64(p, query.q);
-  put_tuple(p, query.key);
-  put<std::uint32_t>(p, query.epoch_first);
-  put<std::uint32_t>(p, query.epoch_last);
-  if (traced) {
-    put<std::uint8_t>(p, 1);  // flags: bit 0 = trace context follows
-    put<std::uint64_t>(p, query.trace.trace_id);
-    put<std::uint64_t>(p, query.trace.span_id);
-  }
+  const EpochWindow window = query.window.value_or(EpochWindow{});
+  put<std::uint32_t>(p, window.first);
+  put<std::uint32_t>(p, window.last);
+  put<std::uint64_t>(p, query.trace.trace_id);
+  put<std::uint64_t>(p, query.trace.span_id);
   return buf;
 }
 
 Query decode_query(const std::uint8_t* data, std::size_t size) {
-  if (size != kQuerySize && size != kTracedQuerySize) {
-    throw std::runtime_error("Query: wrong payload size");
-  }
+  if (size != kQuerySize) throw std::runtime_error("Query: wrong payload size");
   const std::uint8_t* p = data;
   Query query;
-  const auto kind = take<std::uint8_t>(p);
-  if (!known_kind(kind)) {
-    throw std::runtime_error("Query: unknown kind " + std::to_string(kind));
+  const auto target = take<std::uint8_t>(p);
+  if (target < static_cast<std::uint8_t>(Target::kFleet) ||
+      target > static_cast<std::uint8_t>(Target::kSpans)) {
+    throw std::runtime_error("Query: unknown target " + std::to_string(target));
   }
-  query.kind = static_cast<QueryKind>(kind);
+  query.target = static_cast<Target>(target);
+  const auto flags = take<std::uint8_t>(p);
+  if ((flags & ~kFlagBlock) != 0) throw std::runtime_error("Query: reserved flag bits set");
+  query.link = take<std::uint32_t>(p);
+  query.flow = take_tuple(p);
   query.k = take<std::uint32_t>(p);
   query.q = take_f64(p);
   if (!(query.q >= 0.0 && query.q <= 1.0)) {  // also rejects NaN
     throw std::runtime_error("Query: quantile outside [0, 1]");
   }
-  query.key = take_tuple(p);
-  query.epoch_first = take<std::uint32_t>(p);
-  query.epoch_last = take<std::uint32_t>(p);
-  if (query.epoch_first > query.epoch_last) {
-    throw std::runtime_error("Query: epoch window reversed");
-  }
-  if (size == kTracedQuerySize) {
-    const auto flags = take<std::uint8_t>(p);
-    if (flags != 1) throw std::runtime_error("Query: bad trace block flags");
-    query.trace.trace_id = take<std::uint64_t>(p);
-    query.trace.span_id = take<std::uint64_t>(p);
-    if (query.trace.trace_id == 0) {
-      throw std::runtime_error("Query: zero trace id in trace block");
+  EpochWindow window;
+  window.first = take<std::uint32_t>(p);
+  window.last = take<std::uint32_t>(p);
+  if ((flags & kFlagBlock) != 0) {
+    if (query.target != Target::kFleet && query.target != Target::kLink &&
+        query.target != Target::kFlow) {
+      throw std::runtime_error("Query: window on a target without history coverage");
     }
+    if (window.first > window.last) throw std::runtime_error("Query: epoch window reversed");
+    query.window = window;
   }
+  query.trace.trace_id = take<std::uint64_t>(p);
+  query.trace.span_id = take<std::uint64_t>(p);
   return query;
 }
 
 std::vector<std::uint8_t> encode_reply(const QueryReply& reply) {
   std::size_t body = 0;
-  switch (reply.kind) {
-    case QueryKind::kFleet:
-      body = collect::sketch_wire_size(reply.fleet);
-      break;
-    case QueryKind::kTopK:
-      body = 4 + reply.top.size() * kTopEntrySize;
-      break;
-    case QueryKind::kFlowQuantile:
-      body = 1 + 8;
-      break;
-    case QueryKind::kStats:
-      body = kAgentStatsFieldCount * 8;
-      break;
-    case QueryKind::kFlowSketch:
-      body = 1 + (reply.flow_sketch.has_value() ? collect::sketch_wire_size(*reply.flow_sketch)
-                                                : 0);
-      break;
-    case QueryKind::kLinks:
+  switch (reply.body) {
+    case ReplyBody::kSketches:
       body = 4;
-      for (const auto& [link, sketch] : reply.links) {
-        (void)link;
-        body += 4 + collect::sketch_wire_size(sketch);
+      for (const auto& entry : reply.entries) {
+        body += 4 + kTupleSize + collect::sketch_wire_size(entry.sketch);
       }
       break;
-    case QueryKind::kMetrics:
+    case ReplyBody::kScrape:
       body = obs::scrape_wire_size(reply.scrape);
       break;
-    case QueryKind::kWindowFleet:
-    case QueryKind::kWindowLink:
-      body = kWindowInfoSize + 1 +
-             (reply.window_sketch.has_value() ? collect::sketch_wire_size(*reply.window_sketch)
-                                              : 0);
-      break;
-    case QueryKind::kWindowFlowQuantile:
-      body = kWindowInfoSize + 1 +
-             (reply.window_sketch.has_value()
-                  ? 8 + collect::sketch_wire_size(*reply.window_sketch)
-                  : 0);
-      break;
-    case QueryKind::kTraceSpans:
+    case ReplyBody::kSpans:
       body = 4 + 8 + 8;
-      for (const auto& span : reply.spans) body += kSpanEntryFixedSize + span.label.size();
+      for (const auto& span : reply.spans.spans) body += kSpanEntryFixedSize + span.label.size();
       break;
   }
-  std::vector<std::uint8_t> buf(1 + body);
+  const bool has_coverage = reply.coverage.has_value();
+  std::vector<std::uint8_t> buf(2 + (has_coverage ? kWindowInfoSize : 0) + body);
   std::uint8_t* p = buf.data();
-  put<std::uint8_t>(p, static_cast<std::uint8_t>(reply.kind));
-  switch (reply.kind) {
-    case QueryKind::kFleet:
-      collect::encode_sketch(p, reply.fleet);
-      break;
-    case QueryKind::kTopK:
-      put<std::uint32_t>(p, static_cast<std::uint32_t>(reply.top.size()));
-      for (const auto& [rank, flow] : reply.top) {
-        put_f64(p, rank);
-        put_tuple(p, flow.key);
-        put<std::uint64_t>(p, flow.packets);
-        put_f64(p, flow.mean_ns);
-        put_f64(p, flow.p50_ns);
-        put_f64(p, flow.p99_ns);
-        put_f64(p, flow.max_ns);
+  put<std::uint8_t>(p, static_cast<std::uint8_t>(reply.body));
+  put<std::uint8_t>(p, has_coverage ? kFlagBlock : 0);
+  if (has_coverage) put_window(p, *reply.coverage);
+  switch (reply.body) {
+    case ReplyBody::kSketches:
+      put<std::uint32_t>(p, static_cast<std::uint32_t>(reply.entries.size()));
+      for (const auto& entry : reply.entries) {
+        put<std::uint32_t>(p, entry.link);
+        put_tuple(p, entry.flow);
+        collect::encode_sketch(p, entry.sketch);
       }
       break;
-    case QueryKind::kFlowQuantile:
-      put<std::uint8_t>(p, reply.quantile.has_value() ? 1 : 0);
-      put_f64(p, reply.quantile.value_or(0.0));
-      break;
-    case QueryKind::kStats:
-      // Field-table order IS the wire order; see kAgentStatsFields.
-      for (const auto& field : kAgentStatsFields) {
-        put<std::uint64_t>(p, reply.stats.*(field.member));
-      }
-      break;
-    case QueryKind::kFlowSketch:
-      put<std::uint8_t>(p, reply.flow_sketch.has_value() ? 1 : 0);
-      if (reply.flow_sketch.has_value()) collect::encode_sketch(p, *reply.flow_sketch);
-      break;
-    case QueryKind::kLinks:
-      put<std::uint32_t>(p, static_cast<std::uint32_t>(reply.links.size()));
-      for (const auto& [link, sketch] : reply.links) {
-        put<std::uint32_t>(p, link);
-        collect::encode_sketch(p, sketch);
-      }
-      break;
-    case QueryKind::kMetrics: {
+    case ReplyBody::kScrape: {
       // The scrape codec appends to a vector; bridge into the pre-sized
       // frame buffer (scrapes are query-plane-sized, the copy is noise).
       std::vector<std::uint8_t> segment;
       obs::encode_scrape(segment, reply.scrape);
       std::memcpy(p, segment.data(), segment.size());
-      p += segment.size();
       break;
     }
-    case QueryKind::kWindowFleet:
-    case QueryKind::kWindowLink:
-      put_window(p, reply.window);
-      put<std::uint8_t>(p, reply.window_sketch.has_value() ? 1 : 0);
-      if (reply.window_sketch.has_value()) collect::encode_sketch(p, *reply.window_sketch);
-      break;
-    case QueryKind::kWindowFlowQuantile:
-      put_window(p, reply.window);
-      put<std::uint8_t>(p, reply.window_sketch.has_value() ? 1 : 0);
-      if (reply.window_sketch.has_value()) {
-        put_f64(p, reply.quantile.value_or(0.0));
-        collect::encode_sketch(p, *reply.window_sketch);
-      }
-      break;
-    case QueryKind::kTraceSpans:
-      put<std::uint32_t>(p, static_cast<std::uint32_t>(reply.spans.size()));
-      for (const auto& span : reply.spans) {
+    case ReplyBody::kSpans:
+      put<std::uint32_t>(p, static_cast<std::uint32_t>(reply.spans.spans.size()));
+      for (const auto& span : reply.spans.spans) {
         put<std::uint64_t>(p, span.trace_id);
         put<std::uint64_t>(p, span.span_id);
         put<std::uint64_t>(p, span.parent_id);
@@ -292,108 +210,54 @@ std::vector<std::uint8_t> encode_reply(const QueryReply& reply) {
         std::memcpy(p, span.label.data(), span.label.size());
         p += span.label.size();
       }
-      put<std::uint64_t>(p, reply.spans_dropped);
-      put<std::uint64_t>(p, reply.spans_total);
+      put<std::uint64_t>(p, reply.spans.dropped);
+      put<std::uint64_t>(p, reply.spans.total);
       break;
   }
   return buf;
 }
 
 QueryReply decode_reply(const std::uint8_t* data, std::size_t size) {
-  if (size < 1) throw std::runtime_error("QueryReply: empty payload");
+  if (size < 2) throw std::runtime_error("QueryReply: truncated header");
   const std::uint8_t* p = data;
   const std::uint8_t* end = data + size;
   QueryReply reply;
-  const auto kind = take<std::uint8_t>(p);
-  if (!known_kind(kind)) {
-    throw std::runtime_error("QueryReply: unknown kind " + std::to_string(kind));
+  const auto body = take<std::uint8_t>(p);
+  if (body < static_cast<std::uint8_t>(ReplyBody::kSketches) ||
+      body > static_cast<std::uint8_t>(ReplyBody::kSpans)) {
+    throw std::runtime_error("QueryReply: unknown body " + std::to_string(body));
   }
-  reply.kind = static_cast<QueryKind>(kind);
-  switch (reply.kind) {
-    case QueryKind::kFleet:
-      reply.fleet = collect::decode_sketch(p, end);
-      break;
-    case QueryKind::kTopK: {
-      if (end - p < 4) throw std::runtime_error("QueryReply: truncated top-k count");
-      const auto count = take<std::uint32_t>(p);
-      if (count > kMaxTopEntries) {
-        throw std::runtime_error("QueryReply: implausible top-k count");
-      }
-      if (static_cast<std::size_t>(end - p) < count * kTopEntrySize) {
-        throw std::runtime_error("QueryReply: truncated top-k entries");
-      }
-      reply.top.reserve(count);
+  reply.body = static_cast<ReplyBody>(body);
+  const auto flags = take<std::uint8_t>(p);
+  if ((flags & ~kFlagBlock) != 0) throw std::runtime_error("QueryReply: reserved flag bits set");
+  if ((flags & kFlagBlock) != 0) {
+    if (reply.body != ReplyBody::kSketches) {
+      throw std::runtime_error("QueryReply: coverage block on a non-sketch body");
+    }
+    reply.coverage = take_window(p, end);
+  }
+  switch (reply.body) {
+    case ReplyBody::kSketches: {
+      const auto count = take_count(p, end, kSketchEntryMinSize);
+      reply.entries.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
-        const double rank = take_f64(p);
-        collect::FlowSummary flow;
-        flow.key = take_tuple(p);
-        flow.packets = take<std::uint64_t>(p);
-        flow.mean_ns = take_f64(p);
-        flow.p50_ns = take_f64(p);
-        flow.p99_ns = take_f64(p);
-        flow.max_ns = take_f64(p);
-        reply.top.emplace_back(rank, flow);
+        SketchEntry entry;
+        if (static_cast<std::size_t>(end - p) < 4 + kTupleSize) {
+          throw std::runtime_error("QueryReply: truncated sketch entry");
+        }
+        entry.link = take<std::uint32_t>(p);
+        entry.flow = take_tuple(p);
+        entry.sketch = collect::decode_sketch(p, end);
+        reply.entries.push_back(std::move(entry));
       }
       break;
     }
-    case QueryKind::kFlowQuantile: {
-      if (end - p < 1 + 8) throw std::runtime_error("QueryReply: truncated quantile");
-      const auto present = take<std::uint8_t>(p);
-      const double value = take_f64(p);
-      if (present != 0) reply.quantile = value;
-      break;
-    }
-    case QueryKind::kStats:
-      if (static_cast<std::size_t>(end - p) < kAgentStatsFieldCount * 8) {
-        throw std::runtime_error("QueryReply: truncated stats");
-      }
-      for (const auto& field : kAgentStatsFields) {
-        reply.stats.*(field.member) = take<std::uint64_t>(p);
-      }
-      break;
-    case QueryKind::kFlowSketch: {
-      if (end - p < 1) throw std::runtime_error("QueryReply: truncated flow-sketch flag");
-      const auto present = take<std::uint8_t>(p);
-      if (present != 0) reply.flow_sketch = collect::decode_sketch(p, end);
-      break;
-    }
-    case QueryKind::kLinks: {
-      if (end - p < 4) throw std::runtime_error("QueryReply: truncated link count");
-      const auto count = take<std::uint32_t>(p);
-      if (count > kMaxLinkEntries) {
-        throw std::runtime_error("QueryReply: implausible link count");
-      }
-      reply.links.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        if (end - p < 4) throw std::runtime_error("QueryReply: truncated link entry");
-        const auto link = take<std::uint32_t>(p);
-        reply.links.emplace_back(link, collect::decode_sketch(p, end));
-      }
-      break;
-    }
-    case QueryKind::kMetrics:
+    case ReplyBody::kScrape:
       reply.scrape = obs::decode_scrape(p, end);
       break;
-    case QueryKind::kWindowFleet:
-    case QueryKind::kWindowLink:
-      reply.window = take_window(p, end);
-      if (take_present(p, end)) reply.window_sketch = collect::decode_sketch(p, end);
-      break;
-    case QueryKind::kWindowFlowQuantile:
-      reply.window = take_window(p, end);
-      if (take_present(p, end)) {
-        if (end - p < 8) throw std::runtime_error("QueryReply: truncated window quantile");
-        reply.quantile = take_f64(p);
-        reply.window_sketch = collect::decode_sketch(p, end);
-      }
-      break;
-    case QueryKind::kTraceSpans: {
-      if (end - p < 4) throw std::runtime_error("QueryReply: truncated span count");
-      const auto count = take<std::uint32_t>(p);
-      if (count > kMaxSpanEntries) {
-        throw std::runtime_error("QueryReply: implausible span count");
-      }
-      reply.spans.reserve(count);
+    case ReplyBody::kSpans: {
+      const auto count = take_count(p, end, kSpanEntryFixedSize);
+      reply.spans.spans.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
         if (static_cast<std::size_t>(end - p) < kSpanEntryFixedSize) {
           throw std::runtime_error("QueryReply: truncated span entry");
@@ -419,11 +283,11 @@ QueryReply decode_reply(const std::uint8_t* data, std::size_t size) {
         if (span.span_id == 0) {
           throw std::runtime_error("QueryReply: zero span id");
         }
-        reply.spans.push_back(std::move(span));
+        reply.spans.spans.push_back(std::move(span));
       }
       if (end - p < 8 + 8) throw std::runtime_error("QueryReply: truncated span totals");
-      reply.spans_dropped = take<std::uint64_t>(p);
-      reply.spans_total = take<std::uint64_t>(p);
+      reply.spans.dropped = take<std::uint64_t>(p);
+      reply.spans.total = take<std::uint64_t>(p);
       break;
     }
   }

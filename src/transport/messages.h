@@ -7,42 +7,33 @@
 // reject-don't-guess); the sketch segments reuse the estimate-record
 // helpers so a sketch has exactly one byte layout in the whole system.
 //
-//   query:  u8 kind | u32 k | f64 q | 5-tuple (13 bytes)
-//           | u32 epoch_first | u32 epoch_last
-//           [| u8 flags(=1) | u64 trace_id | u64 parent_span_id]
-//           (the optional 17-byte trace-context block: absent = untraced,
-//           bit-identical to the pre-tracing payload, so old peers and old
-//           captures stay valid; present = exactly these 17 bytes)
-//   reply:  u8 kind | kind-specific body:
-//     kFleet        -> sketch segment
-//     kTopK         -> u32 count | count x (f64 rank | 5-tuple | u64 packets
-//                      | f64 mean | f64 p50 | f64 p99 | f64 max)
-//     kFlowQuantile -> u8 present | f64 value
-//     kStats        -> 8 x u64 (see AgentStats; field order = the field
-//                      table, kAgentStatsFields)
-//     kFlowSketch   -> u8 present | sketch segment (when present)
-//     kLinks        -> u32 count | count x (u32 link | sketch segment)
-//     kMetrics      -> obs scrape segment (see obs/wire.h)
-//     kWindowFleet / kWindowLink
-//                   -> coverage block (u8 flags | u32 first | u32 last
-//                      | u64 records) | u8 present | sketch segment (when
-//                      present)
-//     kWindowFlowQuantile
-//                   -> coverage block | u8 present | f64 value
-//                      | sketch segment (when present; the sketch rides
-//                      along so a coordinator can merge split flows exactly
-//                      and re-derive the quantile)
-//     kTraceSpans   -> u32 count | count x span | u64 dropped | u64 total
-//                      (span = u64 trace_id | u64 span_id | u64 parent_id
-//                       | u8 kind | i64 start_ns | i64 end_ns
-//                       | u16 label_len | label bytes)
+// Every operator question about RLIR's output — one flow, one link, every
+// link, the fleet, the worst flows; live or over an epoch window — is
+// answered by an exact bin-wise merge of latency sketches. So there is one
+// query (a target, an optional epoch window, the trace context) and one
+// reply (an optional coverage block, then sketch entries, a scrape, or
+// spans). Quantiles, ranks and flow summaries are derived from the merged
+// sketches by whoever asked.
+//
+//   query:  u8 target | u8 flags (bit 0 = window) | u32 link | 5-tuple
+//           | u32 k | f64 q | u32 epoch_first | u32 epoch_last
+//           | u64 trace_id (0 = untraced) | u64 parent_span_id
+//   reply:  u8 body | u8 flags (bit 0 = coverage block follows)
+//           [| coverage block: u8 flags | u32 first | u32 last | u64 records]
+//           | body:
+//     kSketches -> u32 count | count x (u32 link | 5-tuple | sketch segment)
+//     kScrape   -> obs scrape segment (see obs/wire.h)
+//     kSpans    -> u32 count | count x span | u64 dropped | u64 total
+//                  (span = u64 trace_id | u64 span_id | u64 parent_id
+//                   | u8 kind | i64 start_ns | i64 end_ns
+//                   | u16 label_len | label bytes)
 // docs/WIRE.md carries the byte-level offset tables and validation rules.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "collect/sharded_collector.h"
@@ -53,64 +44,58 @@
 
 namespace rlir::transport {
 
-enum class QueryKind : std::uint8_t {
-  /// Fleet-wide latency distribution (the collector's fleet() sketch).
+/// What a query asks about. The five sketch targets answer with sketch
+/// entries; the last two are the observability pulls.
+enum class Target : std::uint8_t {
+  /// Every link's records merged: one entry.
   kFleet = 1,
-  /// Top-k worst flows at quantile q, with ranking values so a higher tier
-  /// can merge answers from several agents.
-  kTopK = 2,
-  /// One flow's latency quantile (absent if the flow is unseen).
-  kFlowQuantile = 3,
-  /// Agent/collector counters (liveness + conservation checks).
-  kStats = 4,
-  /// One flow's full merged sketch (absent if unseen) — what a coordinator
-  /// needs to merge a flow whose records landed on several agents exactly
-  /// (quantiles don't merge; bins do).
-  kFlowSketch = 5,
-  /// Every vantage (link) with data, each with its merged distribution.
-  kLinks = 6,
-  /// The agent's full observability scrape: registry metrics (incl. the
-  /// AgentStats counters as synthetic samples), plus the event trace —
-  /// what a remote scraper or a coordinator roll-up reads.
-  kMetrics = 7,
-  /// Time-travel: the fleet-wide distribution merged over the epoch window
-  /// [epoch_first, epoch_last] from the agent's history store.
-  kWindowFleet = 8,
-  /// Time-travel: one vantage's distribution over the window (link id in
-  /// `k`; absent if the link is unseen there).
-  kWindowLink = 9,
-  /// Time-travel: one flow's quantile over the window, with the merged
-  /// window sketch riding along for exact cross-agent merging.
-  kWindowFlowQuantile = 10,
-  /// Tracing: the agent's span ring. The trace-context block doubles as the
-  /// filter — present means "only spans of trace_id", absent means the
-  /// whole ring. Meta-rule: kTraceSpans itself is never traced (no span on
-  /// any hop), so pulling a trace cannot pollute it. A coordinator unions
-  /// these rings to assemble a cross-process trace.
-  kTraceSpans = 11,
+  /// One vantage (`Query::link`): one entry, none if the link is unseen.
+  kLink = 2,
+  /// Every vantage with data: one entry per link, ascending by link.
+  kLinks = 3,
+  /// One flow's merged sketch (`Query::flow`): one entry, none if unseen.
+  kFlow = 4,
+  /// The `k` worst flows at quantile `q`, worst first, one entry (the
+  /// flow's full sketch) per flow — a higher tier ranks and summarizes.
+  kTopK = 5,
+  /// The agent's observability scrape: registry metrics plus the event
+  /// trace — what a remote scraper or a coordinator roll-up reads.
+  kMetrics = 6,
+  /// The agent's span ring. The trace id doubles as the filter (0 = the
+  /// whole ring). Never traced at any hop, so pulling a trace cannot
+  /// pollute it. A coordinator unions these rings into a cross-process trace.
+  kSpans = 7,
 };
 
-/// Stable exposition name for a query kind ("fleet", "top_k", ...), used as
-/// span labels and in trace dumps.
-[[nodiscard]] const char* query_kind_name(QueryKind kind);
+/// Inclusive epoch range of a time-travel query.
+struct EpochWindow {
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+};
 
 struct Query {
-  QueryKind kind = QueryKind::kFleet;
-  /// kTopK: how many flows. kWindowLink: the link id.
+  Target target = Target::kFleet;
+  /// kLink: the vantage.
+  collect::LinkId link = 0;
+  /// kFlow: the flow.
+  net::FiveTuple flow{};
+  /// kTopK: how many flows, ranked at quantile q.
   std::uint32_t k = 0;
-  /// kTopK / kFlowQuantile / kWindowFlowQuantile: the quantile.
   double q = 0.99;
-  /// kFlowQuantile / kFlowSketch / kWindowFlowQuantile: the flow.
-  net::FiveTuple key;
-  /// kWindow*: inclusive epoch range. Decoding rejects first > last
-  /// (reject-don't-guess, like every other validation here).
-  std::uint32_t epoch_first = 0;
-  std::uint32_t epoch_last = 0;
-  /// Distributed-trace context. Invalid (trace_id == 0) encodes to the
-  /// legacy 34-byte payload; valid appends the 17-byte trace block. For
-  /// kTraceSpans it is the ring filter instead (see QueryKind).
-  obs::TraceContext trace;
+  /// Absent = live collector state. Present = merged from the history store
+  /// over the window; valid for kFleet, kLink and kFlow only (the targets
+  /// the store reports coverage for). Decode rejects it on any other target
+  /// and rejects first > last.
+  std::optional<EpochWindow> window{};
+  /// Distributed-trace context; trace_id 0 = untraced. For kSpans it is the
+  /// ring filter instead (see Target).
+  obs::TraceContext trace{};
 };
+
+/// Stable exposition name of a query, used as span labels: the target
+/// ("fleet", "link", "links", "flow", "top_k", "metrics", "spans"), prefixed
+/// "window_" when the query carries a window.
+[[nodiscard]] std::string query_name(const Query& query);
 
 /// What a window reply's merged answer actually covers — the wire form of
 /// collect::WindowCoverage (requested bounds stay with the asker).
@@ -125,74 +110,34 @@ struct WindowInfo {
   std::uint64_t records = 0;
 };
 
-/// The agent-side counters a kStats reply carries.
-struct AgentStats {
-  std::uint64_t records_ingested = 0;
-  std::uint64_t estimates_ingested = 0;
-  std::uint64_t flows = 0;
-  std::uint64_t epochs = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t batches_received = 0;
-  std::uint64_t queries_answered = 0;
-  std::uint64_t protocol_errors = 0;
+/// One sketch answer: the distribution plus what it is the distribution of.
+/// Coordinates the target does not use are zero (a fleet entry has link 0
+/// and a zero 5-tuple; a flow entry has link 0).
+struct SketchEntry {
+  collect::LinkId link = 0;
+  net::FiveTuple flow;
+  common::LatencySketch sketch;
 };
 
-/// One AgentStats field: its exposition name stem and member pointer.
-struct AgentStatsField {
-  const char* name;
-  std::uint64_t AgentStats::* member;
+enum class ReplyBody : std::uint8_t {
+  kSketches = 1,  ///< sketch targets
+  kScrape = 2,    ///< Target::kMetrics
+  kSpans = 3,     ///< Target::kSpans
 };
-
-/// THE field table — single source of truth for every AgentStats consumer:
-/// the kStats wire codec, the coordinator's merge_agent_stats, and the
-/// exposition writer all iterate this, so adding a field to AgentStats
-/// means adding exactly one row here (the static_asserts below refuse to
-/// compile a struct/table mismatch).
-inline constexpr AgentStatsField kAgentStatsFields[] = {
-    {"records_ingested", &AgentStats::records_ingested},
-    {"estimates_ingested", &AgentStats::estimates_ingested},
-    {"flows", &AgentStats::flows},
-    {"epochs", &AgentStats::epochs},
-    {"frames_received", &AgentStats::frames_received},
-    {"batches_received", &AgentStats::batches_received},
-    {"queries_answered", &AgentStats::queries_answered},
-    {"protocol_errors", &AgentStats::protocol_errors},
-};
-inline constexpr std::size_t kAgentStatsFieldCount = std::size(kAgentStatsFields);
-/// Every field is a u64 and every u64 is in the table — a new member that
-/// misses the table changes sizeof and fails here.
-static_assert(sizeof(AgentStats) == kAgentStatsFieldCount * sizeof(std::uint64_t),
-              "AgentStats has a field missing from kAgentStatsFields");
-
-/// Folds the stats into a snapshot as synthetic counters named
-/// rlir_agent_<field>_total — the scrape-time bridge that keeps these
-/// counters out of the registry (no duplicate identity) while still
-/// merging fleet-wide like registry counters.
-void append_agent_stats(obs::MetricsSnapshot& snap, const AgentStats& stats,
-                        const obs::Labels& base_labels = {});
 
 struct QueryReply {
-  QueryKind kind = QueryKind::kFleet;
-  common::LatencySketch fleet;                      // kFleet
-  std::vector<collect::RankedFlowSummary> top;      // kTopK, worst first
-  std::optional<double> quantile;                   // kFlowQuantile
-  AgentStats stats;                                 // kStats
-  std::optional<common::LatencySketch> flow_sketch; // kFlowSketch
-  /// kLinks: link id -> merged distribution, ascending by link.
-  std::vector<std::pair<collect::LinkId, common::LatencySketch>> links;
-  obs::Scrape scrape;                               // kMetrics
-  WindowInfo window;                                // kWindow*
-  /// kWindowFleet / kWindowLink / kWindowFlowQuantile: the window's merged
-  /// sketch. Absent when nothing was covered (or, for kWindowLink /
-  /// kWindowFlowQuantile, the target never appeared in the window). An
-  /// agent without a history store answers covered=false, absent.
-  std::optional<common::LatencySketch> window_sketch;
-  /// kTraceSpans: the answering process's retained spans (filtered to the
+  ReplyBody body = ReplyBody::kSketches;
+  /// Window replies only: what the merged answer covers. An agent without a
+  /// history store answers covered=false and no entries.
+  std::optional<WindowInfo> coverage;
+  /// kSketches, in the target's order (see Target).
+  std::vector<SketchEntry> entries;
+  /// kScrape.
+  obs::Scrape scrape;
+  /// kSpans: the answering process's retained spans (filtered to the
   /// requested trace when the query carried one), oldest first, plus the
   /// ring's eviction accounting so an assembler can flag gaps.
-  std::vector<obs::Span> spans;
-  std::uint64_t spans_dropped = 0;                  // kTraceSpans
-  std::uint64_t spans_total = 0;                    // kTraceSpans
+  obs::SpanRecorderSnapshot spans;
 };
 
 [[nodiscard]] std::vector<std::uint8_t> encode_query(const Query& query);
@@ -200,7 +145,8 @@ struct QueryReply {
 [[nodiscard]] Query decode_query(const std::uint8_t* data, std::size_t size);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_reply(const QueryReply& reply);
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input. A count is checked against
+/// the bytes left before anything is reserved for it.
 [[nodiscard]] QueryReply decode_reply(const std::uint8_t* data, std::size_t size);
 
 // --- Record-batch trace trailer --------------------------------------------

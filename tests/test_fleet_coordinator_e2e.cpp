@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "fleet_workload.h"
+#include "obs/metrics.h"
 #include "transport/agent.h"
 #include "transport/coordinator.h"
 #include "transport/partitioned_client.h"
@@ -92,10 +93,12 @@ void expect_coordinator_matches(transport::QueryCoordinator& coord,
         << flow.key.to_string();
   }
 
-  const auto stats = coord.fleet_stats();
-  EXPECT_EQ(stats.records_ingested, want.records_ingested());
-  EXPECT_EQ(stats.estimates_ingested, want.estimates_ingested());
-  EXPECT_EQ(stats.protocol_errors, 0u);
+  const auto totals = coord.fleet_metrics().metrics;
+  EXPECT_EQ(obs::counter_total(totals, "rlir_agent_records_ingested_total"),
+            want.records_ingested());
+  EXPECT_EQ(obs::counter_total(totals, "rlir_agent_estimates_ingested_total"),
+            want.estimates_ingested());
+  EXPECT_EQ(obs::counter_total(totals, "rlir_agent_protocol_errors_total"), 0u);
   EXPECT_EQ(coord.stats().agent_failures, 0u);
 }
 
@@ -191,16 +194,18 @@ TEST(FleetCoordinatorE2E, PartitionedUnixSocketFleetMatchesSingleCollector) {
     testutil::run_fleet_workload({pc.make_sink()}, [&pc] { pc.pump(); });
     ASSERT_TRUE(pc.drain(100000)) << "sockets never drained";
 
-    // Per-endpoint conservation over the wire: each stats query rides the
-    // SAME connection as that endpoint's record frames, so its reply
+    // Per-endpoint conservation over the wire: each metrics query rides
+    // the SAME connection as that endpoint's record frames, so its reply
     // proves every frame before it was processed.
     for (std::size_t i = 0; i < kAgents; ++i) {
-      transport::Query q;
-      q.kind = transport::QueryKind::kStats;
-      const auto reply = pc.client(i).query(q);
-      ASSERT_TRUE(reply.has_value()) << "agent " << i << " stats query got no reply";
-      EXPECT_EQ(reply->stats.records_ingested, pc.records_routed(i)) << "agent " << i;
-      EXPECT_EQ(reply->stats.protocol_errors, 0u) << "agent " << i;
+      const auto reply = pc.client(i).query({.target = transport::Target::kMetrics});
+      ASSERT_TRUE(reply.has_value()) << "agent " << i << " metrics query got no reply";
+      const auto& metrics = reply->scrape.metrics;
+      EXPECT_EQ(obs::counter_total(metrics, "rlir_agent_records_ingested_total"),
+                pc.records_routed(i))
+          << "agent " << i;
+      EXPECT_EQ(obs::counter_total(metrics, "rlir_agent_protocol_errors_total"), 0u)
+          << "agent " << i;
     }
     EXPECT_EQ(pc.records_shed(), 0u);
     EXPECT_EQ(pc.stats().records_submitted, want.records_ingested());

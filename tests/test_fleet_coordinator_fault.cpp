@@ -21,6 +21,7 @@
 
 #include "fault_stream.h"
 #include "fleet_workload.h"
+#include "obs/metrics.h"
 #include "transport/agent.h"
 #include "transport/coordinator.h"
 #include "transport/partitioned_client.h"
@@ -152,7 +153,8 @@ TEST(FleetCoordinatorFault, AgentKillMidStreamRebalancesAndConserves) {
   const auto fleet_sketch = coord.fleet();
   EXPECT_EQ(fleet_sketch.count(), survivor_estimates);
   EXPECT_LT(fleet_sketch.count(), want.fleet().count());  // partial truth
-  EXPECT_EQ(coord.fleet_stats().records_ingested,
+  EXPECT_EQ(obs::counter_total(coord.fleet_metrics().metrics,
+                              "rlir_agent_records_ingested_total"),
             ingested - fleet.agents[kVictim]->stats().records_ingested);
   EXPECT_GE(coord.stats().agent_failures, 1u);  // the victim missed each fan-out
 

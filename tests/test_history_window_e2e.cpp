@@ -3,7 +3,7 @@
 //
 //   baseline:     every epoch batch ingested into ONE SketchHistoryStore
 //   partitioned:  flow-hash spray across 4 CollectorAgents, each with its
-//                 own store; QueryCoordinator merges kWindow* replies
+//                 own store; QueryCoordinator merges windowed replies
 //
 // — must answer every window query bin for bin identically. Partitioning
 // changes WHERE history is retained, never WHAT the fleet remembers. Proven
@@ -11,17 +11,14 @@
 // sockets (agents on threads, kernel in the path). raw_epochs exceeds the
 // workload's epoch count so retention is exact; completeness is NOT
 // asserted for the fleet — a sprayed agent legitimately first sees an epoch
-// later than the baseline, and the coordinator labels that honestly.
-//
-// Also pins the kWindow* wire codec: query/reply round-trips and the
-// reject-don't-guess validation rules documented in docs/WIRE.md.
+// later than the baseline, and the coordinator labels that honestly. (The
+// window codec's round-trips live in test_transport_query.cpp.)
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -250,69 +247,6 @@ TEST(HistoryWindowE2E, PartitionedUnixSocketFleetAnswersWindowsLikeOneStore) {
 
   stop.store(true);
   for (auto& thread : threads) thread.join();
-}
-
-// --- kWindow* wire codec ----------------------------------------------------
-
-TEST(HistoryWindowE2E, WindowQueryCodecRoundTrips) {
-  transport::Query q;
-  q.kind = transport::QueryKind::kWindowFlowQuantile;
-  q.q = 0.95;
-  q.key.src = net::Ipv4Address(10, 3, 0, 1);
-  q.key.dst = net::Ipv4Address(192, 168, 1, 1);
-  q.key.src_port = 6001;
-  q.key.dst_port = 443;
-  q.key.proto = static_cast<std::uint8_t>(net::IpProto::kTcp);
-  q.epoch_first = 3;
-  q.epoch_last = 1u << 20;
-  const auto bytes = transport::encode_query(q);
-  const auto back = transport::decode_query(bytes.data(), bytes.size());
-  EXPECT_EQ(back.kind, q.kind);
-  EXPECT_EQ(back.q, q.q);
-  EXPECT_EQ(back.key, q.key);
-  EXPECT_EQ(back.epoch_first, q.epoch_first);
-  EXPECT_EQ(back.epoch_last, q.epoch_last);
-
-  // Reversed windows are rejected at decode, not guessed at.
-  transport::Query bad = q;
-  bad.epoch_first = 10;
-  bad.epoch_last = 3;
-  const auto bad_bytes = transport::encode_query(bad);
-  EXPECT_THROW((void)transport::decode_query(bad_bytes.data(), bad_bytes.size()),
-               std::runtime_error);
-}
-
-TEST(HistoryWindowE2E, WindowReplyCodecRoundTrips) {
-  transport::QueryReply reply;
-  reply.kind = transport::QueryKind::kWindowLink;
-  reply.window.covered = true;
-  reply.window.complete = false;
-  reply.window.first = 7;
-  reply.window.last = 21;
-  reply.window.records = 123456;
-  common::LatencySketch sketch{common::LatencySketchConfig{}};
-  for (int i = 1; i <= 100; ++i) sketch.add(1e3 * i);
-  reply.window_sketch = sketch;
-
-  const auto bytes = transport::encode_reply(reply);
-  const auto back = transport::decode_reply(bytes.data(), bytes.size());
-  EXPECT_EQ(back.kind, reply.kind);
-  EXPECT_TRUE(back.window.covered);
-  EXPECT_FALSE(back.window.complete);
-  EXPECT_EQ(back.window.first, 7u);
-  EXPECT_EQ(back.window.last, 21u);
-  EXPECT_EQ(back.window.records, 123456u);
-  ASSERT_TRUE(back.window_sketch.has_value());
-  EXPECT_EQ(back.window_sketch->bins(), sketch.bins());
-  EXPECT_EQ(back.window_sketch->count(), sketch.count());
-
-  // Uncovered reply: no sketch payload rides the wire.
-  transport::QueryReply empty;
-  empty.kind = transport::QueryKind::kWindowFleet;
-  const auto empty_bytes = transport::encode_reply(empty);
-  const auto empty_back = transport::decode_reply(empty_bytes.data(), empty_bytes.size());
-  EXPECT_FALSE(empty_back.window.covered);
-  EXPECT_FALSE(empty_back.window_sketch.has_value());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The observability tier's acceptance bar, end to end: a 4-agent
 // partitioned fleet runs the standard workload, one agent is killed
-// mid-stream, and the coordinator's kMetrics fan-out must deliver
+// mid-stream, and the coordinator's metrics fan-out must deliver
 //
 //   (a) per-agent scrapes for every survivor (nullopt for the victim);
 //   (b) a merged fleet scrape that IS the sum/union of the per-agent
@@ -11,10 +11,9 @@
 //       shared trace carries the kDisconnect and kRebalance the kill
 //       caused, and every surviving agent's trace carries its connects.
 //
-// Plus the AgentStats field-table regression: every field round-trips
-// through the kStats wire codec, merge_agent_stats, and the scrape
-// exposition — driven by kAgentStatsFields so a new field cannot dodge any
-// of the three.
+// Plus the agent-scrape regression: a live agent's scrape carries each of
+// the eight rlir_agent_*_total counters exactly once, with the agent's
+// instance label and the values CollectorAgent::stats() reports.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,6 +28,8 @@
 #include "obs/metrics.h"
 #include "obs/wire.h"
 #include "transport/agent.h"
+#include "transport/byte_stream.h"
+#include "transport/frame.h"
 #include "transport/coordinator.h"
 #include "transport/messages.h"
 #include "transport/partitioned_client.h"
@@ -208,17 +209,12 @@ TEST(ObsFleetE2E, MergedFleetScrapeIsSumOfPerAgentScrapesUnderAgentKill) {
     want_records += fleet.agents[i]->stats().records_ingested;
     want_estimates += fleet.agents[i]->stats().estimates_ingested;
   }
-  std::uint64_t got_records = 0;
-  std::uint64_t got_estimates = 0;
-  std::uint64_t got_connects = 0;
-  for (const auto& s : merged.metrics.samples) {
-    if (s.name == "rlir_agent_records_ingested_total") got_records += s.counter;
-    if (s.name == "rlir_agent_estimates_ingested_total") got_estimates += s.counter;
-    if (s.name == "rlir_agent_connections_accepted_total") got_connects += s.counter;
-  }
-  EXPECT_EQ(got_records, want_records);
-  EXPECT_EQ(got_estimates, want_estimates);
-  EXPECT_GT(got_connects, 0u);
+  const auto total = [&merged](const char* name) {
+    return obs::counter_total(merged.metrics, name);
+  };
+  EXPECT_EQ(total("rlir_agent_records_ingested_total"), want_records);
+  EXPECT_EQ(total("rlir_agent_estimates_ingested_total"), want_estimates);
+  EXPECT_GT(total("rlir_agent_connections_accepted_total"), 0u);
 
   // (c) continued: every surviving agent's own trace saw its connections.
   for (const auto& scrape : answered) {
@@ -226,71 +222,58 @@ TEST(ObsFleetE2E, MergedFleetScrapeIsSumOfPerAgentScrapesUnderAgentKill) {
   }
 
   // fleet_metrics() is the same merge driven by its own fan-out.
-  const auto fleet_scrape = coord.fleet_metrics();
-  std::uint64_t fleet_records = 0;
-  for (const auto& s : fleet_scrape.metrics.samples) {
-    if (s.name == "rlir_agent_records_ingested_total") fleet_records += s.counter;
-  }
-  EXPECT_EQ(fleet_records, want_records);
+  EXPECT_EQ(obs::counter_total(coord.fleet_metrics().metrics,
+                               "rlir_agent_records_ingested_total"),
+            want_records);
 }
 
-TEST(AgentStatsFieldTable, EveryFieldRoundTripsThroughMergeWireAndScrape) {
-  // Distinct sentinels per field, assigned through the table itself.
-  transport::AgentStats a;
-  transport::AgentStats b;
-  for (std::size_t i = 0; i < transport::kAgentStatsFieldCount; ++i) {
-    a.*(transport::kAgentStatsFields[i].member) = 100 + i;
-    b.*(transport::kAgentStatsFields[i].member) = 1000 * (i + 1);
-  }
+TEST(AgentScrape, CarriesEveryAgentCounterOnceWithStatsValues) {
+  transport::CollectorAgentConfig cfg;
+  cfg.instruments.id = "a7";
+  transport::CollectorAgent agent(cfg);
 
-  // merge_agent_stats: field-wise sum, no field skipped or crossed.
-  const auto merged = transport::merge_agent_stats({a, b});
-  for (std::size_t i = 0; i < transport::kAgentStatsFieldCount; ++i) {
-    EXPECT_EQ(merged.*(transport::kAgentStatsFields[i].member), 100 + i + 1000 * (i + 1))
-        << transport::kAgentStatsFields[i].name;
+  // Traffic that moves every counter: a record batch, a query, then
+  // garbage that gets the peer dropped.
+  std::vector<collect::EstimateRecord> batch(3);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].key.src_port = static_cast<std::uint16_t>(1000 + i);
+    batch[i].epoch = static_cast<std::uint32_t>(i);
+    batch[i].sketch.add(5e3 * static_cast<double>(i + 1));
   }
+  auto bytes = transport::encode_frame(transport::FrameType::kRecordBatch,
+                                       collect::encode_records(batch));
+  const auto query = transport::encode_frame(transport::FrameType::kQuery,
+                                             transport::encode_query(transport::Query{}));
+  bytes.insert(bytes.end(), query.begin(), query.end());
+  bytes.insert(bytes.end(), transport::kFrameHeaderSize, 0xde);  // bad frame magic
+  auto [peer_end, agent_end] = transport::make_loopback();
+  agent.add_connection(std::move(agent_end));
+  ASSERT_EQ(peer_end->write_some(bytes.data(), bytes.size()), bytes.size());
+  agent.poll();
 
-  // kStats wire codec: every field survives encode/decode.
-  transport::QueryReply reply;
-  reply.kind = transport::QueryKind::kStats;
-  reply.stats = a;
-  const auto bytes = transport::encode_reply(reply);
-  const auto decoded = transport::decode_reply(bytes.data(), bytes.size());
-  for (std::size_t i = 0; i < transport::kAgentStatsFieldCount; ++i) {
-    EXPECT_EQ(decoded.stats.*(transport::kAgentStatsFields[i].member), 100 + i)
-        << transport::kAgentStatsFields[i].name;
-  }
-
-  // Scrape exposition: one rlir_agent_<field>_total counter per field.
-  obs::MetricsSnapshot snap;
-  transport::append_agent_stats(snap, a, {{"instance", "a7"}});
-  ASSERT_EQ(snap.samples.size(), transport::kAgentStatsFieldCount);
-  for (std::size_t i = 0; i < transport::kAgentStatsFieldCount; ++i) {
-    bool found = false;
-    const std::string want_name =
-        std::string("rlir_agent_") + transport::kAgentStatsFields[i].name + "_total";
-    for (const auto& s : snap.samples) {
-      if (s.name != want_name) continue;
-      found = true;
-      EXPECT_EQ(s.counter, 100 + i) << want_name;
-      ASSERT_EQ(s.labels.size(), 1u);
-      EXPECT_EQ(s.labels[0].second, "a7");
+  const auto stats = agent.stats();
+  const std::pair<const char*, std::uint64_t> want[] = {
+      {"rlir_agent_records_ingested_total", stats.records_ingested},
+      {"rlir_agent_estimates_ingested_total", stats.estimates_ingested},
+      {"rlir_agent_flows_total", stats.flows},
+      {"rlir_agent_epochs_total", stats.epochs},
+      {"rlir_agent_frames_received_total", stats.frames_received},
+      {"rlir_agent_batches_received_total", stats.batches_received},
+      {"rlir_agent_queries_answered_total", stats.queries_answered},
+      {"rlir_agent_protocol_errors_total", stats.protocol_errors},
+  };
+  const auto scrape = agent.scrape();
+  for (const auto& [name, value] : want) {
+    EXPECT_GT(value, 0u) << name;
+    std::size_t seen = 0;
+    for (const auto& sample : scrape.metrics.samples) {
+      if (sample.name != name) continue;
+      seen += 1;
+      EXPECT_EQ(sample.kind, obs::MetricKind::kCounter) << name;
+      EXPECT_EQ(sample.counter, value) << name;
+      EXPECT_EQ(sample.labels, (obs::Labels{{"instance", "a7"}})) << name;
     }
-    EXPECT_TRUE(found) << want_name << " missing from the scrape";
-  }
-}
-
-TEST(AgentStatsFieldTable, MergeSaturatesEveryField) {
-  constexpr std::uint64_t kMax = ~std::uint64_t{0};
-  transport::AgentStats a;
-  transport::AgentStats b;
-  for (const auto& field : transport::kAgentStatsFields) {
-    a.*(field.member) = kMax - 1;
-    b.*(field.member) = 7;
-  }
-  const auto merged = transport::merge_agent_stats({a, b});
-  for (const auto& field : transport::kAgentStatsFields) {
-    EXPECT_EQ(merged.*(field.member), kMax) << field.name;
+    EXPECT_EQ(seen, 1u) << name;
   }
 }
 

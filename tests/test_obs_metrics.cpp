@@ -79,6 +79,9 @@ TEST(MetricsRegistry, SnapshotCarriesValues) {
 
 TEST(SaturatingAdd, ClampsAtMax) {
   constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  static_assert(saturating_add_u64(1, 2) == 3);
+  static_assert(saturating_add_u64(kMax, kMax) == kMax);
+  static_assert(saturating_add_u64(0, kMax) == kMax);
   EXPECT_EQ(saturating_add_u64(2, 3), 5u);
   EXPECT_EQ(saturating_add_u64(kMax, 1), kMax);
   EXPECT_EQ(saturating_add_u64(kMax - 1, 5), kMax);
@@ -93,8 +96,11 @@ TEST(MergeSnapshots, CountersSumGaugesMaxHistogramsUnion) {
   b.gauge("rlir_g")->set(9);
   a.histogram("rlir_h")->observe(10e3);
   b.histogram("rlir_h")->observe(500e3);
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  a.counter("rlir_s_total")->add(kMax - 1);
+  b.counter("rlir_s_total")->add(7);
   const auto merged = merge_snapshots({a.snapshot(), b.snapshot()});
-  ASSERT_EQ(merged.samples.size(), 3u);
+  ASSERT_EQ(merged.samples.size(), 4u);
   EXPECT_EQ(merged.samples[0].counter, 42u);
   EXPECT_EQ(merged.samples[1].gauge, 9);
   // Bin-for-bin union: exactly what one sketch fed both values holds.
@@ -102,6 +108,8 @@ TEST(MergeSnapshots, CountersSumGaugesMaxHistogramsUnion) {
   expected.add(10e3);
   expected.add(500e3);
   EXPECT_EQ(merged.samples[2].histogram.bins(), expected.bins());
+  // Fleet counter sums saturate instead of wrapping.
+  EXPECT_EQ(merged.samples[3].counter, kMax);
 }
 
 TEST(MergeSnapshots, DisjointSeriesPassThroughSorted) {

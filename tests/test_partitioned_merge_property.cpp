@@ -100,7 +100,7 @@ void check_split(const std::vector<collect::ShardedCollector>& parts,
       -> std::optional<collect::RankedFlowSummary> {
     const auto sketch = merged_flow(parts, key);
     if (!sketch.has_value()) return std::nullopt;
-    return collect::RankedFlowSummary{sketch->quantile(0.99), summarize_flow(key, *sketch)};
+    return collect::RankedFlowSummary{sketch->quantile(0.99), collect::summarize(key, *sketch)};
   };
 
   // Ranked top-k. Disjoint split: the global top-k is contained in the

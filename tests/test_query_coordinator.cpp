@@ -1,6 +1,6 @@
 // QueryCoordinator: the merge math in isolation (exact sketch unions,
-// worst-first top-k merging with duplicate resolution, saturating stats
-// sums), then the coordinator fanning real queries over loopback
+// worst-first top-k merging with duplicate resolution, the shared flow
+// summary), then the coordinator fanning real queries over loopback
 // connections to live agents — answers must equal a single collector that
 // ingested everything, including for a flow split across agents and for a
 // fleet with an unreachable member (partial truth, never double counting).
@@ -11,13 +11,13 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "transport/agent.h"
 #include "transport/byte_stream.h"
 
@@ -79,28 +79,6 @@ TEST(CoordinatorMerge, FleetSketchUnionRejectsAccuracyMismatch) {
   EXPECT_THROW(merge_fleet_sketches(parts), std::invalid_argument);
 }
 
-TEST(CoordinatorMerge, SaturatingAddClampsAtMax) {
-  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
-  static_assert(saturating_add(1, 2) == 3);
-  static_assert(saturating_add(kMax, 1) == kMax);
-  static_assert(saturating_add(kMax, kMax) == kMax);
-  static_assert(saturating_add(0, kMax) == kMax);
-}
-
-TEST(CoordinatorMerge, AgentStatsSumFieldWiseAndSaturate) {
-  AgentStats a;
-  a.records_ingested = 10;
-  a.flows = 3;
-  a.protocol_errors = 1;
-  AgentStats b;
-  b.records_ingested = 32;
-  b.flows = std::numeric_limits<std::uint64_t>::max();
-  const auto total = merge_agent_stats({a, b});
-  EXPECT_EQ(total.records_ingested, 42u);
-  EXPECT_EQ(total.flows, std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(total.protocol_errors, 1u);
-}
-
 collect::RankedFlowSummary ranked(std::uint16_t port, double rank) {
   collect::RankedFlowSummary entry;
   entry.first = rank;
@@ -156,7 +134,7 @@ TEST(CoordinatorMerge, SummarizeFlowMatchesCollectorDerivation) {
   for (const auto& [rank, want] : top) {
     const auto* sketch = collector.flow(want.key);
     ASSERT_NE(sketch, nullptr);
-    const auto got = summarize_flow(want.key, *sketch);
+    const auto got = collect::summarize(want.key, *sketch);
     EXPECT_EQ(got.packets, want.packets);
     EXPECT_EQ(got.mean_ns, want.mean_ns);
     EXPECT_EQ(got.p50_ns, want.p50_ns);
@@ -167,6 +145,10 @@ TEST(CoordinatorMerge, SummarizeFlowMatchesCollectorDerivation) {
 }
 
 // --- The coordinator over live loopback agents ------------------------------
+
+std::uint64_t records_ingested(const obs::MetricsSnapshot& metrics) {
+  return obs::counter_total(metrics, "rlir_agent_records_ingested_total");
+}
 
 struct AgentPair {
   AgentPair() {
@@ -243,14 +225,14 @@ TEST(QueryCoordinator, MergesDisjointAgentsToSingleCollectorAnswers) {
     expect_same_sketch(dist, *want_dist);
   }
 
-  // Stats plane: per-agent truth and the saturating fleet sum.
-  const auto per_agent = coord.per_agent_stats();
+  // Scrape plane: per-agent truth and the saturating fleet sum.
+  const auto per_agent = coord.per_agent_scrapes();
   ASSERT_EQ(per_agent.size(), 2u);
   ASSERT_TRUE(per_agent[0].has_value());
   ASSERT_TRUE(per_agent[1].has_value());
-  EXPECT_EQ(per_agent[0]->records_ingested, batch_a.size());
-  EXPECT_EQ(per_agent[1]->records_ingested, batch_b.size());
-  EXPECT_EQ(coord.fleet_stats().records_ingested, want.records_ingested());
+  EXPECT_EQ(records_ingested(per_agent[0]->metrics), batch_a.size());
+  EXPECT_EQ(records_ingested(per_agent[1]->metrics), batch_b.size());
+  EXPECT_EQ(records_ingested(coord.fleet_metrics().metrics), want.records_ingested());
   EXPECT_EQ(coord.stats().agent_failures, 0u);
   EXPECT_EQ(coord.stats().replies_merged, coord.stats().queries_sent);
 }
@@ -311,11 +293,11 @@ TEST(QueryCoordinator, UnreachableAgentYieldsPartialTruth) {
   // Answers cover the reachable fleet exactly; the miss is counted.
   expect_same_sketch(coord.fleet(), want.fleet());
   EXPECT_GE(coord.stats().agent_failures, 1u);
-  const auto per_agent = coord.per_agent_stats();
+  const auto per_agent = coord.per_agent_scrapes();
   ASSERT_EQ(per_agent.size(), 2u);
   EXPECT_TRUE(per_agent[0].has_value());
   EXPECT_FALSE(per_agent[1].has_value());
-  EXPECT_EQ(coord.fleet_stats().records_ingested, batch.size());
+  EXPECT_EQ(records_ingested(coord.fleet_metrics().metrics), batch.size());
 
   QueryCoordinatorConfig zero_rounds;
   zero_rounds.reply_rounds = 0;

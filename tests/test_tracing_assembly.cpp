@@ -1,9 +1,9 @@
 // QueryCoordinator::collect_trace: the cross-process reassembly must be the
 // exact union of the participating rings — the coordinator's own spans
 // (merge, legs, and the agent-facing clients' query hops, which share its
-// recorder) plus every agent's kTraceSpans answer — filtered to one trace,
+// recorder) plus every agent's span-ring answer — filtered to one trace,
 // with honest eviction accounting, and without the pull itself polluting
-// any ring (kTraceSpans is untraced end to end).
+// any ring (a span pull is untraced end to end).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -104,7 +104,7 @@ TEST(TracingAssemblyTest, SecondFanOutGetsItsOwnTrace) {
   TracedFleet fleet;
   (void)fleet.coord->fleet();
   const std::uint64_t first = fleet.coord->last_trace_id();
-  (void)fleet.coord->per_agent_stats();
+  (void)fleet.coord->per_agent_scrapes();
   const std::uint64_t second = fleet.coord->last_trace_id();
   ASSERT_NE(first, 0u);
   ASSERT_NE(second, 0u);
@@ -149,7 +149,7 @@ TEST(TracingAssemblyTest, PullLeavesEveryRingUnpolluted) {
   std::size_t agents_before = 0;
   for (const auto& r : fleet.agent_spans) agents_before += r->for_trace(trace_id).size();
 
-  // Repeated pulls: kTraceSpans is never traced, so the trace stays frozen.
+  // Repeated pulls: a span pull is never traced, so the trace stays frozen.
   (void)fleet.coord->collect_trace();
   (void)fleet.coord->collect_trace();
 

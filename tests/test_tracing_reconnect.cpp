@@ -65,8 +65,7 @@ TEST(TracingReconnectTest, LostQuerySpanClosesOnceAsLost) {
     return std::move(client_end);
   });
 
-  Query query;
-  query.kind = QueryKind::kStats;
+  const Query query{.target = Target::kMetrics};
   client.send_query(query);
   ASSERT_NE(faulty, nullptr);
   faulty->cut_now();  // the query frame dies with the connection
@@ -79,7 +78,7 @@ TEST(TracingReconnectTest, LostQuerySpanClosesOnceAsLost) {
 
   auto query_spans = spans_of_kind(spans, obs::SpanKind::kClientQuery);
   ASSERT_EQ(query_spans.size(), 1u);
-  EXPECT_EQ(query_spans[0].label, "stats lost");
+  EXPECT_EQ(query_spans[0].label, "metrics lost");
   EXPECT_GE(query_spans[0].end_ns, query_spans[0].start_ns);
 
   // The retry on the fresh connection succeeds and closes its OWN span —
@@ -95,7 +94,7 @@ TEST(TracingReconnectTest, LostQuerySpanClosesOnceAsLost) {
 
   query_spans = spans_of_kind(spans, obs::SpanKind::kClientQuery);
   ASSERT_EQ(query_spans.size(), 2u);
-  EXPECT_EQ(query_spans[1].label, "stats");
+  EXPECT_EQ(query_spans[1].label, "metrics");
   EXPECT_NE(query_spans[0].span_id, query_spans[1].span_id);
 }
 

@@ -1,8 +1,8 @@
-// The tracing additions to the query-plane codecs: the optional 17-byte
-// trace-context block on kQuery payloads (absent = bit-identical legacy 34
-// bytes), the 21-byte RLTC record-batch trailer, and the kTraceSpans reply
-// — round-trips plus the reject-don't-guess validations (bad flags, zero
-// ids, out-of-range span kinds, truncation, trailing bytes).
+// The tracing additions to the wire codecs: the 21-byte RLTC record-batch
+// trailer and the span-ring reply body — round-trips plus the
+// reject-don't-guess validations (bad version, zero ids, out-of-range span
+// kinds, truncation, trailing bytes). The query's trace context is covered
+// with the rest of the query codec in test_transport_query.cpp.
 #include "transport/messages.h"
 
 #include <gtest/gtest.h>
@@ -16,23 +16,6 @@
 namespace rlir::transport {
 namespace {
 
-constexpr std::size_t kLegacyQuerySize = 34;
-constexpr std::size_t kTracedQuerySize = kLegacyQuerySize + 17;
-
-Query sample_query() {
-  Query query;
-  query.kind = QueryKind::kTopK;
-  query.k = 5;
-  query.q = 0.99;
-  query.key.src = net::Ipv4Address(10, 0, 0, 1);
-  query.key.dst = net::Ipv4Address(10, 1, 0, 2);
-  query.key.src_port = 4000;
-  query.key.dst_port = 80;
-  query.epoch_first = 3;
-  query.epoch_last = 9;
-  return query;
-}
-
 obs::Span sample_span(std::uint64_t trace_id, std::uint64_t span_id,
                       std::uint64_t parent_id, obs::SpanKind kind, std::string label) {
   obs::Span span;
@@ -44,48 +27,6 @@ obs::Span sample_span(std::uint64_t trace_id, std::uint64_t span_id,
   span.end_ns = 1'700'000'000'123'500'000;
   span.label = std::move(label);
   return span;
-}
-
-TEST(TracingWireTest, UntracedQueryStaysLegacy34Bytes) {
-  const auto bytes = encode_query(sample_query());
-  ASSERT_EQ(bytes.size(), kLegacyQuerySize);
-  const auto decoded = decode_query(bytes.data(), bytes.size());
-  EXPECT_EQ(decoded.kind, QueryKind::kTopK);
-  EXPECT_EQ(decoded.k, 5u);
-  EXPECT_FALSE(decoded.trace.valid());
-  EXPECT_EQ(decoded.trace.span_id, 0u);
-}
-
-TEST(TracingWireTest, TracedQueryRoundTrips51Bytes) {
-  Query query = sample_query();
-  query.trace = obs::TraceContext{0x1122334455667788ULL, 0xa1b2c3d4e5f60718ULL};
-  const auto bytes = encode_query(query);
-  ASSERT_EQ(bytes.size(), kTracedQuerySize);
-  const auto decoded = decode_query(bytes.data(), bytes.size());
-  EXPECT_EQ(decoded.trace.trace_id, query.trace.trace_id);
-  EXPECT_EQ(decoded.trace.span_id, query.trace.span_id);
-  EXPECT_EQ(decoded.kind, query.kind);
-  EXPECT_EQ(decoded.epoch_last, query.epoch_last);
-}
-
-TEST(TracingWireTest, QueryRejectsMalformedTraceBlock) {
-  Query query = sample_query();
-  query.trace = obs::TraceContext{42, 43};
-  auto bytes = encode_query(query);
-
-  // Sizes strictly between the two valid payloads.
-  EXPECT_THROW((void)decode_query(bytes.data(), kLegacyQuerySize + 1), std::runtime_error);
-  EXPECT_THROW((void)decode_query(bytes.data(), kTracedQuerySize - 1), std::runtime_error);
-
-  // Unknown flags byte.
-  auto bad_flags = bytes;
-  bad_flags[kLegacyQuerySize] = 2;
-  EXPECT_THROW((void)decode_query(bad_flags.data(), bad_flags.size()), std::runtime_error);
-
-  // A present block with trace id 0 ("traced by nothing") is a contradiction.
-  auto zero_trace = bytes;
-  for (std::size_t i = 0; i < 8; ++i) zero_trace[kLegacyQuerySize + 1 + i] = 0;
-  EXPECT_THROW((void)decode_query(zero_trace.data(), zero_trace.size()), std::runtime_error);
 }
 
 TEST(TracingWireTest, TraceTrailerRoundTrips) {
@@ -125,13 +66,13 @@ TEST(TracingWireTest, TraceTrailerRejectsMalformed) {
 
 QueryReply sample_trace_reply() {
   QueryReply reply;
-  reply.kind = QueryKind::kTraceSpans;
-  reply.spans.push_back(
+  reply.body = ReplyBody::kSpans;
+  reply.spans.spans.push_back(
       sample_span(10, 11, 0, obs::SpanKind::kCoordMerge, "fleet"));
-  reply.spans.push_back(
+  reply.spans.spans.push_back(
       sample_span(10, 12, 11, obs::SpanKind::kAgentAnswer, ""));
-  reply.spans_dropped = 7;
-  reply.spans_total = 9;
+  reply.spans.dropped = 7;
+  reply.spans.total = 9;
   return reply;
 }
 
@@ -140,24 +81,26 @@ TEST(TracingWireTest, TraceSpansReplyRoundTrips) {
   const auto bytes = encode_reply(reply);
   const auto decoded = decode_reply(bytes.data(), bytes.size());
 
-  EXPECT_EQ(decoded.kind, QueryKind::kTraceSpans);
-  ASSERT_EQ(decoded.spans.size(), 2u);
-  EXPECT_EQ(decoded.spans[0].trace_id, 10u);
-  EXPECT_EQ(decoded.spans[0].span_id, 11u);
-  EXPECT_EQ(decoded.spans[0].parent_id, 0u);
-  EXPECT_EQ(decoded.spans[0].kind, obs::SpanKind::kCoordMerge);
-  EXPECT_EQ(decoded.spans[0].start_ns, reply.spans[0].start_ns);
-  EXPECT_EQ(decoded.spans[0].end_ns, reply.spans[0].end_ns);
-  EXPECT_EQ(decoded.spans[0].label, "fleet");
-  EXPECT_EQ(decoded.spans[1].parent_id, 11u);
-  EXPECT_EQ(decoded.spans[1].label, "");
-  EXPECT_EQ(decoded.spans_dropped, 7u);
-  EXPECT_EQ(decoded.spans_total, 9u);
+  EXPECT_EQ(decoded.body, ReplyBody::kSpans);
+  const auto& spans = decoded.spans.spans;
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].trace_id, 10u);
+  EXPECT_EQ(spans[0].span_id, 11u);
+  EXPECT_EQ(spans[0].parent_id, 0u);
+  EXPECT_EQ(spans[0].kind, obs::SpanKind::kCoordMerge);
+  EXPECT_EQ(spans[0].start_ns, reply.spans.spans[0].start_ns);
+  EXPECT_EQ(spans[0].end_ns, reply.spans.spans[0].end_ns);
+  EXPECT_EQ(spans[0].label, "fleet");
+  EXPECT_EQ(spans[1].parent_id, 11u);
+  EXPECT_EQ(spans[1].label, "");
+  EXPECT_EQ(decoded.spans.dropped, 7u);
+  EXPECT_EQ(decoded.spans.total, 9u);
 }
 
-// Reply layout: u8 kind | u32 count | entries | u64 dropped | u64 total.
-// First entry at 5; within an entry: trace(8) span(8) parent(8) kind(1) ...
-constexpr std::size_t kFirstEntry = 1 + 4;
+// Reply layout: u8 body | u8 flags | u32 count | entries | u64 dropped
+// | u64 total. First entry at 6; within an entry: trace(8) span(8)
+// parent(8) kind(1) ...
+constexpr std::size_t kFirstEntry = 1 + 1 + 4;
 constexpr std::size_t kEntrySpanId = kFirstEntry + 8;
 constexpr std::size_t kEntryKind = kFirstEntry + 24;
 
@@ -181,12 +124,6 @@ TEST(TracingWireTest, TraceSpansReplyRejectsTruncationAndTrailingBytes) {
   EXPECT_THROW((void)decode_reply(bytes.data(), kFirstEntry + 10), std::runtime_error);
   bytes.push_back(0);
   EXPECT_THROW((void)decode_reply(bytes.data(), bytes.size()), std::runtime_error);
-}
-
-TEST(TracingWireTest, QueryKindNamesAreStable) {
-  EXPECT_STREQ(query_kind_name(QueryKind::kFleet), "fleet");
-  EXPECT_STREQ(query_kind_name(QueryKind::kTraceSpans), "trace_spans");
-  EXPECT_STREQ(query_kind_name(QueryKind::kWindowFlowQuantile), "window_flow_quantile");
 }
 
 }  // namespace

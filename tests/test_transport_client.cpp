@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "transport/agent.h"
 #include "transport/byte_stream.h"
 #include "transport/frame.h"
@@ -187,8 +188,7 @@ TEST(TransportClient, QueryReplyRoundTripOverLoopback) {
   CollectorClient client(CollectorClientConfig{}, dialer.factory());
 
   client.submit(0, make_batch(6, 0));
-  Query q;
-  q.kind = QueryKind::kStats;
+  const Query q{.target = Target::kMetrics};
   client.send_query(q);
   // A second query while one is outstanding is a programming error.
   EXPECT_THROW(client.send_query(q), std::logic_error);
@@ -200,11 +200,12 @@ TEST(TransportClient, QueryReplyRoundTripOverLoopback) {
     reply = client.poll_reply();
   }
   ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->kind, QueryKind::kStats);
+  ASSERT_EQ(reply->body, ReplyBody::kScrape);
   // send_query sealed the coalescing buffer first, so the reply reflects
   // the records submitted before it.
-  EXPECT_EQ(reply->stats.records_ingested, 6u);
-  EXPECT_EQ(reply->stats.queries_answered, 1u);
+  const auto& metrics = reply->scrape.metrics;
+  EXPECT_EQ(obs::counter_total(metrics, "rlir_agent_records_ingested_total"), 6u);
+  EXPECT_EQ(obs::counter_total(metrics, "rlir_agent_queries_answered_total"), 1u);
 }
 
 TEST(TransportClient, AgentDropsGarbageSpeakingPeer) {
@@ -229,9 +230,7 @@ TEST(TransportClient, AgentDropsPeerThatNeverReadsReplies) {
   auto [client_end, agent_end] = make_loopback(/*capacity=*/64);  // tiny: replies back up
   agent.add_connection(std::move(agent_end));
 
-  Query q;
-  q.kind = QueryKind::kStats;
-  const auto frame = encode_frame(FrameType::kQuery, encode_query(q));
+  const auto frame = encode_frame(FrameType::kQuery, encode_query(Query{}));
   int sent = 0;
   for (; sent < 100 && agent.connection_count() > 0; ++sent) {
     std::size_t off = 0;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "fleet_workload.h"
+#include "obs/metrics.h"
 #include "transport/agent.h"
 #include "transport/client.h"
 #include "transport/socket.h"
@@ -102,15 +103,15 @@ TEST(TransportE2E, UnixSocketMatchesInProcessBinForBin) {
     run_workload(client.make_sink(), [&client] { client.pump(); });
     ASSERT_TRUE(client.drain(100000)) << "socket never drained";
 
-    // Conservation check over the wire before comparing state: the stats
+    // Conservation check over the wire before comparing state: the metrics
     // query round-trips on the same connection, so its reply proves every
     // record frame before it was processed.
-    transport::Query q;
-    q.kind = transport::QueryKind::kStats;
-    const auto reply = client.query(q);
-    ASSERT_TRUE(reply.has_value()) << "stats query got no reply";
-    EXPECT_EQ(reply->stats.records_ingested, want.records_ingested());
-    EXPECT_EQ(reply->stats.protocol_errors, 0u);
+    const auto reply = client.query({.target = transport::Target::kMetrics});
+    ASSERT_TRUE(reply.has_value()) << "metrics query got no reply";
+    const auto& metrics = reply->scrape.metrics;
+    EXPECT_EQ(obs::counter_total(metrics, "rlir_agent_records_ingested_total"),
+              want.records_ingested());
+    EXPECT_EQ(obs::counter_total(metrics, "rlir_agent_protocol_errors_total"), 0u);
   }
 
   stop.store(true);
@@ -150,41 +151,35 @@ TEST(TransportE2E, RemoteQueriesMatchLocalAnswers) {
     return reply;
   };
 
-  transport::Query fleet_q;
-  fleet_q.kind = transport::QueryKind::kFleet;
-  const auto fleet_reply = ask(fleet_q);
+  const auto fleet_reply = ask({.target = transport::Target::kFleet});
   ASSERT_TRUE(fleet_reply.has_value());
-  EXPECT_EQ(fleet_reply->fleet.bins(), want.fleet().bins());
-  EXPECT_EQ(fleet_reply->fleet.count(), want.fleet().count());
+  ASSERT_EQ(fleet_reply->entries.size(), 1u);
+  EXPECT_EQ(fleet_reply->entries[0].sketch.bins(), want.fleet().bins());
+  EXPECT_EQ(fleet_reply->entries[0].sketch.count(), want.fleet().count());
 
-  transport::Query top_q;
-  top_q.kind = transport::QueryKind::kTopK;
-  top_q.k = 10;
-  top_q.q = 0.99;
-  const auto top_reply = ask(top_q);
+  // Top-k ships each flow's sketch; its rank is the sketch's quantile.
+  const auto top_reply = ask({.target = transport::Target::kTopK, .k = 10, .q = 0.99});
   ASSERT_TRUE(top_reply.has_value());
   const auto want_top = want.top_k_ranked(10, 0.99);
-  ASSERT_EQ(top_reply->top.size(), want_top.size());
+  ASSERT_EQ(top_reply->entries.size(), want_top.size());
   for (std::size_t i = 0; i < want_top.size(); ++i) {
-    EXPECT_EQ(top_reply->top[i].second.key, want_top[i].second.key) << "rank " << i;
-    EXPECT_EQ(top_reply->top[i].first, want_top[i].first) << "rank " << i;
+    EXPECT_EQ(top_reply->entries[i].flow, want_top[i].second.key) << "rank " << i;
+    EXPECT_EQ(top_reply->entries[i].sketch.quantile(0.99), want_top[i].first) << "rank " << i;
   }
 
   // Per-flow quantile for the worst flow, plus the unseen-flow case.
-  transport::Query flow_q;
-  flow_q.kind = transport::QueryKind::kFlowQuantile;
-  flow_q.key = want_top.front().second.key;
-  flow_q.q = 0.99;
+  transport::Query flow_q{.target = transport::Target::kFlow,
+                          .flow = want_top.front().second.key};
   const auto flow_reply = ask(flow_q);
   ASSERT_TRUE(flow_reply.has_value());
-  ASSERT_TRUE(flow_reply->quantile.has_value());
-  EXPECT_EQ(*flow_reply->quantile, *want.flow_quantile(flow_q.key, 0.99));
+  ASSERT_EQ(flow_reply->entries.size(), 1u);
+  EXPECT_EQ(flow_reply->entries[0].sketch.quantile(0.99), *want.flow_quantile(flow_q.flow, 0.99));
 
-  flow_q.key.src_port = 1;  // nobody sends from port 1 in this workload
-  flow_q.key.dst_port = 1;
+  flow_q.flow.src_port = 1;  // nobody sends from port 1 in this workload
+  flow_q.flow.dst_port = 1;
   const auto miss_reply = ask(flow_q);
   ASSERT_TRUE(miss_reply.has_value());
-  EXPECT_FALSE(miss_reply->quantile.has_value());
+  EXPECT_TRUE(miss_reply->entries.empty());
 }
 
 }  // namespace
