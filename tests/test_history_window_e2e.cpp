@@ -11,14 +11,15 @@
 // sockets (agents on threads, kernel in the path). raw_epochs exceeds the
 // workload's epoch count so retention is exact; completeness is NOT
 // asserted for the fleet — a sprayed agent legitimately first sees an epoch
-// later than the baseline, and the coordinator labels that honestly. (The
-// window codec's round-trips live in test_transport_query.cpp.)
+// later than the baseline, and the coordinator labels that honestly. (The rest
+// of the window codec's round-trips live in test_transport_query.cpp.)
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -247,6 +248,27 @@ TEST(HistoryWindowE2E, PartitionedUnixSocketFleetAnswersWindowsLikeOneStore) {
 
   stop.store(true);
   for (auto& thread : threads) thread.join();
+}
+
+TEST(HistoryWindowE2E, WindowQueryCodecRoundTrips) {
+  transport::Query q{.target = transport::Target::kFlow,
+                     .flow = {net::Ipv4Address(10, 3, 0, 1),
+                              net::Ipv4Address(192, 168, 1, 1), 6001, 443},
+                     .q = 0.95,
+                     .window = transport::EpochWindow{3, 1u << 20}};
+  const auto bytes = transport::encode_query(q);
+  const auto back = transport::decode_query(bytes.data(), bytes.size());
+  EXPECT_EQ(back.target, q.target);
+  EXPECT_EQ(back.q, q.q);
+  EXPECT_EQ(back.flow, q.flow);
+  ASSERT_TRUE(back.window.has_value());
+  EXPECT_EQ(back.window->first, 3u);
+  EXPECT_EQ(back.window->last, 1u << 20);
+
+  // Reversed windows are rejected at decode, not guessed at.
+  q.window = transport::EpochWindow{10, 3};
+  const auto bad = transport::encode_query(q);
+  EXPECT_THROW((void)transport::decode_query(bad.data(), bad.size()), std::runtime_error);
 }
 
 }  // namespace

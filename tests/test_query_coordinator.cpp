@@ -1,6 +1,6 @@
 // QueryCoordinator: the merge math in isolation (exact sketch unions,
-// worst-first top-k merging with duplicate resolution, the shared flow
-// summary), then the coordinator fanning real queries over loopback
+// worst-first top-k merging with duplicate resolution, saturating sums, the
+// shared flow summary), then the coordinator fanning real queries over loopback
 // connections to live agents — answers must equal a single collector that
 // ingested everything, including for a flow split across agents and for a
 // fleet with an unreachable member (partial truth, never double counting).
@@ -77,6 +77,17 @@ TEST(CoordinatorMerge, FleetSketchUnionRejectsAccuracyMismatch) {
   parts[0].add(100.0);
   parts[1].add(100.0);
   EXPECT_THROW(merge_fleet_sketches(parts), std::invalid_argument);
+}
+
+TEST(CoordinatorMerge, SaturatingAddClampsAtMax) {
+  // Fleet sums (here a scrape roll-up's event counts and drops) clamp, never wrap.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  std::vector<obs::Scrape> parts(2);
+  parts[0].events.counts[0] = parts[0].events.dropped = kMax - 1;
+  parts[1].events.counts[0] = parts[1].events.dropped = 7;
+  const auto merged = merge_scrapes(parts);
+  EXPECT_EQ(merged.events.counts[0], kMax);
+  EXPECT_EQ(merged.events.dropped, kMax);
 }
 
 collect::RankedFlowSummary ranked(std::uint16_t port, double rank) {
