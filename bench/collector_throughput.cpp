@@ -1,13 +1,13 @@
 // Collection-tier throughput baseline: how fast estimates fold into
 // sketches, how compact the wire format is, how fast the sharded collector
 // ingests record batches — and how much multi-producer ingest into the
-// lane-locked concurrent collector buys over the single-threaded path.
+// lane-locked collector buys over one producer.
 //
 // Pipeline measured (the deployment data path end to end):
 //   synthetic trace --stream--> exporter sketches --drain--> wire bytes
-//   --decode--> sharded collector --> fleet queries
-// then again with N producer threads decoding and submitting in parallel to
-// a ConcurrentShardedCollector (threads-vs-throughput sweep).
+//   --view decode--> sharded collector --> fleet queries
+// then again with N producer threads decoding views and ingesting them in
+// parallel into one ShardedCollector (threads-vs-throughput sweep).
 //
 // Prints one "name value unit" row per metric. `--smoke` shrinks every
 // count so CI can run the whole harness in well under a second; `--packets`,
@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "collect/concurrent_collector.h"
 #include "collect/exporter.h"
 #include "collect/history.h"
 #include "collect/sharded_collector.h"
@@ -72,26 +71,29 @@ bool write_json(const std::string& path) {
   return true;
 }
 
-/// Concurrent-ingest measurement: `threads` producers each decode and submit
-/// `epochs` epoch-batches (total records = threads x epochs x batch) into a
-/// lane-locked collector; a submit returns once its batch is merged, so the
-/// clock stops when the last producer joins. Returns records/sec.
+/// Concurrent-ingest measurement: `threads` producers each decode views (as
+/// the agent does) and ingest `epochs` epoch-batches (total records =
+/// threads x epochs x batch) into one lane-locked collector; an ingest
+/// returns once its batch is merged, so the clock stops when the last
+/// producer joins. Returns records/sec.
 double run_concurrent(const std::vector<std::uint8_t>& bytes, std::size_t batch_records,
                       std::uint32_t epochs, std::size_t shard_count, std::size_t threads) {
-  collect::ConcurrentCollectorConfig cfg;
+  collect::CollectorConfig cfg;
   cfg.shard_count = shard_count;
-  collect::ConcurrentShardedCollector collector(cfg);
+  collect::ShardedCollector collector(cfg);
 
   const auto start = Clock::now();
   std::vector<std::thread> producers;
   producers.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
     producers.emplace_back([&, t] {
+      std::vector<collect::RecordView> views;
       for (std::uint32_t e = 0; e < epochs; ++e) {
-        auto batch = collect::decode_records(bytes.data(), bytes.size());
+        views.clear();
+        collect::decode_record_views_prefix(bytes.data(), bytes.size(), views);
         const auto epoch = static_cast<std::uint32_t>(t * epochs + e);
-        for (auto& r : batch) r.epoch = epoch;
-        collector.submit(batch);
+        for (auto& v : views) v.epoch = epoch;
+        collector.ingest(views);
       }
     });
   }
@@ -150,24 +152,22 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
   print_metric("wire_bytes_per_estimate",
                static_cast<double>(bytes.size()) / static_cast<double>(streamed), "bytes");
 
-  // --- Stage 3: single-threaded collector ingest across epochs (decode +
-  // shard + merge) — the baseline the concurrent sweep is judged against.
-  // Uses the zero-copy view path, which is what the agent's ingest loop runs
-  // in production; the owning path is measured alongside for the ladder in
-  // docs/PERFORMANCE.md.
+  // --- Stage 3: single-threaded collector ingest across epochs (view
+  // decode + shard + merge), one views batch per epoch — what the agent's
+  // ingest loop runs per frame, and the baseline the concurrent sweep is
+  // judged against.
   collect::CollectorConfig collector_cfg;
   collector_cfg.shard_count = shard_count;
   collect::ShardedCollector collector(collector_cfg);
   std::vector<collect::RecordView> views;
-  const auto collect_start = Clock::now();
-  for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
+  const auto ingest_epoch = [&](collect::ShardedCollector& c, std::uint32_t epoch) {
     views.clear();
     collect::decode_record_views_prefix(bytes.data(), bytes.size(), views);
-    for (auto& v : views) {
-      v.epoch = epoch;
-      collector.ingest(v);
-    }
-  }
+    for (auto& v : views) v.epoch = epoch;
+    c.ingest(views);
+  };
+  const auto collect_start = Clock::now();
+  for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) ingest_epoch(collector, epoch);
   const double collect_s = seconds_since(collect_start);
   const double total_records = static_cast<double>(records.size()) * epochs;
   const double serial_rate = total_records / collect_s;
@@ -177,35 +177,17 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
                static_cast<double>(collector.estimates_ingested()) / collect_s,
                "estimates/s");
 
-  // Owning decode path (materialized EstimateRecords, heap sketches) over the
-  // same workload, so view-vs-owning stays measurable per run.
-  collect::ShardedCollector owning_collector(collector_cfg);
-  const auto owning_start = Clock::now();
-  for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
-    auto batch = collect::decode_records(bytes.data(), bytes.size());
-    for (auto& r : batch) r.epoch = epoch;
-    owning_collector.ingest(batch);
-  }
-  const double owning_s = seconds_since(owning_start);
-  print_metric("collector_rate_owning", total_records / owning_s, "records/s");
-
   // --- Stage 3a: the same serial view-path ingest with the time-travel
   // history store teed in — what keeping every epoch's raw delta log costs
-  // on the hot path (one mutex + raw-buffer body append per record; the
+  // on the hot path (one mutex per batch + raw-buffer body append per
+  // record; the
   // default config keeps the bench's epochs raw, so no fold runs inside the
   // timed loop). Plain/teed runs alternate and each reports its best pass:
   // the overhead ratio is tens of ns per record, smaller than the drift
   // between two one-shot loops on a shared machine.
   const auto time_serial = [&](collect::ShardedCollector& c) {
     const auto start = Clock::now();
-    for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
-      views.clear();
-      collect::decode_record_views_prefix(bytes.data(), bytes.size(), views);
-      for (auto& v : views) {
-        v.epoch = epoch;
-        c.ingest(v);
-      }
-    }
+    for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) ingest_epoch(c, epoch);
     return seconds_since(start);
   };
   const auto best_teed = [&](const collect::HistoryConfig& cfg, double* out_bytes,
@@ -248,14 +230,9 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
   const auto time_traced = [&](collect::ShardedCollector& c, obs::SpanRecorder& spans) {
     const auto start = Clock::now();
     for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
-      views.clear();
-      collect::decode_record_views_prefix(bytes.data(), bytes.size(), views);
       obs::SpanTimer span(&spans, obs::SpanKind::kAgentIngest, {},
                           "epoch" + std::to_string(epoch));
-      for (auto& v : views) {
-        v.epoch = epoch;
-        c.ingest(v);
-      }
+      ingest_epoch(c, epoch);
     }
     return seconds_since(start);
   };
@@ -296,9 +273,9 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
     print_metric("history_churn_compactions", churn_folds, "folds");
   }
 
-  // --- Stage 3b: threads-vs-throughput sweep over the concurrent collector
-  // (lane-grouped inline merges; producers decode in parallel too, exactly
-  // as many networked vantage feeds would).
+  // --- Stage 3b: threads-vs-throughput sweep over one collector
+  // (shard-grouped merges under the shard locks; producers decode views in
+  // parallel too, exactly as many networked vantage feeds would).
   for (const std::size_t threads : thread_sweep) {
     const double rate = run_concurrent(bytes, records.size(), epochs, shard_count, threads);
     const std::string suffix = "_t" + std::to_string(threads);

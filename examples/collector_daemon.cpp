@@ -1,7 +1,8 @@
 // The shard-per-process deployment unit: a standalone collector daemon that
 // listens on a TCP or Unix-domain socket, drains framed EstimateRecord
 // batches from any number of vantage-point clients into a lane-locked
-// ConcurrentShardedCollector, and answers fleet queries in place.
+// ShardedCollector (each shard merges under its own lock), and answers fleet
+// queries in place.
 //
 //   ./collector_daemon --listen unix:/tmp/rlir-collector.sock
 //   ./collector_daemon --listen tcp:127.0.0.1:9100 --shards 8

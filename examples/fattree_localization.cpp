@@ -135,8 +135,7 @@ int run_example() {
   // collector, which names the flows the slow core actually hurt.
   collect::ShardedCollector collector;
   const auto ship = [&collector](collect::EstimateExporter& exporter) {
-    const auto bytes = collect::encode_records(exporter.drain(/*epoch=*/0));
-    collector.ingest(collect::decode_records(bytes.data(), bytes.size()));
+    collector.ingest(exporter.drain(/*epoch=*/0));
   };
   ship(down_exporter);
   for (auto& exporter : up_exporters) ship(*exporter);

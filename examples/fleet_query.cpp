@@ -2,7 +2,8 @@
 //
 //   taps -> RLIR receivers (4 cores upstream + 2 destination ToRs
 //   downstream) -> per-flow sketches -> EstimateRecord batches (binary wire
-//   format) -> ShardedCollector -> operator queries.
+//   format) -> RecordViews -> lane-locked ShardedCollector -> operator
+//   queries.
 //
 // Traffic from two pod-0 ToRs fans out to two pod-3 ToRs; one core is
 // secretly slow. The example answers the questions an operator would ask a

@@ -233,22 +233,6 @@ std::size_t wire_size(const RecordView& record) {
          static_cast<std::size_t>(record.sketch.bin_count) * kBinSize;
 }
 
-void append_record_body(std::vector<std::uint8_t>& out, const EstimateRecord& record) {
-  const std::size_t n = wire_size(record);
-  out.resize(out.size() + n);
-  encode_record_body(record, out.data() + (out.size() - n));
-}
-
-void append_record_body(std::vector<std::uint8_t>& out, const RecordView& record) {
-  const std::size_t n = wire_size(record);
-  out.resize(out.size() + n);
-  encode_record_body(record, out.data() + (out.size() - n));
-}
-
-void encode_record_body(const EstimateRecord& record, std::uint8_t* out) {
-  encode_record(record, out);
-}
-
 void encode_record_body(const RecordView& record, std::uint8_t* out) {
   const std::size_t bin_bytes = static_cast<std::size_t>(record.sketch.bin_count) * kBinSize;
   std::uint8_t* p = out;
@@ -287,6 +271,13 @@ std::vector<std::uint8_t> encode_records(const std::vector<EstimateRecord>& reco
   put<std::uint64_t>(p, records.size());
   for (const auto& r : records) encode_record(r, p);
   return buf;
+}
+
+EncodedViews encode_views(const std::vector<EstimateRecord>& records) {
+  EncodedViews out;
+  out.bytes = encode_records(records);
+  decode_record_views_prefix(out.bytes.data(), out.bytes.size(), out.views);
+  return out;
 }
 
 DecodedBatch decode_records_prefix(const std::uint8_t* data, std::size_t size) {

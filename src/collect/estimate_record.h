@@ -128,21 +128,27 @@ void merge_sketch_view(common::LatencySketch& dst, const SketchView& view);
 /// View counterpart (same layout; bins stay serialized, so this is exact).
 [[nodiscard]] std::size_t wire_size(const RecordView& record);
 
+/// An owned batch encoded once and decoded as views that borrow `bytes`
+/// (moving the struct keeps them valid: the buffer does not move).
+struct EncodedViews {
+  std::vector<std::uint8_t> bytes;
+  std::vector<RecordView> views;
+};
+/// Encodes `records` as one batch and decodes its views — how the collector
+/// and the history store, whose one merge body takes views, ingest owned
+/// records.
+[[nodiscard]] EncodedViews encode_views(const std::vector<EstimateRecord>& records);
+
 // --- Record-body helpers ---------------------------------------------------
 // The history store's raw tier logs record bodies back-to-back WITHOUT the
 // batch header: each body is self-delimiting (fixed keyed fields plus a
 // sketch segment whose bin count says where it ends), so an epoch's log is
 // just its appended bodies.
 
-/// Appends one record body (keyed fields + sketch segment) to `out`.
-void append_record_body(std::vector<std::uint8_t>& out, const EstimateRecord& record);
-/// View overload: the serialized bins are copied verbatim (one memcpy), so
-/// logging a decoded view costs no sketch materialization.
-void append_record_body(std::vector<std::uint8_t>& out, const RecordView& record);
-/// Raw-pointer counterparts: write one body at `out`, which the caller
-/// guarantees has wire_size(record) bytes of room. The history store's log
-/// appends through these to skip the vector resize's zero-fill.
-void encode_record_body(const EstimateRecord& record, std::uint8_t* out);
+/// Writes one record body (keyed fields + sketch segment) at `out`, which
+/// the caller guarantees has wire_size(record) bytes of room. The serialized
+/// bins are copied verbatim (one memcpy), so logging a decoded view costs no
+/// sketch materialization.
 void encode_record_body(const RecordView& record, std::uint8_t* out);
 /// Decodes back-to-back record bodies until the buffer is exhausted,
 /// appending views to `out` (not cleared). Same validation and

@@ -45,10 +45,9 @@ void FleetCollector::deliver(std::uint32_t epoch, const std::vector<EstimateReco
     for (const auto& sink : remote_sinks_) sink(epoch, batch);
     return;
   }
-  // Round-trip through the wire format: what a networked vantage would
-  // transmit is exactly what the collector ingests.
-  const auto bytes = encode_records(batch);
-  collector_.ingest(decode_records(bytes.data(), bytes.size()));
+  // ingest() encodes the batch and merges its wire views: what a networked
+  // vantage would transmit is exactly what the collector ingests.
+  collector_.ingest(batch);
 }
 
 std::size_t FleetCollector::collect_epoch(std::uint32_t epoch) {
@@ -96,8 +95,8 @@ void FleetCollector::attach_scheduler(EpochScheduler& scheduler) {
   // vantages_ live; the exporter registration must match).
   scheduler_ = &scheduler;
   scheduler.add_sink([this](std::uint32_t epoch, const std::vector<EstimateRecord>& batch) {
-    // Same delivery as collect_epoch: the wire round-trip into the local
-    // collector, or the remote sink when one is set.
+    // Same delivery as collect_epoch: the local collector's ingest, or the
+    // remote sinks when any is set.
     deliver(epoch, batch);
   });
 }

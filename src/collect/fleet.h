@@ -4,10 +4,11 @@
 //
 //   taps (FatTreeSim arrivals) -> RlirReceiver streams -> per-packet
 //   estimates -> EstimateExporter sketches -> EstimateRecord batches (wire
-//   format) -> ShardedCollector shards -> fleet queries.
+//   format) -> RecordViews -> ShardedCollector shards -> fleet queries.
 //
-// Epoch batches really do round-trip through the binary wire format, so a
-// fleet run exercises exactly what a networked deployment would ship.
+// Epoch batches really do round-trip through the binary wire format:
+// ShardedCollector::ingest encodes each batch and merges the decoded views,
+// the same view path a CollectorAgent runs on bytes off a socket.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +48,9 @@ class FleetCollector {
   [[nodiscard]] topo::NodeId node(LinkId link) const;
   [[nodiscard]] std::size_t vantage_count() const { return vantages_.size(); }
 
-  /// Ends the epoch fleet-wide: drains every vantage's exporter, ships each
-  /// batch through the binary wire format, and ingests it. Returns the
-  /// number of records collected.
+  /// Ends the epoch fleet-wide: drains every vantage's exporter and ingests
+  /// each batch (through the wire format, see ShardedCollector::ingest).
+  /// Returns the number of records collected.
   std::size_t collect_epoch(std::uint32_t epoch);
 
   /// Redirects collection away from the in-process collector: when any sink
@@ -69,8 +70,8 @@ class FleetCollector {
 
   /// Hands epoch driving to `scheduler`: registers an epoch hook that
   /// flushes every vantage receiver's interpolation buffer, every vantage
-  /// exporter for periodic drain/aging, and a sink that ships each batch
-  /// through the wire format into the collector. Vantages deployed later
+  /// exporter for periodic drain/aging, and a sink that ingests each batch
+  /// into the collector. Vantages deployed later
   /// are registered too. The scheduler is borrowed: both it and the
   /// FleetCollector must outlive the scheduler's last firing. Drive with
   /// scheduler.advance_to(sim.now()) as the simulation runs (see
@@ -93,7 +94,7 @@ class FleetCollector {
   };
 
   /// Where a drained batch goes: every remote sink when any is set,
-  /// otherwise the wire round-trip into the local collector.
+  /// otherwise the local collector.
   void deliver(std::uint32_t epoch, const std::vector<EstimateRecord>& batch);
 
   FleetConfig config_;

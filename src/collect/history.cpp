@@ -240,77 +240,6 @@ void SketchHistoryStore::flush_cells_locked() const {
 
 // --- Ingest ----------------------------------------------------------------
 
-namespace {
-
-/// Merges one late record into a compacted segment's maps.
-template <typename Maps, typename SketchLike, typename MergeFn>
-void late_merge(Maps& map, const SketchLike& key_or_link, common::LatencySketchConfig cfg,
-                MergeFn&& merge) {
-  auto [it, added] = map.try_emplace(key_or_link, common::LatencySketch(cfg));
-  (void)added;
-  merge(it->second);
-}
-
-}  // namespace
-
-void SketchHistoryStore::ingest(const EstimateRecord& record) {
-  if (record.sketch.config().relative_accuracy != config_.sketch.relative_accuracy) {
-    throw std::invalid_argument(
-        "SketchHistoryStore::ingest: record sketch accuracy differs from history config");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!admit_epoch_locked(record.epoch)) {
-    c_.dropped->increment();
-    return;
-  }
-  if (record.epoch >= raw_first_) {
-    Segment& seg = raw_[record.epoch - raw_first_];
-    const std::size_t added = wire_size(record);
-    encode_record_body(record, seg.log.append_raw(added));
-    seg.bytes += added;
-    total_bytes_ += added;
-    seg.records += 1;
-    records_pending_ += 1;
-    enforce_bytes_locked();
-  } else {
-    Segment* late = nullptr;
-    for (auto* tier : {&mid_, &coarse_}) {
-      auto it = std::lower_bound(
-          tier->begin(), tier->end(), record.epoch,
-          [](const Segment& s, std::uint32_t e) { return s.last < e; });
-      if (it != tier->end() && it->first <= record.epoch) {
-        late = &*it;
-        break;
-      }
-    }
-    if (late == nullptr) {
-      c_.dropped->increment();  // older than everything retained
-    } else {
-      const auto cfg = compact_config();
-      late_merge(late->flows, record.key, cfg,
-                 [&](common::LatencySketch& s) { s.merge(record.sketch); });
-      late_merge(late->links, record.link, cfg,
-                 [&](common::LatencySketch& s) { s.merge(record.sketch); });
-      late->records += 1;
-      total_bytes_ -= late->bytes;
-      late->bytes = map_segment_bytes_locked(*late);
-      total_bytes_ += late->bytes;
-      records_pending_ += 1;
-      c_.late->increment();
-      enforce_bytes_locked();
-    }
-  }
-}
-
-void SketchHistoryStore::ingest(const RecordView& record) {
-  if (record.sketch.relative_accuracy != config_.sketch.relative_accuracy) {
-    throw std::invalid_argument(
-        "SketchHistoryStore::ingest: record sketch accuracy differs from history config");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ingest_view_locked(record);
-}
-
 void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
   if (!admit_epoch_locked(record.epoch)) {
     c_.dropped->increment();
@@ -340,11 +269,9 @@ void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
     c_.dropped->increment();
     return;
   }
-  const auto cfg = compact_config();
-  late_merge(late->flows, record.key, cfg,
-             [&](common::LatencySketch& s) { merge_sketch_view(s, record.sketch); });
-  late_merge(late->links, record.link, cfg,
-             [&](common::LatencySketch& s) { merge_sketch_view(s, record.sketch); });
+  const common::LatencySketch empty(compact_config());
+  merge_sketch_view(late->flows.try_emplace(record.key, empty).first->second, record.sketch);
+  merge_sketch_view(late->links.try_emplace(record.link, empty).first->second, record.sketch);
   late->records += 1;
   total_bytes_ -= late->bytes;
   late->bytes = map_segment_bytes_locked(*late);
@@ -364,6 +291,10 @@ void SketchHistoryStore::ingest_views(const std::vector<RecordView>& batch) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& record : batch) ingest_view_locked(record);
   flush_cells_locked();
+}
+
+void SketchHistoryStore::ingest(const std::vector<EstimateRecord>& batch) {
+  ingest_views(encode_views(batch).views);
 }
 
 void SketchHistoryStore::note_epoch(std::uint32_t epoch) {

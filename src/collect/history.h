@@ -37,7 +37,8 @@
 //
 // Thread-safety: all methods are safe to call concurrently (one internal
 // mutex). Ingest is designed as a tee riding the collector hot path: one
-// lock, one body append (~bytes memcpy), no sketch merge.
+// lock per batch, one body append (~bytes memcpy) per record, no sketch
+// merge.
 #pragma once
 
 #include <algorithm>
@@ -118,18 +119,18 @@ class SketchHistoryStore {
 
   // --- Ingest (the collector tee) -----------------------------------------
 
-  /// Appends one record to its epoch's raw log. While nothing has ever been
-  /// folded or evicted, the raw window also grows BACKWARDS to admit epochs
-  /// below the first-seen one (flow-hash spray delivers each agent a
-  /// different first record) — so partitioned stores converge on the same
-  /// retained range. Records older than the retained range are dropped
-  /// (counted); records landing in an already compacted segment merge into
-  /// its maps (counted as late). Throws std::invalid_argument on a
-  /// relative-accuracy mismatch.
-  void ingest(const EstimateRecord& record);
-  void ingest(const RecordView& record);
-  /// Batch tee: one lock for the whole batch.
+  /// Appends each record of the batch, in order, to its epoch's raw log
+  /// under one hold of the lock. While nothing has ever been folded or
+  /// evicted, the raw window also grows BACKWARDS to admit epochs below the
+  /// first-seen one (flow-hash spray delivers each agent a different first
+  /// record) — so partitioned stores converge on the same retained range.
+  /// Records older than the retained range are dropped (counted); records
+  /// landing in an already compacted segment merge into its maps (counted
+  /// as late). Throws std::invalid_argument, storing nothing of the batch,
+  /// if any record's relative accuracy differs.
   void ingest_views(const std::vector<RecordView>& batch);
+  /// Owned records: encodes the batch and ingests its views (encode_views).
+  void ingest(const std::vector<EstimateRecord>& batch);
 
   /// Seals time forward to `epoch` without a record — how the epoch
   /// scheduler keeps compaction advancing through idle epochs. Epochs only
@@ -257,8 +258,8 @@ class SketchHistoryStore {
   /// True if the record's epoch was admitted (time advanced as needed);
   /// false = rejected jump (counted by the caller).
   bool admit_epoch_locked(std::uint32_t epoch);
-  /// The per-record ingest body shared by the scalar and batch view paths
-  /// (the scalar one is the collector tee's hot path — no allocations).
+  /// The per-record body of ingest_views (the collector tee's hot path — no
+  /// allocations).
   void ingest_view_locked(const RecordView& record);
   void fold_oldest_raw_locked();
   void fold_oldest_mid_locked();

@@ -8,26 +8,32 @@
 // state, which is what makes the tier horizontally scalable: shards can live
 // on different machines and replicas can be merged pairwise.
 //
+// Threading: every method but set_history may be called from any thread
+// (flow()'s pointer carries its own caveat). Each shard owns a mutex over
+// its maps, rank index, epoch set and counts. An ingest validates
+// the whole batch, groups it by shard, and merges each shard's share under
+// one hold of that shard's lock, so producers on different shards merge in
+// parallel. No code path holds two shard locks at once. An ingest is
+// complete when it returns: a query issued after it sees it. Because merge
+// is exact and commutative, any interleaving of producers converges to the
+// state one thread would reach on the same records, bin for bin.
+//
 // Query API: per-flow quantiles, per-link latency distributions, fleet-wide
 // distribution, and top-k worst-latency flows. Top-k is served from a
 // per-shard rank index (each shard keeps its flows ordered worst-first at
-// the configured quantile), merged at query time with a bounded heap over
-// shard cursors — O(k·shards) per query instead of a full scan that
+// the configured quantile): each shard contributes its first k entries and
+// the union is re-sorted — O(k·shards) per query instead of a full scan that
 // re-sketches every flow. The index is rebuilt lazily: ingest only marks the
 // shard stale, and the first indexed top-k query after a write re-ranks that
-// shard's flows. Collection is millions of records between queries, so
-// paying O(flows·log flows) once per query instead of O(log flows) plus a
-// quantile walk on EVERY record is the right side of the trade by orders of
-// magnitude. Consequence: queries mutate the index — the external
-// synchronization this class already requires must treat them as writes.
-//
-// This class is single-threaded. ConcurrentShardedCollector runs one
-// single-shard instance per lane behind that lane's lock: it groups each
-// submitted batch by lane and merges every lane's share inline under one
-// hold of the lock, and takes the same lock for queries.
+// shard's flows under its lock. Collection is millions of records between
+// queries, so paying O(flows·log flows) once per query instead of
+// O(log flows) plus a quantile walk on EVERY record is the right side of the
+// trade by orders of magnitude.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <unordered_set>
@@ -38,6 +44,7 @@
 #include "common/flat_hash_map.h"
 #include "common/latency_sketch.h"
 #include "net/flow_key.h"
+#include "obs/instrument.h"
 
 namespace rlir::collect {
 
@@ -54,6 +61,10 @@ struct CollectorConfig {
   /// this quantile are O(k·shards); any other quantile falls back to the
   /// full scan. Must be in [0, 1].
   double top_k_quantile = 0.99;
+  /// Observability attachment (see obs/instrument.h): the
+  /// rlir_collect_records_submitted_total counter. Null members = the
+  /// collector owns a private registry/trace.
+  obs::Instruments instruments{};
 };
 
 /// One flow's answer to a summary query.
@@ -94,34 +105,45 @@ class ShardedCollector {
   /// outside [0, 1].
   explicit ShardedCollector(CollectorConfig config);
 
-  /// Routes one record to its shard and merges it into the flow table and
-  /// the record's link aggregate. Throws std::invalid_argument on a
-  /// relative-accuracy mismatch with the collector's sketch config.
-  void ingest(const EstimateRecord& record);
+  /// Move-only: a copy is an explicit snapshot().
+  ShardedCollector(ShardedCollector&&) noexcept = default;
+  ShardedCollector& operator=(ShardedCollector&&) noexcept = default;
+
+  /// Merges a batch of decoded RecordViews (they borrow the wire bytes, so
+  /// no sketch is materialized) into the flow tables and link aggregates,
+  /// then tees the batch to the attached history store. Validates every
+  /// record's sketch accuracy before touching any shard: on a mismatch it
+  /// throws std::invalid_argument and nothing of the batch is merged.
+  void ingest(const std::vector<RecordView>& batch);
+  /// Owned records: encodes the batch and ingests its views (encode_views),
+  /// so both overloads share one merge body and reach the same state.
   void ingest(const std::vector<EstimateRecord>& batch);
 
-  /// Zero-copy ingest: merges a decoded RecordView directly from the wire
-  /// bytes it points into — identical end state to ingesting the
-  /// materialized EstimateRecord, without building it. Same
-  /// std::invalid_argument on an accuracy mismatch.
-  void ingest(const RecordView& record);
-
-  /// Merges another collector's entire state (replica/epoch union). Shard
-  /// counts need not match; flows are re-routed by this collector's hash.
+  /// Merges another collector's entire state (replica/epoch union) from
+  /// other.snapshot(), so merging into itself doubles every aggregate.
+  /// Shard counts need not match; flows are re-routed by this collector's
+  /// hash. Throws std::invalid_argument, changing nothing, if the sketch
+  /// accuracies differ.
   void merge(const ShardedCollector& other);
 
-  /// Attaches a history store tee (see collect/history.h): every record
+  /// Attaches a history store tee (see collect/history.h): every batch
   /// ingested after this call is also appended to `history`'s epoch log.
   /// Borrowed — the store must outlive the last ingest; null detaches.
+  /// Attach before the first ingest; the pointer itself is not locked.
   /// merge() does NOT tee: a replica union re-plays records some collector
   /// already ingested (and teed), not new ones.
   void set_history(SketchHistoryStore* history) { history_ = history; }
   [[nodiscard]] SketchHistoryStore* history() const { return history_; }
 
-  // --- Queries -------------------------------------------------------------
+  // --- Queries (each reads under the shard locks) ---------------------------
 
   /// Merged sketch of one flow across all links/epochs; nullptr if unseen.
+  /// The pointer is only stable while nothing ingests into the collector
+  /// (a snapshot, or a single-threaded caller); use flow_sketch otherwise.
   [[nodiscard]] const common::LatencySketch* flow(const net::FiveTuple& key) const;
+  /// One flow's merged sketch by value (the transport tier ships it to a
+  /// coordinator, which merges split flows bin-wise); nullopt if unseen.
+  [[nodiscard]] std::optional<common::LatencySketch> flow_sketch(const net::FiveTuple& key) const;
   /// Quantile of one flow's latency distribution; nullopt if unseen.
   [[nodiscard]] std::optional<double> flow_quantile(const net::FiveTuple& key, double q) const;
   [[nodiscard]] std::optional<FlowSummary> flow_summary(const net::FiveTuple& key) const;
@@ -131,6 +153,9 @@ class ShardedCollector {
   [[nodiscard]] std::optional<common::LatencySketch> link_distribution(LinkId link) const;
   /// All links with data, ascending.
   [[nodiscard]] std::vector<LinkId> links() const;
+  /// Every link with data and its merged distribution, ascending by link —
+  /// one pass instead of links() + a query per link.
+  [[nodiscard]] std::vector<std::pair<LinkId, common::LatencySketch>> link_distributions() const;
 
   /// Fleet-wide latency distribution (union of every link's sketch).
   [[nodiscard]] common::LatencySketch fleet() const;
@@ -138,7 +163,7 @@ class ShardedCollector {
   /// The k flows with the highest latency at quantile `q`, worst first.
   /// Ties break on flow key so results are deterministic. When q equals the
   /// configured `top_k_quantile` the answer comes from the per-shard rank
-  /// index in O(k·shards); other quantiles use the full scan.
+  /// indexes in O(k·shards); other quantiles use the full scan.
   [[nodiscard]] std::vector<FlowSummary> top_k_flows(std::size_t k, double q = 0.99) const;
   /// top_k_flows with each summary's ranking value attached — what a higher
   /// tier needs to merge top-k answers from several collectors without
@@ -149,13 +174,20 @@ class ShardedCollector {
   /// path; results are identical for q == top_k_quantile.
   [[nodiscard]] std::vector<FlowSummary> top_k_flows_scan(std::size_t k, double q) const;
 
-  // --- Accounting ----------------------------------------------------------
+  /// A copy of the current state, taken one shard lock at a time, with the
+  /// same shard layout and a private registry — the bridge to code that
+  /// holds flow() pointers, and the equivalence oracle in tests. Every
+  /// shard is copied whole, so a batch a concurrent ingest is still merging
+  /// may be partly in the copy.
+  [[nodiscard]] ShardedCollector snapshot() const;
+
+  // --- Accounting (read under the shard locks, like the queries) ------------
 
   [[nodiscard]] std::size_t flow_count() const;
-  [[nodiscard]] std::uint64_t records_ingested() const { return records_; }
-  [[nodiscard]] std::uint64_t estimates_ingested() const { return estimates_; }
+  [[nodiscard]] std::uint64_t records_ingested() const;
+  [[nodiscard]] std::uint64_t estimates_ingested() const;
   /// Distinct epochs seen in ingested records.
-  [[nodiscard]] std::size_t epoch_count() const { return epochs_.size(); }
+  [[nodiscard]] std::size_t epoch_count() const { return epochs_seen().size(); }
   /// Epochs seen, ascending (replica union visibility).
   [[nodiscard]] std::vector<std::uint32_t> epochs_seen() const;
   /// Flows per shard (load-balance visibility).
@@ -178,7 +210,9 @@ class ShardedCollector {
   };
   using RankIndex = std::set<std::pair<double, net::FiveTuple>, WorstFirst>;
 
+  /// One shard's state and the lock every merge and query into it holds.
   struct Shard {
+    mutable std::mutex mu;
     /// Flat maps (common/flat_hash_map.h): ingest does one lookup+insert per
     /// record, and the dense layout removes the per-entry heap node and the
     /// bucket-pointer chase unordered_map paid there. Iteration order is
@@ -187,21 +221,23 @@ class ShardedCollector {
     common::FlatHashMap<net::FiveTuple, common::LatencySketch> flows;
     common::FlatHashMap<LinkId, common::LatencySketch> links;
     /// Lazily rebuilt by top_k_ranked when `rank_stale` — mutable because
-    /// the rebuild happens inside const query methods (logical const; see
-    /// the class comment for the synchronization contract).
+    /// the rebuild happens inside const queries, under `mu`.
     mutable RankIndex rank;
     mutable bool rank_stale = false;
+    std::unordered_set<std::uint32_t> epochs;
+    std::uint64_t records = 0;
+    std::uint64_t estimates = 0;
   };
 
   [[nodiscard]] std::size_t shard_for(const net::FiveTuple& key) const {
     return key.hash() % config_.shard_count;
   }
+  /// Merges one record into its shard, whose lock the caller holds.
+  void merge_record(Shard& shard, const RecordView& record);
   /// Merges `sketch` into `key`'s flow state and marks the shard's rank
-  /// index stale (the single mutation path ingest and merge share).
+  /// index stale (the flow mutation merge() shares with merge_record).
   void merge_into_flow(Shard& shard, const net::FiveTuple& key,
                        const common::LatencySketch& sketch);
-  /// View counterpart (merge_sketch_view instead of merge; same staleness).
-  void merge_into_flow(Shard& shard, const net::FiveTuple& key, const SketchView& sketch);
   /// Re-ranks a stale shard's flows at the configured top-k quantile.
   void refresh_rank(const Shard& shard) const;
   /// The scan implementation behind top_k_flows_scan and the un-indexed
@@ -209,11 +245,13 @@ class ShardedCollector {
   [[nodiscard]] std::vector<RankedFlowSummary> top_k_ranked_scan(std::size_t k, double q) const;
 
   CollectorConfig config_;
-  std::vector<Shard> shards_;
-  std::unordered_set<std::uint32_t> epochs_;
-  std::uint64_t records_ = 0;
-  std::uint64_t estimates_ = 0;
+  obs::Instrumented obs_;
+  /// unique_ptr: a Shard holds a mutex, so it cannot move; the collector
+  /// moves by handing over the slots.
+  std::vector<std::unique_ptr<Shard>> shards_;
   SketchHistoryStore* history_ = nullptr;
+  /// Records accepted by ingest (rlir_collect_records_submitted_total).
+  obs::Counter* submitted_ = nullptr;
 };
 
 }  // namespace rlir::collect

@@ -16,8 +16,8 @@ namespace {
 /// The owned collector reports into the agent's registry/trace under the
 /// agent's own instance id (its series are named rlir_collect_*, so the
 /// shared id never collides).
-collect::ConcurrentCollectorConfig shared_obs_collector(
-    collect::ConcurrentCollectorConfig cfg, const obs::Instrumented& obs) {
+collect::CollectorConfig shared_obs_collector(collect::CollectorConfig cfg,
+                                              const obs::Instrumented& obs) {
   cfg.instruments = obs.child(obs.id());
   return cfg;
 }
@@ -175,7 +175,7 @@ void CollectorAgent::handle_frame(Connection& conn, const FrameView& frame) {
         c_.batch_records->observe(static_cast<double>(view_scratch_.size()));
         if (!view_scratch_.empty()) {
           t = spans_ != nullptr ? obs::SpanRecorder::now_ns() : 0;
-          collector_.submit_views(view_scratch_);
+          collector_.ingest(view_scratch_);
           if (spans_ != nullptr) ingest_ns += obs::SpanRecorder::now_ns() - t;
         }
       }
@@ -249,8 +249,8 @@ QueryReply CollectorAgent::answer(const Query& query) {
     // No store attached -> covered=false, no entries: a fleet can mix
     // history-enabled and plain agents and the coordinator's coverage merge
     // reports the truth. The tee rides ingest, which is complete when
-    // submit_views() returns, so every record received before this query is
-    // in the store.
+    // ingest() returns, so every record received before this query is in
+    // the store.
     collect::WindowCoverage cov;
     if (history_ != nullptr) {
       const auto [first, last] = *query.window;
@@ -281,7 +281,7 @@ QueryReply CollectorAgent::answer(const Query& query) {
       add(0, query.flow, collector_.flow_sketch(query.flow));
       break;
     case Target::kTopK:
-      // Ranked from the live collector's per-lane rank indexes (O(k·lanes)),
+      // Ranked from the live collector's per-shard rank indexes (O(k·shards)),
       // not a state copy; each flow ships its sketch so a higher tier can
       // rank, summarize and merge several agents' answers exactly.
       for (const auto& [rank, flow] : collector_.top_k_ranked(query.k, query.q)) {

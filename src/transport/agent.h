@@ -1,5 +1,5 @@
 // The aggregator side of the transport tier: a CollectorAgent owns one
-// shard-group's ConcurrentShardedCollector and serves it over any number of
+// shard-group's ShardedCollector and serves it over any number of
 // ByteStream connections — the "shard-per-process" deployment unit. One
 // agent process per shard group, many vantage-point clients streaming
 // framed record batches in, fleet queries answered in place.
@@ -13,8 +13,9 @@
 //   decode_record_views_prefix loop ──┘
 //        │ RecordView batches (borrowing the frame payload; docs/WIRE.md)
 //        ▼
-//   ConcurrentShardedCollector (batch grouped by lane, each lane's share
-//   merged inline under its lock; no materialization)
+//   ShardedCollector::ingest (batch grouped by shard, each shard's share
+//   merged under one hold of its lock; no materialization), then one
+//   history tee call per batch
 //
 // poll() is the single-threaded reactor step: accept pending connections,
 // read every readable byte, process complete frames, flush reply bytes.
@@ -34,8 +35,8 @@
 #include <memory>
 #include <vector>
 
-#include "collect/concurrent_collector.h"
 #include "collect/history.h"
+#include "collect/sharded_collector.h"
 #include "obs/instrument.h"
 #include "obs/wire.h"
 #include "timebase/time.h"
@@ -46,8 +47,9 @@
 namespace rlir::transport {
 
 struct CollectorAgentConfig {
-  /// The shard group this process owns.
-  collect::ConcurrentCollectorConfig collector;
+  /// The shard group this process owns. Its `instruments` are replaced by
+  /// the agent's, so the collector reports into the agent's registry.
+  collect::CollectorConfig collector;
   /// Per-connection read granularity per poll(). Sized to swallow a whole
   /// default-coalesce client frame in one read.
   std::size_t io_chunk = 512u << 10;
@@ -94,7 +96,7 @@ class CollectorAgent {
 
   /// The shard-group state (thread-safe; a query sees every batch whose
   /// poll() has returned).
-  [[nodiscard]] collect::ConcurrentShardedCollector& collector() { return collector_; }
+  [[nodiscard]] collect::ShardedCollector& collector() { return collector_; }
 
   /// The attached history store; nullptr unless config.enable_history.
   /// Thread-safe like the collector (internally locked).
@@ -159,7 +161,7 @@ class CollectorAgent {
   /// holds a borrowed pointer to it: the store is built before the collector
   /// can ingest and destroyed after it.
   std::unique_ptr<collect::SketchHistoryStore> history_;
-  collect::ConcurrentShardedCollector collector_;
+  collect::ShardedCollector collector_;
   std::unique_ptr<Listener> listener_;
   std::vector<std::unique_ptr<Connection>> connections_;
 

@@ -8,7 +8,7 @@
 //     (newest telemetry is worth the most) and counts what was dropped;
 //   * batch coalescing: small per-exporter batches accumulate until
 //     coalesce_bytes (or a flush), so one frame carries many batches
-//     back-to-back — the agent splits them with decode_records_prefix;
+//     back-to-back — the agent splits them with decode_record_views_prefix;
 //   * reconnect with backoff: a dead stream is re-dialed via the stream
 //     factory after a doubling number of pump() calls; a frame that was
 //     partially written when the connection died is resent from its first

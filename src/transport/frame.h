@@ -41,7 +41,7 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
 enum class FrameType : std::uint8_t {
   /// One or more EstimateRecord batches, back-to-back (decode with
-  /// collect::decode_records_prefix until the payload is exhausted).
+  /// collect::decode_record_views_prefix until the payload is exhausted).
   kRecordBatch = 1,
   /// A fleet query (transport/messages.h encoding).
   kQuery = 2,

@@ -114,7 +114,7 @@ collect::ShardedCollector run_fleet_workload(
   scheduler.advance_to(sim.now() + sched_cfg.period);
   between_steps();
 
-  return fleet.collector();
+  return fleet.collector().snapshot();
 }
 
 /// The in-process ground truth every transport run is compared against.

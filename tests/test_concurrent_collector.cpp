@@ -1,10 +1,10 @@
-// ConcurrentShardedCollector: lane-grouped inline ingest must converge to
-// exactly the state a serial ShardedCollector reaches on the same records —
-// bin for bin — regardless of producer count or whether batches arrive as
-// owned records or as wire views. A submit is complete when it returns, so
-// a query right after it sees it; these tests are the TSan job's main
-// workload.
-#include "collect/concurrent_collector.h"
+// One ShardedCollector fed from many threads: shard-grouped ingest under
+// the shard locks must converge to exactly the state a single-thread run
+// reaches on the same records — bin for bin — regardless of producer count
+// or whether batches arrive as owned records or as wire views. An ingest is
+// complete when it returns, so a query right after it sees it; these tests
+// are the TSan job's main workload.
+#include "collect/sharded_collector.h"
 
 #include <gtest/gtest.h>
 
@@ -68,8 +68,9 @@ std::vector<std::vector<T>> chunks(const std::vector<T>& items, std::size_t size
   return out;
 }
 
-/// The equivalence oracle: serial collector state vs concurrent snapshot,
-/// compared exactly (counts, per-flow bins, fleet bins, top-k ordering).
+/// The equivalence oracle: single-thread collector state vs a snapshot of
+/// the one fed from many threads, compared exactly (counts, per-flow bins,
+/// fleet bins, top-k ordering).
 void expect_equal_state(ShardedCollector& serial, ShardedCollector snapshot,
                         std::uint32_t flows) {
   EXPECT_EQ(snapshot.flow_count(), serial.flow_count());
@@ -95,15 +96,15 @@ void expect_equal_state(ShardedCollector& serial, ShardedCollector snapshot,
 }
 
 TEST(ConcurrentCollectorTest, ZeroShardsThrows) {
-  ConcurrentCollectorConfig cfg;
+  CollectorConfig cfg;
   cfg.shard_count = 0;
-  EXPECT_THROW(ConcurrentShardedCollector{cfg}, std::invalid_argument);
+  EXPECT_THROW(ShardedCollector{cfg}, std::invalid_argument);
 }
 
 TEST(ConcurrentCollectorTest, BadTopKQuantileThrows) {
-  ConcurrentCollectorConfig cfg;
+  CollectorConfig cfg;
   cfg.top_k_quantile = 1.5;
-  EXPECT_THROW(ConcurrentShardedCollector{cfg}, std::invalid_argument);
+  EXPECT_THROW(ShardedCollector{cfg}, std::invalid_argument);
 }
 
 TEST(ConcurrentCollectorTest, SingleProducerMatchesSerialExactly) {
@@ -113,10 +114,10 @@ TEST(ConcurrentCollectorTest, SingleProducerMatchesSerialExactly) {
   ShardedCollector serial(CollectorConfig{4, {}});
   serial.ingest(records);
 
-  ConcurrentCollectorConfig cfg;
+  CollectorConfig cfg;
   cfg.shard_count = 4;
-  ConcurrentShardedCollector concurrent(cfg);
-  concurrent.submit(records);
+  ShardedCollector concurrent(cfg);
+  concurrent.ingest(records);
 
   expect_equal_state(serial, concurrent.snapshot(), kFlows);
 }
@@ -131,15 +132,15 @@ TEST(ConcurrentCollectorTest, ManyProducersMatchSerialExactly) {
     serial.ingest(slices.back());
   }
 
-  ConcurrentCollectorConfig cfg;
+  CollectorConfig cfg;
   cfg.shard_count = 4;
-  ConcurrentShardedCollector concurrent(cfg);
+  ShardedCollector concurrent(cfg);
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&concurrent, &slice = slices[p]] {
-      // Small multi-lane batches, so producers race on every lane lock.
-      for (const auto& batch : chunks(slice, 16)) concurrent.submit(batch);
+      // Small multi-shard batches, so producers race on every shard lock.
+      for (const auto& batch : chunks(slice, 16)) concurrent.ingest(batch);
     });
   }
   for (auto& t : producers) t.join();
@@ -157,7 +158,7 @@ TEST(ConcurrentCollectorTest, ManyProducersSubmitViewsMatchSerialExactly) {
   for (int p = 0; p < kProducers; ++p) {
     slices.push_back(make_workload(200 + p, 400, kFlows));
     serial.ingest(slices.back());
-    // Every batch a producer submits spans every lane (lane = hash % lanes).
+    // Every batch a producer ingests spans every shard (hash % shards).
     for (const auto& batch : chunks(slices.back(), kBatch)) {
       std::set<std::size_t> lanes;
       for (const auto& r : batch) lanes.insert(r.key.hash() % kLanes);
@@ -165,9 +166,9 @@ TEST(ConcurrentCollectorTest, ManyProducersSubmitViewsMatchSerialExactly) {
     }
   }
 
-  ConcurrentCollectorConfig cfg;
+  CollectorConfig cfg;
   cfg.shard_count = kLanes;
-  ConcurrentShardedCollector concurrent(cfg);
+  ShardedCollector concurrent(cfg);
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
@@ -175,7 +176,7 @@ TEST(ConcurrentCollectorTest, ManyProducersSubmitViewsMatchSerialExactly) {
       const auto bytes = encode_records(slice);
       std::vector<RecordView> views;
       decode_record_views_prefix(bytes.data(), bytes.size(), views);
-      for (const auto& batch : chunks(views, kBatch)) concurrent.submit_views(batch);
+      for (const auto& batch : chunks(views, kBatch)) concurrent.ingest(batch);
     });
   }
   for (auto& t : producers) t.join();
@@ -185,10 +186,10 @@ TEST(ConcurrentCollectorTest, ManyProducersSubmitViewsMatchSerialExactly) {
 
 TEST(ConcurrentCollectorTest, QueryRightAfterSubmitSeesIt) {
   common::Xoshiro256 rng(11);
-  ConcurrentShardedCollector collector;
+  ShardedCollector collector;
   const auto record = make_record(3, 0, 0, 80e3, rng, 50);
-  collector.submit({record});
-  // A submit is complete when it returns: the next query observes it.
+  collector.ingest({record});
+  // An ingest is complete when it returns: the next query observes it.
   const auto summary = collector.flow_summary(record.key);
   ASSERT_TRUE(summary.has_value());
   EXPECT_EQ(summary->packets, record.sketch.count());
@@ -198,12 +199,12 @@ TEST(ConcurrentCollectorTest, QueryRightAfterSubmitSeesIt) {
 
 TEST(ConcurrentCollectorTest, LinkAndFleetQueriesMergeAcrossLanes) {
   common::Xoshiro256 rng(12);
-  ConcurrentShardedCollector collector;
+  ShardedCollector collector;
   common::LatencySketch link0_direct, link1_direct;
   for (std::uint32_t i = 0; i < 30; ++i) {
     auto r = make_record(i, i % 2, 0, i % 2 == 0 ? 10e3 : 200e3, rng, 10);
     (i % 2 == 0 ? link0_direct : link1_direct).merge(r.sketch);
-    collector.submit({r});
+    collector.ingest({r});
   }
   EXPECT_EQ(collector.links(), (std::vector<LinkId>{0, 1}));
   const auto link0 = collector.link_distribution(0);
@@ -217,7 +218,7 @@ TEST(ConcurrentCollectorTest, LinkAndFleetQueriesMergeAcrossLanes) {
 
 TEST(ConcurrentCollectorTest, AccuracyMismatchThrowsOnSubmittingThread) {
   common::Xoshiro256 rng(13);
-  ConcurrentShardedCollector collector;
+  ShardedCollector collector;
   const auto good = make_record(2, 0, 0, 50e3, rng);
   EstimateRecord bad;
   bad.key = make_key(1);
@@ -225,17 +226,17 @@ TEST(ConcurrentCollectorTest, AccuracyMismatchThrowsOnSubmittingThread) {
   bad.sketch.add(100.0);
   // The whole batch is rejected: the valid record ahead of the bad one is
   // not merged either.
-  EXPECT_THROW(collector.submit({good, bad}), std::invalid_argument);
+  EXPECT_THROW(collector.ingest({good, bad}), std::invalid_argument);
   EXPECT_EQ(collector.flow_count(), 0u);
   EXPECT_EQ(collector.records_ingested(), 0u);
 }
 
 TEST(ConcurrentCollectorTest, ShardFlowCountsCoverAllLanes) {
   const auto records = make_workload(21, 300, 80);
-  ConcurrentCollectorConfig cfg;
+  CollectorConfig cfg;
   cfg.shard_count = 4;
-  ConcurrentShardedCollector collector(cfg);
-  collector.submit(records);
+  ShardedCollector collector(cfg);
+  collector.ingest(records);
   const auto counts = collector.shard_flow_counts();
   ASSERT_EQ(counts.size(), 4u);
   std::size_t total = 0;
@@ -247,20 +248,20 @@ TEST(ConcurrentCollectorTest, ShardFlowCountsCoverAllLanes) {
 
 TEST(ConcurrentCollectorTest, ReaderRacingWriterSeesMonotoneCountsAndEndsExact) {
   // One writer streams one-record batches while a reader repeatedly
-  // queries; every query must read consistent lane state and never crash or
-  // race. The final state must be exact.
+  // queries; every query must read consistent shard state and never crash
+  // or race. The final state must be exact.
   constexpr std::uint32_t kFlows = 60;
   const auto records = make_workload(33, 1'000, kFlows);
   ShardedCollector serial(CollectorConfig{4, {}});
   serial.ingest(records);
 
-  ConcurrentCollectorConfig cfg;
+  CollectorConfig cfg;
   cfg.shard_count = 4;
-  ConcurrentShardedCollector concurrent(cfg);
+  ShardedCollector concurrent(cfg);
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
-    for (const auto& r : records) concurrent.submit({r});
+    for (const auto& r : records) concurrent.ingest({r});
     done.store(true);
   });
   std::uint64_t last_records = 0;

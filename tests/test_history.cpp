@@ -119,7 +119,7 @@ TEST(HistoryStoreTest, AccuracyMismatchThrows) {
   common::LatencySketchConfig other;
   other.relative_accuracy = 0.05;
   r.sketch = common::LatencySketch(other);
-  EXPECT_THROW(store.ingest(r), std::invalid_argument);
+  EXPECT_THROW(store.ingest({r}), std::invalid_argument);
 }
 
 // The tentpole property: window query == direct merge of the covered
@@ -152,7 +152,7 @@ TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
       const auto link = static_cast<LinkId>(rng.uniform(0.0, kLinks));
       auto r = make_record(epoch, flow, link, rng);
       model[epoch].push_back(r);
-      store.ingest(r);
+      store.ingest({r});
     }
   }
   ASSERT_EQ(store.records_ingested(), direct_records(model, 0, kEpochs));
@@ -261,7 +261,7 @@ TEST(HistoryStoreTest, EvictedAndFutureWindowsAreUncovered) {
   SketchHistoryStore store(cfg);
   common::Xoshiro256 rng(7);
   for (std::uint32_t epoch = 0; epoch < 30; ++epoch) {
-    store.ingest(make_record(epoch, 0, 0, rng));
+    store.ingest({make_record(epoch, 0, 0, rng)});
   }
   ASSERT_GT(store.evictions(), 0u);
   const auto oldest = *store.first_retained_epoch();
@@ -291,7 +291,7 @@ TEST(HistoryStoreTest, LateRecordsMergeIntoCompactedSegments) {
   SketchHistoryStore store(cfg);
   common::Xoshiro256 rng(11);
   for (std::uint32_t epoch = 0; epoch < 12; ++epoch) {
-    store.ingest(make_record(epoch, 0, 0, rng));
+    store.ingest({make_record(epoch, 0, 0, rng)});
   }
   ASSERT_GT(store.compactions(), 0u);
 
@@ -299,7 +299,7 @@ TEST(HistoryStoreTest, LateRecordsMergeIntoCompactedSegments) {
   auto straggler = make_record(1, 5, 2, rng);
   const auto before = store.window_flow(1, 1, flow_key(5));
   EXPECT_FALSE(before.has_value());
-  store.ingest(straggler);
+  store.ingest({straggler});
   EXPECT_EQ(store.late_records(), 1u);
   const auto after = store.window_flow(1, 1, flow_key(5));
   ASSERT_TRUE(after.has_value());
@@ -316,10 +316,10 @@ TEST(HistoryStoreTest, LateRecordsMergeIntoCompactedSegments) {
     return c;
   }()};
   for (std::uint32_t epoch = 0; epoch < 8; ++epoch) {
-    tiny.ingest(make_record(epoch, 0, 0, rng));
+    tiny.ingest({make_record(epoch, 0, 0, rng)});
   }
   ASSERT_GT(tiny.evictions(), 0u);
-  tiny.ingest(make_record(0, 0, 0, rng));
+  tiny.ingest({make_record(0, 0, 0, rng)});
   EXPECT_EQ(tiny.dropped_records(), 1u);
 }
 
@@ -332,7 +332,7 @@ TEST(HistoryStoreTest, RawWindowGrowsBackwardBeforeAnyDiscard) {
   // First record arrives mid-stream (epoch 5) — a flow-hash-sprayed agent's
   // normal fate — then older epochs trickle in. All must stay raw.
   for (const std::uint32_t epoch : {5u, 3u, 4u, 0u, 1u, 2u}) {
-    store.ingest(make_record(epoch, epoch, 0, rng));
+    store.ingest({make_record(epoch, epoch, 0, rng)});
   }
   EXPECT_EQ(store.dropped_records(), 0u);
   EXPECT_EQ(store.late_records(), 0u);
@@ -368,7 +368,7 @@ TEST(HistoryStoreTest, MemoryStaysBoundedAcrossThousandEpochs) {
     const int count = 8 + static_cast<int>(rng.uniform(0.0, 8.0));
     for (int i = 0; i < count; ++i) {
       const auto flow = static_cast<std::uint32_t>(rng.uniform(0.0, 64.0));
-      store.ingest(make_record(epoch, flow, static_cast<LinkId>(flow % 4), rng));
+      store.ingest({make_record(epoch, flow, static_cast<LinkId>(flow % 4), rng)});
       ++ingested;
     }
     if (epoch % 100 == 0) {
@@ -417,7 +417,7 @@ TEST(HistoryStoreTest, ConcurrentIngestAndQuery) {
     threads.emplace_back([&store, w] {
       common::Xoshiro256 rng(100 + w);
       for (std::uint32_t i = 0; i < kPerWriter; ++i) {
-        store.ingest(make_record(i / 50, i % 8, static_cast<LinkId>(w), rng));
+        store.ingest({make_record(i / 50, i % 8, static_cast<LinkId>(w), rng)});
       }
     });
   }

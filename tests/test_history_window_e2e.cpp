@@ -73,7 +73,7 @@ struct BaselineHistory {
       // the baseline's retained range past anything the sprayed agents ever
       // hear about (records are the only thing that crosses the wire).
       if (batch.empty()) return;
-      for (const auto& r : batch) collector.ingest(r);
+      for (const auto& r : batch) collector.ingest({r});
       store.note_epoch(epoch);
     };
   }

@@ -148,7 +148,7 @@ TEST(PartitionedMergeProperty, FlowDisjointSplitsMergeBackExactly) {
       // hash, every flow wholly inside one partition.
       std::vector<collect::ShardedCollector> parts(partitions);
       for (const auto& r : records) {
-        parts[net::mix64(r.key.hash()) % partitions].ingest(r);
+        parts[net::mix64(r.key.hash()) % partitions].ingest({r});
       }
       check_split(parts, want, records, /*disjoint=*/true);
     }
@@ -167,7 +167,7 @@ TEST(PartitionedMergeProperty, RandomScatterStillMergesSketchesExactly) {
 
     common::Xoshiro256 scatter(seed ^ 0xabcdef);
     std::vector<collect::ShardedCollector> parts(4);
-    for (const auto& r : records) parts[scatter.uniform_u64(parts.size())].ingest(r);
+    for (const auto& r : records) parts[scatter.uniform_u64(parts.size())].ingest({r});
     check_split(parts, want, records, /*disjoint=*/false);
   }
 }

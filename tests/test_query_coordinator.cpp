@@ -196,8 +196,8 @@ TEST(QueryCoordinator, MergesDisjointAgentsToSingleCollectorAnswers) {
   want.ingest(batch_b);
 
   AgentPair fleet;
-  fleet.agents[0]->collector().submit(batch_a);
-  fleet.agents[1]->collector().submit(batch_b);
+  fleet.agents[0]->collector().ingest(batch_a);
+  fleet.agents[1]->collector().ingest(batch_b);
 
   QueryCoordinator coord;
   fleet.attach(coord);
@@ -260,8 +260,8 @@ TEST(QueryCoordinator, FlowSplitAcrossAgentsStillAnswersExactly) {
   ASSERT_EQ(want.flow_count(), 10u);  // genuinely overlapping
 
   AgentPair fleet;
-  fleet.agents[0]->collector().submit(batch_a);
-  fleet.agents[1]->collector().submit(batch_b);
+  fleet.agents[0]->collector().ingest(batch_a);
+  fleet.agents[1]->collector().ingest(batch_b);
   QueryCoordinator coord;
   fleet.attach(coord);
 
@@ -289,7 +289,7 @@ TEST(QueryCoordinator, UnreachableAgentYieldsPartialTruth) {
   want.ingest(batch);
 
   CollectorAgent live;
-  live.collector().submit(batch);
+  live.collector().ingest(batch);
   QueryCoordinatorConfig cfg;
   cfg.reply_rounds = 32;  // the dead agent times out quickly
   QueryCoordinator coord(cfg);

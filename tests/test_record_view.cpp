@@ -9,9 +9,9 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
-#include "collect/concurrent_collector.h"
 #include "collect/sharded_collector.h"
 #include "common/rng.h"
 
@@ -114,7 +114,7 @@ TEST(RecordViewTest, CollectorViewIngestMatchesOwningIngest) {
   ShardedCollector from_records{{}};
   ShardedCollector from_views{{}};
   from_records.ingest(batch);
-  for (const auto& v : views) from_views.ingest(v);
+  for (const auto& v : views) from_views.ingest({v});
 
   EXPECT_EQ(from_views.flow_count(), from_records.flow_count());
   EXPECT_EQ(from_views.records_ingested(), from_records.records_ingested());
@@ -142,17 +142,26 @@ TEST(RecordViewTest, CollectorViewIngestMatchesOwningIngest) {
 }
 
 TEST(RecordViewTest, ConcurrentSubmitViewsMatchesSubmit) {
+  // Views ingested from three threads into one collector reach the state of
+  // one thread ingesting the owned records.
   const auto batch = make_batch(30);
   const auto bytes = encode_records(batch);
   std::vector<RecordView> views;
   decode_record_views_prefix(bytes.data(), bytes.size(), views);
 
-  ConcurrentCollectorConfig cfg;
+  CollectorConfig cfg;
   cfg.shard_count = 4;
-  ConcurrentShardedCollector from_records(cfg);
-  ConcurrentShardedCollector from_views(cfg);
-  from_records.submit(batch);
-  from_views.submit_views(views);
+  ShardedCollector from_records(cfg);
+  ShardedCollector from_views(cfg);
+  from_records.ingest(batch);
+  std::vector<std::thread> producers;
+  for (std::size_t t = 0; t < 3; ++t) {
+    producers.emplace_back([&, t] {
+      const auto first = views.begin() + static_cast<std::ptrdiff_t>(10 * t);
+      from_views.ingest(std::vector<RecordView>(first, first + 10));
+    });
+  }
+  for (auto& p : producers) p.join();
 
   for (const auto& r : batch) {
     const auto a = from_views.flow_summary(r.key);
@@ -280,7 +289,7 @@ TEST(RecordViewTest, AccuracyMismatchThrowsInvalidArgument) {
   common::LatencySketch dst{{}};  // default 0.01 accuracy
   EXPECT_THROW(merge_sketch_view(dst, views[0].sketch), std::invalid_argument);
   ShardedCollector collector{{}};
-  EXPECT_THROW(collector.ingest(views[0]), std::invalid_argument);
+  EXPECT_THROW(collector.ingest({views[0]}), std::invalid_argument);
 }
 
 }  // namespace

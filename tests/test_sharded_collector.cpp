@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -42,7 +43,7 @@ TEST(ShardedCollectorTest, FlowQueriesMatchDirectSketch) {
   common::Xoshiro256 rng(21);
   ShardedCollector collector;
   auto r = make_record(7, 0, 0, 50e3, rng);
-  collector.ingest(r);
+  collector.ingest({r});
 
   const auto* sketch = collector.flow(r.key);
   ASSERT_NE(sketch, nullptr);
@@ -64,8 +65,8 @@ TEST(ShardedCollectorTest, RecordsForSameFlowMergeAcrossLinksAndEpochs) {
   ShardedCollector collector;
   auto a = make_record(1, /*link=*/0, /*epoch=*/0, 40e3, rng);
   auto b = make_record(1, /*link=*/3, /*epoch=*/1, 90e3, rng);
-  collector.ingest(a);
-  collector.ingest(b);
+  collector.ingest({a});
+  collector.ingest({b});
 
   auto direct = a.sketch;
   direct.merge(b.sketch);
@@ -83,7 +84,7 @@ TEST(ShardedCollectorTest, ShardingSpreadsFlowsDeterministically) {
   config.shard_count = 4;
   ShardedCollector collector(config);
   for (std::uint32_t i = 0; i < 200; ++i) {
-    collector.ingest(make_record(i, 0, 0, 60e3, rng, 5));
+    collector.ingest({make_record(i, 0, 0, 60e3, rng, 5)});
   }
   EXPECT_EQ(collector.flow_count(), 200u);
   const auto counts = collector.shard_flow_counts();
@@ -108,12 +109,12 @@ TEST(ShardedCollectorTest, LinkAndFleetDistributions) {
   for (std::uint32_t i = 0; i < 50; ++i) {
     auto r = make_record(i, 0, 0, 10e3, rng, 20);
     link0_direct.merge(r.sketch);
-    collector.ingest(r);
+    collector.ingest({r});
   }
   for (std::uint32_t i = 50; i < 80; ++i) {
     auto r = make_record(i, 1, 0, 200e3, rng, 20);
     link1_direct.merge(r.sketch);
-    collector.ingest(r);
+    collector.ingest({r});
   }
 
   EXPECT_EQ(collector.links(), (std::vector<LinkId>{0, 1}));
@@ -137,10 +138,10 @@ TEST(ShardedCollectorTest, TopKWorstFlows) {
   common::Xoshiro256 rng(25);
   ShardedCollector collector;
   // 20 ordinary flows around 50us, 3 outliers at distinct high latencies.
-  for (std::uint32_t i = 0; i < 20; ++i) collector.ingest(make_record(i, 0, 0, 50e3, rng));
-  collector.ingest(make_record(100, 0, 0, 900e3, rng));
-  collector.ingest(make_record(101, 0, 0, 700e3, rng));
-  collector.ingest(make_record(102, 0, 0, 500e3, rng));
+  for (std::uint32_t i = 0; i < 20; ++i) collector.ingest({make_record(i, 0, 0, 50e3, rng)});
+  collector.ingest({make_record(100, 0, 0, 900e3, rng)});
+  collector.ingest({make_record(101, 0, 0, 700e3, rng)});
+  collector.ingest({make_record(102, 0, 0, 500e3, rng)});
 
   const auto top = collector.top_k_flows(3, 0.99);
   ASSERT_EQ(top.size(), 3u);
@@ -173,7 +174,7 @@ TEST(ShardedCollectorTest, TopKIndexMatchesFullScanOn10kRandomFlows) {
   for (int pass = 0; pass < 2; ++pass) {
     for (std::uint32_t i = 0; i < kFlows; ++i) {
       collector.ingest(
-          make_record(i, i % 5, pass, rng.uniform(5e3, 500e3), rng, /*samples=*/4));
+          {make_record(i, i % 5, pass, rng.uniform(5e3, 500e3), rng, /*samples=*/4)});
     }
   }
   ASSERT_EQ(collector.flow_count(), kFlows);
@@ -207,7 +208,8 @@ TEST(ShardedCollectorTest, TopKIndexSurvivesReplicaMerge) {
   ShardedCollector a(CollectorConfig{4, {}});
   ShardedCollector b(CollectorConfig{2, {}});
   for (std::uint32_t i = 0; i < 300; ++i) {
-    (i % 2 == 0 ? a : b).ingest(make_record(i % 90, 0, 0, rng.uniform(10e3, 300e3), rng, 8));
+    (i % 2 == 0 ? a : b)
+        .ingest({make_record(i % 90, 0, 0, rng.uniform(10e3, 300e3), rng, 8)});
   }
   a.merge(b);
   const auto fast = a.top_k_flows(15, 0.99);
@@ -242,7 +244,7 @@ TEST(ShardedCollectorTest, ReplicaMergeEqualsSingleCollector) {
   ShardedCollector replica_a(CollectorConfig{8, {}});
   ShardedCollector replica_b(CollectorConfig{3, {}});
   for (std::size_t i = 0; i < records.size(); ++i) {
-    (i % 2 == 0 ? replica_a : replica_b).ingest(records[i]);
+    (i % 2 == 0 ? replica_a : replica_b).ingest({records[i]});
   }
   replica_a.merge(replica_b);
 
@@ -266,7 +268,7 @@ TEST(ShardedCollectorTest, MemoryIsBoundedBySketchSizeNotSamples) {
   config.sketch.max_bins = 128;
   ShardedCollector collector(config);
   // One flow, a million estimates: resident bytes must stay O(bins).
-  collector.ingest(make_record(1, 0, 0, 80e3, rng, 1'000'000));
+  collector.ingest({make_record(1, 0, 0, 80e3, rng, 1'000'000)});
   EXPECT_EQ(collector.estimates_ingested(), 1'000'000u);
   const auto* sketch = collector.flow(make_key(1));
   ASSERT_NE(sketch, nullptr);
@@ -281,7 +283,7 @@ TEST(ShardedCollectorTest, AccuracyMismatchRejectedWithoutSideEffects) {
   r.key = make_key(1);
   r.sketch = common::LatencySketch(common::LatencySketchConfig{0.05, 128});
   r.sketch.add(100.0);
-  EXPECT_THROW(collector.ingest(r), std::invalid_argument);
+  EXPECT_THROW(collector.ingest({r}), std::invalid_argument);
   // The rejected record must leave no phantom state behind.
   EXPECT_EQ(collector.flow_count(), 0u);
   EXPECT_EQ(collector.flow(r.key), nullptr);
@@ -296,7 +298,7 @@ TEST(ShardedCollectorTest, MergeAccuracyMismatchRejectedWithoutSideEffects) {
   EstimateRecord r = make_record(1, 0, 0, 50e3, rng, 10);
   r.sketch = common::LatencySketch(common::LatencySketchConfig{0.05, 128});
   r.sketch.add(100.0);
-  replica.ingest(r);
+  replica.ingest({r});
 
   EXPECT_THROW(collector.merge(replica), std::invalid_argument);
   EXPECT_EQ(collector.flow_count(), 0u);
@@ -308,7 +310,7 @@ TEST(ShardedCollectorTest, SelfMergeDoublesEveryAggregate) {
   common::Xoshiro256 rng(28);
   ShardedCollector collector(CollectorConfig{4, {}});
   for (std::uint32_t i = 0; i < 30; ++i) {
-    collector.ingest(make_record(i % 10, i % 3, 0, 40e3, rng, 20));
+    collector.ingest({make_record(i % 10, i % 3, 0, 40e3, rng, 20)});
   }
   const auto flows_before = collector.flow_count();
   const auto estimates_before = collector.estimates_ingested();
@@ -327,6 +329,79 @@ TEST(ShardedCollectorTest, SelfMergeDoublesEveryAggregate) {
   for (const auto& [index, count] : fleet_before.bins()) {
     EXPECT_EQ(fleet_after.bins().at(index), 2 * count);
   }
+}
+
+/// Records [200·part, 200·(part + 1)) of a fixed 600-record workload.
+std::vector<EstimateRecord> merge_workload_part(std::size_t part) {
+  common::Xoshiro256 rng(34);
+  std::vector<EstimateRecord> records;
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    records.push_back(make_record(i % 70, i % 5, i % 4, rng.uniform(10e3, 300e3), rng, 8));
+  }
+  const auto first = records.begin() + static_cast<std::ptrdiff_t>(200 * part);
+  return {first, first + 200};
+}
+
+TEST(ShardedCollectorTest, ConcurrentMergesAndIngestMatchSerialUnion) {
+  // Two threads merge different replicas into one target while a third
+  // ingests a batch: the end state is the serially built union, bin for bin.
+  ShardedCollector replica_a(CollectorConfig{3, {}});
+  ShardedCollector replica_b(CollectorConfig{5, {}});
+  replica_a.ingest(merge_workload_part(0));
+  replica_b.ingest(merge_workload_part(1));
+  ShardedCollector serial(CollectorConfig{4, {}});
+  for (std::size_t part = 0; part < 3; ++part) serial.ingest(merge_workload_part(part));
+
+  ShardedCollector target(CollectorConfig{4, {}});
+  const auto batch = merge_workload_part(2);
+  std::thread merge_a([&] { target.merge(replica_a); });
+  std::thread merge_b([&] { target.merge(replica_b); });
+  std::thread ingest([&] { target.ingest(batch); });
+  merge_a.join();
+  merge_b.join();
+  ingest.join();
+
+  EXPECT_EQ(target.records_ingested(), serial.records_ingested());
+  EXPECT_EQ(target.estimates_ingested(), serial.estimates_ingested());
+  EXPECT_EQ(target.epochs_seen(), serial.epochs_seen());
+  ASSERT_EQ(target.flow_count(), serial.flow_count());
+  for (std::uint32_t f = 0; f < 70; ++f) {
+    const auto got = target.flow_sketch(make_key(f));
+    const auto want = serial.flow_sketch(make_key(f));
+    ASSERT_TRUE(got.has_value() && want.has_value()) << "flow " << f;
+    EXPECT_EQ(got->bins(), want->bins()) << "flow " << f;
+  }
+  ASSERT_EQ(target.links(), serial.links());
+  for (const LinkId link : serial.links()) {
+    EXPECT_EQ(target.link_distribution(link)->bins(), serial.link_distribution(link)->bins())
+        << "link " << link;
+  }
+  EXPECT_EQ(target.fleet().bins(), serial.fleet().bins());
+  const auto top_got = target.top_k_flows(10, 0.99);
+  const auto top_want = serial.top_k_flows(10, 0.99);
+  ASSERT_EQ(top_got.size(), top_want.size());
+  for (std::size_t i = 0; i < top_want.size(); ++i) {
+    EXPECT_EQ(top_got[i].key, top_want[i].key) << "rank " << i;
+  }
+}
+
+TEST(ShardedCollectorTest, CrossMergesOnTwoThreadsBothReturn) {
+  // a.merge(b) and b.merge(a) at once: merge never holds two shard locks,
+  // so neither can wait on the other (no lock-order deadlock).
+  ShardedCollector a(CollectorConfig{4, {}});
+  ShardedCollector b(CollectorConfig{4, {}});
+  a.ingest(merge_workload_part(0));
+  b.ingest(merge_workload_part(1));
+  std::thread ab([&] {
+    for (int i = 0; i < 20; ++i) a.merge(b);
+  });
+  std::thread ba([&] {
+    for (int i = 0; i < 20; ++i) b.merge(a);
+  });
+  ab.join();
+  ba.join();
+  EXPECT_EQ(a.flow_count(), 70u);
+  EXPECT_EQ(b.flow_count(), 70u);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ void feed(SketchHistoryStore& store, std::uint32_t epochs, std::uint32_t flows,
       r.sender = 1;
       const double base = r.link == slow_link ? slow_ns : fast_ns;
       for (int s = 0; s < 12; ++s) r.sketch.add(base * rng.uniform(0.9, 1.1));
-      store.ingest(r);
+      store.ingest({r});
     }
   }
 }
@@ -145,7 +145,7 @@ TEST(SloWatcherTest, PollChecksEachSealedEpochOnce) {
   r.epoch = 4;
   r.sender = 1;
   for (int s = 0; s < 12; ++s) r.sketch.add(900e3 * rng.uniform(0.9, 1.1));
-  store.ingest(r);
+  store.ingest({r});
   EXPECT_FALSE(watcher.poll().empty());
   EXPECT_EQ(watcher.checks(), 2u);
 }

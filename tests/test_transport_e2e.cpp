@@ -1,5 +1,5 @@
 // The transport tier's acceptance bar: exporter -> CollectorClient ->
-// byte stream -> CollectorAgent -> ConcurrentShardedCollector must produce
+// byte stream -> CollectorAgent -> ShardedCollector must produce
 // bin-for-bin identical collector state (and identical top-k / quantile
 // answers) to the in-process FleetCollector path on the same FatTreeSim
 // workload — under the loopback backend and over a real Unix socket.
