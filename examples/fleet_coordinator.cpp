@@ -128,7 +128,7 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
   collect::FleetConfig fleet_cfg;
   collect::FleetCollector fleet(fleet_cfg, &clock);
   // The fleet-tier difference: batches leave the process N ways by flow hash.
-  fleet.set_batch_sink(pc.make_sink());
+  fleet.add_batch_sink(pc.make_sink());
   for (const auto& core : cores) fleet.deploy(sim, core, &up_demux);
   for (std::size_t i = 0; i < destinations.size(); ++i) {
     fleet.deploy(sim, destinations[i], down_demuxes[i].get());

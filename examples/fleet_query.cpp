@@ -106,8 +106,8 @@ int run_example() {
 
   // --- Scheduler-driven collection: epochs fire on a 10ms period as
   // simulated time advances (receiver flushes + exporter drains included),
-  // and flows idle for >4ms are aged out of exporter tables early — no
-  // manual collect_epoch calls.
+  // and flows idle for >4ms are aged out of exporter tables early.
+  // advance_to is the only way an epoch ends.
   collect::EpochSchedulerConfig sched_cfg;
   sched_cfg.period = Duration::milliseconds(10);
   sched_cfg.max_flow_idle = Duration::milliseconds(4);

@@ -104,7 +104,7 @@ int run(const std::string& connect_text) {
   collect::FleetConfig fleet_cfg;
   collect::FleetCollector fleet(fleet_cfg, &clock);
   // The one-line difference from fleet_query: batches leave the process.
-  fleet.set_batch_sink(client.make_sink());
+  fleet.add_batch_sink(client.make_sink());
   for (const auto& core : cores) fleet.deploy(sim, core, &up_demux);
   for (std::size_t i = 0; i < destinations.size(); ++i) {
     fleet.deploy(sim, destinations[i], down_demuxes[i].get());

@@ -1,17 +1,15 @@
 #include "collect/epoch_scheduler.h"
 
-#include <algorithm>
-#include <chrono>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
-#include "collect/history.h"
 #include "obs/span.h"
 
 namespace rlir::collect {
 
 EpochScheduler::EpochScheduler(EpochSchedulerConfig config)
     : config_(config),
-      next_epoch_(config.first_epoch),
       next_boundary_(timebase::TimePoint::zero() + config.period),
       last_advance_(timebase::TimePoint::zero()),
       obs_(config.instruments) {
@@ -24,62 +22,44 @@ EpochScheduler::EpochScheduler(EpochSchedulerConfig config)
   flows_aged_out_ = r.counter("rlir_scheduler_flows_aged_out_total", obs_.labels());
 }
 
-EpochScheduler::~EpochScheduler() { stop(); }
-
 void EpochScheduler::add_exporter(EstimateExporter* exporter) {
-  if (exporter == nullptr) return;
-  const std::lock_guard<std::mutex> lock(mu_);
-  exporters_.push_back(exporter);
+  if (exporter != nullptr) exporters_.push_back(exporter);
 }
 
 void EpochScheduler::add_sink(BatchSink sink) {
-  if (!sink) return;
-  const std::lock_guard<std::mutex> lock(mu_);
-  sinks_.push_back(std::move(sink));
+  if (sink) sinks_.push_back(std::move(sink));
 }
 
 void EpochScheduler::add_epoch_hook(EpochHook hook) {
-  if (!hook) return;
-  const std::lock_guard<std::mutex> lock(mu_);
-  hooks_.push_back(std::move(hook));
+  if (hook) hooks_.push_back(std::move(hook));
 }
 
-void EpochScheduler::set_history(SketchHistoryStore* history) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  history_ = history;
-}
-
-void EpochScheduler::deliver_locked(std::uint32_t epoch,
-                                    const std::vector<EstimateRecord>& batch) {
+void EpochScheduler::deliver(std::uint32_t epoch,
+                             const std::vector<EstimateRecord>& batch) {
   if (batch.empty()) return;
   records_delivered_->add(batch.size());
   for (const auto& sink : sinks_) sink(epoch, batch);
 }
 
-std::uint32_t EpochScheduler::fire_locked() {
+void EpochScheduler::fire() {
   obs::SpanTimer seal(obs_.spans(), obs::SpanKind::kEpochSeal);
   const std::uint32_t epoch = next_epoch_++;
   for (const auto& hook : hooks_) hook(epoch);
   // Registration order, not exporter address order: batches are delivered in
   // a deterministic sequence run after run.
   const std::uint64_t before = records_delivered_->value();
-  for (auto* exporter : exporters_) deliver_locked(epoch, exporter->drain(epoch));
-  // After the drains: the sinks have teed this epoch's records, so sealing
-  // the store's clock now can only advance it, never orphan records.
-  if (history_ != nullptr) history_->note_epoch(epoch);
+  for (auto* exporter : exporters_) deliver(epoch, exporter->drain(epoch));
   epochs_fired_->increment();
   obs_.trace().record(obs::EventKind::kEpochFlush, records_delivered_->value() - before,
                       "epoch " + std::to_string(epoch));
   seal.set_label("epoch" + std::to_string(epoch));
-  return epoch;
 }
 
 void EpochScheduler::advance_to(timebase::TimePoint now) {
-  const std::lock_guard<std::mutex> lock(mu_);
   if (now <= last_advance_) return;
   last_advance_ = now;
   while (next_boundary_ <= now) {
-    fire_locked();
+    fire();
     next_boundary_ += config_.period;
   }
   if (config_.max_flow_idle > timebase::Duration::zero()) {
@@ -89,85 +69,15 @@ void EpochScheduler::advance_to(timebase::TimePoint now) {
     for (auto* exporter : exporters_) {
       const auto batch = exporter->evict_idle(now, config_.max_flow_idle, next_epoch_);
       flows_aged_out_->add(batch.size());
-      deliver_locked(next_epoch_, batch);
+      deliver(next_epoch_, batch);
     }
   }
   // Ship cap evictions at every advance, not just at boundaries: a burst of
   // new flows evicting into the pending buffer must not accumulate sketches
   // for a whole epoch (the across-flows memory bound).
   for (auto* exporter : exporters_) {
-    deliver_locked(next_epoch_, exporter->take_pending(next_epoch_));
+    deliver(next_epoch_, exporter->take_pending(next_epoch_));
   }
 }
-
-std::uint32_t EpochScheduler::fire_epoch() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return fire_locked();
-}
-
-void EpochScheduler::start(timebase::Duration period) {
-  if (period <= timebase::Duration::zero()) {
-    throw std::invalid_argument("EpochScheduler::start: period must be > 0");
-  }
-  {
-    const std::lock_guard<std::mutex> lock(wall_mu_);
-    // wall_stopping_: a concurrent stop() has moved the thread out but not
-    // joined it yet — resetting wall_stop_ now would revive the old thread
-    // and hang that stop() forever.
-    if (wall_thread_.joinable() || wall_stopping_) {
-      throw std::logic_error("EpochScheduler::start: already running");
-    }
-    wall_stop_ = false;
-    wall_thread_ = std::thread([this, period] { wall_loop(period); });
-  }
-}
-
-void EpochScheduler::wall_loop(timebase::Duration period) {
-  const auto step = std::chrono::nanoseconds(period.ns());
-  auto next = std::chrono::steady_clock::now() + step;
-  std::unique_lock<std::mutex> lock(wall_mu_);
-  while (!wall_cv_.wait_until(lock, next, [&] { return wall_stop_; })) {
-    lock.unlock();
-    fire_epoch();
-    lock.lock();
-    // Clamp instead of pure fixed-rate: after a stall (slow sink, loaded
-    // host) we drop the missed boundaries rather than firing a catch-up
-    // burst of zero-length epochs at CPU speed.
-    next = std::max(next + step, std::chrono::steady_clock::now());
-  }
-}
-
-void EpochScheduler::stop() {
-  std::thread to_join;
-  {
-    const std::lock_guard<std::mutex> lock(wall_mu_);
-    if (!wall_thread_.joinable()) return;
-    wall_stop_ = true;
-    wall_stopping_ = true;
-    to_join = std::move(wall_thread_);
-  }
-  wall_cv_.notify_all();
-  to_join.join();
-  const std::lock_guard<std::mutex> lock(wall_mu_);
-  wall_stopping_ = false;
-}
-
-bool EpochScheduler::running() const {
-  const std::lock_guard<std::mutex> lock(wall_mu_);
-  return wall_thread_.joinable();
-}
-
-std::uint32_t EpochScheduler::next_epoch() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return next_epoch_;
-}
-
-std::uint64_t EpochScheduler::epochs_fired() const { return epochs_fired_->value(); }
-
-std::uint64_t EpochScheduler::records_delivered() const {
-  return records_delivered_->value();
-}
-
-std::uint64_t EpochScheduler::flows_aged_out() const { return flows_aged_out_->value(); }
 
 }  // namespace rlir::collect

@@ -1,30 +1,27 @@
-// Self-driving epochs for the collection tier: replaces the by-hand
-// "call drain()/collect_epoch() when you remember to" loop with a scheduler
-// that fires epoch boundaries on a period, flushes whatever is upstream of
-// the exporters (receiver interpolation buffers), drains every registered
-// exporter, and hands the record batches to sinks — typically a collector
-// ingest, with or without a wire round-trip.
+// Self-driving epochs for the collection tier: a scheduler that fires epoch
+// boundaries on a period, flushes whatever is upstream of the exporters
+// (receiver interpolation buffers), drains every registered exporter, and
+// hands the record batches to sinks — typically a collector ingest, with or
+// without a wire round-trip.
 //
-// Two driving modes share the same firing path:
-//   * sim-clock: the owner calls advance_to(sim_now) as simulated time
-//     progresses; boundaries land on the fixed grid period, 2·period, ...,
-//     so epoch indices (and therefore batches) are independent of how often
-//     advance_to is called — same workload, same period, bit-identical
-//     batches.
-//   * wall-clock: start() spawns a background thread that fires an epoch
-//     every period of real time (deployment shape). Producers that feed the
-//     exporters from other threads synchronize with firing via pause().
+// One call ends every epoch: advance_to(now). Boundaries land on the
+// fixed grid period, 2·period, ..., so epoch indices (and therefore
+// batches) are independent of how often advance_to is called — same
+// workload, same period, bit-identical batches. `now` is simulated time in
+// the simulator and elapsed steady-clock time in a deployment; a caller
+// that stalls past several boundaries fires each of them, in order and
+// under its own grid index, on its next call.
 //
 // Between boundaries, advance_to also ages idle flows out of the exporters
 // (EstimateExporter::evict_idle), shipping their records immediately — the
 // across-flows memory bound for receivers whose flows come and go.
+//
+// Threading: not thread-safe, and starts no thread. One owner feeds the
+// exporters and calls advance_to; hooks and sinks run inline on its thread.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "collect/estimate_record.h"
@@ -34,18 +31,13 @@
 
 namespace rlir::collect {
 
-class SketchHistoryStore;
-
 struct EpochSchedulerConfig {
-  /// Epoch length on the driving clock. Boundaries sit on the grid
-  /// period, 2·period, ... (sim mode) or every period of real time (wall
-  /// mode). Must be > 0.
+  /// Epoch length on the driving clock; boundaries sit on the grid period,
+  /// 2·period, ... Must be > 0.
   timebase::Duration period = timebase::Duration::milliseconds(10);
   /// Age out exporter flows idle longer than this (checked at every
   /// advance_to). Zero disables aging.
   timebase::Duration max_flow_idle = timebase::Duration::zero();
-  /// Index of the first epoch fired.
-  std::uint32_t first_epoch = 0;
   /// Observability attachment (see obs/instrument.h). Every fired epoch
   /// leaves a kEpochFlush event carrying the records it delivered.
   obs::Instruments instruments;
@@ -54,8 +46,8 @@ struct EpochSchedulerConfig {
 class EpochScheduler {
  public:
   /// Sinks receive each non-empty drained batch (one per exporter per
-  /// boundary, plus aging batches). Sinks run on the firing thread and must
-  /// not call back into the scheduler.
+  /// boundary, plus aging batches). Sinks must not call back into the
+  /// scheduler.
   using BatchSink = std::function<void(std::uint32_t epoch, const std::vector<EstimateRecord>&)>;
   /// Hooks run at each boundary before the exporters drain — the place to
   /// flush receiver interpolation buffers so the epoch ships every estimate
@@ -64,92 +56,45 @@ class EpochScheduler {
 
   /// Throws std::invalid_argument if config.period <= 0.
   explicit EpochScheduler(EpochSchedulerConfig config);
-  /// Stops the wall-clock thread if running.
-  ~EpochScheduler();
 
   EpochScheduler(const EpochScheduler&) = delete;
   EpochScheduler& operator=(const EpochScheduler&) = delete;
 
   /// Registration (borrowed pointers; callers keep ownership and must
-  /// outlive the scheduler's last firing).
+  /// outlive the scheduler's last advance_to).
   void add_exporter(EstimateExporter* exporter);
   void add_sink(BatchSink sink);
   void add_epoch_hook(EpochHook hook);
-
-  /// Attaches a history store (borrowed, null detaches): every fired epoch
-  /// calls note_epoch AFTER the exporters drain, so the store's clock
-  /// advances through idle epochs and compaction keeps pace even when no
-  /// records flow.
-  void set_history(SketchHistoryStore* history);
-
-  // --- Sim-clock driving ---------------------------------------------------
 
   /// Fires every boundary with grid time <= now (epoch i covers
   /// (i·period, (i+1)·period]), then runs idle aging against `now`. Calling
   /// with a non-advancing `now` is a no-op.
   void advance_to(timebase::TimePoint now);
 
-  /// Fires one boundary immediately, off-grid (manual driving; also what the
-  /// wall-clock thread calls). Returns the epoch index fired.
-  std::uint32_t fire_epoch();
-
-  // --- Wall-clock driving --------------------------------------------------
-
-  /// Spawns the background thread: one fire_epoch() per `period` of real
-  /// time. Throws std::logic_error if already running.
-  void start(timebase::Duration period);
-  /// Stops and joins the background thread (idempotent).
-  void stop();
-  [[nodiscard]] bool running() const;
-
-  /// Blocks epoch firing while held: wall-clock-mode producers wrap exporter
-  /// feeds (receiver pumps, observe() calls) in this lock so drains never
-  /// race them. Do not call scheduler methods while holding it.
-  [[nodiscard]] std::unique_lock<std::mutex> pause() {
-    return std::unique_lock<std::mutex>(mu_);
+  [[nodiscard]] std::uint32_t next_epoch() const { return next_epoch_; }
+  [[nodiscard]] std::uint64_t epochs_fired() const { return epochs_fired_->value(); }
+  [[nodiscard]] std::uint64_t records_delivered() const {
+    return records_delivered_->value();
   }
-
-  // --- Accounting ----------------------------------------------------------
-
-  [[nodiscard]] std::uint32_t next_epoch() const;
-  [[nodiscard]] std::uint64_t epochs_fired() const;
-  [[nodiscard]] std::uint64_t records_delivered() const;
-  [[nodiscard]] std::uint64_t flows_aged_out() const;
+  [[nodiscard]] std::uint64_t flows_aged_out() const { return flows_aged_out_->value(); }
   [[nodiscard]] const EpochSchedulerConfig& config() const { return config_; }
 
  private:
-  std::uint32_t fire_locked();
-  void deliver_locked(std::uint32_t epoch, const std::vector<EstimateRecord>& batch);
-  void wall_loop(timebase::Duration period);
+  void fire();
+  void deliver(std::uint32_t epoch, const std::vector<EstimateRecord>& batch);
 
   EpochSchedulerConfig config_;
-
-  /// Guards everything below; taken by every firing path and by pause().
-  mutable std::mutex mu_;
   std::vector<EstimateExporter*> exporters_;
   std::vector<BatchSink> sinks_;
   std::vector<EpochHook> hooks_;
-  SketchHistoryStore* history_ = nullptr;
-  std::uint32_t next_epoch_;
+  std::uint32_t next_epoch_ = 0;
   timebase::TimePoint next_boundary_;
   timebase::TimePoint last_advance_;
 
   obs::Instrumented obs_;
-  /// Counter cells replace the old plain members — same values, now
-  /// scrapeable; accessors read them without taking mu_.
   obs::Counter* epochs_fired_ = nullptr;
   obs::Counter* records_delivered_ = nullptr;
   obs::Counter* flows_aged_out_ = nullptr;
-
-  // Wall-clock driver state (separate mutex: stop() must be able to wake the
-  // thread even while a firing holds mu_).
-  mutable std::mutex wall_mu_;
-  std::condition_variable wall_cv_;
-  bool wall_stop_ = false;
-  /// A stop() is between moving the thread out and joining it; start() must
-  /// refuse until the join lands (racing start would revive the old loop).
-  bool wall_stopping_ = false;
-  std::thread wall_thread_;
 };
 
 }  // namespace rlir::collect

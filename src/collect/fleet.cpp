@@ -50,17 +50,6 @@ void FleetCollector::deliver(std::uint32_t epoch, const std::vector<EstimateReco
   collector_.ingest(batch);
 }
 
-std::size_t FleetCollector::collect_epoch(std::uint32_t epoch) {
-  std::size_t collected = 0;
-  for (auto& v : vantages_) {
-    const auto batch = v.exporter->drain(epoch);
-    if (batch.empty()) continue;
-    deliver(epoch, batch);
-    collected += batch.size();
-  }
-  return collected;
-}
-
 void FleetCollector::add_batch_sink(EpochScheduler::BatchSink sink) {
   if (collected_any_) {
     throw std::logic_error(
@@ -70,15 +59,6 @@ void FleetCollector::add_batch_sink(EpochScheduler::BatchSink sink) {
     throw std::invalid_argument("FleetCollector::add_batch_sink: null sink");
   }
   remote_sinks_.push_back(std::move(sink));
-}
-
-void FleetCollector::set_batch_sink(EpochScheduler::BatchSink sink) {
-  if (collected_any_) {
-    throw std::logic_error(
-        "FleetCollector::set_batch_sink: collection already started in-process");
-  }
-  remote_sinks_.clear();
-  if (sink) remote_sinks_.push_back(std::move(sink));
 }
 
 void FleetCollector::attach_scheduler(EpochScheduler& scheduler) {
@@ -95,8 +75,6 @@ void FleetCollector::attach_scheduler(EpochScheduler& scheduler) {
   // vantages_ live; the exporter registration must match).
   scheduler_ = &scheduler;
   scheduler.add_sink([this](std::uint32_t epoch, const std::vector<EstimateRecord>& batch) {
-    // Same delivery as collect_epoch: the local collector's ingest, or the
-    // remote sinks when any is set.
     deliver(epoch, batch);
   });
 }

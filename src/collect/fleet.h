@@ -6,7 +6,9 @@
 //   estimates -> EstimateExporter sketches -> EstimateRecord batches (wire
 //   format) -> RecordViews -> ShardedCollector shards -> fleet queries.
 //
-// Epoch batches really do round-trip through the binary wire format:
+// Epochs end only at the boundaries of an attached EpochScheduler, which
+// flushes every receiver before it drains the exporters. Epoch batches
+// really do round-trip through the binary wire format:
 // ShardedCollector::ingest encodes each batch and merges the decoded views,
 // the same view path a CollectorAgent runs on bytes off a socket.
 #pragma once
@@ -48,34 +50,27 @@ class FleetCollector {
   [[nodiscard]] topo::NodeId node(LinkId link) const;
   [[nodiscard]] std::size_t vantage_count() const { return vantages_.size(); }
 
-  /// Ends the epoch fleet-wide: drains every vantage's exporter and ingests
-  /// each batch (through the wire format, see ShardedCollector::ingest).
-  /// Returns the number of records collected.
-  std::size_t collect_epoch(std::uint32_t epoch);
-
   /// Redirects collection away from the in-process collector: when any sink
-  /// is registered, collect_epoch and the scheduler sink hand every
-  /// (epoch, batch) to EVERY registered sink instead of ingesting locally —
-  /// the hookup for shipping batches to a remote CollectorAgent or a
-  /// PartitionedClient (transport tier), or any other consumer. Multiple
-  /// sinks each see the full batch stream (mirroring: e.g. a partitioned
-  /// fleet AND a single-collector oracle fed identically in one run). The
-  /// local collector() then stays empty. Register before the first
-  /// collection; throws std::logic_error afterwards (split state would make
-  /// neither side answer fleet queries correctly).
+  /// is registered, the scheduler sink hands every (epoch, batch) to EVERY
+  /// registered sink instead of ingesting locally — the hookup for shipping
+  /// batches to a remote CollectorAgent or a PartitionedClient (transport
+  /// tier), or any other consumer. Multiple sinks each see the full batch
+  /// stream (mirroring: e.g. a partitioned fleet AND a single-collector
+  /// oracle fed identically in one run). The local collector() then stays
+  /// empty. Register before the first delivered batch; throws
+  /// std::logic_error afterwards (split state would make neither side
+  /// answer fleet queries correctly) and std::invalid_argument on a null
+  /// sink.
   void add_batch_sink(EpochScheduler::BatchSink sink);
-  /// add_batch_sink, replacing any sinks registered so far (the single-sink
-  /// hookup the transport tier's one-agent deployments use).
-  void set_batch_sink(EpochScheduler::BatchSink sink);
 
-  /// Hands epoch driving to `scheduler`: registers an epoch hook that
-  /// flushes every vantage receiver's interpolation buffer, every vantage
-  /// exporter for periodic drain/aging, and a sink that ingests each batch
-  /// into the collector. Vantages deployed later
-  /// are registered too. The scheduler is borrowed: both it and the
-  /// FleetCollector must outlive the scheduler's last firing. Drive with
-  /// scheduler.advance_to(sim.now()) as the simulation runs (see
-  /// FatTreeSim::run_until) instead of calling collect_epoch by hand.
+  /// Hands epoch driving to `scheduler`, the only way this fleet's epochs
+  /// end: registers an epoch hook that flushes every vantage receiver's
+  /// interpolation buffer, every vantage exporter for periodic drain/aging,
+  /// and a sink that delivers each batch (local ingest or the batch sinks).
+  /// Vantages deployed later are registered too. The scheduler is borrowed:
+  /// both it and the FleetCollector must outlive the scheduler's last
+  /// advance_to. Drive with scheduler.advance_to(sim.now()) as the
+  /// simulation runs (see FatTreeSim::run_until).
   void attach_scheduler(EpochScheduler& scheduler);
 
   /// Per-flow estimates merged across every vantage the classic way
@@ -104,7 +99,7 @@ class FleetCollector {
   /// Set by attach_scheduler; deploy() registers later exporters with it.
   EpochScheduler* scheduler_ = nullptr;
   std::vector<EpochScheduler::BatchSink> remote_sinks_;
-  /// Guards set_batch_sink-after-collection (see header comment).
+  /// Guards add_batch_sink-after-collection (see header comment).
   bool collected_any_ = false;
 };
 

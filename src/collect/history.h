@@ -132,9 +132,10 @@ class SketchHistoryStore {
   /// Owned records: encodes the batch and ingests its views (encode_views).
   void ingest(const std::vector<EstimateRecord>& batch);
 
-  /// Seals time forward to `epoch` without a record — how the epoch
-  /// scheduler keeps compaction advancing through idle epochs. Epochs only
-  /// move forward; a stale or absurdly-far epoch is ignored.
+  /// Seals time forward to `epoch` without a record, so compaction keeps
+  /// advancing through idle epochs (a batch sink calls it after ingesting
+  /// the epoch's records). Epochs only move forward; a stale or
+  /// absurdly-far epoch is ignored.
   void note_epoch(std::uint32_t epoch);
 
   // --- Window queries ------------------------------------------------------

@@ -17,8 +17,9 @@
 //
 // Driving: call check(epoch) directly, poll() to evaluate the newest sealed
 // epoch once, or register make_epoch_hook() on the EpochScheduler. Not
-// itself thread-safe — drive it from one thread (the scheduler's firing
-// thread qualifies; the history store it reads is internally locked).
+// itself thread-safe — drive it from one thread (the thread calling
+// EpochScheduler::advance_to qualifies; the history store it reads is
+// internally locked).
 #pragma once
 
 #include <cstdint>

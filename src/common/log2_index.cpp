@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 
 namespace rlir::common {
 
@@ -13,7 +14,6 @@ constexpr int kTableSize = 1 << kTableBits;
 
 constexpr double kLn2 = 0x1.62e42fefa39efp-1;      // ln(2)
 constexpr double kLog2E = 0x1.71547652b82fep+0;    // log2(e)
-constexpr double kLog10Of2 = 0x1.34413509f79ffp-2; // log10(2)
 
 /// ln(m) for m in [1, 2], evaluable in constant expressions (std::log is not
 /// constexpr until C++26): 2*atanh((m-1)/(m+1)), whose argument is <= 1/3 so
@@ -92,22 +92,6 @@ std::int32_t LogGammaCeilIndexer::index(double value) const {
 
 std::int32_t LogGammaCeilIndexer::exact_index(double value) const {
   return static_cast<std::int32_t>(std::ceil(std::log(value) / log_gamma_));
-}
-
-Log10BucketIndexer::Log10BucketIndexer(double log_lo, double width)
-    : log_lo_(log_lo),
-      width_(width),
-      guard_(kGuardFloor + 4.0 * kFastLog2MaxError / std::abs(width)) {}
-
-std::size_t Log10BucketIndexer::index(double value) const {
-  if (!fast_log2_usable(value)) return exact_index(value);
-  const double x = (fast_log2(value) * kLog10Of2 - log_lo_) / width_;
-  if (std::abs(x - std::round(x)) <= guard_) return exact_index(value);
-  return static_cast<std::size_t>(x);
-}
-
-std::size_t Log10BucketIndexer::exact_index(double value) const {
-  return static_cast<std::size_t>((std::log10(value) - log_lo_) / width_);
 }
 
 }  // namespace rlir::common

@@ -1,27 +1,26 @@
 // Log-free logarithmic bin indexing.
 //
-// Both LatencySketch (ceil(ln v / ln gamma)) and LogHistogram
-// ((log10 v - log10 lo) / width) spend a libm transcendental call per
-// observation — the single largest per-record cost in the collector ingest
-// path. This header replaces that call with bit arithmetic: a double already
-// stores its own log2 (exponent field plus a mantissa in [1,2)), so
+// LatencySketch's bin index (ceil(ln v / ln gamma)) would spend a libm
+// transcendental call per observation — the single largest per-record cost
+// in the collector ingest path. This header replaces that call with bit
+// arithmetic: a double already stores its own log2 (exponent field plus a
+// mantissa in [1,2)), so
 //
 //   log2(v) = exponent + log2_table[top mantissa bits] + poly(residual)
 //
 // where the 128-entry correction table anchors the mantissa and a short
 // Taylor polynomial covers the residual r in [0, 1/128] (remainder < 1e-11).
 //
-// The indexers below are *bin-for-bin identical* to the exact libm formulas
-// by construction, not merely close: the fast path's absolute error is
-// bounded, so whenever the scaled log lands within a guard band of an integer
-// bin boundary — the only place a bounded error can flip the answer — the
+// The indexer below is *bin-for-bin identical* to the exact libm formula by
+// construction, not merely close: the fast path's absolute error is bounded,
+// so whenever the scaled log lands within a guard band of an integer bin
+// boundary — the only place a bounded error can flip the answer — the
 // indexer falls back to the original libm expression. Everywhere else the
 // fast and exact paths provably round to the same bin. The oracle tests in
 // tests/test_log2_index.cpp sweep random values and exact bin boundaries to
 // hold this contract.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace rlir::common {
@@ -55,26 +54,6 @@ class LogGammaCeilIndexer {
   double log_gamma_ = 1.0;
   double bins_per_octave_ = 0.0;  // ln(2) / log_gamma: scales log2 to bins
   double guard_ = 0.0;            // half-width of the exact-fallback band
-};
-
-/// Drop-in replacement for
-/// `static_cast<size_t>((log10(value) - log_lo) / width)` (the LogHistogram
-/// bucket index). Caller guarantees value >= the histogram's lower edge, as
-/// LogHistogram::record does.
-class Log10BucketIndexer {
- public:
-  Log10BucketIndexer() = default;
-  Log10BucketIndexer(double log_lo, double width);
-
-  /// Exactly `static_cast<size_t>((log10(value) - log_lo) / width)`.
-  [[nodiscard]] std::size_t index(double value) const;
-
- private:
-  [[nodiscard]] std::size_t exact_index(double value) const;
-
-  double log_lo_ = 0.0;
-  double width_ = 1.0;
-  double guard_ = 0.0;
 };
 
 }  // namespace rlir::common

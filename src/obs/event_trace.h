@@ -26,7 +26,9 @@ enum class EventKind : std::uint8_t {
   kRebalance = 6,
   kFailBack = 7,
   kEpochFlush = 8,
-  kLog = 9,  ///< WARN+ log line bridged in via obs::LogBridge.
+  /// Reserved, with no producer: kept so the scrape's per-kind count array,
+  /// and with it RLTF frame version 2, stays unchanged.
+  kLog = 9,
   kSloViolation = 10,  ///< Windowed SLO breach detected by collect::SloWatcher.
   kSlowSpan = 11,  ///< Span over the slow-query threshold (obs::SpanRecorder).
 };

@@ -7,7 +7,7 @@
 //   scrape:  u32 sample_count | sample... | events
 //   sample:  u8 kind | str name | u32 label_count | (str key, str value)...
 //            | u64 counter / i64 gauge / sketch segment (by kind)
-//   events:  9 x u64 per-kind totals | u64 dropped
+//   events:  kEventKindCount (11) x u64 per-kind totals | u64 dropped
 //            | u32 event_count | (u8 kind | i64 ts_ns | u64 value | str detail)...
 //
 // The sketch segment reuses the estimate-record format

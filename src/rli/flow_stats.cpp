@@ -2,13 +2,8 @@
 
 namespace rlir::rli {
 
-GroundTruthTap::GroundTruthTap()
-    : filter_([](const net::Packet& p) { return p.kind == net::PacketKind::kRegular; }) {}
-
-GroundTruthTap::GroundTruthTap(Filter filter) : filter_(std::move(filter)) {}
-
 void GroundTruthTap::on_packet(const net::Packet& packet, timebase::TimePoint) {
-  if (!filter_(packet)) return;
+  if (packet.kind != net::PacketKind::kRegular) return;
   per_flow_[packet.key].add(static_cast<double>(packet.true_delay().ns()));
   ++packets_;
 }

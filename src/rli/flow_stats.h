@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -24,22 +23,15 @@ using FlowStatsMap = std::unordered_map<net::FiveTuple, common::RunningStats>;
 
 /// Evaluation-side tap that records the *true* per-flow delay distribution
 /// (reads Packet::true_delay(), which the measurement stack never touches).
+/// Records regular packets only, the traffic the receiver estimates.
 class GroundTruthTap final : public sim::PacketTap {
  public:
-  using Filter = std::function<bool(const net::Packet&)>;
-
-  /// Default filter: regular packets only (the paper's receiver "only
-  /// produces per-flow latency estimates of regular traffic").
-  GroundTruthTap();
-  explicit GroundTruthTap(Filter filter);
-
   void on_packet(const net::Packet& packet, timebase::TimePoint arrival) override;
 
   [[nodiscard]] const FlowStatsMap& per_flow() const { return per_flow_; }
   [[nodiscard]] std::uint64_t packets_recorded() const { return packets_; }
 
  private:
-  Filter filter_;
   FlowStatsMap per_flow_;
   std::uint64_t packets_ = 0;
 };

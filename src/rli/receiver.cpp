@@ -5,9 +5,7 @@
 namespace rlir::rli {
 
 RliReceiver::RliReceiver(ReceiverConfig config, const timebase::Clock* clock)
-    : config_(config),
-      clock_(clock),
-      filter_([](const net::Packet& p) { return p.kind == net::PacketKind::kRegular; }) {
+    : config_(config), clock_(clock) {
   if (clock_ == nullptr) throw std::invalid_argument("RliReceiver: clock must not be null");
 }
 
@@ -16,7 +14,7 @@ void RliReceiver::on_packet(const net::Packet& packet, timebase::TimePoint arriv
     handle_reference(packet, arrival);
     return;
   }
-  if (!filter_(packet)) return;
+  if (packet.kind != net::PacketKind::kRegular) return;
   if (!left_) {
     // No preceding reference: this packet can never be interpolated.
     ++unanchored_;

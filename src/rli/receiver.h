@@ -52,18 +52,14 @@ struct ReceiverConfig {
 
 class RliReceiver final : public sim::PacketTap {
  public:
-  using Filter = std::function<bool(const net::Packet&)>;
-
   /// `clock` is the receiver's local clock (borrowed; must outlive the
   /// receiver). Reference delay = clock->now(arrival) - packet.ref_stamp, so
   /// clock sync error propagates into estimates exactly as in hardware.
   RliReceiver(ReceiverConfig config, const timebase::Clock* clock);
 
-  /// Restricts which non-reference packets are estimated. The paper's
-  /// receiver estimates regular traffic only; in deployment the filter is an
-  /// IP-prefix rule, here it defaults to kind == kRegular.
-  void set_filter(Filter filter) { filter_ = std::move(filter); }
-
+  /// Reference packets anchor the interpolation; of the rest, only regular
+  /// traffic is estimated (the paper's receiver "only produces per-flow
+  /// latency estimates of regular traffic").
   void on_packet(const net::Packet& packet, timebase::TimePoint arrival) override;
 
   /// Epoch-boundary flush: estimates every packet still waiting in the
@@ -122,7 +118,6 @@ class RliReceiver final : public sim::PacketTap {
 
   ReceiverConfig config_;
   const timebase::Clock* clock_;
-  Filter filter_;
   std::optional<Anchor> left_;
   std::vector<Pending> buffer_;
   FlowStatsMap per_flow_;

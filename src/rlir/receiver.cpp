@@ -16,9 +16,6 @@ rli::RliReceiver& RlirReceiver::stream_for(net::SenderId sender) {
   auto it = streams_.find(sender);
   if (it == streams_.end()) {
     auto receiver = std::make_unique<rli::RliReceiver>(per_sender_config_, clock_);
-    // Stream membership is decided by this RlirReceiver's demux; the inner
-    // receivers must accept whatever is routed to them.
-    receiver->set_filter([](const net::Packet&) { return true; });
     for (const auto& sink : sinks_) {
       receiver->add_estimate_sink(
           [sender, &sink](const rli::RliReceiver::PacketEstimate& pe) { sink(sender, pe); });

@@ -2,20 +2,15 @@
 
 namespace rlir::rlir {
 
-SegmentTruth::SegmentTruth()
-    : filter_([](const net::Packet& p) { return p.kind == net::PacketKind::kRegular; }) {}
-
-SegmentTruth::SegmentTruth(Filter filter) : filter_(std::move(filter)) {}
-
 void SegmentTruth::EntryTap::on_packet(const net::Packet& packet,
                                        timebase::TimePoint arrival) {
-  if (!owner_->filter_(packet)) return;
+  if (packet.kind != net::PacketKind::kRegular) return;
   owner_->entries_[packet.seq] = arrival;
 }
 
 void SegmentTruth::ExitTap::on_packet(const net::Packet& packet,
                                       timebase::TimePoint arrival) {
-  if (!owner_->filter_(packet)) return;
+  if (packet.kind != net::PacketKind::kRegular) return;
   const auto it = owner_->entries_.find(packet.seq);
   if (it == owner_->entries_.end()) {
     ++owner_->unmatched_exits_;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 
 #include "net/packet.h"
@@ -21,14 +20,9 @@
 
 namespace rlir::rlir {
 
+/// Times regular packets only, the traffic the receiver estimates.
 class SegmentTruth {
  public:
-  using Filter = std::function<bool(const net::Packet&)>;
-
-  /// Default filter: regular packets only.
-  SegmentTruth();
-  explicit SegmentTruth(Filter filter);
-
   /// Tap to install at the segment's upstream node.
   [[nodiscard]] sim::PacketTap& entry_tap() { return entry_; }
   /// Tap to install at the segment's downstream node.
@@ -62,7 +56,6 @@ class SegmentTruth {
     SegmentTruth* owner_;
   };
 
-  Filter filter_;
   EntryTap entry_{this};
   ExitTap exit_{this};
   std::unordered_map<std::uint64_t, timebase::TimePoint> entries_;

@@ -28,13 +28,10 @@ CollectorAgent::CollectorAgent(CollectorAgentConfig config)
     : config_(config),
       obs_(config.instruments),
       collector_(shared_obs_collector(config.collector, obs_)) {
-  if (config_.io_chunk == 0) {
-    throw std::invalid_argument("CollectorAgent: zero io_chunk");
-  }
   if (config_.max_outbox_bytes == 0) {
     throw std::invalid_argument("CollectorAgent: zero max_outbox_bytes");
   }
-  read_chunk_.resize(config_.io_chunk);
+  read_chunk_.resize(kIoChunkBytes);
   auto& r = obs_.registry();
   const obs::Labels base = obs_.labels();
   c_.connections = r.gauge("rlir_agent_connections", base);

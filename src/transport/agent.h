@@ -50,9 +50,6 @@ struct CollectorAgentConfig {
   /// The shard group this process owns. Its `instruments` are replaced by
   /// the agent's, so the collector reports into the agent's registry.
   collect::CollectorConfig collector;
-  /// Per-connection read granularity per poll(). Sized to swallow a whole
-  /// default-coalesce client frame in one read.
-  std::size_t io_chunk = 512u << 10;
   /// Cap on a connection's unread reply bytes. A peer that keeps querying
   /// without reading replies is dropped like any other protocol violator —
   /// every other allocation on the untrusted input path is bounded, and

@@ -20,6 +20,12 @@
 
 namespace rlir::transport {
 
+/// Per-call I/O granularity of the client and the agent: the byte cap of one
+/// gather write and the size of one read. Sized to hold a whole
+/// default-coalesce client frame, so the common case is one syscall per
+/// sealed frame on each side.
+inline constexpr std::size_t kIoChunkBytes = 512u << 10;
+
 /// One span of a gather write (see ByteStream::write_some_vectored).
 struct ConstBuffer {
   const std::uint8_t* data = nullptr;

@@ -13,13 +13,10 @@ CollectorClient::CollectorClient(CollectorClientConfig config, StreamFactory fac
   if (config_.max_buffered_bytes == 0 || config_.coalesce_bytes == 0) {
     throw std::invalid_argument("CollectorClient: zero buffer/coalesce size");
   }
-  if (config_.io_chunk == 0) {
-    throw std::invalid_argument("CollectorClient: zero io_chunk");
-  }
   if (!factory_) {
     throw std::invalid_argument("CollectorClient: null stream factory");
   }
-  reply_chunk_.resize(config_.io_chunk);
+  reply_chunk_.resize(kIoChunkBytes);
   auto& r = obs_.registry();
   const obs::Labels base = obs_.labels();
   c_.batches_submitted = r.counter("rlir_client_batches_submitted_total", base);
@@ -192,16 +189,17 @@ std::size_t CollectorClient::pump() {
   const std::int64_t t0 = spans_ != nullptr ? obs::SpanRecorder::now_ns() : 0;
   std::size_t written = 0;
   while (!queue_.empty()) {
-    // Gather up to io_chunk bytes across queued frames — the front frame
+    // Gather up to kIoChunkBytes across queued frames — the front frame
     // from its partial-write offset, whole frames after it — into one
     // vectored write. Over a socket that is one writev/sendmsg syscall for
     // the whole segment instead of one send per frame.
     write_spans_.clear();
     std::size_t gathered = 0;
-    for (std::size_t i = 0; i < queue_.size() && gathered < config_.io_chunk; ++i) {
+    for (std::size_t i = 0; i < queue_.size() && gathered < kIoChunkBytes; ++i) {
       const auto& frame = queue_[i];
       const std::size_t offset = i == 0 ? front_offset_ : 0;
-      const std::size_t take = std::min(frame.bytes.size() - offset, config_.io_chunk - gathered);
+      const std::size_t take =
+          std::min(frame.bytes.size() - offset, kIoChunkBytes - gathered);
       write_spans_.push_back(ConstBuffer{frame.bytes.data() + offset, take});
       gathered += take;
     }

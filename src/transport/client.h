@@ -15,8 +15,8 @@
 //     byte (the agent discarded the partial frame with the connection).
 //
 // Threading: not thread-safe. One owner drives submit()/pump()/queries —
-// in scheduler deployments that is the scheduler's firing thread (make_sink
-// runs submit+pump inline).
+// in scheduler deployments that is the thread calling
+// EpochScheduler::advance_to (make_sink runs submit+pump inline).
 //
 // Delivery contract: at-most-once. Bytes acknowledged by the kernel/pipe
 // can still die with a connection; the collection tier's sketches tolerate
@@ -55,10 +55,6 @@ struct CollectorClientConfig {
   /// and paces with the driving cadence in deployment.
   std::uint32_t reconnect_backoff_initial = 1;
   std::uint32_t reconnect_backoff_max = 64;
-  /// Per-pump() I/O granularity: the byte cap of one gather write (and the
-  /// reply read-chunk size). Sized to hold a whole default-coalesce frame so
-  /// the common case is one syscall per sealed frame.
-  std::size_t io_chunk = 512u << 10;
   /// Observability attachment (see obs/instrument.h). Null members = the
   /// client owns a private registry/trace; stats() works either way.
   obs::Instruments instruments;
@@ -125,8 +121,8 @@ class CollectorClient {
   // --- Introspection -------------------------------------------------------
 
   /// A BatchSink that submits and pumps — plug into EpochScheduler::add_sink
-  /// (or FleetCollector::set_batch_sink). The client must outlive the
-  /// scheduler's last firing.
+  /// (or FleetCollector::add_batch_sink). The client must outlive the
+  /// scheduler's last advance_to.
   [[nodiscard]] collect::EpochScheduler::BatchSink make_sink();
 
   [[nodiscard]] bool connected() const { return stream_ != nullptr && !stream_->closed(); }

@@ -98,7 +98,8 @@ class PartitionedClient {
   bool drain(std::size_t max_pumps = 1024);
 
   /// A BatchSink that submits and pumps — plug into EpochScheduler::add_sink
-  /// or FleetCollector::add_batch_sink.
+  /// or FleetCollector::add_batch_sink. The client must outlive the
+  /// scheduler's last advance_to.
   [[nodiscard]] collect::EpochScheduler::BatchSink make_sink();
 
   // --- Partitioning introspection ------------------------------------------

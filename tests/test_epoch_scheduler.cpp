@@ -1,14 +1,13 @@
 // EpochScheduler: grid-aligned epoch firing, bit-identical batches across
 // replays (the determinism contract of the collection tier), idle-flow
-// aging bounds, exporter max_flows cap, and the wall-clock driver thread
-// (a TSan workload together with test_concurrent_collector).
+// aging bounds, exporter max_flows cap, and a wall-clock caller that stalls
+// past several boundaries.
 #include "collect/epoch_scheduler.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "collect/sharded_collector.h"
@@ -278,57 +277,66 @@ TEST(EpochSchedulerTest, CapEvictionsShipAtEveryAdvanceNotJustBoundaries) {
   EXPECT_EQ(collector.flow_count(), 6u);
 }
 
-TEST(EpochSchedulerTest, ManualFireUsesSequentialEpochIndices) {
-  EpochSchedulerConfig cfg;
-  cfg.period = Duration::milliseconds(1);
-  cfg.first_epoch = 10;
-  EpochScheduler scheduler(cfg);
-  EXPECT_EQ(scheduler.fire_epoch(), 10u);
-  EXPECT_EQ(scheduler.fire_epoch(), 11u);
-  EXPECT_EQ(scheduler.next_epoch(), 12u);
-  EXPECT_EQ(scheduler.epochs_fired(), 2u);
-}
-
-TEST(EpochSchedulerTest, WallClockModeFiresPeriodicallyAndStopsCleanly) {
+TEST(EpochSchedulerTest, StalledWallClockCallerEndsEveryMissedEpochInOrder) {
+  // A deployment passes elapsed steady-clock time to advance_to. After a
+  // stall, one call ends every missed epoch in order, each under its grid
+  // index, and idle aging then runs against the caller's clock under the
+  // in-progress epoch's index. Nothing is lost along the way.
   EstimateExporter exporter(ExporterConfig{{}, /*link=*/6, 0});
   EpochSchedulerConfig cfg;
-  cfg.period = Duration::milliseconds(1);
+  cfg.period = Duration::milliseconds(10);
+  cfg.max_flow_idle = Duration::milliseconds(2);
   EpochScheduler scheduler(cfg);
   scheduler.add_exporter(&exporter);
+  std::vector<std::uint32_t> ended;
+  scheduler.add_epoch_hook([&ended](std::uint32_t epoch) { ended.push_back(epoch); });
   ShardedCollector collector;
-  scheduler.add_sink([&collector](std::uint32_t, const std::vector<EstimateRecord>& batch) {
+  using Batches = std::vector<std::pair<std::uint32_t, std::size_t>>;  // (epoch, records)
+  Batches batches;
+  scheduler.add_sink([&](std::uint32_t epoch, const std::vector<EstimateRecord>& batch) {
+    batches.emplace_back(epoch, batch.size());
     collector.ingest(batch);
   });
+  const auto us = [](std::int64_t v) { return Duration::microseconds(v).ns(); };
 
-  scheduler.start(Duration::milliseconds(2));
-  EXPECT_TRUE(scheduler.running());
-  EXPECT_THROW(scheduler.start(Duration::milliseconds(2)), std::logic_error);
-
-  // Producer feeds the exporter under pause() — the wall-clock drain must
-  // never observe a half-applied estimate (TSan enforces this).
-  for (int i = 0; i < 40; ++i) {
-    {
-      const auto lock = scheduler.pause();
-      exporter.observe(1, estimate_at(static_cast<std::uint32_t>(i % 5),
-                                      1'000 * (i + 1), 30e3));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Three flows report before the first call; none has been idle 2 ms yet.
+  for (std::uint32_t f = 0; f < 3; ++f) {
+    exporter.observe(1, estimate_at(f, us(200 * (f + 1)), 30e3));
   }
-  scheduler.stop();
-  EXPECT_FALSE(scheduler.running());
-  const auto fired = scheduler.epochs_fired();
-  EXPECT_GE(fired, 1u);
+  scheduler.advance_to(TimePoint(us(1'000)));
+  EXPECT_EQ(scheduler.epochs_fired(), 0u);
+  EXPECT_TRUE(batches.empty());
 
-  // Stop is idempotent and firing has ceased.
-  scheduler.stop();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(scheduler.epochs_fired(), fired);
+  // The caller stalls and next reads the clock at 57 ms: boundaries 10..50 ms
+  // end epochs 0-4 in order, and epoch 0's drain carries the three records.
+  // The drains leave the exporter empty, so this call's aging ships nothing.
+  scheduler.advance_to(TimePoint(us(57'000)));
+  EXPECT_EQ(ended, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(scheduler.epochs_fired(), 5u);
+  EXPECT_EQ(scheduler.next_epoch(), 5u);
+  EXPECT_EQ(batches, (Batches{{0, 3}}));
+  EXPECT_EQ(scheduler.flows_aged_out(), 0u);
 
-  // Whatever was observed before the last drain reached the collector;
-  // a final manual fire accounts for the remainder.
-  scheduler.fire_epoch();
-  EXPECT_EQ(collector.estimates_ingested(), 40u);
+  // The caller then folds in a packet that arrived during the stall (54 ms)
+  // and a fresh one (58 ms). At 59 ms the first has been idle 5 ms: it ages
+  // out under epoch 5, while the second stays resident.
+  exporter.observe(1, estimate_at(3, us(54'000), 40e3));
+  exporter.observe(1, estimate_at(4, us(58'000), 50e3));
+  scheduler.advance_to(TimePoint(us(59'000)));
+  EXPECT_EQ(scheduler.epochs_fired(), 5u);
+  EXPECT_EQ(scheduler.flows_aged_out(), 1u);
+  EXPECT_EQ(batches, (Batches{{0, 3}, {5, 1}}));
+  ASSERT_NE(collector.flow(make_key(3)), nullptr);
+  EXPECT_EQ(exporter.flow_count(), 1u);
+
+  // The final boundary drains the survivor: every estimate has arrived.
+  scheduler.advance_to(TimePoint(us(60'000)));
+  EXPECT_EQ(ended.back(), 5u);
+  EXPECT_EQ(batches, (Batches{{0, 3}, {5, 1}, {5, 1}}));
+  EXPECT_EQ(collector.estimates_ingested(), 5u);
   EXPECT_EQ(collector.flow_count(), 5u);
+  EXPECT_EQ(collector.epoch_count(), 2u);
+  EXPECT_EQ(scheduler.records_delivered(), 5u);
 }
 
 }  // namespace

@@ -120,7 +120,15 @@ TEST_F(FleetCollectTest, CollectorMatchesUnshardedGroundTruth) {
   }
   sim.run();
 
-  const auto records = fleet.collect_epoch(/*epoch=*/0);
+  // One scheduler boundary past the whole run ends epoch 0: it flushes every
+  // receiver, then drains and ingests every vantage's exporter.
+  collect::EpochSchedulerConfig sched_cfg;
+  sched_cfg.period = Duration::seconds(1);
+  collect::EpochScheduler scheduler(sched_cfg);
+  fleet.attach_scheduler(scheduler);
+  ASSERT_LT(sim.now(), timebase::TimePoint::zero() + sched_cfg.period);
+  scheduler.advance_to(timebase::TimePoint::zero() + sched_cfg.period);
+  const auto records = scheduler.records_delivered();
   ASSERT_GT(records, 0u);
   const auto& collector = fleet.collector();
   EXPECT_EQ(collector.records_ingested(), records);
@@ -199,11 +207,10 @@ TEST_F(FleetCollectTest, CollectorMatchesUnshardedGroundTruth) {
 }
 
 TEST_F(FleetCollectTest, SchedulerDrivenCollectionLosesNoEstimate) {
-  // attach_scheduler replaces the by-hand collect_epoch loop: stepped
-  // simulation time drives epoch boundaries, receiver flushes, and idle-flow
-  // aging. The conservation law under test: every estimate any vantage
-  // produces (including boundary flushes and aged-out flows) reaches the
-  // collector exactly once.
+  // Stepped simulation time drives epoch boundaries, receiver flushes, and
+  // idle-flow aging. The conservation law under test: every estimate any
+  // vantage produces (including boundary flushes and aged-out flows)
+  // reaches the collector exactly once.
   topo::FatTreeSim sim(&topo_, topo::FatTreeSimConfig{}, &hasher_);
   const auto cores = topo_.cores();
 
@@ -273,27 +280,41 @@ TEST_F(FleetCollectTest, EpochsAccumulateAcrossCollections) {
 
   collect::FleetCollector fleet(collect::FleetConfig{}, &clock_);
   for (const auto& core : cores) fleet.deploy(sim, core, &demux);
+  collect::EpochSchedulerConfig sched_cfg;
+  sched_cfg.period = Duration::milliseconds(50);
+  collect::EpochScheduler scheduler(sched_cfg);
+  fleet.attach_scheduler(scheduler);
+  // Ends the epoch in progress at the first boundary past the simulation
+  // clock; returns the records that boundary delivered.
+  const auto end_epoch = [&] {
+    const std::int64_t period = sched_cfg.period.ns();
+    const auto before = scheduler.records_delivered();
+    scheduler.advance_to(timebase::TimePoint((sim.now().ns() / period + 1) * period));
+    return scheduler.records_delivered() - before;
+  };
 
   // Phase 1 runs and drains as epoch 0; phase 2 is injected with timestamps
-  // shifted past the first run's horizon (the event queue rejects scheduling
-  // in the past) and drains as epoch 1.
+  // shifted past that boundary (the event queue rejects scheduling in the
+  // past) and drains as epoch 1.
   for (const auto& pkt : make_traffic(src_a_, dst_, 1.0e9, 71, Duration::milliseconds(15))) {
     sim.inject_from_host(pkt);
   }
   sim.run();
-  const auto epoch0 = fleet.collect_epoch(0);
+  ASSERT_EQ(scheduler.next_epoch(), 0u);
+  const auto epoch0 = end_epoch();
   ASSERT_GT(epoch0, 0u);
+  ASSERT_EQ(scheduler.next_epoch(), 1u);
   const auto flows_after_0 = fleet.collector().flow_count();
 
-  const auto phase2_offset = (sim.now() - timebase::TimePoint::zero()) +
-                             Duration::microseconds(10);
+  const auto phase2_offset = sched_cfg.period + Duration::microseconds(10);
   for (auto pkt : make_traffic(src_a_, dst_, 1.0e9, 72, Duration::milliseconds(15))) {
     pkt.ts += phase2_offset;
     sim.inject_from_host(pkt);
   }
   sim.run();
-  const auto epoch1 = fleet.collect_epoch(1);
+  const auto epoch1 = end_epoch();
   ASSERT_GT(epoch1, 0u);
+  ASSERT_EQ(scheduler.next_epoch(), 2u);
 
   EXPECT_EQ(fleet.collector().epoch_count(), 2u);
   EXPECT_GE(fleet.collector().flow_count(), flows_after_0);

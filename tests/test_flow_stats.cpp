@@ -42,13 +42,6 @@ TEST(GroundTruthTap, DefaultFilterSkipsNonRegular) {
   EXPECT_EQ(tap.packets_recorded(), 0u);
 }
 
-TEST(GroundTruthTap, CustomFilter) {
-  GroundTruthTap tap([](const net::Packet& p) { return p.key.src_port == 9; });
-  tap.on_packet(delayed_packet(9, 100), TimePoint(100));
-  tap.on_packet(delayed_packet(8, 100), TimePoint(100));
-  EXPECT_EQ(tap.packets_recorded(), 1u);
-}
-
 FlowStatsMap map_of(std::initializer_list<std::pair<std::uint16_t, std::vector<double>>> init) {
   FlowStatsMap map;
   for (const auto& [port, values] : init) {

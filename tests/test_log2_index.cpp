@@ -1,7 +1,7 @@
-// Oracle tests for the log-free bin indexers: over random values spanning
+// Oracle tests for the log-free bin indexer: over random values spanning
 // the full trackable range AND adversarial values sitting exactly on (or one
-// ulp either side of) bin boundaries, the fast indexers must return the SAME
-// bin as the original libm expressions — not a close bin, the same bin.
+// ulp either side of) bin boundaries, the fast indexer must return the SAME
+// bin as the original libm expression — not a close bin, the same bin.
 #include "common/log2_index.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <limits>
 #include <random>
 
-#include "common/histogram.h"
 #include "common/latency_sketch.h"
 
 namespace rlir::common {
@@ -19,10 +18,6 @@ namespace {
 
 std::int32_t sketch_oracle(double value, double log_gamma) {
   return static_cast<std::int32_t>(std::ceil(std::log(value) / log_gamma));
-}
-
-std::size_t histogram_oracle(double value, double log_lo, double width) {
-  return static_cast<std::size_t>((std::log10(value) - log_lo) / width);
 }
 
 double log_gamma_for(double accuracy) {
@@ -101,49 +96,9 @@ TEST(LogGammaCeilIndexer, MatchesOracleOnAwkwardInputs) {
   }
 }
 
-TEST(Log10BucketIndexer, MatchesOracleOnRandomValues) {
-  std::mt19937_64 rng(3);
-  struct Config {
-    double lo;
-    std::size_t buckets_per_decade;
-  };
-  for (const auto& [lo, per_decade] :
-       {Config{1e-3, 10}, Config{1.0, 5}, Config{100.0, 100}, Config{1e-9, 1}}) {
-    const double log_lo = std::log10(lo);
-    const double width = 1.0 / static_cast<double>(per_decade);
-    const Log10BucketIndexer indexer(log_lo, width);
-    std::uniform_real_distribution<double> exponents(log_lo, log_lo + 15.0);
-    for (int i = 0; i < 100000; ++i) {
-      const double v = std::pow(10.0, exponents(rng));
-      if (!(v >= lo)) continue;  // mirror LogHistogram::record's underflow gate
-      ASSERT_EQ(indexer.index(v), histogram_oracle(v, log_lo, width))
-          << "lo " << lo << " per-decade " << per_decade << " value " << v;
-    }
-  }
-}
-
-TEST(Log10BucketIndexer, MatchesOracleOnBucketBoundaries) {
-  const double lo = 1e-3;
-  for (const std::size_t per_decade : {1u, 10u, 100u}) {
-    const double log_lo = std::log10(lo);
-    const double width = 1.0 / static_cast<double>(per_decade);
-    const Log10BucketIndexer indexer(log_lo, width);
-    for (std::size_t i = 0; i < 12 * per_decade; ++i) {
-      const double edge = std::pow(10.0, log_lo + static_cast<double>(i) * width);
-      for (const double v :
-           {std::nextafter(edge, std::numeric_limits<double>::infinity()), edge,
-            std::nextafter(edge, lo)}) {
-        if (!(v >= lo)) continue;
-        ASSERT_EQ(indexer.index(v), histogram_oracle(v, log_lo, width))
-            << "per-decade " << per_decade << " edge " << i << " value " << v;
-      }
-    }
-  }
-}
-
-// End-to-end: a sketch and histogram fed the same stream as libm-era code
-// would produce identical bins. (The indexer-level oracles above are the
-// strong check; this guards the wiring.)
+// End-to-end: a sketch fed the same stream as libm-era code would produce
+// identical bins. (The indexer-level oracles above are the strong check;
+// this guards the wiring.)
 TEST(Log2IndexIntegration, SketchBinsMatchOracleFormula) {
   LatencySketch sketch({.relative_accuracy = 0.02, .max_bins = 0});
   const double log_gamma = log_gamma_for(0.02);
@@ -156,25 +111,6 @@ TEST(Log2IndexIntegration, SketchBinsMatchOracleFormula) {
     expected[sketch_oracle(v, log_gamma)] += 1;
   }
   EXPECT_EQ(sketch.bins(), expected);
-}
-
-TEST(Log2IndexIntegration, HistogramBucketsMatchOracleFormula) {
-  LogHistogram hist(1e-3, 1e9, 10);
-  const double log_lo = std::log10(1e-3);
-  const double width = 0.1;
-  std::vector<std::uint64_t> expected(hist.bucket_count(), 0);
-  std::mt19937_64 rng(5);
-  std::uniform_real_distribution<double> exponents(-4.0, 10.0);
-  for (int i = 0; i < 50000; ++i) {
-    const double v = std::pow(10.0, exponents(rng));
-    hist.record(v);
-    if (!(v >= 1e-3)) continue;
-    const std::size_t idx = histogram_oracle(v, log_lo, width);
-    if (idx < expected.size()) expected[idx] += 1;
-  }
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(hist.bucket_value(i), expected[i]) << "bucket " << i;
-  }
 }
 
 }  // namespace

@@ -1,16 +1,10 @@
 // EventTrace: bounded ring semantics (most-recent kept, dropped counted,
-// per-kind totals survive eviction), plus the LogBridge satellite — log
-// lines bump per-level counters and WARN+ lines land in the trace as kLog
-// events, with clean uninstall.
+// per-kind totals survive eviction) and per-kind names.
 #include "obs/event_trace.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
-
-#include "common/logging.h"
-#include "obs/log_bridge.h"
-#include "obs/metrics.h"
 
 namespace rlir::obs {
 namespace {
@@ -71,70 +65,6 @@ TEST(EventKindNames, AllKindsNamed) {
     ASSERT_NE(name, nullptr);
     EXPECT_GT(std::string(name).size(), 0u);
   }
-}
-
-class LogBridgeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    saved_threshold_ = common::log_threshold();
-    common::set_log_threshold(common::LogLevel::kDebug);
-  }
-  void TearDown() override { common::set_log_threshold(saved_threshold_); }
-
- private:
-  common::LogLevel saved_threshold_;
-};
-
-TEST_F(LogBridgeTest, CountsPerLevelAndTracesWarnPlus) {
-  MetricsRegistry registry;
-  EventTrace trace;
-  LogBridge bridge(registry, &trace);
-
-  common::log_debug("noise");
-  common::log_info("fyi");
-  common::log_warn("queue ", 3, " backing up");
-  common::log_error("stream died");
-
-  const auto snap = registry.snapshot();
-  ASSERT_EQ(snap.samples.size(), 4u);  // one counter per level
-  std::uint64_t total = 0;
-  for (const auto& sample : snap.samples) {
-    EXPECT_EQ(sample.name, "rlir_log_lines_total");
-    total += sample.counter;
-  }
-  EXPECT_EQ(total, 4u);
-
-  // Only WARN+ reach the trace, with the formatted message as detail.
-  const auto events = trace.snapshot();
-  ASSERT_EQ(events.count(EventKind::kLog), 2u);
-  ASSERT_EQ(events.events.size(), 2u);
-  EXPECT_EQ(events.events[0].detail, "queue 3 backing up");
-  EXPECT_EQ(events.events[1].detail, "stream died");
-}
-
-TEST_F(LogBridgeTest, ThresholdStillFiltersBeforeTheBridge) {
-  MetricsRegistry registry;
-  LogBridge bridge(registry, nullptr);
-  common::set_log_threshold(common::LogLevel::kError);
-  common::log_warn("suppressed");
-  common::log_error("counted");
-  std::uint64_t total = 0;
-  for (const auto& sample : registry.snapshot().samples) total += sample.counter;
-  EXPECT_EQ(total, 1u);
-}
-
-TEST_F(LogBridgeTest, DestructorUninstallsSink) {
-  MetricsRegistry registry;
-  {
-    LogBridge bridge(registry, nullptr);
-    common::log_error("while installed");
-  }
-  // After the bridge is gone the counters must not move (a dangling sink
-  // would crash or corrupt here).
-  common::log_error("after uninstall");
-  std::uint64_t total = 0;
-  for (const auto& sample : registry.snapshot().samples) total += sample.counter;
-  EXPECT_EQ(total, 1u);
 }
 
 }  // namespace

@@ -178,17 +178,6 @@ TEST(RliReceiver, MaxIntervalGuardSkipsLongGaps) {
   EXPECT_EQ(receiver.packets_estimated(), 1u);
 }
 
-TEST(RliReceiver, FilterExcludesPackets) {
-  timebase::PerfectClock clock;
-  RliReceiver receiver(ReceiverConfig{}, &clock);
-  receiver.set_filter([](const net::Packet& p) { return p.key.src_port == 1; });
-  receiver.on_packet(reference(0, 500, 0), TimePoint(0));
-  receiver.on_packet(regular(100, 1), TimePoint(100));
-  receiver.on_packet(regular(200, 2), TimePoint(200));  // filtered out
-  receiver.on_packet(reference(1000, 500, 1), TimePoint(1000));
-  EXPECT_EQ(receiver.packets_estimated(), 1u);
-}
-
 TEST(RliReceiver, CrossPacketsIgnoredByDefault) {
   timebase::PerfectClock clock;
   RliReceiver receiver(ReceiverConfig{}, &clock);

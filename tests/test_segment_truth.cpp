@@ -69,15 +69,6 @@ TEST(SegmentTruth, DefaultFilterIgnoresNonRegular) {
   EXPECT_EQ(truth.pending_entries(), 0u);
 }
 
-TEST(SegmentTruth, CustomFilter) {
-  SegmentTruth truth([](const net::Packet& p) { return p.key.src_port == 7; });
-  truth.entry_tap().on_packet(packet(1, 0, 7), TimePoint(0));
-  truth.entry_tap().on_packet(packet(2, 0, 8), TimePoint(0));
-  truth.exit_tap().on_packet(packet(1, 50, 7), TimePoint(50));
-  truth.exit_tap().on_packet(packet(2, 50, 8), TimePoint(50));
-  EXPECT_EQ(truth.matched_packets(), 1u);
-}
-
 TEST(SegmentTruth, ReentryOverwritesEntryTime) {
   // A retransmitted seq (or re-observation) takes the latest entry stamp.
   SegmentTruth truth;
