@@ -16,8 +16,8 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,17 +160,10 @@ int run(const std::string& connect_text) {
               static_cast<unsigned long long>(cs.reconnects));
 
   // --- Remote queries. For the loopback configuration the agent must be
-  // polled between send and reply, so drive it explicitly.
-  const auto ask = [&](const transport::Query& q) {
-    if (local_agent == nullptr) return client.query(q);
-    client.send_query(q);
-    for (int i = 0; i < 1000; ++i) {
-      client.pump();
-      local_agent->poll();
-      if (auto reply = client.poll_reply(); reply.has_value()) return reply;
-    }
-    return std::optional<transport::QueryReply>{};
-  };
+  // polled between send and reply, so the query loop drives it.
+  std::function<void()> drive;
+  if (local_agent != nullptr) drive = [&] { local_agent->poll(); };
+  const auto ask = [&](const transport::Query& q) { return client.query(q, 20000, drive); };
 
   const auto fleet_reply = ask({.target = transport::Target::kFleet});
   if (!fleet_reply.has_value() || fleet_reply->entries.size() != 1) {

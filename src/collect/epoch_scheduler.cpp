@@ -72,12 +72,6 @@ void EpochScheduler::advance_to(timebase::TimePoint now) {
       deliver(next_epoch_, batch);
     }
   }
-  // Ship cap evictions at every advance, not just at boundaries: a burst of
-  // new flows evicting into the pending buffer must not accumulate sketches
-  // for a whole epoch (the across-flows memory bound).
-  for (auto* exporter : exporters_) {
-    deliver(next_epoch_, exporter->take_pending(next_epoch_));
-  }
 }
 
 }  // namespace rlir::collect

@@ -4,11 +4,22 @@
 
 namespace rlir::collect {
 
+namespace {
+
+/// Flow-key order keeps batches (and everything downstream of them)
+/// bit-reproducible across runs despite arbitrary flat-map iteration. Keys
+/// are unique, so the order is total.
+void sort_by_key(std::vector<EstimateRecord>& records) {
+  std::sort(records.begin(), records.end(),
+            [](const EstimateRecord& a, const EstimateRecord& b) { return a.key < b.key; });
+}
+
+}  // namespace
+
 void EstimateExporter::observe(net::SenderId sender,
                                const rli::RliReceiver::PacketEstimate& estimate) {
   auto it = flows_.find(estimate.key);
   if (it == flows_.end()) {
-    if (config_.max_flows > 0 && flows_.size() >= config_.max_flows) evict_least_recent();
     it = flows_
              .try_emplace(estimate.key,
                           FlowEntry{common::LatencySketch(config_.sketch), sender, estimate.arrival})
@@ -18,22 +29,6 @@ void EstimateExporter::observe(net::SenderId sender,
   it->second.sender = sender;
   it->second.last_arrival = estimate.arrival;
   ++observed_;
-}
-
-void EstimateExporter::evict_least_recent() {
-  // O(flows) scan, paid only when the cap is hit; deterministic victim
-  // (oldest activity, flow key as tie-break).
-  auto victim = flows_.begin();
-  for (auto it = std::next(flows_.begin()); it != flows_.end(); ++it) {
-    if (it->second.last_arrival < victim->second.last_arrival ||
-        (it->second.last_arrival == victim->second.last_arrival && it->first < victim->first)) {
-      victim = it;
-    }
-  }
-  pending_.push_back(
-      PendingRecord{victim->first, victim->second.sender, std::move(victim->second.sketch)});
-  flows_.erase(victim);
-  ++cap_evicted_;
 }
 
 void EstimateExporter::attach(rli::RliReceiver& receiver, net::SenderId sender) {
@@ -48,31 +43,15 @@ void EstimateExporter::attach(rlir::RlirReceiver& receiver) {
       });
 }
 
-std::vector<EstimateRecord> EstimateExporter::take_pending(std::uint32_t epoch) {
-  std::vector<EstimateRecord> records;
-  records.reserve(pending_.size());
-  for (auto& p : pending_) {
-    records.push_back(EstimateRecord{p.key, config_.link, p.sender, epoch, std::move(p.sketch)});
-  }
-  pending_.clear();
-  std::sort(records.begin(), records.end(),
-            [](const EstimateRecord& a, const EstimateRecord& b) { return a.key < b.key; });
-  return records;
-}
-
 std::vector<EstimateRecord> EstimateExporter::drain(std::uint32_t epoch) {
-  std::vector<EstimateRecord> records = take_pending(epoch);
-  records.reserve(records.size() + flows_.size());
+  std::vector<EstimateRecord> records;
+  records.reserve(flows_.size());
   for (auto& [key, entry] : flows_) {
     records.push_back(
         EstimateRecord{key, config_.link, entry.sender, epoch, std::move(entry.sketch)});
   }
   flows_.clear();
-  // Flow-key order keeps batches (and everything downstream of them)
-  // bit-reproducible across runs despite arbitrary flat-map iteration. stable_sort
-  // so a cap-evicted flow's record precedes its re-observed remainder.
-  std::stable_sort(records.begin(), records.end(),
-                   [](const EstimateRecord& a, const EstimateRecord& b) { return a.key < b.key; });
+  sort_by_key(records);
   return records;
 }
 
@@ -91,8 +70,7 @@ std::vector<EstimateRecord> EstimateExporter::evict_idle(timebase::TimePoint now
       ++it;
     }
   }
-  std::sort(records.begin(), records.end(),
-            [](const EstimateRecord& a, const EstimateRecord& b) { return a.key < b.key; });
+  sort_by_key(records);
   return records;
 }
 

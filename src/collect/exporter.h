@@ -6,14 +6,11 @@
 // per flow": memory at the vantage point is O(flows x sketch bins), and the
 // drained records are what crosses the network to the sharded collector.
 //
-// Memory is bounded across flows too, not just per flow: `max_flows` caps
-// the live table (overflow evicts the least-recently-active flow into a
-// pending buffer), and `evict_idle()` lets a scheduler age out flows that
-// stopped sending mid-epoch — both evictions ship the flow's sketch rather
-// than dropping it, so no estimate is ever lost to a bound. The pending
-// buffer itself is emptied by take_pending() (the EpochScheduler calls it
-// at every advance) or by the next drain(), so how much it can accumulate
-// is set by the scheduling cadence, not by the burst size of new flows.
+// Memory is bounded across flows too, not just per flow, by one mechanism:
+// idle aging. `evict_idle()` lets a scheduler age out flows that stopped
+// sending mid-epoch, so the live table holds only flows active within the
+// aging horizon. An aged flow ships its sketch rather than dropping it, so
+// no estimate is ever lost to the bound.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +30,6 @@ struct ExporterConfig {
   common::LatencySketchConfig sketch;
   /// Vantage-point identity stamped into every drained record.
   LinkId link = kNoLink;
-  /// Live flow-table cap; 0 = unbounded. Observing a new flow at the cap
-  /// evicts the least-recently-active flow (ties break on flow key) into the
-  /// pending-eviction buffer, which the next drain() ships.
-  std::size_t max_flows = 0;
 };
 
 class EstimateExporter {
@@ -46,7 +39,7 @@ class EstimateExporter {
   /// Folds one estimate into its flow's sketch. `sender` is provenance only
   /// (recorded per flow; a flow re-anchored by several senders keeps the
   /// last one seen). The estimate's arrival time stamps the flow's activity
-  /// for idle aging and the max_flows LRU.
+  /// for idle aging.
   void observe(net::SenderId sender, const rli::RliReceiver::PacketEstimate& estimate);
 
   /// Subscribes this exporter to a receiver's estimate stream (additional
@@ -55,11 +48,10 @@ class EstimateExporter {
   void attach(rli::RliReceiver& receiver, net::SenderId sender = net::kNoSender);
   void attach(rlir::RlirReceiver& receiver);
 
-  /// Ends the epoch: returns one record per flow observed since the last
-  /// drain (plus any pending cap evictions), stamped with `epoch`, in
+  /// Ends the epoch: returns one record per live flow (observed since the
+  /// last drain and not aged out since), stamped with `epoch`, in
   /// deterministic (flow-key) order, and resets the flow table for the next
-  /// epoch. A flow that was cap-evicted and then re-observed yields two
-  /// records; collector merge makes that lossless.
+  /// epoch.
   [[nodiscard]] std::vector<EstimateRecord> drain(std::uint32_t epoch);
 
   /// Ages out flows whose last activity is older than `max_idle` relative to
@@ -70,18 +62,8 @@ class EstimateExporter {
                                                        timebase::Duration max_idle,
                                                        std::uint32_t epoch);
 
-  /// Takes the pending cap-eviction buffer as records stamped with `epoch`,
-  /// in flow-key order, freeing the memory — drain() without touching live
-  /// flows. A scheduler calls this every advance so a new-flow burst can't
-  /// pile sketches up between epoch boundaries.
-  [[nodiscard]] std::vector<EstimateRecord> take_pending(std::uint32_t epoch);
-
   [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
-  /// Cap evictions waiting for the next drain.
-  [[nodiscard]] std::size_t pending_eviction_count() const { return pending_.size(); }
   [[nodiscard]] std::uint64_t estimates_observed() const { return observed_; }
-  /// Flows evicted by the max_flows cap (lifetime total).
-  [[nodiscard]] std::uint64_t flows_cap_evicted() const { return cap_evicted_; }
   /// Flows evicted by evict_idle (lifetime total).
   [[nodiscard]] std::uint64_t flows_aged_out() const { return aged_out_; }
   [[nodiscard]] const ExporterConfig& config() const { return config_; }
@@ -92,23 +74,12 @@ class EstimateExporter {
     net::SenderId sender = net::kNoSender;
     timebase::TimePoint last_arrival;
   };
-  /// A cap-evicted flow awaiting the next drain (epoch unknown until then).
-  struct PendingRecord {
-    net::FiveTuple key;
-    net::SenderId sender = net::kNoSender;
-    common::LatencySketch sketch;
-  };
-
-  void evict_least_recent();
-
   ExporterConfig config_;
   /// Flat map (common/flat_hash_map.h): observe() is one lookup per
   /// estimate, the hottest exporter path. Iteration order is arbitrary;
   /// every drain path sorts by flow key before returning, as before.
   common::FlatHashMap<net::FiveTuple, FlowEntry> flows_;
-  std::vector<PendingRecord> pending_;
   std::uint64_t observed_ = 0;
-  std::uint64_t cap_evicted_ = 0;
   std::uint64_t aged_out_ = 0;
 };
 

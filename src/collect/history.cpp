@@ -52,10 +52,12 @@ SketchHistoryStore::SketchHistoryStore(HistoryConfig config)
   c_.dropped = r.counter("rlir_history_dropped_records_total", base);
 }
 
-common::LatencySketchConfig SketchHistoryStore::compact_config() const {
-  common::LatencySketchConfig cfg = config_.sketch;
-  if (config_.retained_max_bins != 0) cfg.max_bins = config_.retained_max_bins;
-  return cfg;
+SketchHistoryStore::Segment SketchHistoryStore::new_segment_locked(std::uint32_t epoch) {
+  Segment seg;
+  seg.first = seg.last = epoch;
+  seg.bytes = kSegmentOverhead;
+  total_bytes_ += kSegmentOverhead;
+  return seg;
 }
 
 bool SketchHistoryStore::admit_epoch_locked(std::uint32_t epoch) {
@@ -63,10 +65,7 @@ bool SketchHistoryStore::admit_epoch_locked(std::uint32_t epoch) {
     any_ = true;
     last_seen_ = epoch;
     raw_first_ = epoch;
-    raw_.emplace_back();
-    raw_.back().first = raw_.back().last = epoch;
-    raw_.back().bytes = kSegmentOverhead;
-    total_bytes_ += kSegmentOverhead;
+    raw_.push_back(new_segment_locked(epoch));
     return true;
   }
   if (epoch <= last_seen_) {
@@ -78,108 +77,59 @@ bool SketchHistoryStore::admit_epoch_locked(std::uint32_t epoch) {
     // epoch range regardless of per-agent arrival order.
     if (epoch < raw_first_ && !discarded_ &&
         static_cast<std::uint64_t>(last_seen_) - epoch < config_.raw_epochs) {
-      while (raw_first_ > epoch) {
-        raw_first_ -= 1;
-        raw_.emplace_front();
-        raw_.front().first = raw_.front().last = raw_first_;
-        raw_.front().bytes = kSegmentOverhead;
-        total_bytes_ += kSegmentOverhead;
-      }
+      while (raw_first_ > epoch) raw_.push_front(new_segment_locked(--raw_first_));
       enforce_bytes_locked();  // backfill respects max_bytes like any growth
     }
     return true;
   }
   if (epoch - last_seen_ > config_.max_epoch_jump) return false;
   while (last_seen_ < epoch) {
-    ++last_seen_;
-    raw_.emplace_back();
-    raw_.back().first = raw_.back().last = last_seen_;
-    raw_.back().bytes = kSegmentOverhead;
-    total_bytes_ += kSegmentOverhead;
-    while (raw_.size() > config_.raw_epochs) fold_oldest_raw_locked();
+    raw_.push_back(new_segment_locked(++last_seen_));
+    while (raw_.size() > config_.raw_epochs) {
+      raw_first_ += 1;
+      fold_front_locked(raw_, mid_, config_.mid_window);
+      while (mid_.size() > config_.mid_segments) {
+        fold_front_locked(mid_, coarse_, config_.coarse_window);
+      }
+      while (coarse_.size() > config_.coarse_segments) evict_front_locked(coarse_);
+    }
   }
   enforce_bytes_locked();
   flush_cells_locked();  // epoch boundary: publish the deferred cells
   return true;
 }
 
-void SketchHistoryStore::fold_oldest_raw_locked() {
-  Segment src = std::move(raw_.front());
-  raw_.pop_front();
-  raw_first_ += 1;
-  discarded_ = true;  // the folded epoch's raw log is gone for good
-  total_bytes_ -= src.bytes;
-
-  const std::uint32_t w = window_id(src.first, config_.mid_window);
-  if (mid_.empty() || window_id(mid_.back().first, config_.mid_window) != w) {
-    mid_.emplace_back();
-    mid_.back().first = mid_.back().last = src.first;
-    mid_.back().bytes = kSegmentOverhead;
-    total_bytes_ += kSegmentOverhead;
-  }
-  Segment& dst = mid_.back();
-  if (!src.log.empty()) {
-    std::vector<RecordView> views;
-    const auto cfg = compact_config();
-    for (const auto& chunk : src.log.chunks()) {
-      views.clear();
-      decode_record_body_views(chunk.data.get(), chunk.used, views);
-      for (const auto& v : views) {
-        auto [fit, f_new] = dst.flows.try_emplace(v.key, common::LatencySketch(cfg));
-        (void)f_new;
-        merge_sketch_view(fit->second, v.sketch);
-        auto [lit, l_new] = dst.links.try_emplace(v.link, common::LatencySketch(cfg));
-        (void)l_new;
-        merge_sketch_view(lit->second, v.sketch);
-      }
-    }
-  }
-  dst.last = src.last;
-  dst.records += src.records;
-  total_bytes_ -= dst.bytes;
-  dst.bytes = map_segment_bytes_locked(dst);
-  total_bytes_ += dst.bytes;
-  c_.compactions->increment();
-
-  while (mid_.size() > config_.mid_segments) fold_oldest_mid_locked();
+void SketchHistoryStore::merge_view_locked(Segment& seg, const RecordView& record) const {
+  const common::LatencySketch empty(config_.sketch);
+  merge_sketch_view(seg.flows.try_emplace(record.key, empty).first->second, record.sketch);
+  merge_sketch_view(seg.links.try_emplace(record.link, empty).first->second, record.sketch);
 }
 
-void SketchHistoryStore::fold_oldest_mid_locked() {
-  Segment src = std::move(mid_.front());
-  mid_.pop_front();
+void SketchHistoryStore::fold_front_locked(std::deque<Segment>& from, std::deque<Segment>& into,
+                                           std::size_t window) {
+  Segment src = std::move(from.front());
+  from.pop_front();
+  discarded_ = true;  // the folded segment's per-epoch split is gone for good
   total_bytes_ -= src.bytes;
 
-  const std::uint32_t w = window_id(src.first, config_.coarse_window);
-  if (coarse_.empty() || window_id(coarse_.back().first, config_.coarse_window) != w) {
-    coarse_.emplace_back();
-    coarse_.back().first = coarse_.back().last = src.first;
-    coarse_.back().bytes = kSegmentOverhead;
-    total_bytes_ += kSegmentOverhead;
+  if (into.empty() || window_id(into.back().first, window) != window_id(src.first, window)) {
+    into.push_back(new_segment_locked(src.first));
   }
-  Segment& dst = coarse_.back();
-  merge_maps_into_locked(dst, src);
-  dst.last = src.last;
-  dst.records += src.records;
-  total_bytes_ -= dst.bytes;
-  dst.bytes = map_segment_bytes_locked(dst);
-  total_bytes_ += dst.bytes;
-  c_.compactions->increment();
-
-  while (coarse_.size() > config_.coarse_segments) evict_front_locked(coarse_);
-}
-
-void SketchHistoryStore::merge_maps_into_locked(Segment& dst, const Segment& src) const {
-  const auto cfg = compact_config();
+  Segment& dst = into.back();
+  for_each_raw_view_locked(src, [&](const RecordView& v) { merge_view_locked(dst, v); });
+  const common::LatencySketch empty(config_.sketch);
   for (const auto& [key, sketch] : src.flows) {
-    auto [it, added] = dst.flows.try_emplace(key, common::LatencySketch(cfg));
-    (void)added;
-    it->second.merge(sketch);
+    dst.flows.try_emplace(key, empty).first->second.merge(sketch);
   }
   for (const auto& [link, sketch] : src.links) {
-    auto [it, added] = dst.links.try_emplace(link, common::LatencySketch(cfg));
-    (void)added;
-    it->second.merge(sketch);
+    dst.links.try_emplace(link, empty).first->second.merge(sketch);
   }
+  dst.last = src.last;
+  dst.records += src.records;
+  total_bytes_ -= dst.bytes;
+  dst.bytes = map_segment_bytes_locked(dst);
+  total_bytes_ += dst.bytes;
+  c_.compactions->increment();
 }
 
 void SketchHistoryStore::evict_front_locked(std::deque<Segment>& tier) {
@@ -269,9 +219,7 @@ void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
     c_.dropped->increment();
     return;
   }
-  const common::LatencySketch empty(compact_config());
-  merge_sketch_view(late->flows.try_emplace(record.key, empty).first->second, record.sketch);
-  merge_sketch_view(late->links.try_emplace(record.link, empty).first->second, record.sketch);
+  merge_view_locked(*late, record);
   late->records += 1;
   total_bytes_ -= late->bytes;
   late->bytes = map_segment_bytes_locked(*late);
@@ -297,12 +245,6 @@ void SketchHistoryStore::ingest(const std::vector<EstimateRecord>& batch) {
   ingest_views(encode_views(batch).views);
 }
 
-void SketchHistoryStore::note_epoch(std::uint32_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  (void)admit_epoch_locked(epoch);  // an implausible jump is simply ignored
-  flush_cells_locked();
-}
-
 // --- Window queries --------------------------------------------------------
 
 template <typename Fn>
@@ -314,7 +256,7 @@ WindowCoverage SketchHistoryStore::for_each_covering_locked(std::uint32_t first,
   cov.requested_last = last;
   if (!any_) return cov;
 
-  const auto visit = [&](const Segment& seg, bool raw_tier) {
+  const auto visit = [&](const Segment& seg) {
     if (seg.last < first || seg.first > last) return;
     if (!cov.covered) {
       cov.covered = true;
@@ -325,7 +267,7 @@ WindowCoverage SketchHistoryStore::for_each_covering_locked(std::uint32_t first,
       cov.covered_last = std::max(cov.covered_last, seg.last);
     }
     cov.records += seg.records;
-    fn(seg, raw_tier);
+    fn(seg);
   };
 
   for (const auto* tier : {&coarse_, &mid_}) {
@@ -333,93 +275,84 @@ WindowCoverage SketchHistoryStore::for_each_covering_locked(std::uint32_t first,
     // segments actually covered.
     auto it = std::lower_bound(tier->begin(), tier->end(), first,
                                [](const Segment& s, std::uint32_t e) { return s.last < e; });
-    for (; it != tier->end() && it->first <= last; ++it) visit(*it, false);
+    for (; it != tier->end() && it->first <= last; ++it) visit(*it);
   }
   if (!raw_.empty() && last >= raw_first_) {
     const std::uint32_t lo = std::max(first, raw_first_);
     const std::uint32_t hi =
         std::min<std::uint64_t>(last, raw_first_ + (raw_.size() - 1));
-    for (std::uint32_t e = lo; e <= hi; ++e) visit(raw_[e - raw_first_], true);
+    for (std::uint32_t e = lo; e <= hi; ++e) visit(raw_[e - raw_first_]);
   }
 
   cov.complete = cov.covered && first >= oldest_retained_locked() && last <= last_seen_;
   return cov;
 }
 
-std::optional<common::LatencySketch> SketchHistoryStore::window_flow(
-    std::uint32_t epoch_first, std::uint32_t epoch_last, const net::FiveTuple& key,
+template <typename Fn>
+void SketchHistoryStore::for_each_raw_view_locked(const Segment& seg, Fn&& fn) const {
+  for (const auto& chunk : seg.log.chunks()) {
+    scratch_.clear();
+    decode_record_body_views(chunk.data.get(), chunk.used, scratch_);
+    for (const auto& v : scratch_) fn(v);
+  }
+}
+
+template <typename Key>
+std::optional<common::LatencySketch> SketchHistoryStore::window_one(
+    std::uint32_t first, std::uint32_t last, const Key& key, Key RecordView::*view_key,
+    common::FlatHashMap<Key, common::LatencySketch> Segment::*seg_map, const char* label,
     WindowCoverage* coverage) const {
-  if (epoch_first > epoch_last) std::swap(epoch_first, epoch_last);
-  obs::SpanTimer span(obs_.spans(), obs::SpanKind::kHistoryWindow, {}, "flow");
+  if (first > last) std::swap(first, last);
+  obs::SpanTimer span(obs_.spans(), obs::SpanKind::kHistoryWindow, {}, label);
   std::lock_guard<std::mutex> lock(mu_);
   common::LatencySketch out(config_.sketch);
   bool found = false;
-  std::vector<RecordView> scratch;
-  const auto cov = for_each_covering_locked(
-      epoch_first, epoch_last, [&](const Segment& seg, bool raw_tier) {
-        if (raw_tier) {
-          if (seg.log.empty()) return;
-          scratch.clear();
-          for (const auto& chunk : seg.log.chunks()) {
-            decode_record_body_views(chunk.data.get(), chunk.used, scratch);
-          }
-          for (const auto& v : scratch) {
-            if (!(v.key == key)) continue;
-            merge_sketch_view(out, v.sketch);
-            found = true;
-          }
-        } else {
-          const auto it = seg.flows.find(key);
-          if (it == seg.flows.end()) return;
-          out.merge(it->second);
-          found = true;
-        }
-      });
+  const auto cov = for_each_covering_locked(first, last, [&](const Segment& seg) {
+    for_each_raw_view_locked(seg, [&](const RecordView& v) {
+      if (v.*view_key != key) return;
+      merge_sketch_view(out, v.sketch);
+      found = true;
+    });
+    const auto it = (seg.*seg_map).find(key);
+    if (it == (seg.*seg_map).end()) return;
+    out.merge(it->second);
+    found = true;
+  });
   if (coverage != nullptr) *coverage = cov;
   if (!found) return std::nullopt;
   return out;
 }
 
-std::optional<double> SketchHistoryStore::window_flow_quantile(
-    std::uint32_t epoch_first, std::uint32_t epoch_last, const net::FiveTuple& key, double q,
+template <typename Key>
+std::vector<std::pair<Key, common::LatencySketch>> SketchHistoryStore::window_groups(
+    std::uint32_t first, std::uint32_t last, Key RecordView::*view_key,
+    common::FlatHashMap<Key, common::LatencySketch> Segment::*seg_map) const {
+  if (first > last) std::swap(first, last);
+  std::lock_guard<std::mutex> lock(mu_);
+  std::map<Key, common::LatencySketch> merged;
+  const auto slot = [&](const Key& key) -> common::LatencySketch& {
+    return merged.try_emplace(key, config_.sketch).first->second;
+  };
+  for_each_covering_locked(first, last, [&](const Segment& seg) {
+    for_each_raw_view_locked(
+        seg, [&](const RecordView& v) { merge_sketch_view(slot(v.*view_key), v.sketch); });
+    for (const auto& [key, sketch] : seg.*seg_map) slot(key).merge(sketch);
+  });
+  return {merged.begin(), merged.end()};
+}
+
+std::optional<common::LatencySketch> SketchHistoryStore::window_flow(
+    std::uint32_t epoch_first, std::uint32_t epoch_last, const net::FiveTuple& key,
     WindowCoverage* coverage) const {
-  const auto sketch = window_flow(epoch_first, epoch_last, key, coverage);
-  if (!sketch.has_value()) return std::nullopt;
-  return sketch->quantile(q);
+  return window_one(epoch_first, epoch_last, key, &RecordView::key, &Segment::flows, "flow",
+                    coverage);
 }
 
 std::optional<common::LatencySketch> SketchHistoryStore::window_link(
     std::uint32_t epoch_first, std::uint32_t epoch_last, LinkId link,
     WindowCoverage* coverage) const {
-  if (epoch_first > epoch_last) std::swap(epoch_first, epoch_last);
-  obs::SpanTimer span(obs_.spans(), obs::SpanKind::kHistoryWindow, {}, "link");
-  std::lock_guard<std::mutex> lock(mu_);
-  common::LatencySketch out(config_.sketch);
-  bool found = false;
-  std::vector<RecordView> scratch;
-  const auto cov = for_each_covering_locked(
-      epoch_first, epoch_last, [&](const Segment& seg, bool raw_tier) {
-        if (raw_tier) {
-          if (seg.log.empty()) return;
-          scratch.clear();
-          for (const auto& chunk : seg.log.chunks()) {
-            decode_record_body_views(chunk.data.get(), chunk.used, scratch);
-          }
-          for (const auto& v : scratch) {
-            if (v.link != link) continue;
-            merge_sketch_view(out, v.sketch);
-            found = true;
-          }
-        } else {
-          const auto it = seg.links.find(link);
-          if (it == seg.links.end()) return;
-          out.merge(it->second);
-          found = true;
-        }
-      });
-  if (coverage != nullptr) *coverage = cov;
-  if (!found) return std::nullopt;
-  return out;
+  return window_one(epoch_first, epoch_last, link, &RecordView::link, &Segment::links, "link",
+                    coverage);
 }
 
 common::LatencySketch SketchHistoryStore::window_fleet(std::uint32_t epoch_first,
@@ -429,83 +362,26 @@ common::LatencySketch SketchHistoryStore::window_fleet(std::uint32_t epoch_first
   obs::SpanTimer span(obs_.spans(), obs::SpanKind::kHistoryWindow, {}, "fleet");
   std::lock_guard<std::mutex> lock(mu_);
   common::LatencySketch out(config_.sketch);
-  std::vector<RecordView> scratch;
-  const auto cov = for_each_covering_locked(
-      epoch_first, epoch_last, [&](const Segment& seg, bool raw_tier) {
-        if (raw_tier) {
-          if (seg.log.empty()) return;
-          scratch.clear();
-          for (const auto& chunk : seg.log.chunks()) {
-            decode_record_body_views(chunk.data.get(), chunk.used, scratch);
-          }
-          for (const auto& v : scratch) merge_sketch_view(out, v.sketch);
-        } else {
-          // Every record lands in exactly one link aggregate, so the union
-          // over links equals the union over records (the collector's
-          // fleet() uses the same identity).
-          for (const auto& [link, sketch] : seg.links) {
-            (void)link;
-            out.merge(sketch);
-          }
-        }
-      });
+  const auto cov = for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg) {
+    for_each_raw_view_locked(seg, [&](const RecordView& v) { merge_sketch_view(out, v.sketch); });
+    // Every record lands in exactly one link aggregate, so the union over
+    // links equals the union over records (the collector's fleet() uses the
+    // same identity).
+    for (const auto& [link, sketch] : seg.links) out.merge(sketch);
+  });
   if (coverage != nullptr) *coverage = cov;
   return out;
 }
 
-std::vector<net::FiveTuple> SketchHistoryStore::window_flows(std::uint32_t epoch_first,
-                                                             std::uint32_t epoch_last) const {
-  if (epoch_first > epoch_last) std::swap(epoch_first, epoch_last);
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<net::FiveTuple> keys;
-  std::vector<RecordView> scratch;
-  for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg, bool raw_tier) {
-    if (raw_tier) {
-      if (seg.log.empty()) return;
-      scratch.clear();
-      for (const auto& chunk : seg.log.chunks()) {
-        decode_record_body_views(chunk.data.get(), chunk.used, scratch);
-      }
-      for (const auto& v : scratch) keys.push_back(v.key);
-    } else {
-      for (const auto& [key, sketch] : seg.flows) {
-        (void)sketch;
-        keys.push_back(key);
-      }
-    }
-  });
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
+std::vector<std::pair<net::FiveTuple, common::LatencySketch>>
+SketchHistoryStore::window_flow_sketches(std::uint32_t epoch_first,
+                                         std::uint32_t epoch_last) const {
+  return window_groups(epoch_first, epoch_last, &RecordView::key, &Segment::flows);
 }
 
 std::vector<std::pair<LinkId, common::LatencySketch>> SketchHistoryStore::window_links(
     std::uint32_t epoch_first, std::uint32_t epoch_last) const {
-  if (epoch_first > epoch_last) std::swap(epoch_first, epoch_last);
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<LinkId, common::LatencySketch> merged;
-  std::vector<RecordView> scratch;
-  for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg, bool raw_tier) {
-    if (raw_tier) {
-      if (seg.log.empty()) return;
-      scratch.clear();
-      for (const auto& chunk : seg.log.chunks()) {
-        decode_record_body_views(chunk.data.get(), chunk.used, scratch);
-      }
-      for (const auto& v : scratch) {
-        auto [it, added] = merged.try_emplace(v.link, config_.sketch);
-        (void)added;
-        merge_sketch_view(it->second, v.sketch);
-      }
-    } else {
-      for (const auto& [link, sketch] : seg.links) {
-        auto [it, added] = merged.try_emplace(link, config_.sketch);
-        (void)added;
-        it->second.merge(sketch);
-      }
-    }
-  });
-  return {merged.begin(), merged.end()};
+  return window_groups(epoch_first, epoch_last, &RecordView::link, &Segment::links);
 }
 
 // --- Accounting ------------------------------------------------------------

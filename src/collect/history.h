@@ -7,7 +7,7 @@
 // answered by merging exactly the epochs it covers (sketch merge is exact,
 // associative, and commutative; see common/latency_sketch.h).
 //
-// Memory is bounded by two mechanisms working together:
+// Memory is bounded by the tiers plus a byte cap:
 //
 //   * tiered epoch compaction: the newest `raw_epochs` epochs are kept as
 //     raw record logs (append-only byte vectors of self-delimiting record
@@ -15,15 +15,12 @@
 //     mid-tier segments of `mid_window` epochs (per-flow/per-link merged
 //     sketch maps), which in turn fold into coarse segments of
 //     `coarse_window` epochs; the oldest coarse segments evict. Retained
-//     coverage is always one contiguous range [oldest, newest].
-//   * sketch bin-collapsing: compacted-tier sketches are created with
-//     `retained_max_bins` as their bin budget, so folding an epoch into a
-//     segment collapses its lowest bins once the budget overflows —
-//     degrading only low quantiles, exactly like the live sketches do.
-//
-// On top of the tiers sits a hard byte bound (`max_bytes`): whenever the
-// accounted footprint exceeds it, the oldest segments evict (coarse first,
-// then mid, then raw — never the newest raw epoch, which is still filling).
+//     coverage is always one contiguous range [oldest, newest]. Compacted
+//     sketches keep the producer's config, so a fold is bin-for-bin exact:
+//     compaction only loses the per-epoch split inside a segment.
+//   * a hard byte bound (`max_bytes`): whenever the accounted footprint
+//     exceeds it, the oldest segments evict (coarse first, then mid, then
+//     raw — never the newest raw epoch, which is still filling).
 //
 // Query semantics: a window query visits every retained segment that
 // intersects [e1, e2] — O(log E) to locate the first (binary search over
@@ -71,18 +68,14 @@ struct HistoryConfig {
   std::size_t coarse_window = 64;
   /// Coarse segments retained before the oldest evicts. Must be >= 1.
   std::size_t coarse_segments = 16;
-  /// Bin budget of compacted-tier sketches (the bin-collapsing bound).
-  /// 0 = inherit the producer budget (`sketch.max_bins`) — compaction then
-  /// stays bin-for-bin exact and only the tiering bounds memory.
-  std::size_t retained_max_bins = 0;
   /// Hard footprint bound; exceeding it evicts oldest segments. 0 = none.
   std::size_t max_bytes = 64u << 20;
   /// Forward epoch jumps larger than this are rejected as corrupt (one bad
   /// wire epoch must not fast-forward away the whole history). Must be >= 1.
   std::uint32_t max_epoch_jump = 1u << 16;
   /// Accuracy contract: ingest rejects records whose relative accuracy
-  /// differs (same rule as the collectors'). max_bins is the producer/query
-  /// budget.
+  /// differs (same rule as the collectors'). Every retained and answered
+  /// sketch uses this config.
   common::LatencySketchConfig sketch;
   /// Observability attachment (see obs/instrument.h): rlir_history_* gauges
   /// and counters — the store's memory watchdog.
@@ -126,17 +119,13 @@ class SketchHistoryStore {
   /// record) — so partitioned stores converge on the same retained range.
   /// Records older than the retained range are dropped (counted); records
   /// landing in an already compacted segment merge into its maps (counted
-  /// as late). Throws std::invalid_argument, storing nothing of the batch,
-  /// if any record's relative accuracy differs.
+  /// as late). A record's epoch seals every epoch before it, idle ones
+  /// included, so compaction advances with the records alone. Throws
+  /// std::invalid_argument, storing nothing of the batch, if any record's
+  /// relative accuracy differs.
   void ingest_views(const std::vector<RecordView>& batch);
   /// Owned records: encodes the batch and ingests its views (encode_views).
   void ingest(const std::vector<EstimateRecord>& batch);
-
-  /// Seals time forward to `epoch` without a record, so compaction keeps
-  /// advancing through idle epochs (a batch sink calls it after ingesting
-  /// the epoch's records). Epochs only move forward; a stale or
-  /// absurdly-far epoch is ignored.
-  void note_epoch(std::uint32_t epoch);
 
   // --- Window queries ------------------------------------------------------
   // All take an inclusive epoch range (swapped if reversed) and optionally
@@ -148,10 +137,6 @@ class SketchHistoryStore {
   [[nodiscard]] std::optional<common::LatencySketch> window_flow(
       std::uint32_t epoch_first, std::uint32_t epoch_last, const net::FiveTuple& key,
       WindowCoverage* coverage = nullptr) const;
-  /// Quantile of the window's merged flow sketch; nullopt if unseen.
-  [[nodiscard]] std::optional<double> window_flow_quantile(
-      std::uint32_t epoch_first, std::uint32_t epoch_last, const net::FiveTuple& key,
-      double q, WindowCoverage* coverage = nullptr) const;
   /// One vantage's merged delta over the window; nullopt if unseen.
   [[nodiscard]] std::optional<common::LatencySketch> window_link(
       std::uint32_t epoch_first, std::uint32_t epoch_last, LinkId link,
@@ -160,9 +145,10 @@ class SketchHistoryStore {
   [[nodiscard]] common::LatencySketch window_fleet(std::uint32_t epoch_first,
                                                    std::uint32_t epoch_last,
                                                    WindowCoverage* coverage = nullptr) const;
-  /// Every flow appearing in the window's covered segments, sorted.
-  [[nodiscard]] std::vector<net::FiveTuple> window_flows(std::uint32_t epoch_first,
-                                                         std::uint32_t epoch_last) const;
+  /// Every flow appearing in the window with its merged delta, ascending by
+  /// key — one pass instead of a window_flow() per flow.
+  [[nodiscard]] std::vector<std::pair<net::FiveTuple, common::LatencySketch>>
+  window_flow_sketches(std::uint32_t epoch_first, std::uint32_t epoch_last) const;
   /// Every link appearing in the window with its merged delta, ascending.
   [[nodiscard]] std::vector<std::pair<LinkId, common::LatencySketch>> window_links(
       std::uint32_t epoch_first, std::uint32_t epoch_last) const;
@@ -255,16 +241,22 @@ class SketchHistoryStore {
     std::size_t bytes = 0;
   };
 
-  [[nodiscard]] common::LatencySketchConfig compact_config() const;
+  /// A fresh empty segment covering `epoch`, its fixed overhead charged.
+  [[nodiscard]] Segment new_segment_locked(std::uint32_t epoch);
   /// True if the record's epoch was admitted (time advanced as needed);
   /// false = rejected jump (counted by the caller).
   bool admit_epoch_locked(std::uint32_t epoch);
   /// The per-record body of ingest_views (the collector tee's hot path — no
   /// allocations).
   void ingest_view_locked(const RecordView& record);
-  void fold_oldest_raw_locked();
-  void fold_oldest_mid_locked();
-  void merge_maps_into_locked(Segment& dst, const Segment& src) const;
+  /// Merges one record into a compacted segment's flow and link maps.
+  void merge_view_locked(Segment& seg, const RecordView& record) const;
+  /// Folds `from`'s oldest segment into `into`'s newest one when both lie in
+  /// the same `window`-epoch window, else into a new segment — raw -> mid and
+  /// mid -> coarse alike (a raw segment contributes its log, a compacted one
+  /// its maps).
+  void fold_front_locked(std::deque<Segment>& from, std::deque<Segment>& into,
+                         std::size_t window);
   void evict_front_locked(std::deque<Segment>& tier);
   void enforce_bytes_locked();
   /// Publishes the locked state into the registry cells (gauges + the
@@ -275,10 +267,29 @@ class SketchHistoryStore {
   [[nodiscard]] std::size_t map_segment_bytes_locked(const Segment& seg) const;
   [[nodiscard]] std::uint32_t oldest_retained_locked() const;
   /// Visits every retained segment intersecting [first, last], oldest tier
-  /// first, accumulating coverage. `fn(segment, is_raw)`.
+  /// first, accumulating coverage. `fn(segment)`.
   template <typename Fn>
   WindowCoverage for_each_covering_locked(std::uint32_t first, std::uint32_t last,
                                           Fn&& fn) const;
+  /// Calls `fn(view)` for every record in a segment's raw log, in append
+  /// order (a compacted segment's log is empty). Decodes one chunk at a time
+  /// into scratch_.
+  template <typename Fn>
+  void for_each_raw_view_locked(const Segment& seg, Fn&& fn) const;
+  /// The one body behind window_flow and window_link: merges every record
+  /// whose `view_key` member equals `key` (raw tier) and the `seg_map` entry
+  /// for `key` (compacted tiers).
+  template <typename Key>
+  [[nodiscard]] std::optional<common::LatencySketch> window_one(
+      std::uint32_t first, std::uint32_t last, const Key& key, Key RecordView::*view_key,
+      common::FlatHashMap<Key, common::LatencySketch> Segment::*seg_map, const char* label,
+      WindowCoverage* coverage) const;
+  /// The one body behind window_flow_sketches and window_links: every key
+  /// in the window with its merged delta, ascending.
+  template <typename Key>
+  [[nodiscard]] std::vector<std::pair<Key, common::LatencySketch>> window_groups(
+      std::uint32_t first, std::uint32_t last, Key RecordView::*view_key,
+      common::FlatHashMap<Key, common::LatencySketch> Segment::*seg_map) const;
 
   HistoryConfig config_;
   obs::Instrumented obs_;
@@ -298,6 +309,8 @@ class SketchHistoryStore {
   /// that ever covered it has been discarded).
   bool discarded_ = false;
   std::size_t total_bytes_ = 0;
+  /// Decode scratch of for_each_raw_view_locked, reused across segments.
+  mutable std::vector<RecordView> scratch_;
   /// Records ingested since the last flush_cells_locked() (hot-path counter
   /// kept off the shared registry cache lines; mutable so const accessors
   /// can publish before reading the cell).

@@ -27,9 +27,6 @@ ShardedCollector::ShardedCollector(CollectorConfig config)
   if (config_.shard_count == 0) {
     throw std::invalid_argument("ShardedCollector: shard_count must be >= 1");
   }
-  if (config_.top_k_quantile < 0.0 || config_.top_k_quantile > 1.0) {
-    throw std::invalid_argument("ShardedCollector: top_k_quantile must be in [0, 1]");
-  }
   submitted_ = obs_.registry().counter("rlir_collect_records_submitted_total", obs_.labels());
   shards_.reserve(config_.shard_count);
   for (std::size_t i = 0; i < config_.shard_count; ++i) {
@@ -110,12 +107,11 @@ void ShardedCollector::ingest(const std::vector<EstimateRecord>& batch) {
   ingest(encode_views(batch).views);
 }
 
-void ShardedCollector::refresh_rank(const Shard& shard) const {
-  if (!shard.rank_stale) return;
+void ShardedCollector::refresh_rank(const Shard& shard, double q) const {
+  if (!shard.rank_stale && shard.rank_q == q) return;
   shard.rank.clear();
-  for (const auto& [key, sketch] : shard.flows) {
-    shard.rank.insert({sketch.quantile(config_.top_k_quantile), key});
-  }
+  for (const auto& [key, sketch] : shard.flows) shard.rank.insert({sketch.quantile(q), key});
+  shard.rank_q = q;
   shard.rank_stale = false;
 }
 
@@ -282,31 +278,14 @@ std::vector<FlowSummary> ShardedCollector::top_k_flows(std::size_t k, double q) 
   return strip_ranks(top_k_ranked(k, q));
 }
 
-std::vector<RankedFlowSummary> ShardedCollector::top_k_ranked_scan(std::size_t k,
-                                                                   double q) const {
-  std::vector<RankedFlowSummary> top;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [key, sketch] : shard->flows) {
-      top.emplace_back(sketch.quantile(q), summarize(key, sketch));
-    }
-  }
-  std::sort(top.begin(), top.end(), ranked_worse_first);
-  if (top.size() > k) top.resize(k);
-  return top;
-}
-
 std::vector<RankedFlowSummary> ShardedCollector::top_k_ranked(std::size_t k, double q) const {
-  // Un-indexed quantile: full scan, but still return the ranking values.
-  if (q != config_.top_k_quantile) return top_k_ranked_scan(k, q);
-
   // The global top-k is contained in the union of the per-shard top-k's:
   // take each shard's first k in rank order, then re-sort with the shared
   // ordering contract and truncate.
   std::vector<RankedFlowSummary> top;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mu);
-    refresh_rank(*shard);
+    refresh_rank(*shard, q);
     std::size_t taken = 0;
     for (auto it = shard->rank.begin(); it != shard->rank.end() && taken < k; ++it, ++taken) {
       const auto& [value, key] = *it;
@@ -319,7 +298,16 @@ std::vector<RankedFlowSummary> ShardedCollector::top_k_ranked(std::size_t k, dou
 }
 
 std::vector<FlowSummary> ShardedCollector::top_k_flows_scan(std::size_t k, double q) const {
-  return strip_ranks(top_k_ranked_scan(k, q));
+  std::vector<RankedFlowSummary> top;
+  for (const auto& shard : shards_) {
+    const std::lock_guard<std::mutex> lock(shard->mu);
+    for (const auto& [key, sketch] : shard->flows) {
+      top.emplace_back(sketch.quantile(q), summarize(key, sketch));
+    }
+  }
+  std::sort(top.begin(), top.end(), ranked_worse_first);
+  if (top.size() > k) top.resize(k);
+  return strip_ranks(std::move(top));
 }
 
 std::size_t ShardedCollector::flow_count() const {

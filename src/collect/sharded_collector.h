@@ -21,14 +21,15 @@
 // Query API: per-flow quantiles, per-link latency distributions, fleet-wide
 // distribution, and top-k worst-latency flows. Top-k is served from a
 // per-shard rank index (each shard keeps its flows ordered worst-first at
-// the configured quantile): each shard contributes its first k entries and
+// the quantile last asked): each shard contributes its first k entries and
 // the union is re-sorted — O(k·shards) per query instead of a full scan that
-// re-sketches every flow. The index is rebuilt lazily: ingest only marks the
-// shard stale, and the first indexed top-k query after a write re-ranks that
-// shard's flows under its lock. Collection is millions of records between
-// queries, so paying O(flows·log flows) once per query instead of
-// O(log flows) plus a quantile walk on EVERY record is the right side of the
-// trade by orders of magnitude.
+// re-sketches every flow. The index is keyed on the quantile asked and
+// rebuilt lazily: ingest only marks the shard stale, and the first top-k
+// query after a write, or at a different quantile, re-ranks that shard's
+// flows under its lock. Collection is millions of records between queries,
+// and a deployment asks at one quantile, so paying O(flows·log flows) once
+// per query instead of O(log flows) plus a quantile walk on EVERY record is
+// the right side of the trade by orders of magnitude.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +58,6 @@ struct CollectorConfig {
   /// Accuracy/budget of the shard-side merged sketches. The relative
   /// accuracy must match the exporters' so merges stay exact.
   common::LatencySketchConfig sketch;
-  /// Quantile the ingest-maintained top-k rank index is keyed on. Queries at
-  /// this quantile are O(k·shards); any other quantile falls back to the
-  /// full scan. Must be in [0, 1].
-  double top_k_quantile = 0.99;
   /// Observability attachment (see obs/instrument.h): the
   /// rlir_collect_records_submitted_total counter. Null members = the
   /// collector owns a private registry/trace.
@@ -101,8 +98,7 @@ using RankedFlowSummary = std::pair<double, FlowSummary>;
 class ShardedCollector {
  public:
   ShardedCollector() : ShardedCollector(CollectorConfig{}) {}
-  /// Throws std::invalid_argument if shard_count is 0 or top_k_quantile is
-  /// outside [0, 1].
+  /// Throws std::invalid_argument if shard_count is 0.
   explicit ShardedCollector(CollectorConfig config);
 
   /// Move-only: a copy is an explicit snapshot().
@@ -161,9 +157,9 @@ class ShardedCollector {
   [[nodiscard]] common::LatencySketch fleet() const;
 
   /// The k flows with the highest latency at quantile `q`, worst first.
-  /// Ties break on flow key so results are deterministic. When q equals the
-  /// configured `top_k_quantile` the answer comes from the per-shard rank
-  /// indexes in O(k·shards); other quantiles use the full scan.
+  /// Ties break on flow key so results are deterministic. The answer comes
+  /// from the per-shard rank indexes in O(k·shards); a shard re-ranks first
+  /// if it changed since, or was last ranked at another quantile.
   [[nodiscard]] std::vector<FlowSummary> top_k_flows(std::size_t k, double q = 0.99) const;
   /// top_k_flows with each summary's ranking value attached — what a higher
   /// tier needs to merge top-k answers from several collectors without
@@ -171,7 +167,7 @@ class ShardedCollector {
   [[nodiscard]] std::vector<RankedFlowSummary> top_k_ranked(std::size_t k, double q) const;
   /// Reference implementation: scans and re-sketches every flow. Exposed so
   /// tests (and operators who suspect the index) can cross-check the fast
-  /// path; results are identical for q == top_k_quantile.
+  /// path; results are identical at every quantile.
   [[nodiscard]] std::vector<FlowSummary> top_k_flows_scan(std::size_t k, double q) const;
 
   /// A copy of the current state, taken one shard lock at a time, with the
@@ -220,9 +216,11 @@ class ShardedCollector {
     /// determinism sorts, as before.
     common::FlatHashMap<net::FiveTuple, common::LatencySketch> flows;
     common::FlatHashMap<LinkId, common::LatencySketch> links;
-    /// Lazily rebuilt by top_k_ranked when `rank_stale` — mutable because
-    /// the rebuild happens inside const queries, under `mu`.
+    /// Flows ranked at quantile `rank_q`, rebuilt by top_k_ranked when
+    /// `rank_stale` or asked at another quantile — mutable because the
+    /// rebuild happens inside const queries, under `mu`.
     mutable RankIndex rank;
+    mutable double rank_q = 0.0;
     mutable bool rank_stale = false;
     std::unordered_set<std::uint32_t> epochs;
     std::uint64_t records = 0;
@@ -238,11 +236,9 @@ class ShardedCollector {
   /// index stale (the flow mutation merge() shares with merge_record).
   void merge_into_flow(Shard& shard, const net::FiveTuple& key,
                        const common::LatencySketch& sketch);
-  /// Re-ranks a stale shard's flows at the configured top-k quantile.
-  void refresh_rank(const Shard& shard) const;
-  /// The scan implementation behind top_k_flows_scan and the un-indexed
-  /// fallback of top_k_ranked — one copy of the ordering/tie-break rules.
-  [[nodiscard]] std::vector<RankedFlowSummary> top_k_ranked_scan(std::size_t k, double q) const;
+  /// Re-ranks a shard's flows at quantile `q` unless its index is fresh and
+  /// already keyed on `q`.
+  void refresh_rank(const Shard& shard, double q) const;
 
   CollectorConfig config_;
   obs::Instrumented obs_;

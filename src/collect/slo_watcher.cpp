@@ -37,17 +37,17 @@ std::vector<SloViolation> SloWatcher::check(std::uint32_t epoch) {
   const std::uint32_t first = epoch >= window - 1 ? epoch - (window - 1) : 0;
   checks_->increment();
 
-  std::vector<net::FiveTuple> flows = history_->window_flows(first, epoch);
+  auto flows = history_->window_flow_sketches(first, epoch);
   if (flows.size() > config_.max_flows_checked) flows.resize(config_.max_flows_checked);
 
   std::vector<SloViolation> violations;
-  for (const auto& key : flows) {
+  for (const auto& [key, sketch] : flows) {
     flows_checked_->increment();
-    const auto value = history_->window_flow_quantile(first, epoch, key, config_.quantile);
-    if (!value.has_value() || *value <= config_.threshold_ns) continue;
+    const double value = sketch.quantile(config_.quantile);
+    if (value <= config_.threshold_ns) continue;
     SloViolation v;
     v.key = key;
-    v.value_ns = *value;
+    v.value_ns = value;
     v.threshold_ns = config_.threshold_ns;
     v.window_first = first;
     v.window_last = epoch;
@@ -89,17 +89,6 @@ std::vector<SloViolation> SloWatcher::poll() {
   any_checked_ = true;
   last_checked_ = *last;
   return check(*last);
-}
-
-std::function<void(std::uint32_t)> SloWatcher::make_epoch_hook() {
-  return [this](std::uint32_t epoch) {
-    if (epoch == 0) return;  // nothing sealed before the first epoch
-    const std::uint32_t sealed = epoch - 1;
-    if (any_checked_ && sealed <= last_checked_) return;
-    any_checked_ = true;
-    last_checked_ = sealed;
-    (void)check(sealed);
-  };
 }
 
 }  // namespace rlir::collect

@@ -15,15 +15,14 @@
 // localizer's median-of-flow-means then sees each link's distribution
 // median, which is exactly the cross-link comparison it was built for.
 //
-// Driving: call check(epoch) directly, poll() to evaluate the newest sealed
-// epoch once, or register make_epoch_hook() on the EpochScheduler. Not
-// itself thread-safe — drive it from one thread (the thread calling
-// EpochScheduler::advance_to qualifies; the history store it reads is
-// internally locked).
+// Driving: check(epoch) evaluates one window, and poll() evaluates the
+// newest sealed epoch once; nothing else runs a check. A check reads the
+// window's flows in one pass over the store, not one pass per flow.
+// Not itself thread-safe — drive it from one thread (the history store it
+// reads is internally locked).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "collect/history.h"
@@ -44,7 +43,7 @@ struct SloWatcherConfig {
   /// cross-segment baseline).
   double localization_factor = 3.0;
   /// Evaluation bound per check: at most this many flows (the window's flow
-  /// list is sorted, so truncation is deterministic). Must be >= 1.
+  /// list is sorted by key, so truncation is deterministic). Must be >= 1.
   std::size_t max_flows_checked = 4096;
   /// Observability attachment: rlir_slo_checks_total /
   /// rlir_slo_violations_total / rlir_slo_flows_checked_total counters and
@@ -81,11 +80,6 @@ class SloWatcher {
   /// Checks the newest history epoch if it has not been checked yet
   /// (idempotent between epochs); empty when idle.
   std::vector<SloViolation> poll();
-
-  /// Hook for EpochScheduler::add_epoch_hook: checks epoch - 1 (hooks fire
-  /// before the new epoch's records drain, so the previous epoch is the
-  /// newest sealed one). Violations surface via trace events and counters.
-  [[nodiscard]] std::function<void(std::uint32_t)> make_epoch_hook();
 
   [[nodiscard]] std::uint64_t checks() const { return checks_->value(); }
   [[nodiscard]] std::uint64_t violations() const { return violations_->value(); }

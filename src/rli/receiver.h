@@ -80,14 +80,9 @@ class RliReceiver final : public sim::PacketTap {
     double estimate_ns;
   };
   using EstimateSink = std::function<void(const PacketEstimate&)>;
-  /// Replaces all registered sinks with `sink`.
-  void set_estimate_sink(EstimateSink sink) {
-    sinks_.clear();
-    add_estimate_sink(std::move(sink));
-  }
-  /// Registers an additional sink; every estimate is delivered to each sink
-  /// in registration order (an ablation probe and a collector exporter can
-  /// observe the same stream).
+  /// Registers a sink, the one way to subscribe; every estimate is delivered
+  /// to each sink in registration order (an ablation probe and a collector
+  /// exporter can observe the same stream). Sinks are never removed.
   void add_estimate_sink(EstimateSink sink) {
     if (sink) sinks_.push_back(std::move(sink));
   }

@@ -326,13 +326,25 @@ std::optional<QueryReply> CollectorClient::poll_reply() {
   return decode_reply(frame->payload.data(), frame->payload.size());
 }
 
-std::optional<QueryReply> CollectorClient::query(const Query& q, std::size_t max_pumps) {
+std::optional<QueryReply> CollectorClient::query(const Query& q, std::size_t max_rounds,
+                                                 const std::function<void()>& drive) {
   send_query(q);
-  for (std::size_t i = 0; i < max_pumps; ++i) {
+  for (std::size_t round = 0; round < max_rounds; ++round) {
     pump();
-    if (auto reply = poll_reply(); reply.has_value()) return reply;
+    if (drive) drive();
+    std::optional<QueryReply> reply;
+    try {
+      reply = poll_reply();
+    } catch (const std::runtime_error&) {
+      // Corrupt/unexpected reply bytes: poll_reply already dropped the
+      // connection (reconnect machinery takes over). Abandon so the next
+      // send_query starts fresh.
+      abandon_query();
+      return std::nullopt;
+    }
+    if (reply.has_value()) return reply;
     if (!query_outstanding_) return std::nullopt;  // connection died, query lost
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    if (!drive) std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   abandon_query();  // else the next send_query would refuse forever
   return std::nullopt;

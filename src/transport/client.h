@@ -105,12 +105,15 @@ class CollectorClient {
   /// std::runtime_error (the stream is then closed).
   [[nodiscard]] std::optional<QueryReply> poll_reply();
 
-  /// Convenience loop for live (socket) deployments: send, then pump +
-  /// poll_reply up to `max_pumps` times, sleeping ~100us between rounds.
-  /// nullopt = no reply in time (the query is abandoned — see below). For
-  /// single-threaded loopback setups drive the agent yourself and use
-  /// send_query/poll_reply directly.
-  [[nodiscard]] std::optional<QueryReply> query(const Query& query, std::size_t max_pumps = 20000);
+  /// The one send-and-wait loop: send, then up to `max_rounds` rounds of
+  /// pump, `drive`, poll_reply. With a drive hook (a single-threaded
+  /// loopback setup polls its agent there) rounds run back to back; without
+  /// one (live socket deployments) each round sleeps ~100us. nullopt = no
+  /// reply: the rounds ran out or malformed reply bytes arrived (the query
+  /// is abandoned — see below), or the connection died under the query.
+  [[nodiscard]] std::optional<QueryReply> query(const Query& query,
+                                                std::size_t max_rounds = 20000,
+                                                const std::function<void()>& drive = {});
 
   /// Gives up on the outstanding query (timeout policy lives with the
   /// caller). Drops the connection — a reply still in flight must die with

@@ -1,11 +1,9 @@
 #include "transport/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 namespace rlir::transport {
@@ -188,39 +186,10 @@ std::size_t QueryCoordinator::connected_count() const {
 CollectorClient& QueryCoordinator::client(std::size_t agent) { return *clients_.at(agent); }
 
 std::optional<QueryReply> QueryCoordinator::ask(std::size_t agent, const Query& query) {
-  CollectorClient& c = *clients_[agent];
   c_.queries_sent->increment();
-  c.send_query(query);
-  for (std::size_t round = 0; round < config_.reply_rounds; ++round) {
-    c.pump();
-    if (drive_) drive_();
-    std::optional<QueryReply> reply;
-    try {
-      reply = c.poll_reply();
-    } catch (const std::runtime_error&) {
-      // Corrupt/unexpected reply bytes: poll_reply already dropped the
-      // connection (reconnect machinery takes over); this fan-out misses
-      // the agent. Abandon so the next fan-out can send a fresh query.
-      c.abandon_query();
-      c_.agent_failures->increment();
-      return std::nullopt;
-    }
-    if (reply.has_value()) {
-      c_.replies_merged->increment();
-      return reply;
-    }
-    if (!c.query_outstanding()) {
-      // The connection died under the query; the client discarded it.
-      c_.agent_failures->increment();
-      return std::nullopt;
-    }
-    if (!drive_) std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  // Reply never came: abandon (drops the connection so a late reply can't
-  // mis-pair with the next fan-out's query) and report the miss.
-  c.abandon_query();
-  c_.agent_failures->increment();
-  return std::nullopt;
+  auto reply = clients_[agent]->query(query, config_.reply_rounds, drive_);
+  (reply.has_value() ? c_.replies_merged : c_.agent_failures)->increment();
+  return reply;
 }
 
 std::vector<std::optional<QueryReply>> QueryCoordinator::fan_out(const Query& query) {

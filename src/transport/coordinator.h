@@ -138,9 +138,10 @@ class QueryCoordinator {
   /// backoff). Returns the agent's index.
   std::size_t add_agent(StreamFactory factory);
 
-  /// Hook run between poll rounds while waiting for replies — single-thread
-  /// deployments poll their agents here; socket deployments leave it unset
-  /// (the agents run their own threads/processes) and rounds sleep instead.
+  /// The drive hook each agent leg hands CollectorClient::query — run every
+  /// round while waiting for a reply. Single-thread deployments poll their
+  /// agents here; socket deployments leave it unset (the agents run their
+  /// own threads/processes) and rounds sleep instead.
   void set_drive(std::function<void()> drive);
 
   // --- Fleet queries (each fans out to every agent and merges) ------------

@@ -101,12 +101,6 @@ TEST(ConcurrentCollectorTest, ZeroShardsThrows) {
   EXPECT_THROW(ShardedCollector{cfg}, std::invalid_argument);
 }
 
-TEST(ConcurrentCollectorTest, BadTopKQuantileThrows) {
-  CollectorConfig cfg;
-  cfg.top_k_quantile = 1.5;
-  EXPECT_THROW(ShardedCollector{cfg}, std::invalid_argument);
-}
-
 TEST(ConcurrentCollectorTest, SingleProducerMatchesSerialExactly) {
   constexpr std::uint32_t kFlows = 50;
   const auto records = make_workload(1, 400, kFlows);

@@ -1,7 +1,7 @@
 // EpochScheduler: grid-aligned epoch firing, bit-identical batches across
 // replays (the determinism contract of the collection tier), idle-flow
-// aging bounds, exporter max_flows cap, and a wall-clock caller that stalls
-// past several boundaries.
+// aging bounds, and a wall-clock caller that stalls past several
+// boundaries.
 #include "collect/epoch_scheduler.h"
 
 #include <gtest/gtest.h>
@@ -66,7 +66,7 @@ struct ReplayResult {
 };
 ReplayResult replay(const std::vector<ScheduledEstimate>& events, Duration period,
                     Duration max_idle, std::int64_t advance_step_ns) {
-  EstimateExporter exporter(ExporterConfig{{}, /*link=*/5, /*max_flows=*/0});
+  EstimateExporter exporter(ExporterConfig{{}, /*link=*/5});
   EpochSchedulerConfig cfg;
   cfg.period = period;
   cfg.max_flow_idle = max_idle;
@@ -101,7 +101,7 @@ TEST(EpochSchedulerTest, NonPositivePeriodThrows) {
 }
 
 TEST(EpochSchedulerTest, FiresOncePerGridBoundaryRegardlessOfCallPattern) {
-  EstimateExporter exporter(ExporterConfig{{}, 0, 0});
+  EstimateExporter exporter(ExporterConfig{{}, 0});
   EpochSchedulerConfig cfg;
   cfg.period = Duration::milliseconds(1);
   EpochScheduler scheduler(cfg);
@@ -149,7 +149,7 @@ TEST(EpochSchedulerTest, AdvanceCadenceDoesNotChangeBatches) {
 }
 
 TEST(EpochSchedulerTest, DrainedBatchesReachACollectorWithEpochIndices) {
-  EstimateExporter exporter(ExporterConfig{{}, /*link=*/2, 0});
+  EstimateExporter exporter(ExporterConfig{{}, /*link=*/2});
   EpochSchedulerConfig cfg;
   cfg.period = Duration::milliseconds(1);
   EpochScheduler scheduler(cfg);
@@ -173,7 +173,7 @@ TEST(EpochSchedulerTest, DrainedBatchesReachACollectorWithEpochIndices) {
 }
 
 TEST(EpochSchedulerTest, IdleFlowsAgeOutEarlyAndNothingIsLost) {
-  EstimateExporter exporter(ExporterConfig{{}, /*link=*/3, 0});
+  EstimateExporter exporter(ExporterConfig{{}, /*link=*/3});
   EpochSchedulerConfig cfg;
   cfg.period = Duration::milliseconds(10);  // long epoch
   cfg.max_flow_idle = Duration::milliseconds(1);
@@ -210,79 +210,12 @@ TEST(EpochSchedulerTest, IdleFlowsAgeOutEarlyAndNothingIsLost) {
   EXPECT_GE(aging_batches, 2u);  // at least: one aging batch + one drain
 }
 
-TEST(EpochSchedulerTest, ExporterMaxFlowsCapEvictsLruIntoNextDrain) {
-  EstimateExporter exporter(ExporterConfig{{}, /*link=*/4, /*max_flows=*/2});
-  exporter.observe(1, estimate_at(0, 1'000, 10e3));
-  exporter.observe(1, estimate_at(1, 2'000, 20e3));
-  EXPECT_EQ(exporter.flow_count(), 2u);
-
-  // Flow 2 arrives at the cap: flow 0 (least recently active) is evicted
-  // into the pending buffer, not dropped.
-  exporter.observe(1, estimate_at(2, 3'000, 30e3));
-  EXPECT_EQ(exporter.flow_count(), 2u);
-  EXPECT_EQ(exporter.pending_eviction_count(), 1u);
-  EXPECT_EQ(exporter.flows_cap_evicted(), 1u);
-
-  // Re-observing the evicted flow restarts it (second record, same flow).
-  exporter.observe(1, estimate_at(0, 4'000, 15e3));
-  EXPECT_EQ(exporter.flows_cap_evicted(), 2u);  // flow 1 evicted this time
-
-  const auto records = exporter.drain(/*epoch=*/9);
-  ASSERT_EQ(records.size(), 4u);  // flows {0(evicted), 1(evicted), 0, 2}
-  EXPECT_EQ(exporter.flow_count(), 0u);
-  EXPECT_EQ(exporter.pending_eviction_count(), 0u);
-  std::uint64_t estimates = 0;
-  for (const auto& r : records) {
-    EXPECT_EQ(r.epoch, 9u);
-    estimates += r.sketch.count();
-    // Drained in flow-key order.
-  }
-  EXPECT_EQ(estimates, 4u);
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_LE(records[i - 1].key, records[i].key);
-  }
-}
-
-TEST(EpochSchedulerTest, CapEvictionsShipAtEveryAdvanceNotJustBoundaries) {
-  // A burst of new flows at a capped exporter must not pile evicted
-  // sketches up until the epoch boundary: the scheduler ships the pending
-  // buffer at every advance, so exporter memory stays bounded by the cap
-  // plus one advance step's burst.
-  EstimateExporter exporter(ExporterConfig{{}, /*link=*/7, /*max_flows=*/2});
-  EpochSchedulerConfig cfg;
-  cfg.period = Duration::milliseconds(10);
-  EpochScheduler scheduler(cfg);
-  scheduler.add_exporter(&exporter);
-  ShardedCollector collector;
-  scheduler.add_sink([&collector](std::uint32_t, const std::vector<EstimateRecord>& batch) {
-    collector.ingest(batch);
-  });
-
-  // Six distinct flows against a cap of 2: four get evicted into pending.
-  for (std::uint32_t f = 0; f < 6; ++f) {
-    exporter.observe(1, estimate_at(f, Duration::microseconds(100 * (f + 1)).ns(), 25e3));
-  }
-  EXPECT_EQ(exporter.flow_count(), 2u);
-  EXPECT_EQ(exporter.pending_eviction_count(), 4u);
-
-  // Mid-epoch advance (no boundary yet): pending ships and is freed.
-  scheduler.advance_to(TimePoint(Duration::milliseconds(1).ns()));
-  EXPECT_EQ(scheduler.epochs_fired(), 0u);
-  EXPECT_EQ(exporter.pending_eviction_count(), 0u);
-  EXPECT_EQ(collector.records_ingested(), 4u);
-
-  // The boundary drains the two live flows; all six estimates arrive.
-  scheduler.advance_to(TimePoint(Duration::milliseconds(10).ns()));
-  EXPECT_EQ(collector.estimates_ingested(), 6u);
-  EXPECT_EQ(collector.flow_count(), 6u);
-}
-
 TEST(EpochSchedulerTest, StalledWallClockCallerEndsEveryMissedEpochInOrder) {
   // A deployment passes elapsed steady-clock time to advance_to. After a
   // stall, one call ends every missed epoch in order, each under its grid
   // index, and idle aging then runs against the caller's clock under the
   // in-progress epoch's index. Nothing is lost along the way.
-  EstimateExporter exporter(ExporterConfig{{}, /*link=*/6, 0});
+  EstimateExporter exporter(ExporterConfig{{}, /*link=*/6});
   EpochSchedulerConfig cfg;
   cfg.period = Duration::milliseconds(10);
   cfg.max_flow_idle = Duration::milliseconds(2);

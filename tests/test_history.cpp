@@ -84,7 +84,7 @@ TEST(HistoryStoreTest, EmptyStoreAnswersNothing) {
   EXPECT_FALSE(cov.covered);
   EXPECT_FALSE(cov.complete);
   EXPECT_TRUE(store.window_fleet(0, 10).empty());
-  EXPECT_TRUE(store.window_flows(0, 10).empty());
+  EXPECT_TRUE(store.window_flow_sketches(0, 10).empty());
   EXPECT_TRUE(store.window_links(0, 10).empty());
   EXPECT_EQ(store.epochs_retained(), 0u);
   EXPECT_FALSE(store.first_retained_epoch().has_value());
@@ -123,8 +123,8 @@ TEST(HistoryStoreTest, AccuracyMismatchThrows) {
 }
 
 // The tentpole property: window query == direct merge of the covered
-// epochs' records, across all three tiers. retained_max_bins stays 0 (the
-// producer budget), so even compacted answers must be bin-for-bin exact.
+// epochs' records, across all three tiers. Compacted sketches keep the
+// producer config, so even compacted answers must be bin-for-bin exact.
 TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
   HistoryConfig cfg;
   cfg.raw_epochs = 4;
@@ -142,8 +142,7 @@ TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
   EpochRecords model;
   for (std::uint32_t epoch = 0; epoch < kEpochs; ++epoch) {
     if (epoch % 7 == 3) {
-      store.note_epoch(epoch);  // idle epoch: sealed, no records
-      model[epoch];
+      model[epoch];  // idle epoch: no records; the next record seals it
       continue;
     }
     const int count = 2 + static_cast<int>(rng.uniform(0.0, 8.0));
@@ -211,9 +210,7 @@ TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
       if (got.has_value()) {
         EXPECT_EQ(got->bins(), want.bins()) << "flow " << flow;
         EXPECT_EQ(got->count(), want.count()) << "flow " << flow;
-        const auto q = store.window_flow_quantile(w_first, w_last, key, 0.99);
-        ASSERT_TRUE(q.has_value());
-        EXPECT_DOUBLE_EQ(*q, want.quantile(0.99));
+        EXPECT_DOUBLE_EQ(got->quantile(0.99), want.quantile(0.99));
       }
     }
     for (LinkId link = 0; link < kLinks; ++link) {
@@ -243,7 +240,14 @@ TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
   want_flows.erase(std::unique(want_flows.begin(), want_flows.end()), want_flows.end());
   std::sort(want_links.begin(), want_links.end());
   want_links.erase(std::unique(want_links.begin(), want_links.end()), want_links.end());
-  EXPECT_EQ(store.window_flows(2, kEpochs - 2), want_flows);
+  const auto got_flows = store.window_flow_sketches(2, kEpochs - 2);
+  ASSERT_EQ(got_flows.size(), want_flows.size());
+  for (std::size_t i = 0; i < want_flows.size(); ++i) {
+    EXPECT_EQ(got_flows[i].first, want_flows[i]);
+    const auto want = direct_merge(model, cov.covered_first, cov.covered_last,
+                                   [&](const EstimateRecord& r) { return r.key == want_flows[i]; });
+    EXPECT_EQ(got_flows[i].second.bins(), want.bins()) << "flow " << i;
+  }
   const auto got_links = store.window_links(2, kEpochs - 2);
   ASSERT_EQ(got_links.size(), want_links.size());
   for (std::size_t i = 0; i < want_links.size(); ++i) {
@@ -356,7 +360,6 @@ TEST(HistoryStoreTest, MemoryStaysBoundedAcrossThousandEpochs) {
   cfg.mid_segments = 8;
   cfg.coarse_window = 16;
   cfg.coarse_segments = 8;
-  cfg.retained_max_bins = 64;  // bin-collapsing: the second bounding mechanism
   cfg.max_bytes = 1u << 20;
   cfg.instruments.registry = &registry;
   SketchHistoryStore store(cfg);

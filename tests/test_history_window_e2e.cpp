@@ -68,13 +68,10 @@ struct BaselineHistory {
   }
 
   collect::EpochScheduler::BatchSink make_sink() {
-    return [this](std::uint32_t epoch, const std::vector<collect::EstimateRecord>& batch) {
-      // Empty flushes are skipped: a record-less sealed epoch would extend
-      // the baseline's retained range past anything the sprayed agents ever
-      // hear about (records are the only thing that crosses the wire).
-      if (batch.empty()) return;
+    // Only records seal epochs, in the baseline as in the sprayed agents, so
+    // both retain the same range.
+    return [this](std::uint32_t, const std::vector<collect::EstimateRecord>& batch) {
       for (const auto& r : batch) collector.ingest({r});
-      store.note_epoch(epoch);
     };
   }
 };
@@ -127,21 +124,21 @@ void expect_windows_match(transport::QueryCoordinator& coord,
 
     // Per-flow windowed sketches and p99 — THE acceptance criterion: the
     // partitioned fleet's windowed p99 is bin-for-bin the single store's.
-    const auto flows = baseline.store.window_flows(w_first, w_last);
+    const auto flows = baseline.store.window_flow_sketches(w_first, w_last);
     ASSERT_FALSE(flows.empty());
     std::size_t probed = 0;
-    for (const auto& key : flows) {
+    for (const auto& [key, listed] : flows) {
       if (probed++ == flow_probe_limit) break;
       const auto want_sketch = baseline.store.window_flow(w_first, w_last, key);
       ASSERT_TRUE(want_sketch.has_value()) << key.to_string();
+      EXPECT_EQ(listed.bins(), want_sketch->bins()) << key.to_string();
       const auto got_sketch = coord.window_flow_sketch(key, w_first, w_last);
       ASSERT_TRUE(got_sketch.sketch.has_value()) << key.to_string();
       EXPECT_EQ(got_sketch.sketch->bins(), want_sketch->bins()) << key.to_string();
 
-      const auto want_p99 = baseline.store.window_flow_quantile(w_first, w_last, key, 0.99);
       const auto got_p99 = coord.window_flow_quantile(key, 0.99, w_first, w_last);
       ASSERT_TRUE(got_p99.has_value()) << key.to_string();
-      EXPECT_DOUBLE_EQ(*got_p99, *want_p99) << key.to_string();
+      EXPECT_DOUBLE_EQ(*got_p99, want_sketch->quantile(0.99)) << key.to_string();
     }
   }
 
@@ -194,7 +191,7 @@ TEST(HistoryWindowE2E, PartitionedLoopbackFleetAnswersWindowsLikeOneStore) {
   for (std::size_t i = 0; i < kAgents; ++i) coord.add_agent(factory(i));
   coord.set_drive(poll_all);
   ASSERT_EQ(coord.connected_count(), kAgents);
-  expect_windows_match(coord, baseline, baseline.store.window_flows(0, 1u << 30).size());
+  expect_windows_match(coord, baseline, baseline.store.window_flow_sketches(0, 1u << 30).size());
 }
 
 TEST(HistoryWindowE2E, PartitionedUnixSocketFleetAnswersWindowsLikeOneStore) {

@@ -42,7 +42,7 @@ TEST(RliReceiver, LinearInterpolationIsExactOnALine) {
   // Anchors: delay 1000 at t=0, delay 3000 at t=1000.
   receiver.on_packet(reference(0, 1000, 0), TimePoint(0));
   std::vector<double> estimates;
-  receiver.set_estimate_sink(
+  receiver.add_estimate_sink(
       [&](const RliReceiver::PacketEstimate& e) { estimates.push_back(e.estimate_ns); });
 
   receiver.on_packet(regular(250), TimePoint(250));
@@ -73,21 +73,6 @@ TEST(RliReceiver, MultipleSinksAllObserveEveryEstimate) {
   receiver.on_packet(reference(1000, 1000, 1), TimePoint(1000));
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first, second);
-}
-
-TEST(RliReceiver, SetEstimateSinkReplacesAllSinks) {
-  timebase::PerfectClock clock;
-  RliReceiver receiver(ReceiverConfig{}, &clock);
-  receiver.on_packet(reference(0, 1000, 0), TimePoint(0));
-
-  std::uint64_t dropped = 0, kept = 0;
-  receiver.add_estimate_sink([&](const RliReceiver::PacketEstimate&) { ++dropped; });
-  receiver.set_estimate_sink([&](const RliReceiver::PacketEstimate&) { ++kept; });
-
-  receiver.on_packet(regular(500), TimePoint(500));
-  receiver.on_packet(reference(1000, 1000, 1), TimePoint(1000));
-  EXPECT_EQ(dropped, 0u);
-  EXPECT_EQ(kept, 1u);
 }
 
 TEST(RliReceiver, PacketsBeforeFirstReferenceAreUnanchored) {
@@ -136,7 +121,7 @@ TEST(RliReceiver, EstimatorVariants) {
     cfg.estimator = c.kind;
     RliReceiver receiver(cfg, &clock);
     double estimate = -1.0;
-    receiver.set_estimate_sink(
+    receiver.add_estimate_sink(
         [&](const RliReceiver::PacketEstimate& e) { estimate = e.estimate_ns; });
     receiver.on_packet(reference(0, 1000, 0), TimePoint(0));
     receiver.on_packet(regular(250), TimePoint(250));
@@ -151,7 +136,7 @@ TEST(RliReceiver, NearestPicksRightWhenCloser) {
   cfg.estimator = EstimatorKind::kNearest;
   RliReceiver receiver(cfg, &clock);
   double estimate = -1.0;
-  receiver.set_estimate_sink(
+  receiver.add_estimate_sink(
       [&](const RliReceiver::PacketEstimate& e) { estimate = e.estimate_ns; });
   receiver.on_packet(reference(0, 1000, 0), TimePoint(0));
   receiver.on_packet(regular(900), TimePoint(900));
@@ -194,7 +179,7 @@ TEST(RliReceiver, ClockOffsetShiftsReferenceDelays) {
   timebase::FixedOffsetClock clock(Duration::microseconds(2));
   RliReceiver receiver(ReceiverConfig{}, &clock);
   double estimate = -1.0;
-  receiver.set_estimate_sink(
+  receiver.add_estimate_sink(
       [&](const RliReceiver::PacketEstimate& e) { estimate = e.estimate_ns; });
   receiver.on_packet(reference(0, 1000, 0), TimePoint(0));
   receiver.on_packet(regular(500), TimePoint(500));
@@ -223,7 +208,7 @@ TEST_P(InterpolationBracketSweep, EstimateWithinAnchorRange) {
   double lo = 0.0;
   double hi = 0.0;
   std::uint64_t checked = 0;
-  receiver.set_estimate_sink([&](const RliReceiver::PacketEstimate& e) {
+  receiver.add_estimate_sink([&](const RliReceiver::PacketEstimate& e) {
     EXPECT_GE(e.estimate_ns, lo - 1e-9);
     EXPECT_LE(e.estimate_ns, hi + 1e-9);
     ++checked;
@@ -260,7 +245,7 @@ TEST(RliReceiver, FlushEstimatesBufferedPacketsWithLeftAnchor) {
   timebase::PerfectClock clock;
   RliReceiver receiver(ReceiverConfig{}, &clock);
   std::vector<double> estimates;
-  receiver.set_estimate_sink(
+  receiver.add_estimate_sink(
       [&](const RliReceiver::PacketEstimate& e) { estimates.push_back(e.estimate_ns); });
 
   // Left anchor with delay 2000; two regulars buffered, no closing reference.

@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "obs/event_trace.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace rlir::collect {
 namespace {
@@ -150,21 +151,35 @@ TEST(SloWatcherTest, PollChecksEachSealedEpochOnce) {
   EXPECT_EQ(watcher.checks(), 2u);
 }
 
-TEST(SloWatcherTest, EpochHookChecksThePreviousEpoch) {
-  obs::EventTrace trace;
-  SketchHistoryStore store;
-  feed(store, 4, 4, 2, /*slow_link=*/0, 40e3, 900e3);
+TEST(SloWatcherTest, CheckReadsTheWindowOnceNotOncePerFlow) {
+  // A check lists the window's flows with their merged sketches in one pass
+  // over the store. A per-flow window_flow() read would re-decode every raw
+  // record of the window once per flow, and leave one "flow" span each.
+  obs::SpanRecorder spans;
+  HistoryConfig history_cfg;
+  history_cfg.instruments.spans = &spans;
+  SketchHistoryStore store(history_cfg);
+  constexpr std::uint32_t kFlows = 16;
+  feed(store, 4, kFlows, 4, /*slow_link=*/1, 40e3, 900e3);
+
   SloWatcherConfig cfg;
   cfg.threshold_ns = 200e3;
   cfg.window_epochs = 4;
-  cfg.instruments.trace = &trace;
+  obs::MetricsRegistry registry;
+  cfg.instruments.registry = &registry;
   SloWatcher watcher(cfg, &store);
+  EXPECT_EQ(watcher.check(3).size(), kFlows / 4);  // the flows riding link 1
 
-  auto hook = watcher.make_epoch_hook();
-  hook(4);  // epoch 4 begins -> epoch 3 is the newest sealed one
-  EXPECT_EQ(watcher.checks(), 1u);
-  EXPECT_GT(watcher.violations(), 0u);
-  EXPECT_GT(trace.count(obs::EventKind::kSloViolation), 0u);
+  std::uint64_t flows_checked = 0;
+  for (const auto& sample : registry.snapshot().samples) {
+    if (sample.name == "rlir_slo_flows_checked_total") flows_checked = sample.counter;
+  }
+  EXPECT_EQ(flows_checked, kFlows);
+  std::size_t flow_reads = 0;
+  for (const auto& span : spans.snapshot().spans) {
+    if (span.kind == obs::SpanKind::kHistoryWindow && span.label == "flow") ++flow_reads;
+  }
+  EXPECT_EQ(flow_reads, 0u);
 }
 
 }  // namespace
