@@ -201,9 +201,7 @@ int run_partitioned(const std::vector<collect::EstimateRecord>& batch, std::uint
   // bench clock is already stopped either way.
   std::vector<obs::Scrape> scrapes;
   for (auto& agent : agents) scrapes.push_back(agent->scrape());
-  auto fleet = transport::merge_scrapes(scrapes);
-  obs::append_event_counters(fleet.metrics, fleet.events);
-  fleet_metrics_json() = obs::to_json(fleet.metrics);
+  fleet_metrics_json() = obs::to_json(transport::merge_scrapes(scrapes).metrics);
   return 0;
 }
 

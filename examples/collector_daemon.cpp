@@ -56,17 +56,15 @@ int usage(const char* argv0) {
 /// full scrapes (metrics queries or the --metrics exit dump).
 void print_health_line(rlir::transport::CollectorAgent& agent) {
   const auto stats = agent.stats();
-  const auto events = agent.events().snapshot();
   std::fprintf(stderr,
                "collector_daemon: epochs %llu  records %llu  flows %llu  conns %zu  "
-               "events[connect %llu disconnect %llu crc %llu shed %llu]\n",
+               "accepted %llu  closed %llu  protocol errors %llu\n",
                static_cast<unsigned long long>(stats.epochs),
                static_cast<unsigned long long>(stats.records_ingested),
                static_cast<unsigned long long>(stats.flows), agent.connection_count(),
-               static_cast<unsigned long long>(events.count(rlir::obs::EventKind::kConnect)),
-               static_cast<unsigned long long>(events.count(rlir::obs::EventKind::kDisconnect)),
-               static_cast<unsigned long long>(events.count(rlir::obs::EventKind::kCrcPoison)),
-               static_cast<unsigned long long>(events.count(rlir::obs::EventKind::kShed)));
+               static_cast<unsigned long long>(agent.connections_accepted()),
+               static_cast<unsigned long long>(agent.connections_closed()),
+               static_cast<unsigned long long>(stats.protocol_errors));
 }
 
 }  // namespace
@@ -139,11 +137,8 @@ int main(int argc, char** argv) {
       std::printf("collector_daemon: GET /metrics on %s\n",
                   http_listener->address().to_string().c_str());
       http = std::make_unique<transport::HttpMetricsServer>(
-          std::move(http_listener), [&agent] {
-            auto scrape = agent.scrape();
-            obs::append_event_counters(scrape.metrics, scrape.events);
-            return obs::to_prometheus(scrape.metrics);
-          });
+          std::move(http_listener),
+          [&agent] { return obs::to_prometheus(agent.scrape().metrics); });
       const auto started = std::chrono::steady_clock::now();
       http->add_route("/healthz", [&agent, started] {
         const auto uptime = std::chrono::duration_cast<std::chrono::seconds>(
@@ -236,11 +231,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.queries_answered),
                 static_cast<unsigned long long>(stats.protocol_errors));
     if (dump_metrics) {
-      // Same content a metrics query ships: registry + collector totals
-      // + event counters, in Prometheus text.
-      auto scrape = agent.scrape();
-      obs::append_event_counters(scrape.metrics, scrape.events);
-      std::fputs(obs::to_prometheus(scrape.metrics).c_str(), stdout);
+      // Same samples a metrics query ships: registry + collector totals, in
+      // Prometheus text.
+      std::fputs(obs::to_prometheus(agent.scrape().metrics).c_str(), stdout);
     }
     return 0;
   } catch (const std::exception& e) {

@@ -265,8 +265,7 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
   if (dump_metrics) {
     // The fleet roll-up a monitoring system would scrape: every agent's
     // registry merged (counters summed, histograms unioned bin-for-bin).
-    auto scrape = coord.fleet_metrics();
-    obs::append_event_counters(scrape.metrics, scrape.events);
+    const auto scrape = coord.fleet_metrics();
     std::printf("\n# fleet metrics (merged from %zu agents)\n", coord.connected_count());
     std::fputs(obs::to_prometheus(scrape.metrics).c_str(), stdout);
   }
@@ -276,11 +275,7 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
     // GET /metrics triggers a fresh kMetrics fan-out, so the scrape is live.
     auto http_listener = std::make_unique<transport::HttpMetricsServer>(
         std::make_unique<transport::SocketListener>(transport::SocketAddress::parse(http_text)),
-        [&coord] {
-          auto scrape = coord.fleet_metrics();
-          obs::append_event_counters(scrape.metrics, scrape.events);
-          return obs::to_prometheus(scrape.metrics);
-        });
+        [&coord] { return obs::to_prometheus(coord.fleet_metrics().metrics); });
     std::printf("\nserving merged GET /metrics on %s (Ctrl-C to exit)\n", http_text.c_str());
     std::fflush(stdout);
     std::signal(SIGINT, handle_signal);

@@ -132,7 +132,6 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
   auto fleet = transport::merge_scrapes(answered);
 
   if (prom || json) {
-    obs::append_event_counters(fleet.metrics, fleet.events);
     std::fputs(json ? obs::to_json(fleet.metrics, fleet.events).c_str()
                     : obs::to_prometheus(fleet.metrics).c_str(),
                stdout);
@@ -155,14 +154,18 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
                   obs::counter_total(fleet.metrics, "rlir_agent_queries_answered_total")),
               static_cast<unsigned long long>(
                   obs::counter_total(fleet.metrics, "rlir_agent_protocol_errors_total")));
-  std::printf("  events: connect %llu  disconnect %llu  shed %llu  crc %llu  "
-              "rebalance %llu  epoch-flush %llu  (dropped %llu)\n\n",
-              static_cast<unsigned long long>(fleet.events.count(obs::EventKind::kConnect)),
-              static_cast<unsigned long long>(fleet.events.count(obs::EventKind::kDisconnect)),
-              static_cast<unsigned long long>(fleet.events.count(obs::EventKind::kShed)),
-              static_cast<unsigned long long>(fleet.events.count(obs::EventKind::kCrcPoison)),
-              static_cast<unsigned long long>(fleet.events.count(obs::EventKind::kRebalance)),
-              static_cast<unsigned long long>(fleet.events.count(obs::EventKind::kEpochFlush)),
+  // Every kind an agent records is counted by an agent counter bumped at
+  // the same site; the ring itself only reports its evictions.
+  std::printf("  connections accepted %llu  closed %llu  slo violations %llu  "
+              "slow queries %llu  (events dropped %llu)\n\n",
+              static_cast<unsigned long long>(
+                  obs::counter_total(fleet.metrics, "rlir_agent_connections_accepted_total")),
+              static_cast<unsigned long long>(
+                  obs::counter_total(fleet.metrics, "rlir_agent_connections_closed_total")),
+              static_cast<unsigned long long>(
+                  obs::counter_total(fleet.metrics, "rlir_slo_violations_total")),
+              static_cast<unsigned long long>(
+                  obs::counter_total(fleet.metrics, "rlir_slow_queries_total")),
               static_cast<unsigned long long>(fleet.events.dropped));
 
   for (std::size_t i = 0; i < per_agent.size(); ++i) {
@@ -182,7 +185,8 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
                     obs::counter_total(s.metrics, "rlir_agent_epochs_total")),
                 static_cast<unsigned long long>(
                     obs::counter_total(s.metrics, "rlir_agent_connections_accepted_total")),
-                static_cast<unsigned long long>(s.events.count(obs::EventKind::kDisconnect)));
+                static_cast<unsigned long long>(
+                    obs::counter_total(s.metrics, "rlir_agent_connections_closed_total")));
   }
 
   // --- Where the scrape's time went, worst hop per stage: the coordinator's

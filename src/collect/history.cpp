@@ -35,9 +35,6 @@ SketchHistoryStore::SketchHistoryStore(HistoryConfig config)
     throw std::invalid_argument(
         "SketchHistoryStore: coarse_window must be a positive multiple of mid_window");
   }
-  if (config_.max_epoch_jump == 0) {
-    throw std::invalid_argument("SketchHistoryStore: max_epoch_jump must be >= 1");
-  }
   // Validates the accuracy range the same way every sketch consumer does.
   (void)common::LatencySketch(config_.sketch);
 
@@ -82,7 +79,7 @@ bool SketchHistoryStore::admit_epoch_locked(std::uint32_t epoch) {
     }
     return true;
   }
-  if (epoch - last_seen_ > config_.max_epoch_jump) return false;
+  if (epoch - last_seen_ > kMaxEpochJump) return false;
   while (last_seen_ < epoch) {
     raw_.push_back(new_segment_locked(++last_seen_));
     while (raw_.size() > config_.raw_epochs) {

@@ -70,9 +70,6 @@ struct HistoryConfig {
   std::size_t coarse_segments = 16;
   /// Hard footprint bound; exceeding it evicts oldest segments. 0 = none.
   std::size_t max_bytes = 64u << 20;
-  /// Forward epoch jumps larger than this are rejected as corrupt (one bad
-  /// wire epoch must not fast-forward away the whole history). Must be >= 1.
-  std::uint32_t max_epoch_jump = 1u << 16;
   /// Accuracy contract: ingest rejects records whose relative accuracy
   /// differs (same rule as the collectors'). Every retained and answered
   /// sketch uses this config.
@@ -104,6 +101,11 @@ struct WindowCoverage {
 
 class SketchHistoryStore {
  public:
+  /// Forward epoch jumps larger than this (past the newest epoch seen) are
+  /// rejected as corrupt and counted as dropped: one bad wire epoch must not
+  /// fast-forward away the whole history.
+  static constexpr std::uint32_t kMaxEpochJump = 1u << 16;
+
   /// Throws std::invalid_argument on an invalid config (see field rules).
   explicit SketchHistoryStore(HistoryConfig config = {});
 
@@ -170,8 +172,8 @@ class SketchHistoryStore {
   [[nodiscard]] std::uint64_t evictions() const;
   /// Records merged into an already-compacted segment.
   [[nodiscard]] std::uint64_t late_records() const;
-  /// Records rejected: older than everything retained, or an implausible
-  /// forward epoch jump.
+  /// Records rejected: older than everything retained, or a forward epoch
+  /// jump over kMaxEpochJump.
   [[nodiscard]] std::uint64_t dropped_records() const;
 
   [[nodiscard]] const HistoryConfig& config() const { return config_; }

@@ -22,9 +22,6 @@ SloWatcher::SloWatcher(SloWatcherConfig config, const SketchHistoryStore* histor
   if (config_.window_epochs == 0) {
     throw std::invalid_argument("SloWatcher: window_epochs must be >= 1");
   }
-  if (config_.max_flows_checked == 0) {
-    throw std::invalid_argument("SloWatcher: max_flows_checked must be >= 1");
-  }
   auto& r = obs_.registry();
   const obs::Labels base = obs_.labels();
   checks_ = r.counter("rlir_slo_checks_total", base);
@@ -38,7 +35,7 @@ std::vector<SloViolation> SloWatcher::check(std::uint32_t epoch) {
   checks_->increment();
 
   auto flows = history_->window_flow_sketches(first, epoch);
-  if (flows.size() > config_.max_flows_checked) flows.resize(config_.max_flows_checked);
+  if (flows.size() > kMaxFlowsChecked) flows.resize(kMaxFlowsChecked);
 
   std::vector<SloViolation> violations;
   for (const auto& [key, sketch] : flows) {
@@ -71,7 +68,7 @@ std::vector<SloViolation> SloWatcher::check(std::uint32_t epoch) {
     }
     localizer.add_segment("link" + std::to_string(link), probes);
   }
-  const auto findings = localizer.localize(config_.localization_factor);
+  const auto findings = localizer.localize(kLocalizationFactor);
 
   for (auto& v : violations) {
     v.findings = findings;

@@ -17,7 +17,8 @@
 //
 // Driving: check(epoch) evaluates one window, and poll() evaluates the
 // newest sealed epoch once; nothing else runs a check. A check reads the
-// window's flows in one pass over the store, not one pass per flow.
+// window's flows in one pass over the store, not one pass per flow, and
+// evaluates at most kMaxFlowsChecked of them.
 // Not itself thread-safe — drive it from one thread (the history store it
 // reads is internally locked).
 #pragma once
@@ -39,12 +40,6 @@ struct SloWatcherConfig {
   double threshold_ns = 0.0;
   /// Window length in epochs ending at the checked epoch. Must be >= 1.
   std::size_t window_epochs = 8;
-  /// Threshold factor handed to the RLIR localizer (segment median vs
-  /// cross-segment baseline).
-  double localization_factor = 3.0;
-  /// Evaluation bound per check: at most this many flows (the window's flow
-  /// list is sorted by key, so truncation is deterministic). Must be >= 1.
-  std::size_t max_flows_checked = 4096;
   /// Observability attachment: rlir_slo_checks_total /
   /// rlir_slo_violations_total / rlir_slo_flows_checked_total counters and
   /// kSloViolation trace events.
@@ -67,6 +62,13 @@ struct SloViolation {
 
 class SloWatcher {
  public:
+  /// Threshold factor handed to the RLIR localizer (segment median vs
+  /// cross-segment baseline).
+  static constexpr double kLocalizationFactor = 3.0;
+  /// Evaluation bound per check: at most this many flows (the window's flow
+  /// list is sorted by key, so truncation is deterministic).
+  static constexpr std::size_t kMaxFlowsChecked = 4096;
+
   /// Throws std::invalid_argument on a bad config or null history.
   SloWatcher(SloWatcherConfig config, const SketchHistoryStore* history);
 

@@ -14,7 +14,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kRebalance: return "rebalance";
     case EventKind::kFailBack: return "fail_back";
     case EventKind::kEpochFlush: return "epoch_flush";
-    case EventKind::kLog: return "log";
     case EventKind::kSloViolation: return "slo_violation";
     case EventKind::kSlowSpan: return "slow_span";
   }
@@ -31,7 +30,6 @@ void EventTrace::record(EventKind kind, std::uint64_t value, std::string_view de
   ev.detail.assign(detail.substr(0, kMaxDetail));
 
   std::lock_guard<std::mutex> lock(mu_);
-  counts_[static_cast<std::size_t>(kind) - 1] += 1;
   if (ring_.size() == capacity_) {
     ring_.pop_front();
     dropped_ += 1;
@@ -43,14 +41,8 @@ EventTraceSnapshot EventTrace::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   EventTraceSnapshot snap;
   snap.events.assign(ring_.begin(), ring_.end());
-  snap.counts = counts_;
   snap.dropped = dropped_;
   return snap;
-}
-
-std::uint64_t EventTrace::count(EventKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counts_[static_cast<std::size_t>(kind) - 1];
 }
 
 }  // namespace rlir::obs

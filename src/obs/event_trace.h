@@ -3,11 +3,14 @@
 // Metrics answer "how much"; the trace answers "what happened, in what
 // order" — the post-mortem companion. Components append one event per
 // notable transition (connect, shed, CRC poison, rebalance, ...); the ring
-// keeps the most recent `capacity` events and a total-ever counter per kind
-// so the scraper can tell "quiet" from "wrapped".
+// keeps the most recent `capacity` events and counts the ones it evicted,
+// so a reader can tell "quiet" from "wrapped".
+//
+// The ring is not a counter. Each event an agent records is counted by its
+// producer's registry counter, bumped at the same site (README,
+// "Observability", maps every kind to its counter).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -17,6 +20,8 @@
 
 namespace rlir::obs {
 
+/// Values are wire bytes (obs/wire.h); a decoded kind outside
+/// [1, kEventKindCount] is rejected.
 enum class EventKind : std::uint8_t {
   kConnect = 1,
   kDisconnect = 2,
@@ -26,13 +31,10 @@ enum class EventKind : std::uint8_t {
   kRebalance = 6,
   kFailBack = 7,
   kEpochFlush = 8,
-  /// Reserved, with no producer: kept so the scrape's per-kind count array,
-  /// and with it RLTF frame version 2, stays unchanged.
-  kLog = 9,
-  kSloViolation = 10,  ///< Windowed SLO breach detected by collect::SloWatcher.
-  kSlowSpan = 11,  ///< Span over the slow-query threshold (obs::SpanRecorder).
+  kSloViolation = 9,  ///< Windowed SLO breach detected by collect::SloWatcher.
+  kSlowSpan = 10,     ///< Span over the slow-query threshold (obs::SpanRecorder).
 };
-inline constexpr std::size_t kEventKindCount = 11;
+inline constexpr std::size_t kEventKindCount = 10;
 
 [[nodiscard]] const char* event_kind_name(EventKind kind);
 
@@ -49,15 +51,8 @@ struct Event {
 struct EventTraceSnapshot {
   /// Oldest first; at most the trace's capacity.
   std::vector<Event> events;
-  /// Total events ever recorded per kind (index = kind - 1), including ones
-  /// the ring has since dropped.
-  std::array<std::uint64_t, kEventKindCount> counts{};
   /// Events evicted from the ring (total recorded - events.size()).
   std::uint64_t dropped = 0;
-
-  [[nodiscard]] std::uint64_t count(EventKind kind) const {
-    return counts[static_cast<std::size_t>(kind) - 1];
-  }
 };
 
 class EventTrace {
@@ -75,16 +70,12 @@ class EventTrace {
 
   [[nodiscard]] EventTraceSnapshot snapshot() const;
 
-  /// Total events ever recorded for `kind` (survives ring eviction).
-  [[nodiscard]] std::uint64_t count(EventKind kind) const;
-
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::deque<Event> ring_;
-  std::array<std::uint64_t, kEventKindCount> counts_{};
   std::uint64_t dropped_ = 0;
 };
 

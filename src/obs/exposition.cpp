@@ -60,32 +60,6 @@ void append_prom_labels(std::string& out, const Labels& labels,
   out += '}';
 }
 
-void append_json_escaped(std::string& out, std::string_view v) {
-  for (char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_json_string(std::string& out, std::string_view v) {
-  out += '"';
-  append_json_escaped(out, v);
-  out += '"';
-}
-
 /// Sorted view over the samples: callers may have appended synthetic rows
 /// out of order, and Prometheus TYPE grouping needs name-adjacency.
 [[nodiscard]] std::vector<const MetricSample*> sorted_view(const MetricsSnapshot& snap) {
@@ -122,14 +96,47 @@ void append_counter(MetricsSnapshot& snap, std::string name, Labels labels,
   snap.samples.push_back(std::move(sample));
 }
 
-void append_event_counters(MetricsSnapshot& snap, const EventTraceSnapshot& trace,
-                           const Labels& base_labels) {
-  for (std::size_t i = 0; i < kEventKindCount; ++i) {
-    Labels labels = base_labels;
-    labels.emplace_back("kind", event_kind_name(static_cast<EventKind>(i + 1)));
-    append_counter(snap, "rlir_events_total", std::move(labels), trace.counts[i]);
+void append_json_string(std::string& out, std::string_view v) {
+  out += '"';
+  for (char c : v) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned char>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
   }
-  append_counter(snap, "rlir_events_dropped_total", base_labels, trace.dropped);
+  out += '"';
+}
+
+void append_json_events(std::string& out, const EventTraceSnapshot& trace) {
+  out += "\"events\":{\"dropped\":";
+  out += std::to_string(trace.dropped);
+  out += ",\"recent\":[";
+  bool first = true;
+  for (const Event& ev : trace.events) {
+    if (!first) out += ',';
+    first = false;
+    out += "{\"kind\":\"";
+    out += event_kind_name(ev.kind);
+    out += "\",\"ts_ns\":";
+    out += std::to_string(ev.ts_ns);
+    out += ",\"value\":";
+    out += std::to_string(ev.value);
+    out += ",\"detail\":";
+    append_json_string(out, ev.detail);
+    out += '}';
+  }
+  out += "]}";
 }
 
 std::string to_prometheus(const MetricsSnapshot& snap) {
@@ -277,36 +284,6 @@ void append_json_metrics(std::string& out, const MetricsSnapshot& snap) {
     out += '}';
   }
   out += ']';
-}
-
-void append_json_events(std::string& out, const EventTraceSnapshot& trace) {
-  out += "\"events\":{\"counts\":{";
-  bool first = true;
-  for (std::size_t i = 0; i < kEventKindCount; ++i) {
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, event_kind_name(static_cast<EventKind>(i + 1)));
-    out += ':';
-    out += std::to_string(trace.counts[i]);
-  }
-  out += "},\"dropped\":";
-  out += std::to_string(trace.dropped);
-  out += ",\"recent\":[";
-  first = true;
-  for (const Event& ev : trace.events) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"kind\":\"";
-    out += event_kind_name(ev.kind);
-    out += "\",\"ts_ns\":";
-    out += std::to_string(ev.ts_ns);
-    out += ",\"value\":";
-    out += std::to_string(ev.value);
-    out += ",\"detail\":";
-    append_json_string(out, ev.detail);
-    out += '}';
-  }
-  out += "]}";
 }
 
 }  // namespace

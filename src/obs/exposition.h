@@ -9,11 +9,14 @@
 //     cannot (exact bins, min/max, the event ring with timestamps).
 //
 // Writers sort internally by (name, labels); callers may append synthetic
-// samples (append_counter / append_event_counters) in any order.
+// samples (append_counter) in any order. The JSON string and events
+// writers are exported so every JSON document in obs/ (the Chrome trace,
+// the flight-recorder dump) escapes and renders the same way.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "obs/event_trace.h"
 #include "obs/metrics.h"
@@ -26,12 +29,13 @@ namespace rlir::obs {
 void append_counter(MetricsSnapshot& snap, std::string name, Labels labels,
                     std::uint64_t value);
 
-/// Folds the trace's total-ever per-kind counters into the snapshot as
-/// rlir_events_total{kind="..."} (+ rlir_events_dropped_total), so event
-/// activity is visible to a counters-only scraper and participates in the
-/// coordinator merge like any other counter.
-void append_event_counters(MetricsSnapshot& snap, const EventTraceSnapshot& trace,
-                           const Labels& base_labels = {});
+/// Appends `v` as a quoted JSON string: backslash, quote and control
+/// characters escaped, every other byte copied as-is.
+void append_json_string(std::string& out, std::string_view v);
+
+/// Appends "events":{"dropped":N,"recent":[{"kind","ts_ns","value",
+/// "detail"}...]} — the ring, oldest first, and its eviction count.
+void append_json_events(std::string& out, const EventTraceSnapshot& trace);
 
 /// Prometheus text exposition of the snapshot. Histograms expose cumulative
 /// buckets: le="0" for the sketch zero bin, one bucket per sketch bin at its
@@ -43,7 +47,7 @@ void append_event_counters(MetricsSnapshot& snap, const EventTraceSnapshot& trac
 [[nodiscard]] std::string to_json(const MetricsSnapshot& snap);
 
 /// JSON object {"metrics":[...],"events":{...}} — the full observability
-/// state of one component: metrics plus event counts and the recent ring.
+/// state of one component: metrics plus the event ring.
 [[nodiscard]] std::string to_json(const MetricsSnapshot& snap,
                                   const EventTraceSnapshot& trace);
 

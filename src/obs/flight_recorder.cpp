@@ -1,36 +1,10 @@
 #include "obs/flight_recorder.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
+#include "obs/exposition.h"
+
 namespace rlir::obs {
-
-namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(const SpanRecorder* spans, const EventTrace* events, Sink sink)
     : spans_(spans), events_(events), sink_(std::move(sink)) {}
@@ -38,39 +12,24 @@ FlightRecorder::FlightRecorder(const SpanRecorder* spans, const EventTrace* even
 std::string FlightRecorder::dump(const std::string& reason) const {
   std::string out = "{\"reason\":";
   append_json_string(out, reason);
-  char buf[160];
-  std::snprintf(buf, sizeof buf, ",\"ts_ns\":%" PRId64, SpanRecorder::now_ns());
-  out += buf;
+  out += ",\"ts_ns\":";
+  out += std::to_string(SpanRecorder::now_ns());
 
   if (events_ != nullptr) {
-    const EventTraceSnapshot ev = events_->snapshot();
-    std::snprintf(buf, sizeof buf, ",\"events\":{\"dropped\":%" PRIu64 ",\"recent\":[",
-                  ev.dropped);
-    out += buf;
-    bool first = true;
-    for (const auto& e : ev.events) {
-      if (!first) out += ',';
-      first = false;
-      std::snprintf(buf, sizeof buf,
-                    "\n{\"kind\":\"%s\",\"ts_ns\":%" PRId64 ",\"value\":%" PRIu64
-                    ",\"detail\":",
-                    event_kind_name(e.kind), e.ts_ns, e.value);
-      out += buf;
-      append_json_string(out, e.detail);
-      out += '}';
-    }
-    out += "]}";
+    out += ',';
+    append_json_events(out, events_->snapshot());
   }
 
   if (spans_ != nullptr) {
     const SpanRecorderSnapshot snap = spans_->snapshot();
-    std::snprintf(buf, sizeof buf,
-                  ",\"spans\":{\"dropped\":%" PRIu64 ",\"total\":%" PRIu64 ",\"chrome_trace\":",
-                  snap.dropped, snap.total);
-    out += buf;
+    out += ",\"spans\":{\"dropped\":";
+    out += std::to_string(snap.dropped);
+    out += ",\"total\":";
+    out += std::to_string(snap.total);
+    out += ",\"chrome_trace\":";
     out += to_chrome_trace(snap.spans, "flight");
     // to_chrome_trace ends with a newline; keep the document compact.
-    if (!out.empty() && out.back() == '\n') out.pop_back();
+    out.pop_back();
     out += '}';
   }
 

@@ -4,7 +4,8 @@
 // A FlightRecorder borrows a process's SpanRecorder and EventTrace and, on
 // trigger (SloWatcher violation, conservation counter gone negative, an
 // operator signal), renders one self-contained JSON document: the trigger
-// reason, the recent events, and the span ring as an embedded Chrome trace.
+// reason, the event ring (obs::append_json_events, as in to_json), and the
+// span ring as an embedded Chrome trace.
 // Where it goes is the caller's business — a sink callback writes it to a
 // file, stderr, or a test's capture buffer.
 //

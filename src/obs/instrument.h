@@ -67,13 +67,6 @@ class Instrumented {
     return l;
   }
 
-  /// labels() plus one extra pair — the common "base + one dimension" case.
-  [[nodiscard]] Labels labels_with(std::string key, std::string value) const {
-    Labels l = labels();
-    l.emplace_back(std::move(key), std::move(value));
-    return l;
-  }
-
   /// An Instruments a parent passes to a child so it shares this
   /// component's registry/trace under its own instance id.
   [[nodiscard]] Instruments child(std::string child_id) const {

@@ -6,6 +6,8 @@
 #include <random>
 #include <utility>
 
+#include "obs/exposition.h"
+
 namespace rlir::obs {
 
 const char* span_kind_name(SpanKind kind) {
@@ -120,22 +122,15 @@ std::uint64_t SpanRecorder::record(Span span) {
   return id;
 }
 
-SpanRecorderSnapshot SpanRecorder::snapshot() const {
+SpanRecorderSnapshot SpanRecorder::snapshot(std::uint64_t trace_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   SpanRecorderSnapshot snap;
-  snap.spans.assign(ring_.begin(), ring_.end());
+  for (const auto& span : ring_) {
+    if (trace_id == 0 || span.trace_id == trace_id) snap.spans.push_back(span);
+  }
   snap.dropped = dropped_;
   snap.total = total_;
   return snap;
-}
-
-std::vector<Span> SpanRecorder::for_trace(std::uint64_t trace_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Span> out;
-  for (const auto& span : ring_) {
-    if (span.trace_id == trace_id) out.push_back(span);
-  }
-  return out;
 }
 
 void SpanRecorder::bind_metrics(MetricsRegistry* registry, const Labels& base_labels) {
@@ -194,26 +189,6 @@ void SpanTimer::finish() {
 
 namespace {
 
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_span_event(std::string& out, const Span& span, std::size_t pid, bool* first) {
   if (!*first) out += ",\n";
   *first = false;
@@ -222,14 +197,14 @@ void append_span_event(std::string& out, const Span& span, std::size_t pid, bool
   std::snprintf(buf, sizeof buf,
                 "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
                 "\"pid\":%zu,\"tid\":1,\"args\":{\"trace_id\":\"%" PRIx64
-                "\",\"span_id\":\"%" PRIx64 "\",\"parent_id\":\"%" PRIx64 "\",\"label\":\"",
+                "\",\"span_id\":\"%" PRIx64 "\",\"parent_id\":\"%" PRIx64 "\",\"label\":",
                 span_kind_name(span.kind), span_kind_stage(span.kind),
                 static_cast<double>(span.start_ns) / 1e3,
                 static_cast<double>(span.duration_ns() > 0 ? span.duration_ns() : 0) / 1e3,
                 pid, span.trace_id, span.span_id, span.parent_id);
   out += buf;
-  append_json_escaped(out, span.label);
-  out += "\"}}";
+  append_json_string(out, span.label);
+  out += "}}";
 }
 
 void append_process_name(std::string& out, const std::string& name, std::size_t pid,
@@ -239,11 +214,11 @@ void append_process_name(std::string& out, const std::string& name, std::size_t 
   char buf[96];
   std::snprintf(buf, sizeof buf,
                 "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%zu,\"tid\":1,"
-                "\"args\":{\"name\":\"",
+                "\"args\":{\"name\":",
                 pid);
   out += buf;
-  append_json_escaped(out, name);
-  out += "\"}}";
+  append_json_string(out, name);
+  out += "}}";
 }
 
 }  // namespace

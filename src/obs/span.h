@@ -115,9 +115,9 @@ class SpanRecorder {
   /// when over threshold. Returns the span's id.
   std::uint64_t record(Span span);
 
-  [[nodiscard]] SpanRecorderSnapshot snapshot() const;
-  /// The retained spans of one trace, oldest first.
-  [[nodiscard]] std::vector<Span> for_trace(std::uint64_t trace_id) const;
+  /// The ring, oldest first; with a nonzero `trace_id`, only that trace's
+  /// spans (filtered under the lock). dropped/total always cover the ring.
+  [[nodiscard]] SpanRecorderSnapshot snapshot(std::uint64_t trace_id = 0) const;
 
   /// Registers the per-stage self-latency histograms
   /// (rlir_stage_ns{stage=...}) and rlir_slow_queries_total into `registry`
@@ -185,7 +185,8 @@ class SpanTimer {
 // --- Chrome trace_event export ---------------------------------------------
 // https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 // "X" complete events (ts/dur in microseconds), one pid per process, so a
-// dump loads straight into chrome://tracing or Perfetto.
+// dump loads straight into chrome://tracing or Perfetto. Strings go through
+// obs::append_json_string, the one JSON escaper in obs/.
 
 /// One process's spans as a complete Chrome trace JSON document.
 [[nodiscard]] std::string to_chrome_trace(const std::vector<Span>& spans,

@@ -66,7 +66,7 @@ void need(const std::uint8_t* p, const std::uint8_t* end, std::size_t n) {
 }
 
 [[nodiscard]] std::size_t events_wire_size(const EventTraceSnapshot& t) {
-  std::size_t n = kEventKindCount * 8 + 8 + 4;
+  std::size_t n = 8 + 4;
   for (const auto& ev : t.events) n += 1 + 8 + 8 + str_wire_size(ev.detail);
   return n;
 }
@@ -106,7 +106,6 @@ void encode_scrape(std::vector<std::uint8_t>& out, const Scrape& scrape) {
     }
   }
 
-  for (std::uint64_t c : scrape.events.counts) put<std::uint64_t>(p, c);
   put<std::uint64_t>(p, scrape.events.dropped);
   put<std::uint32_t>(p, static_cast<std::uint32_t>(scrape.events.events.size()));
   for (const auto& ev : scrape.events.events) {
@@ -165,8 +164,7 @@ Scrape decode_scrape(const std::uint8_t*& p, const std::uint8_t* end) {
     scrape.metrics.samples.push_back(std::move(s));
   }
 
-  need(p, end, kEventKindCount * 8 + 8 + 4);
-  for (auto& c : scrape.events.counts) c = take<std::uint64_t>(p);
+  need(p, end, 8 + 4);
   scrape.events.dropped = take<std::uint64_t>(p);
   const auto event_count = take<std::uint32_t>(p);
   if (event_count > kMaxEvents) {

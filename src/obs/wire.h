@@ -7,14 +7,16 @@
 //   scrape:  u32 sample_count | sample... | events
 //   sample:  u8 kind | str name | u32 label_count | (str key, str value)...
 //            | u64 counter / i64 gauge / sketch segment (by kind)
-//   events:  kEventKindCount (11) x u64 per-kind totals | u64 dropped
-//            | u32 event_count | (u8 kind | i64 ts_ns | u64 value | str detail)...
+//   events:  u64 dropped | u32 event_count
+//            | (u8 kind | i64 ts_ns | u64 value | str detail)...
 //
 // The sketch segment reuses the estimate-record format
 // (collect::encode_sketch), so histogram scrapes merge bin-for-bin exactly
-// like every other sketch in the system. Decoding is bounds-checked and
-// throws std::runtime_error on truncated or implausible input, matching the
-// transport tier's corruption-guard convention.
+// like every other sketch in the system. The events segment is the ring
+// and its eviction count; event totals are counters in the samples. Decoding
+// is bounds-checked and throws std::runtime_error on truncated or
+// implausible input, matching the transport tier's corruption-guard
+// convention.
 #pragma once
 
 #include <cstdint>

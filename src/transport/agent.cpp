@@ -65,10 +65,9 @@ void CollectorAgent::add_connection(std::unique_ptr<ByteStream> stream) {
   auto conn = std::make_unique<Connection>();
   conn->stream = std::move(stream);
   connections_.push_back(std::move(conn));
-  accepted_ += 1;
   c_.connections_accepted->increment();
   c_.connections->set(static_cast<std::int64_t>(connections_.size()));
-  obs_.trace().record(obs::EventKind::kConnect, accepted_, obs_.id());
+  obs_.trace().record(obs::EventKind::kConnect, c_.connections_accepted->value(), obs_.id());
 }
 
 std::size_t CollectorAgent::poll() {
@@ -89,9 +88,9 @@ std::size_t CollectorAgent::poll() {
       connections_.begin(), connections_.end(),
       [this](const std::unique_ptr<Connection>& c) {
         if (c->dead) {
-          closed_ += 1;
           c_.connections_closed->increment();
-          obs_.trace().record(obs::EventKind::kDisconnect, closed_, obs_.id());
+          obs_.trace().record(obs::EventKind::kDisconnect, c_.connections_closed->value(),
+                              obs_.id());
         }
         return c->dead;
       });
@@ -292,13 +291,7 @@ QueryReply CollectorAgent::answer(const Query& query) {
     case Target::kSpans:
       // No recorder attached -> empty ring, honestly: count 0, total 0.
       reply.body = ReplyBody::kSpans;
-      if (spans_ == nullptr) break;
-      reply.spans = spans_->snapshot();
-      if (query.trace.valid()) {
-        std::erase_if(reply.spans.spans, [&](const obs::Span& s) {
-          return s.trace_id != query.trace.trace_id;
-        });
-      }
+      if (spans_ != nullptr) reply.spans = spans_->snapshot(query.trace.trace_id);
       break;
   }
   return reply;

@@ -125,8 +125,12 @@ class CollectorAgent {
   [[nodiscard]] obs::EventTrace& events() const { return obs_.trace(); }
 
   [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
-  [[nodiscard]] std::uint64_t connections_accepted() const { return accepted_; }
-  [[nodiscard]] std::uint64_t connections_closed() const { return closed_; }
+  [[nodiscard]] std::uint64_t connections_accepted() const {
+    return c_.connections_accepted->value();
+  }
+  [[nodiscard]] std::uint64_t connections_closed() const {
+    return c_.connections_closed->value();
+  }
   [[nodiscard]] std::uint64_t protocol_errors() const { return c_.protocol_errors->value(); }
 
  private:
@@ -161,11 +165,6 @@ class CollectorAgent {
   collect::ShardedCollector collector_;
   std::unique_ptr<Listener> listener_;
   std::vector<std::unique_ptr<Connection>> connections_;
-
-  /// Connection counts stay plain members (single poll thread): they are
-  /// the event values of connect/disconnect records.
-  std::uint64_t accepted_ = 0;
-  std::uint64_t closed_ = 0;
 
   struct Cells {
     obs::Gauge* connections;

@@ -166,8 +166,8 @@ bool CollectorClient::ensure_connected() {
   auto stream = factory_();
   if (stream == nullptr || stream->closed()) {
     c_.connect_failures->increment();
-    backoff_ = backoff_ == 0 ? config_.reconnect_backoff_initial
-                             : std::min(backoff_ * 2, config_.reconnect_backoff_max);
+    backoff_ = backoff_ == 0 ? kBackoffInitialPumps
+                             : std::min(backoff_ * 2, kBackoffMaxPumps);
     backoff_countdown_ = backoff_;
     return false;
   }
@@ -305,9 +305,9 @@ std::optional<QueryReply> CollectorClient::poll_reply() {
     if (n == 0) break;
     reply_decoder_.feed(reply_chunk_.data(), n);
   }
-  std::optional<Frame> frame;
+  std::optional<FrameView> frame;
   try {
-    frame = reply_decoder_.next();
+    frame = reply_decoder_.next_view();
   } catch (const FrameError&) {
     // A peer speaking garbage is indistinguishable from corruption: drop
     // the connection (reconnect machinery takes over) and rethrow.
@@ -323,7 +323,7 @@ std::optional<QueryReply> CollectorClient::poll_reply() {
   query_outstanding_ = false;
   c_.replies_received->increment();
   finish_query_span(nullptr);
-  return decode_reply(frame->payload.data(), frame->payload.size());
+  return decode_reply(frame->payload, frame->size);
 }
 
 std::optional<QueryReply> CollectorClient::query(const Query& q, std::size_t max_rounds,

@@ -49,12 +49,6 @@ struct CollectorClientConfig {
   /// finalizations and header decodes per record on the agent side). Must
   /// be > 0.
   std::size_t coalesce_bytes = 256u << 10;
-  /// pump() calls to wait before the first reconnect attempt after a dial
-  /// failure; doubles per failure up to reconnect_backoff_max. Counted in
-  /// pump() calls (not wall time) so backoff is deterministic under test
-  /// and paces with the driving cadence in deployment.
-  std::uint32_t reconnect_backoff_initial = 1;
-  std::uint32_t reconnect_backoff_max = 64;
   /// Observability attachment (see obs/instrument.h). Null members = the
   /// client owns a private registry/trace; stats() works either way.
   obs::Instruments instruments;
@@ -65,6 +59,13 @@ class CollectorClient {
   /// Dials (and re-dials) the agent. Returning nullptr = attempt failed,
   /// consume backoff and retry later.
   using StreamFactory = std::function<std::unique_ptr<ByteStream>()>;
+
+  /// pump() calls to wait before the first reconnect attempt after a dial
+  /// failure; doubles per failure up to kBackoffMaxPumps. Counted in pump()
+  /// calls (not wall time) so backoff is deterministic under test and paces
+  /// with the driving cadence in deployment.
+  static constexpr std::uint32_t kBackoffInitialPumps = 1;
+  static constexpr std::uint32_t kBackoffMaxPumps = 64;
 
   /// Throws std::invalid_argument on a zero cap/coalesce size or a null
   /// factory. Dials eagerly; a failed first dial just starts the backoff.
@@ -100,9 +101,10 @@ class CollectorClient {
   /// while one is pending throws std::logic_error.
   void send_query(const Query& query);
 
-  /// Nonblocking: reads reply bytes if any arrived; returns the decoded
-  /// reply once complete. Malformed reply bytes throw FrameError /
-  /// std::runtime_error (the stream is then closed).
+  /// Nonblocking: reads reply bytes if any arrived; returns the reply once
+  /// its frame is complete, decoded straight from the decoder's borrowed
+  /// payload. Malformed reply bytes throw FrameError / std::runtime_error
+  /// (the stream is then closed).
   [[nodiscard]] std::optional<QueryReply> poll_reply();
 
   /// The one send-and-wait loop: send, then up to `max_rounds` rounds of

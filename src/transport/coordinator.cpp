@@ -51,10 +51,6 @@ obs::Scrape merge_scrapes(const std::vector<obs::Scrape>& parts) {
   snaps.reserve(parts.size());
   for (const auto& part : parts) {
     snaps.push_back(part.metrics);
-    for (std::size_t i = 0; i < obs::kEventKindCount; ++i) {
-      merged.events.counts[i] =
-          obs::saturating_add_u64(merged.events.counts[i], part.events.counts[i]);
-    }
     merged.events.dropped = obs::saturating_add_u64(merged.events.dropped, part.events.dropped);
   }
   merged.metrics = obs::merge_snapshots(snaps);
@@ -169,7 +165,7 @@ QueryCoordinator::QueryCoordinator(QueryCoordinatorConfig config)
 std::size_t QueryCoordinator::add_agent(StreamFactory factory) {
   // Agent-facing clients share the coordinator's registry/trace under child
   // ids, so the coordinator's own scrape shows per-agent-link health.
-  CollectorClientConfig cfg = config_.client;
+  CollectorClientConfig cfg;
   cfg.instruments = obs_.child("agent" + std::to_string(clients_.size()));
   clients_.push_back(std::make_unique<CollectorClient>(cfg, std::move(factory)));
   return clients_.size() - 1;
@@ -213,7 +209,7 @@ std::vector<std::optional<QueryReply>> QueryCoordinator::fan_out(const Query& qu
   merge.kind = obs::SpanKind::kCoordMerge;
   merge.start_ns = obs::SpanRecorder::now_ns();
   merge.label = query_name(query);
-  last_trace_id_ = merge.trace_id;
+  last_merge_ = obs::TraceContext{merge.trace_id, merge.span_id};
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     obs::Span leg;
     leg.trace_id = merge.trace_id;
@@ -235,7 +231,7 @@ std::vector<std::optional<QueryReply>> QueryCoordinator::fan_out(const Query& qu
 }
 
 AssembledTrace QueryCoordinator::collect_trace(std::uint64_t trace_id) {
-  if (trace_id == 0) trace_id = last_trace_id_;
+  if (trace_id == 0) trace_id = last_merge_.trace_id;
   AssembledTrace out;
   out.trace_id = trace_id;
   auto replies = fan_out(Query{.target = Target::kSpans, .trace = {trace_id, 0}});
@@ -243,8 +239,7 @@ AssembledTrace QueryCoordinator::collect_trace(std::uint64_t trace_id) {
   // spans (clients share this recorder). The pull above added nothing to it:
   // a span pull is untraced end to end.
   if (spans_ != nullptr) {
-    out.processes.emplace_back(
-        "coordinator", trace_id != 0 ? spans_->for_trace(trace_id) : spans_->snapshot().spans);
+    out.processes.emplace_back("coordinator", spans_->snapshot(trace_id).spans);
   }
   for (std::size_t i = 0; i < replies.size(); ++i) {
     if (!replies[i].has_value()) continue;
@@ -276,15 +271,18 @@ std::vector<collect::RankedFlowSummary> QueryCoordinator::top_k_ranked(std::size
     }
   }
   // Duplicates (a flow with records on several agents) are resolved from
-  // the flow's exact merged sketch — never double-counted.
-  return merge_ranked_top_k(parts, k,
-                            [this, q](const net::FiveTuple& key)
-                                -> std::optional<collect::RankedFlowSummary> {
-                              auto sketch = flow_sketch(key);
-                              if (!sketch.has_value()) return std::nullopt;
-                              return collect::RankedFlowSummary{
-                                  sketch->quantile(q), collect::summarize(key, *sketch)};
-                            });
+  // the flow's exact merged sketch — never double-counted. The resolving
+  // fan-outs carry this top-k's merge span as their parent, so they join
+  // its trace instead of starting their own (untraced, the context is empty).
+  const obs::TraceContext top_k = last_merge_;
+  const auto resolve = [&](const net::FiveTuple& key)
+      -> std::optional<collect::RankedFlowSummary> {
+    auto sketch = only_entry(merge_sketch_replies(
+        fan_out(Query{.target = Target::kFlow, .flow = key, .trace = top_k})));
+    if (!sketch.has_value()) return std::nullopt;
+    return collect::RankedFlowSummary{sketch->quantile(q), collect::summarize(key, *sketch)};
+  };
+  return merge_ranked_top_k(parts, k, resolve);
 }
 
 std::vector<collect::FlowSummary> QueryCoordinator::top_k_flows(std::size_t k, double q) {

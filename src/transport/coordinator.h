@@ -10,10 +10,11 @@
 //     from the sketches they ship, then merged under the shared
 //     worst-first ordering; a flow that (exceptionally) appears in several
 //     agents' lists is re-resolved from its merged flow sketch instead of
-//     double-counted;
+//     double-counted (a flow fan-out that joins the top-k's trace);
 //   * quantiles -> computed from the MERGED sketch (quantiles don't merge;
 //     bins do), so a flow split across agents still answers exactly;
-//   * scrapes -> counters sum (saturating), gauges max, histograms union.
+//   * scrapes -> counters sum (saturating), gauges max, histograms union;
+//     ring evictions sum.
 //
 // Exactness contract: answers are bin-for-bin identical to a single
 // collector that ingested every record the queried agents ingested. For
@@ -72,10 +73,11 @@ using FlowResolver =
     const FlowResolver& resolve = {});
 
 /// Fleet roll-up of per-agent scrapes: counters sum (saturating), gauges
-/// max, histograms sketch-union (obs::merge_snapshots); event COUNTS and
-/// drops sum element-wise, while the merged `events.events` list stays
-/// empty — per-event detail belongs to the per-agent breakdown, not the
-/// roll-up.
+/// max, histograms sketch-union (obs::merge_snapshots); the rings' drops
+/// sum (saturating), while the merged `events.events` list stays empty —
+/// per-event detail belongs to the per-agent breakdown, not the roll-up.
+/// Event totals are counters (rlir_agent_connections_accepted_total, ...),
+/// so they sum with the rest.
 [[nodiscard]] obs::Scrape merge_scrapes(const std::vector<obs::Scrape>& parts);
 
 /// A window query's merged fleet answer: the exact bin-for-bin union of
@@ -112,15 +114,13 @@ struct AssembledTrace {
 // --- The coordinator -------------------------------------------------------
 
 struct QueryCoordinatorConfig {
-  /// Per-agent connection behavior. Record-plane fields are irrelevant
-  /// (the coordinator never ships batches); reconnect/backoff apply.
-  CollectorClientConfig client;
   /// Pump/poll rounds to wait per agent reply before declaring the agent
   /// unreachable for this fan-out. With a drive hook each round is one
   /// drive; without one each round sleeps ~100us (socket deployments).
   std::size_t reply_rounds = 20000;
   /// Observability attachment (see obs/instrument.h). Agent-facing clients
-  /// report into the same registry/trace under child ids "agent0", ...
+  /// run with a default CollectorClientConfig and report into the same
+  /// registry/trace under child ids "agent0", ...
   obs::Instruments instruments;
 };
 
@@ -195,8 +195,9 @@ class QueryCoordinator {
   [[nodiscard]] AssembledTrace collect_trace(std::uint64_t trace_id = 0);
 
   /// Trace id of the most recent traced fan-out (0 before the first one, or
-  /// when tracing is off).
-  [[nodiscard]] std::uint64_t last_trace_id() const { return last_trace_id_; }
+  /// when tracing is off). A top-k that resolves a duplicate flow stays the
+  /// last trace: its resolving flow fan-outs join it as children.
+  [[nodiscard]] std::uint64_t last_trace_id() const { return last_merge_.trace_id; }
 
   /// Per-agent metric/event scrapes (Target::kMetrics fan-out); nullopt for
   /// agents that didn't answer. The rlir_agent_*_total counters (records,
@@ -204,7 +205,7 @@ class QueryCoordinator {
   /// read through obs::counter_total.
   [[nodiscard]] std::vector<std::optional<obs::Scrape>> per_agent_scrapes();
   /// The reachable fleet's merged scrape (merge_scrapes over the answers):
-  /// counters sum, gauges max, histograms union bin-for-bin, event counts
+  /// counters sum, gauges max, histograms union bin-for-bin, ring drops
   /// sum. Equals the element-wise merge of per_agent_scrapes().
   [[nodiscard]] obs::Scrape fleet_metrics();
 
@@ -245,7 +246,8 @@ class QueryCoordinator {
   /// via child(), so their query spans land in the same ring as the
   /// coordinator's merge/leg spans.
   obs::SpanRecorder* spans_ = nullptr;
-  std::uint64_t last_trace_id_ = 0;
+  /// The merge span of the most recent traced fan-out (empty when untraced).
+  obs::TraceContext last_merge_;
   std::vector<std::unique_ptr<CollectorClient>> clients_;
   std::function<void()> drive_;
   /// Registry cells backing Stats (names rlir_coord_<field>_total).

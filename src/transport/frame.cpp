@@ -58,15 +58,6 @@ void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
   buffer_.insert(buffer_.end(), data, data + size);
 }
 
-std::optional<Frame> FrameDecoder::next() {
-  auto view = next_view();
-  if (!view) return std::nullopt;
-  Frame frame;
-  frame.type = view->type;
-  frame.payload.assign(view->payload, view->payload + view->size);
-  return frame;
-}
-
 // Byte layout, CRC coverage, and the poisoning rules enforced here are
 // specified in docs/WIRE.md ("RLTF framing").
 std::optional<FrameView> FrameDecoder::next_view() {

@@ -13,9 +13,10 @@
 // a corrupted length is caught by the length guard before any allocation.
 //
 // FrameDecoder is incremental: feed it whatever read_some produced, pop
-// complete frames as they materialize. Malformed input throws FrameError;
-// the only safe recovery on a byte stream with no resync marks is to drop
-// the connection, which is what the agent does.
+// complete frames as they materialize with next_view(), the one way to pop
+// a frame (its payload borrows the decoder's buffer). Malformed input
+// throws FrameError; the only safe recovery on a byte stream with no resync
+// marks is to drop the connection, which is what both ends do.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +28,10 @@
 namespace rlir::transport {
 
 /// Bumped whenever a payload layout changes incompatibly (2: the query
-/// codec in transport/messages.h); a peer on any other version is refused at
+/// codec in transport/messages.h; 3: the scrape's events segment lost its
+/// per-kind totals, obs/wire.h); a peer on any other version is refused at
 /// its first frame.
-inline constexpr std::uint8_t kFrameVersion = 2;
+inline constexpr std::uint8_t kFrameVersion = 3;
 
 /// Header bytes preceding every payload: magic(4) + version(1) + type(1) +
 /// reserved(2) + length(4) + crc(4).
@@ -47,11 +49,6 @@ enum class FrameType : std::uint8_t {
   kQuery = 2,
   /// The answer to the connection's oldest unanswered kQuery.
   kQueryReply = 3,
-};
-
-struct Frame {
-  FrameType type = FrameType::kRecordBatch;
-  std::vector<std::uint8_t> payload;
 };
 
 /// A complete frame whose payload is borrowed from the decoder's buffer
@@ -81,19 +78,15 @@ class FrameError : public std::runtime_error {
 class FrameDecoder {
  public:
   /// Appends raw stream bytes (any chunk size, including one byte at a
-  /// time). Cheap; parsing happens in next().
+  /// time). Cheap; parsing happens in next_view().
   void feed(const std::uint8_t* data, std::size_t size);
 
   /// Pops the next complete frame, or nullopt when the buffered bytes end
-  /// mid-frame (feed more). Throws FrameError on malformed input; after a
-  /// throw the decoder is poisoned and every later next() rethrows — drop
+  /// mid-frame (feed more). The payload borrows the decoder's buffer (valid
+  /// until the next feed()): the agent decodes records and the client its
+  /// reply straight out of it. Throws FrameError on malformed input; after
+  /// a throw the decoder is poisoned and every later call rethrows — drop
   /// the connection.
-  [[nodiscard]] std::optional<Frame> next();
-
-  /// Zero-copy next(): identical validation and poisoning, but the returned
-  /// payload borrows the decoder's buffer instead of copying out of it
-  /// (valid until the next feed()). The ingest hot path decodes records
-  /// straight out of this borrow.
   [[nodiscard]] std::optional<FrameView> next_view();
 
   /// Bytes buffered but not yet consumed by a complete frame.

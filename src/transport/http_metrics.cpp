@@ -47,19 +47,12 @@ constexpr std::size_t kReadChunk = 1024;
 
 }  // namespace
 
-HttpMetricsServer::HttpMetricsServer(std::unique_ptr<Listener> listener, BodyFn body,
-                                     HttpMetricsConfig config)
-    : config_(config), listener_(std::move(listener)), obs_(config.instruments) {
+HttpMetricsServer::HttpMetricsServer(std::unique_ptr<Listener> listener, BodyFn body)
+    : listener_(std::move(listener)) {
   if (listener_ == nullptr) {
     throw std::invalid_argument("HttpMetricsServer: listener must not be null");
   }
-  if (config_.max_request_bytes == 0 || config_.max_connections == 0) {
-    throw std::invalid_argument("HttpMetricsServer: limits must be >= 1");
-  }
   add_route("/metrics", std::move(body), "text/plain; version=0.0.4; charset=utf-8");
-  auto& r = obs_.registry();
-  served_ = r.counter("rlir_http_requests_total", obs_.labels());
-  rejected_ = r.counter("rlir_http_rejected_total", obs_.labels());
 }
 
 void HttpMetricsServer::add_route(std::string path, BodyFn body, std::string content_type) {
@@ -79,16 +72,10 @@ void HttpMetricsServer::add_route(std::string path, BodyFn body, std::string con
   routes_.push_back(Route{std::move(path), std::move(body), std::move(content_type)});
 }
 
-void HttpMetricsServer::count_response(int code) {
-  if (code == 200) {
-    served_->increment();
-  } else {
-    rejected_->increment();
-  }
-}
+void HttpMetricsServer::count_response(int code) { (code == 200 ? served_ : rejected_) += 1; }
 
 bool HttpMetricsServer::stage_response(Conn& conn) {
-  if (conn.inbox.size() > config_.max_request_bytes) {
+  if (conn.inbox.size() > kMaxRequestBytes) {
     conn.outbox = make_response(431, "Request Header Fields Too Large",
                                 "request too large\n", "text/plain", nullptr);
     count_response(431);
@@ -151,9 +138,9 @@ bool HttpMetricsServer::stage_response(Conn& conn) {
 std::size_t HttpMetricsServer::poll() {
   // Accept everything pending; connections over the cap close immediately.
   while (auto stream = listener_->accept()) {
-    if (conns_.size() >= config_.max_connections) {
+    if (conns_.size() >= kMaxConnections) {
       stream->close();
-      rejected_->increment();
+      rejected_ += 1;
       continue;
     }
     Conn conn;
@@ -169,7 +156,7 @@ std::size_t HttpMetricsServer::poll() {
         const std::size_t n = conn.stream->read_some(chunk, sizeof chunk);
         if (n == 0) break;
         conn.inbox.insert(conn.inbox.end(), chunk, chunk + n);
-        if (conn.inbox.size() > config_.max_request_bytes) break;
+        if (conn.inbox.size() > kMaxRequestBytes) break;
       }
       if (!stage_response(conn) && conn.stream->closed()) {
         conn.stream->close();  // peer gone before a full request: just drop
@@ -191,8 +178,5 @@ std::size_t HttpMetricsServer::poll() {
                conns_.end());
   return completed;
 }
-
-std::uint64_t HttpMetricsServer::requests_served() const { return served_->value(); }
-std::uint64_t HttpMetricsServer::requests_rejected() const { return rejected_->value(); }
 
 }  // namespace rlir::transport

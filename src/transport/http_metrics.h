@@ -9,9 +9,11 @@
 // Deliberately NOT a web server: a handful of fixed routes (`/metrics`
 // always; daemons add `/healthz` and `/trace`; query strings ignored), GET
 // only, no keep-alive (every response carries `Connection: close` and the
-// stream closes after the flush), requests capped at 8 KiB. Anything else
-// gets the matching error status: 405 for other methods, 404 for other
-// targets, 400 for a malformed request line, 431 when the cap trips. Each
+// stream closes after the flush), requests capped at kMaxRequestBytes, open
+// connections at kMaxConnections (the rest are accepted and closed at once:
+// overload shed). Anything else gets the matching error status: 405 for
+// other methods, 404 for other targets, 400 for a malformed request line,
+// 431 when the request cap trips. Each
 // route's body is re-rendered per request by a caller `BodyFn` — typically
 // obs::render_prometheus over the daemon's registry.
 //
@@ -26,33 +28,25 @@
 #include <string>
 #include <vector>
 
-#include "obs/instrument.h"
 #include "transport/byte_stream.h"
 
 namespace rlir::transport {
-
-struct HttpMetricsConfig {
-  /// Largest request accepted (request line + headers). Longer ones answer
-  /// 431 and close. Must be >= 1.
-  std::size_t max_request_bytes = 8 * 1024;
-  /// Open connections beyond this are accepted and immediately closed
-  /// (overload shed). Must be >= 1.
-  std::size_t max_connections = 64;
-  /// Observability attachment: rlir_http_requests_total (200s) and
-  /// rlir_http_rejected_total (everything else, including shed connections).
-  obs::Instruments instruments;
-};
 
 class HttpMetricsServer {
  public:
   /// Renders one route's body (called once per 200 response).
   using BodyFn = std::function<std::string()>;
 
+  /// Largest request accepted (request line + headers); longer ones answer
+  /// 431 and close.
+  static constexpr std::size_t kMaxRequestBytes = 8 * 1024;
+  /// Open connections beyond this are accepted and immediately closed.
+  static constexpr std::size_t kMaxConnections = 64;
+
   /// Takes ownership of the listener; `body` becomes the `/metrics` route
   /// (Prometheus text content type). Throws std::invalid_argument on a null
-  /// listener, a null body fn, or zero limits.
-  HttpMetricsServer(std::unique_ptr<Listener> listener, BodyFn body,
-                    HttpMetricsConfig config = {});
+  /// listener or a null body fn.
+  HttpMetricsServer(std::unique_ptr<Listener> listener, BodyFn body);
 
   HttpMetricsServer(const HttpMetricsServer&) = delete;
   HttpMetricsServer& operator=(const HttpMetricsServer&) = delete;
@@ -69,9 +63,10 @@ class HttpMetricsServer {
   std::size_t poll();
 
   [[nodiscard]] std::size_t open_connections() const { return conns_.size(); }
-  [[nodiscard]] std::uint64_t requests_served() const;
-  [[nodiscard]] std::uint64_t requests_rejected() const;
-  [[nodiscard]] const HttpMetricsConfig& config() const { return config_; }
+  /// 200 responses.
+  [[nodiscard]] std::uint64_t requests_served() const { return served_; }
+  /// Every other response, and every shed connection.
+  [[nodiscard]] std::uint64_t requests_rejected() const { return rejected_; }
 
  private:
   struct Conn {
@@ -95,11 +90,9 @@ class HttpMetricsServer {
   /// Exact-match route table; linear scan (a daemon registers 2–3 routes).
   std::vector<Route> routes_;
 
-  HttpMetricsConfig config_;
   std::unique_ptr<Listener> listener_;
-  obs::Instrumented obs_;
-  obs::Counter* served_ = nullptr;
-  obs::Counter* rejected_ = nullptr;
+  std::uint64_t served_ = 0;
+  std::uint64_t rejected_ = 0;
   std::vector<Conn> conns_;
 };
 

@@ -10,12 +10,6 @@ namespace rlir::transport {
 
 PartitionedClient::PartitionedClient(PartitionedClientConfig config)
     : config_(config), obs_(config.instruments) {
-  if (config_.slot_count == 0) {
-    throw std::invalid_argument("PartitionedClient: zero slot_count");
-  }
-  if (config_.down_after_pumps == 0) {
-    throw std::invalid_argument("PartitionedClient: zero down_after_pumps");
-  }
   auto& r = obs_.registry();
   const obs::Labels base = obs_.labels();
   c_.records_submitted = r.counter("rlir_pc_records_submitted_total", base);
@@ -45,11 +39,11 @@ void PartitionedClient::seal() {
   if (endpoints_.empty()) {
     throw std::logic_error("PartitionedClient: no endpoints added");
   }
-  if (config_.slot_count < endpoints_.size()) {
-    throw std::invalid_argument("PartitionedClient: fewer slots than endpoints");
+  if (endpoints_.size() > kSlotCount) {
+    throw std::invalid_argument("PartitionedClient: more endpoints than slots");
   }
   sealed_ = true;
-  slots_.assign(config_.slot_count, 0);
+  slots_.assign(kSlotCount, 0);
   split_.resize(endpoints_.size());
   // Initial table: every slot at home. recompute_slots() counts changes, so
   // seed the home assignment directly instead of "reassigning" from zero.
@@ -60,7 +54,7 @@ std::size_t PartitionedClient::slot_for(const net::FiveTuple& key) const {
   // One extra mix64 round decorrelates slot selection from the collectors'
   // shard routing (both start from key.hash()): an agent loss must not
   // correlate with any particular shard's flows.
-  return net::mix64(key.hash()) % config_.slot_count;
+  return net::mix64(key.hash()) % kSlotCount;
 }
 
 std::size_t PartitionedClient::endpoint_for_slot(std::size_t slot) const {
@@ -135,7 +129,7 @@ void PartitionedClient::update_health(std::size_t endpoint) {
   }
   if (!ep.healthy) return;  // already down, the client keeps re-dialing
   ep.failed_pumps += 1;
-  if (ep.failed_pumps >= config_.down_after_pumps) {
+  if (ep.failed_pumps >= kDownAfterPumps) {
     ep.healthy = false;
     c_.rebalances->increment();
     const std::uint64_t moved = recompute_slots();

@@ -5,7 +5,7 @@
 // that makes a coordinator's top-k/quantile merges exact.
 //
 //   submit(epoch, batch)
-//        │ slot = mix64(flow hash) % slot_count      (net/hash.h)
+//        │ slot = mix64(flow hash) % kSlotCount      (net/hash.h)
 //        │ owner = slot table[slot]
 //        ▼
 //   per-endpoint CollectorClient (coalescing, bounded buffer with
@@ -15,7 +15,7 @@
 //   N CollectorAgent processes
 //
 // Health and rebalance: every pump() checks each endpoint's connection. An
-// endpoint disconnected for `down_after_pumps` consecutive pumps is marked
+// endpoint disconnected for kDownAfterPumps consecutive pumps is marked
 // down and the slot table is recomputed — its hash slots move to healthy
 // endpoints (deterministically, counted in stats) while slots whose home
 // endpoint is healthy never move. When a downed endpoint reconnects (its
@@ -45,17 +45,8 @@
 namespace rlir::transport {
 
 struct PartitionedClientConfig {
-  /// Hash-slot fan-out. More slots = finer-grained rebalance; must be >=
-  /// the endpoint count (and > 0). Slots map to endpoints home-first
-  /// (slot % endpoints), so with all endpoints healthy the table is the
-  /// plain modulo spray.
-  std::size_t slot_count = 64;
-  /// Per-endpoint connection behavior (buffering, coalescing, backoff).
+  /// Per-endpoint connection behavior (buffering, coalescing).
   CollectorClientConfig client;
-  /// Consecutive disconnected pump()s before an endpoint is declared down
-  /// and its slots are reassigned. Counted in pumps (like the client's
-  /// backoff) so fault handling is deterministic under test. Must be > 0.
-  std::uint32_t down_after_pumps = 4;
   /// Observability attachment (see obs/instrument.h). Endpoint clients
   /// report into the same registry/trace under child ids "ep0", "ep1", ...;
   /// rebalances leave kRebalance / kFailBack events carrying the slot count
@@ -67,7 +58,16 @@ class PartitionedClient {
  public:
   using StreamFactory = CollectorClient::StreamFactory;
 
-  /// Throws std::invalid_argument on a zero slot_count / down_after_pumps.
+  /// Hash-slot fan-out: the most endpoints a client can spray over (more
+  /// are refused at the first submit/pump). Slots map to endpoints
+  /// home-first (slot % endpoints), so with all endpoints healthy the table
+  /// is the plain modulo spray.
+  static constexpr std::size_t kSlotCount = 64;
+  /// Consecutive disconnected pump()s before an endpoint is declared down
+  /// and its slots are reassigned. Counted in pumps (like the client's
+  /// backoff) so fault handling is deterministic under test.
+  static constexpr std::uint32_t kDownAfterPumps = 4;
+
   explicit PartitionedClient(PartitionedClientConfig config = {});
 
   PartitionedClient(const PartitionedClient&) = delete;
@@ -75,7 +75,8 @@ class PartitionedClient {
 
   /// Registers one agent endpoint (dials eagerly, like CollectorClient).
   /// All endpoints must be added before the first submit()/pump() — the
-  /// slot table is sized to the endpoint count (std::logic_error after).
+  /// slot table is sized to the endpoint count (std::logic_error after;
+  /// std::invalid_argument at the seal for more than kSlotCount endpoints).
   /// Returns the endpoint's index.
   std::size_t add_endpoint(StreamFactory factory);
 
@@ -105,7 +106,6 @@ class PartitionedClient {
   // --- Partitioning introspection ------------------------------------------
 
   [[nodiscard]] std::size_t endpoint_count() const { return endpoints_.size(); }
-  [[nodiscard]] std::size_t slot_count() const { return config_.slot_count; }
   /// The slot a flow hashes to (decorrelated from collector shard routing:
   /// one extra mix64 round on top of the flow-key hash).
   [[nodiscard]] std::size_t slot_for(const net::FiveTuple& key) const;

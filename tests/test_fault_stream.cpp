@@ -150,9 +150,7 @@ TEST(FaultStream, BitFlipPoisonsFrameAndClientRecovers) {
   FaultyDialer dialer{&agent};
   // Flip a payload byte of the first frame: the frame CRC must catch it.
   dialer.first_plan.flip_write_byte = kFrameHeaderSize + 8;
-  CollectorClientConfig cfg;
-  cfg.reconnect_backoff_initial = 1;
-  CollectorClient client(cfg, dialer.factory());
+  CollectorClient client(CollectorClientConfig{}, dialer.factory());
 
   const auto first = make_batch(10, 0);
   client.submit(0, first);
@@ -188,9 +186,7 @@ TEST(FaultStream, MidFrameCutResendsWholeFrameWithoutDuplicates) {
   // frame (connection death, NOT a protocol violation), the client must
   // resend the frame from byte zero on the next connection.
   dialer.first_plan.cut_after_write_bytes = kFrameHeaderSize + 10;
-  CollectorClientConfig cfg;
-  cfg.reconnect_backoff_initial = 1;
-  CollectorClient client(cfg, dialer.factory());
+  CollectorClient client(CollectorClientConfig{}, dialer.factory());
 
   const auto batch = make_batch(10, 0);
   client.submit(0, batch);

@@ -75,9 +75,7 @@ TEST(FleetCoordinatorFault, AgentKillMidStreamRebalancesAndConserves) {
   auto want = testutil::fleet_baseline_state();
 
   KillableFleet fleet;
-  transport::PartitionedClientConfig cfg;
-  cfg.down_after_pumps = 2;
-  transport::PartitionedClient pc(cfg);
+  transport::PartitionedClient pc;
   for (std::size_t i = 0; i < kAgents; ++i) pc.add_endpoint(fleet.factory(i));
   // The slot->home map BEFORE any fault: which flows never depend on the
   // victim. Captured via a probe pump (seals the endpoint set).
@@ -115,8 +113,9 @@ TEST(FleetCoordinatorFault, AgentKillMidStreamRebalancesAndConserves) {
   EXPECT_EQ(pc.healthy_count(), kAgents - 1);
   EXPECT_EQ(pc.stats().rebalances, 1u);
   EXPECT_EQ(pc.stats().recoveries, 0u);
-  EXPECT_EQ(pc.stats().slots_reassigned, pc.slot_count() / kAgents);
-  for (std::size_t s = 0; s < pc.slot_count(); ++s) {
+  constexpr std::size_t kSlots = transport::PartitionedClient::kSlotCount;
+  EXPECT_EQ(pc.stats().slots_reassigned, kSlots / kAgents);
+  for (std::size_t s = 0; s < kSlots; ++s) {
     if (s % kAgents == kVictim) {
       EXPECT_NE(pc.endpoint_for_slot(s), kVictim) << "slot " << s;
     } else {

@@ -107,9 +107,29 @@ TEST(HistoryStoreTest, BadConfigsThrow) {
   cfg = {};
   cfg.mid_segments = 0;
   expect_throws(cfg);
-  cfg = {};
-  cfg.max_epoch_jump = 0;
-  expect_throws(cfg);
+}
+
+TEST(HistoryStoreTest, ImplausibleForwardEpochJumpIsDroppedAndCounted) {
+  // A corrupt epoch from a peer must not fast-forward the store past
+  // everything it retains: a jump over kMaxEpochJump is dropped and counted.
+  SketchHistoryStore store;
+  common::Xoshiro256 rng(11);
+  store.ingest({make_record(0, 0, 0, rng)});
+  constexpr std::uint32_t kJump = SketchHistoryStore::kMaxEpochJump;
+  ASSERT_EQ(kJump, 1u << 16);
+
+  store.ingest({make_record(kJump + 1, 1, 0, rng)});
+  EXPECT_EQ(store.dropped_records(), 1u);
+  EXPECT_EQ(store.records_ingested(), 1u);
+  EXPECT_EQ(store.last_epoch(), 0u);
+  EXPECT_EQ(store.first_retained_epoch(), 0u);
+
+  // The largest plausible jump is admitted.
+  store.ingest({make_record(kJump, 2, 0, rng)});
+  EXPECT_EQ(store.dropped_records(), 1u);
+  EXPECT_EQ(store.records_ingested(), 2u);
+  EXPECT_EQ(store.last_epoch(), kJump);
+  EXPECT_TRUE(store.window_flow(kJump, kJump, flow_key(2)).has_value());
 }
 
 TEST(HistoryStoreTest, AccuracyMismatchThrows) {

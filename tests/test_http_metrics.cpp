@@ -155,20 +155,20 @@ TEST(HttpMetricsTest, SlowRequestCompletesAcrossPolls) {
 TEST(HttpMetricsTest, ShedsConnectionsOverTheCap) {
   auto listener = std::make_unique<FakeListener>();
   auto queue = listener->queue();
-  HttpMetricsConfig cfg;
-  cfg.max_connections = 2;
-  HttpMetricsServer server(std::move(listener), [] { return std::string("x\n"); }, cfg);
+  HttpMetricsServer server(std::move(listener), [] { return std::string("x\n"); });
 
-  // Three idle connections; the third must be shed (accepted then closed).
+  // One idle connection over the cap; the last must be shed (accepted then
+  // closed).
+  constexpr std::size_t kCap = HttpMetricsServer::kMaxConnections;
   std::vector<std::unique_ptr<ByteStream>> clients;
-  for (int i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i < kCap + 1; ++i) {
     auto [client_end, server_end] = make_loopback();
     queue->push_back(std::move(server_end));
     clients.push_back(std::move(client_end));
   }
   server.poll();
-  EXPECT_EQ(server.open_connections(), 2u);
-  EXPECT_TRUE(clients[2]->closed());
+  EXPECT_EQ(server.open_connections(), kCap);
+  EXPECT_TRUE(clients[kCap]->closed());
   EXPECT_FALSE(clients[0]->closed());
   EXPECT_GE(server.requests_rejected(), 1u);
 }

@@ -124,30 +124,13 @@ TEST(JsonExposition, EventsCarriedWithCountsAndRecent) {
   EventTrace trace;
   trace.record(EventKind::kRebalance, 16, "ep2");
   const auto json = to_json(r.snapshot(), trace.snapshot());
-  EXPECT_NE(json.find("\"events\":{\"counts\":{"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"rebalance\":1"), std::string::npos) << json;
+  // The ring and its eviction count; totals are counters, not event state.
+  EXPECT_NE(json.find("\"events\":{\"dropped\":0,\"recent\":[{\"kind\":\"rebalance\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"value\":16"), std::string::npos) << json;
   EXPECT_NE(json.find("\"detail\":\"ep2\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"dropped\":0"), std::string::npos) << json;
-}
-
-TEST(EventCounters, FoldIntoSnapshotAsCounters) {
-  EventTrace trace;
-  trace.record(EventKind::kShed, 5);
-  trace.record(EventKind::kShed, 7);
-  trace.record(EventKind::kConnect);
-  MetricsSnapshot snap;
-  append_event_counters(snap, trace.snapshot(), {{"instance", "a0"}});
-  // One per kind plus the dropped counter.
-  ASSERT_EQ(snap.samples.size(), kEventKindCount + 1);
-  const auto text = to_prometheus(snap);
-  EXPECT_NE(text.find("rlir_events_total{instance=\"a0\",kind=\"shed\"} 2"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("rlir_events_total{instance=\"a0\",kind=\"connect\"} 1"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("rlir_events_dropped_total{instance=\"a0\"} 0"), std::string::npos)
-      << text;
+  EXPECT_EQ(json.find("\"counts\""), std::string::npos) << json;
 }
 
 TEST(ScrapeWire, RoundTripsExactly) {
@@ -182,7 +165,6 @@ TEST(ScrapeWire, RoundTripsExactly) {
     EXPECT_EQ(a.histogram.bins(), b.histogram.bins());
     EXPECT_EQ(a.histogram.zero_count(), b.histogram.zero_count());
   }
-  EXPECT_EQ(decoded.events.counts, scrape.events.counts);
   EXPECT_EQ(decoded.events.dropped, scrape.events.dropped);
   ASSERT_EQ(decoded.events.events.size(), scrape.events.events.size());
   for (std::size_t i = 0; i < scrape.events.events.size(); ++i) {

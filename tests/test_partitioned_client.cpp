@@ -112,27 +112,16 @@ void settle(PartitionedClient& pc, AgentFleet& fleet) {
 
 TEST(PartitionedClient, ValidatesConfigAndSealsEndpoints) {
   {
-    PartitionedClientConfig cfg;
-    cfg.slot_count = 0;
-    EXPECT_THROW(PartitionedClient pc(cfg), std::invalid_argument);
-  }
-  {
-    PartitionedClientConfig cfg;
-    cfg.down_after_pumps = 0;
-    EXPECT_THROW(PartitionedClient pc(cfg), std::invalid_argument);
-  }
-  {
     // No endpoints: the first submit has nowhere to route.
     PartitionedClient pc;
     EXPECT_THROW(pc.submit(0, make_batch(1, 0)), std::logic_error);
   }
   {
-    // Fewer slots than endpoints cannot cover every endpoint.
-    AgentFleet fleet(4);
-    PartitionedClientConfig cfg;
-    cfg.slot_count = 2;
-    PartitionedClient pc(cfg);
-    add_all_endpoints(pc, fleet);
+    // More endpoints than hash slots cannot each own a slot.
+    PartitionedClient pc;
+    for (std::size_t i = 0; i < PartitionedClient::kSlotCount + 1; ++i) {
+      pc.add_endpoint([] { return std::unique_ptr<ByteStream>(); });
+    }
     EXPECT_THROW(pc.submit(0, make_batch(1, 0)), std::invalid_argument);
   }
   {
@@ -154,7 +143,7 @@ TEST(PartitionedClient, RoutesEveryFlowToExactlyOneAgent) {
   settle(pc, fleet);
 
   // The home table is the plain modulo spray while everyone is healthy.
-  for (std::size_t s = 0; s < pc.slot_count(); ++s) {
+  for (std::size_t s = 0; s < PartitionedClient::kSlotCount; ++s) {
     EXPECT_EQ(pc.endpoint_for_slot(s), s % 4);
   }
 
@@ -188,26 +177,24 @@ TEST(PartitionedClient, RoutesEveryFlowToExactlyOneAgent) {
 
 TEST(PartitionedClient, EndpointLossRebalancesOnlyItsSlots) {
   AgentFleet fleet(4);
-  PartitionedClientConfig cfg;
-  cfg.down_after_pumps = 4;
-  PartitionedClient pc(cfg);
+  PartitionedClient pc;
   add_all_endpoints(pc, fleet);
   pc.submit(0, make_batch(100, 0));
   settle(pc, fleet);
   const auto ingested_before = fleet.agents[1]->stats().records_ingested;
 
   fleet.kill(1);
-  // Deterministic declaration: healthy until down_after_pumps disconnected
+  // Deterministic declaration: healthy until kDownAfterPumps disconnected
   // pumps, down right after.
-  for (std::uint32_t i = 0; i + 1 < cfg.down_after_pumps; ++i) pc.pump();
+  for (std::uint32_t i = 0; i + 1 < PartitionedClient::kDownAfterPumps; ++i) pc.pump();
   EXPECT_TRUE(pc.endpoint_healthy(1));
   pc.pump();
   EXPECT_FALSE(pc.endpoint_healthy(1));
   EXPECT_EQ(pc.healthy_count(), 3u);
   EXPECT_EQ(pc.stats().rebalances, 1u);
   // Exactly the dead endpoint's home slots moved, nobody else's.
-  EXPECT_EQ(pc.stats().slots_reassigned, pc.slot_count() / 4);
-  for (std::size_t s = 0; s < pc.slot_count(); ++s) {
+  EXPECT_EQ(pc.stats().slots_reassigned, PartitionedClient::kSlotCount / 4);
+  for (std::size_t s = 0; s < PartitionedClient::kSlotCount; ++s) {
     if (s % 4 == 1) {
       EXPECT_NE(pc.endpoint_for_slot(s), 1u) << "slot " << s << " still on the dead agent";
     } else {
@@ -228,9 +215,7 @@ TEST(PartitionedClient, EndpointLossRebalancesOnlyItsSlots) {
 
 TEST(PartitionedClient, RecoveryFailsBackToHomeSlots) {
   AgentFleet fleet(4);
-  PartitionedClientConfig cfg;
-  cfg.down_after_pumps = 2;
-  PartitionedClient pc(cfg);
+  PartitionedClient pc;
   add_all_endpoints(pc, fleet);
   pc.pump();  // seal + connect
 
@@ -247,7 +232,7 @@ TEST(PartitionedClient, RecoveryFailsBackToHomeSlots) {
   EXPECT_EQ(pc.healthy_count(), 4u);
   EXPECT_EQ(pc.stats().recoveries, 1u);
   EXPECT_EQ(pc.stats().slots_reassigned, moved_down * 2);  // same slots, moved back
-  for (std::size_t s = 0; s < pc.slot_count(); ++s) {
+  for (std::size_t s = 0; s < PartitionedClient::kSlotCount; ++s) {
     EXPECT_EQ(pc.endpoint_for_slot(s), s % 4);
   }
 }
@@ -255,7 +240,6 @@ TEST(PartitionedClient, RecoveryFailsBackToHomeSlots) {
 TEST(PartitionedClient, QueuedRecordsOnDownEndpointAreInflightThenDelivered) {
   AgentFleet fleet(2);
   PartitionedClientConfig cfg;
-  cfg.down_after_pumps = 2;
   cfg.client.coalesce_bytes = 1;  // every submit seals: records sit in frames
   PartitionedClient pc(cfg);
   add_all_endpoints(pc, fleet);

@@ -80,13 +80,12 @@ TEST(CoordinatorMerge, FleetSketchUnionRejectsAccuracyMismatch) {
 }
 
 TEST(CoordinatorMerge, SaturatingAddClampsAtMax) {
-  // Fleet sums (here a scrape roll-up's event counts and drops) clamp, never wrap.
+  // Fleet sums (here a scrape roll-up's ring drops) clamp, never wrap.
   constexpr std::uint64_t kMax = ~std::uint64_t{0};
   std::vector<obs::Scrape> parts(2);
-  parts[0].events.counts[0] = parts[0].events.dropped = kMax - 1;
-  parts[1].events.counts[0] = parts[1].events.dropped = 7;
+  parts[0].events.dropped = kMax - 1;
+  parts[1].events.dropped = 7;
   const auto merged = merge_scrapes(parts);
-  EXPECT_EQ(merged.events.counts[0], kMax);
   EXPECT_EQ(merged.events.dropped, kMax);
 }
 

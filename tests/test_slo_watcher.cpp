@@ -66,10 +66,6 @@ TEST(SloWatcherTest, BadConfigsThrow) {
   cfg.threshold_ns = 1e6;
   cfg.quantile = 1.5;
   EXPECT_THROW(SloWatcher(cfg, &store), std::invalid_argument);
-  cfg = {};
-  cfg.threshold_ns = 1e6;
-  cfg.max_flows_checked = 0;
-  EXPECT_THROW(SloWatcher(cfg, &store), std::invalid_argument);
 }
 
 TEST(SloWatcherTest, QuietWhenUnderThreshold) {
@@ -121,7 +117,10 @@ TEST(SloWatcherTest, FlagsBreachingFlowsAndLocalizesSlowLink) {
   }
 
   EXPECT_EQ(watcher.violations(), violations.size());
-  EXPECT_EQ(trace.count(obs::EventKind::kSloViolation), violations.size());
+  // One kSloViolation event per violation, and nothing else in the ring.
+  const auto events = trace.snapshot();
+  ASSERT_EQ(events.events.size(), violations.size());
+  for (const auto& ev : events.events) EXPECT_EQ(ev.kind, obs::EventKind::kSloViolation);
 }
 
 TEST(SloWatcherTest, PollChecksEachSealedEpochOnce) {

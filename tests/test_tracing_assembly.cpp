@@ -75,11 +75,11 @@ TEST(TracingAssemblyTest, AssemblyEqualsUnionOfRings) {
 
   // The exact union: what the assembly returned == what the rings retain.
   std::multiset<std::uint64_t> expected;
-  for (const auto& span : fleet.coord_spans.for_trace(trace_id)) {
+  for (const auto& span : fleet.coord_spans.snapshot(trace_id).spans) {
     expected.insert(span.span_id);
   }
   for (const auto& recorder : fleet.agent_spans) {
-    for (const auto& span : recorder->for_trace(trace_id)) expected.insert(span.span_id);
+    for (const auto& span : recorder->snapshot(trace_id).spans) expected.insert(span.span_id);
   }
   EXPECT_EQ(span_ids(assembled), expected);
   EXPECT_EQ(assembled.size(), expected.size());
@@ -140,22 +140,54 @@ TEST(TracingAssemblyTest, SortedSpansAreOrderedByStart) {
   }
 }
 
+TEST(TracingAssemblyTest, TopKDuplicateResolutionStaysInTheTopKTrace) {
+  // One flow with a record on each of two agents: the top-k merge resolves
+  // the duplicate through a flow fan-out, which must join the top-k's trace
+  // (as its child) instead of replacing it as the last trace.
+  TracedFleet fleet;
+  collect::EstimateRecord record;
+  record.key.src = net::Ipv4Address(10, 0, 0, 1);
+  record.key.dst = net::Ipv4Address(10, 1, 0, 1);
+  record.key.src_port = 4242;
+  record.key.dst_port = 80;
+  record.sketch.add(50e3);
+  fleet.agents[0]->collector().ingest(std::vector<collect::EstimateRecord>{record});
+  fleet.agents[1]->collector().ingest(std::vector<collect::EstimateRecord>{record});
+
+  const auto top = fleet.coord->top_k_ranked(5, 0.99);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].second.packets, 2u);
+
+  const auto assembled = fleet.coord->collect_trace();
+  std::vector<const obs::Span*> top_k_merges;
+  std::vector<const obs::Span*> flow_merges;
+  const auto spans = assembled.sorted_spans();
+  for (const auto& span : spans) {
+    if (span.kind != obs::SpanKind::kCoordMerge) continue;
+    (span.label == "top_k" ? top_k_merges : flow_merges).push_back(&span);
+  }
+  ASSERT_EQ(top_k_merges.size(), 1u);
+  ASSERT_EQ(flow_merges.size(), 1u);
+  EXPECT_EQ(flow_merges[0]->label, "flow");
+  EXPECT_EQ(flow_merges[0]->parent_id, top_k_merges[0]->span_id);
+}
+
 TEST(TracingAssemblyTest, PullLeavesEveryRingUnpolluted) {
   TracedFleet fleet;
   (void)fleet.coord->fleet();
   const std::uint64_t trace_id = fleet.coord->last_trace_id();
 
-  const auto before = fleet.coord_spans.for_trace(trace_id).size();
+  const auto before = fleet.coord_spans.snapshot(trace_id).spans.size();
   std::size_t agents_before = 0;
-  for (const auto& r : fleet.agent_spans) agents_before += r->for_trace(trace_id).size();
+  for (const auto& r : fleet.agent_spans) agents_before += r->snapshot(trace_id).spans.size();
 
   // Repeated pulls: a span pull is never traced, so the trace stays frozen.
   (void)fleet.coord->collect_trace();
   (void)fleet.coord->collect_trace();
 
-  EXPECT_EQ(fleet.coord_spans.for_trace(trace_id).size(), before);
+  EXPECT_EQ(fleet.coord_spans.snapshot(trace_id).spans.size(), before);
   std::size_t agents_after = 0;
-  for (const auto& r : fleet.agent_spans) agents_after += r->for_trace(trace_id).size();
+  for (const auto& r : fleet.agent_spans) agents_after += r->snapshot(trace_id).spans.size();
   EXPECT_EQ(agents_after, agents_before);
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
@@ -130,20 +131,19 @@ TEST(TransportClient, DialFailuresBackOffThenRecover) {
   CollectorAgent agent;
   LoopbackDialer dialer{&agent};
   dialer.failures_remaining = 3;
-  CollectorClientConfig cfg;
-  cfg.reconnect_backoff_initial = 2;
-  cfg.reconnect_backoff_max = 64;
-  CollectorClient client(cfg, dialer.factory());  // eager dial #1 fails
+  CollectorClient client(CollectorClientConfig{}, dialer.factory());  // eager dial #1 fails
   EXPECT_FALSE(client.connected());
   EXPECT_EQ(client.stats().connect_failures, 1u);
 
   client.submit(0, make_batch(4, 0));
   client.flush();
-  // Backoff doubles per failure (2, then 4, then 8 pumps of silence), so
-  // the dial count grows far slower than the pump count.
-  for (int i = 0; i < 32 && !client.connected(); ++i) client.pump();
+  // Backoff doubles per failure (1, then 2, then 4 pumps of silence), so
+  // the dial count grows slower than the pump count.
+  int pumps = 0;
+  for (; pumps < 32 && !client.connected(); ++pumps) client.pump();
   EXPECT_TRUE(client.connected());
   EXPECT_EQ(dialer.dials, 4);  // 3 failures + 1 success, not one per pump
+  EXPECT_EQ(pumps, 1 + 2 + 4 + 3);  // the silent pumps, then the 3 that dialed
   EXPECT_EQ(client.stats().connect_failures, 3u);
   // First successful dial is a connect, not a REconnect.
   EXPECT_EQ(client.stats().reconnects, 0u);
@@ -276,7 +276,12 @@ TEST(TransportClient, AgentDropsPeerWithMismatchedSketchAccuracy) {
   EXPECT_NO_THROW(agent.poll());
   EXPECT_EQ(agent.protocol_errors(), 1u);
   EXPECT_EQ(agent.connection_count(), 1u);  // only the bad peer is gone
-  EXPECT_EQ(agent.events().snapshot().count(obs::EventKind::kCrcPoison), 1u);
+  const auto events = agent.events().snapshot();
+  EXPECT_EQ(std::count_if(events.events.begin(), events.events.end(),
+                          [](const obs::Event& ev) {
+                            return ev.kind == obs::EventKind::kCrcPoison;
+                          }),
+            1);
 
   good.submit(1, make_batch(20, 1));
   ASSERT_TRUE(good.drain());

@@ -72,7 +72,7 @@ TEST(DecodeAllocationBound, RepliesAndScrapes) {
   put_u32(samples, kClaimed);
   std::vector<std::uint8_t> events;
   put_u32(events, 0);
-  events.resize(events.size() + obs::kEventKindCount * 8 + 8, 0);
+  events.resize(events.size() + 8, 0);  // u64 dropped
   put_u32(events, kClaimed);
   for (const auto* scrape : {&samples, &events}) {
     expect_bounded("scrape", [&] {

@@ -234,14 +234,17 @@ TEST(TransportQuery, DecodeRejectsMalformedReplies) {
 // --- Framing ------------------------------------------------------------------
 
 TEST(TransportQuery, VersionOneFrameIsRefused) {
-  // Frame version 2 is the single-query codec; a peer still speaking the
-  // per-kind layouts announces version 1 and is dropped at its first frame.
-  auto bytes = encode_frame(FrameType::kQuery, encode_query(Query{}));
-  ASSERT_EQ(kFrameVersion, 2);
-  bytes[4] = 1;
-  FrameDecoder decoder;
-  decoder.feed(bytes.data(), bytes.size());
-  EXPECT_THROW((void)decoder.next(), FrameError);
+  // Frame version 3 carries the scrape without per-kind event totals. A
+  // peer still speaking the per-kind query layouts (version 1) or the old
+  // scrape (version 2) is dropped at its first frame.
+  ASSERT_EQ(kFrameVersion, 3);
+  for (const int old_version : {1, 2}) {
+    auto bytes = encode_frame(FrameType::kQuery, encode_query(Query{}));
+    bytes[4] = static_cast<std::uint8_t>(old_version);
+    FrameDecoder decoder;
+    decoder.feed(bytes.data(), bytes.size());
+    EXPECT_THROW((void)decoder.next_view(), FrameError) << old_version;
+  }
 }
 
 }  // namespace
