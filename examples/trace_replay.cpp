@@ -4,7 +4,12 @@
 //
 // Also demonstrates the traffic divider (Figure 3's first block): a single
 // mixed trace is split into regular and cross streams by source prefix.
+//
+// Usage: trace_replay [TRACE_PATH]   (default /tmp/rlir_example_trace.bin;
+// the file is removed once replayed)
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "rli/flow_stats.h"
 #include "rli/receiver.h"
@@ -17,9 +22,8 @@
 
 namespace rlir {
 
-int run_example() {
+int run_example(const std::string& path) {
   using timebase::Duration;
-  const std::string path = "/tmp/rlir_example_trace.bin";
 
   const net::Ipv4Prefix regular_pool(net::Ipv4Address(10, 0, 0, 0), 16);
   const net::Ipv4Prefix cross_pool(net::Ipv4Address(172, 16, 0, 0), 16);
@@ -85,4 +89,6 @@ int run_example() {
 
 }  // namespace rlir
 
-int main() { return rlir::run_example(); }
+int main(int argc, char** argv) {
+  return rlir::run_example(argc > 1 ? argv[1] : "/tmp/rlir_example_trace.bin");
+}

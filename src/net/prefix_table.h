@@ -1,15 +1,21 @@
 // Longest-prefix-match table over IPv4 prefixes.
 //
-// Implemented as an uncompressed binary trie with nodes in a flat vector —
-// bounded at 32 steps per lookup, no recursion, cache-friendly enough for the
-// table sizes a demultiplexer needs (one entry per ToR block).
+// One exact-match hash table per prefix length in use, kept longest first:
+// a lookup masks the address to each length in turn and returns the first
+// hit, so it costs one probe per distinct length. Demultiplexer tables use
+// one or two lengths (a /24 per ToR block, /16 address pools); a table
+// spread over many lengths would cost more probes than a bitwise trie's
+// 32-step walk.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/flat_hash_map.h"
+#include "net/hash.h"
 #include "net/ipv4.h"
 
 namespace rlir::net {
@@ -17,22 +23,15 @@ namespace rlir::net {
 template <typename T>
 class PrefixTable {
  public:
-  PrefixTable() { nodes_.emplace_back(); }
-
   /// Inserts or overwrites the value for a prefix.
   void insert(const Ipv4Prefix& prefix, T value) {
-    std::size_t node = 0;
-    for (std::uint8_t depth = 0; depth < prefix.length(); ++depth) {
-      const int bit = (prefix.base().value() >> (31 - depth)) & 1;
-      if (nodes_[node].child[bit] < 0) {
-        const auto next = static_cast<std::int32_t>(nodes_.size());
-        nodes_.emplace_back();  // may reallocate; re-index below
-        nodes_[node].child[bit] = next;
-      }
-      node = static_cast<std::size_t>(nodes_[node].child[bit]);
+    auto& rules = level_for(prefix).rules;
+    const std::uint32_t base = prefix.base().value();
+    if (const auto it = rules.find(base); it != rules.end()) {
+      it->second = std::move(value);
+    } else {
+      rules.try_emplace(base, std::move(value));
     }
-    if (!nodes_[node].value.has_value()) ++entries_;
-    nodes_[node].value = std::move(value);
   }
 
   /// Longest-prefix match; nullopt when no inserted prefix covers `addr`.
@@ -45,41 +44,58 @@ class PrefixTable {
   /// Pointer form of lookup (no copy); nullptr when there is no match.
   /// The pointer is invalidated by the next insert.
   [[nodiscard]] const T* lookup_ptr(Ipv4Address addr) const {
-    const T* best = nodes_[0].value ? &*nodes_[0].value : nullptr;
-    std::size_t node = 0;
-    for (int depth = 0; depth < 32; ++depth) {
-      const int bit = (addr.value() >> (31 - depth)) & 1;
-      const std::int32_t child = nodes_[node].child[bit];
-      if (child < 0) break;
-      node = static_cast<std::size_t>(child);
-      if (nodes_[node].value) best = &*nodes_[node].value;
+    for (const Level& level : levels_) {
+      const auto it = level.rules.find(addr.value() & level.mask);
+      if (it != level.rules.end()) return &it->second;
     }
-    return best;
+    return nullptr;
   }
 
   /// Exact-match retrieval of a previously inserted prefix.
   [[nodiscard]] std::optional<T> find_exact(const Ipv4Prefix& prefix) const {
-    std::size_t node = 0;
-    for (std::uint8_t depth = 0; depth < prefix.length(); ++depth) {
-      const int bit = (prefix.base().value() >> (31 - depth)) & 1;
-      const std::int32_t child = nodes_[node].child[bit];
-      if (child < 0) return std::nullopt;
-      node = static_cast<std::size_t>(child);
-    }
-    return nodes_[node].value;
+    const auto level = std::find_if(levels_.begin(), levels_.end(), [&](const Level& l) {
+      return l.length == prefix.length();
+    });
+    if (level == levels_.end()) return std::nullopt;
+    const auto it = level->rules.find(prefix.base().value());
+    if (it == level->rules.end()) return std::nullopt;
+    return it->second;
   }
 
-  [[nodiscard]] std::size_t size() const { return entries_; }
-  [[nodiscard]] bool empty() const { return entries_ == 0; }
+  [[nodiscard]] std::size_t size() const {
+    std::size_t n = 0;
+    for (const Level& level : levels_) n += level.rules.size();
+    return n;
+  }
+  [[nodiscard]] bool empty() const { return levels_.empty(); }
 
  private:
-  struct Node {
-    std::int32_t child[2] = {-1, -1};
-    std::optional<T> value;
+  /// Masked bases have all-zero low bits and the flat map masks the hash to
+  /// a power-of-two slot table, so the hash must mix high bits down.
+  struct BaseHash {
+    std::size_t operator()(std::uint32_t base) const {
+      return static_cast<std::size_t>(mix64(base));
+    }
   };
 
-  std::vector<Node> nodes_;
-  std::size_t entries_ = 0;
+  struct Level {
+    std::uint8_t length;
+    std::uint32_t mask;
+    common::FlatHashMap<std::uint32_t, T, BaseHash> rules;
+  };
+
+  /// The level holding `prefix`'s length, created in descending-length
+  /// position on first use.
+  Level& level_for(const Ipv4Prefix& prefix) {
+    const auto at = std::find_if(levels_.begin(), levels_.end(), [&](const Level& level) {
+      return level.length <= prefix.length();
+    });
+    if (at != levels_.end() && at->length == prefix.length()) return *at;
+    return *levels_.insert(at, Level{prefix.length(), prefix.mask(), {}});
+  }
+
+  /// Non-empty levels, longest prefix length first.
+  std::vector<Level> levels_;
 };
 
 }  // namespace rlir::net

@@ -13,13 +13,17 @@ ReverseEcmpDemux::ReverseEcmpDemux(const topo::FatTree* topo, const topo::EcmpHa
   if (receiver_tor_.tier != topo::Tier::kTor) {
     throw std::invalid_argument("ReverseEcmpDemux: receiver must sit at a ToR switch");
   }
+  sender_at_core_.assign(static_cast<std::size_t>(topo_->core_count()), net::kNoSender);
 }
 
 void ReverseEcmpDemux::set_sender_at_core(int core_index, net::SenderId sender) {
   if (core_index < 0 || core_index >= topo_->core_count()) {
     throw std::out_of_range("ReverseEcmpDemux::set_sender_at_core: bad core index");
   }
-  sender_at_core_[core_index] = sender;
+  if (sender == net::kNoSender) {
+    throw std::invalid_argument("ReverseEcmpDemux::set_sender_at_core: kNoSender is not a sender");
+  }
+  sender_at_core_[static_cast<std::size_t>(core_index)] = sender;
 }
 
 void ReverseEcmpDemux::add_same_pod_origin(const net::Ipv4Prefix& prefix,
@@ -40,9 +44,9 @@ std::optional<net::SenderId> ReverseEcmpDemux::classify(const net::Packet& packe
   // determine to which core router a particular packet is forwarded."
   const topo::NodeId core =
       topo::reverse_ecmp_core(*topo_, *hasher_, packet.key, *origin, receiver_tor_);
-  const auto it = sender_at_core_.find(core.index);
-  if (it == sender_at_core_.end()) return std::nullopt;
-  return it->second;
+  const net::SenderId sender = sender_at_core_[core.index];
+  if (sender == net::kNoSender) return std::nullopt;
+  return sender;
 }
 
 }  // namespace rlir::rlir

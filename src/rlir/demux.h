@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "net/packet.h"
 #include "net/prefix_table.h"
@@ -91,7 +92,8 @@ class ReverseEcmpDemux final : public Demultiplexer {
   ReverseEcmpDemux(const topo::FatTree* topo, const topo::EcmpHasher* hasher,
                    topo::NodeId receiver_tor);
 
-  /// Registers the sender instance at a core switch.
+  /// Registers (or replaces) the sender instance at a core switch.
+  /// `net::kNoSender` is rejected: it marks a core with no sender.
   void set_sender_at_core(int core_index, net::SenderId sender);
   /// Registers an upstream (same-pod) origin prefix -> sender mapping.
   void add_same_pod_origin(const net::Ipv4Prefix& prefix, net::SenderId sender);
@@ -103,7 +105,8 @@ class ReverseEcmpDemux final : public Demultiplexer {
   const topo::FatTree* topo_;
   const topo::EcmpHasher* hasher_;
   topo::NodeId receiver_tor_;
-  std::unordered_map<int, net::SenderId> sender_at_core_;
+  /// Indexed by core; kNoSender where no sender is registered.
+  std::vector<net::SenderId> sender_at_core_;
   net::PrefixTable<net::SenderId> same_pod_origins_;
 };
 

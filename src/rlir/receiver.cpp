@@ -1,8 +1,20 @@
 #include "rlir/receiver.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace rlir::rlir {
+
+namespace {
+
+/// First stream whose sender is not below `sender` (end() if none).
+template <typename Streams>
+auto lower_stream(Streams& streams, net::SenderId sender) {
+  return std::find_if(streams.begin(), streams.end(),
+                      [sender](const auto& stream) { return stream.first >= sender; });
+}
+
+}  // namespace
 
 RlirReceiver::RlirReceiver(rli::ReceiverConfig per_sender_config, const timebase::Clock* clock,
                            const Demultiplexer* demux)
@@ -13,16 +25,14 @@ RlirReceiver::RlirReceiver(rli::ReceiverConfig per_sender_config, const timebase
 }
 
 rli::RliReceiver& RlirReceiver::stream_for(net::SenderId sender) {
-  auto it = streams_.find(sender);
-  if (it == streams_.end()) {
-    auto receiver = std::make_unique<rli::RliReceiver>(per_sender_config_, clock_);
-    for (const auto& sink : sinks_) {
-      receiver->add_estimate_sink(
-          [sender, &sink](const rli::RliReceiver::PacketEstimate& pe) { sink(sender, pe); });
-    }
-    it = streams_.emplace(sender, std::move(receiver)).first;
+  const auto it = lower_stream(streams_, sender);
+  if (it != streams_.end() && it->first == sender) return *it->second;
+  auto receiver = std::make_unique<rli::RliReceiver>(per_sender_config_, clock_);
+  for (const auto& sink : sinks_) {
+    receiver->add_estimate_sink(
+        [sender, &sink](const rli::RliReceiver::PacketEstimate& pe) { sink(sender, pe); });
   }
-  return *it->second;
+  return *streams_.emplace(it, sender, std::move(receiver))->second;
 }
 
 void RlirReceiver::add_estimate_sink(StreamEstimateSink sink) {
@@ -64,8 +74,8 @@ std::size_t RlirReceiver::flush() {
 }
 
 const rli::RliReceiver* RlirReceiver::stream(net::SenderId sender) const {
-  const auto it = streams_.find(sender);
-  return it == streams_.end() ? nullptr : it->second.get();
+  const auto it = lower_stream(streams_, sender);
+  return it != streams_.end() && it->first == sender ? it->second.get() : nullptr;
 }
 
 rli::FlowStatsMap RlirReceiver::merged_estimates() const {

@@ -12,8 +12,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/packet.h"
 #include "rli/flow_stats.h"
@@ -62,8 +63,11 @@ class RlirReceiver final : public sim::PacketTap {
   rli::ReceiverConfig per_sender_config_;
   const timebase::Clock* clock_;
   const Demultiplexer* demux_;
-  /// Ordered map for deterministic merged iteration.
-  std::map<net::SenderId, std::unique_ptr<rli::RliReceiver>> streams_;
+  /// Sorted by sender, for deterministic flush and merged iteration. A
+  /// vantage serves a handful of senders, so a linear scan finds a stream
+  /// faster than a tree; the streams live on the heap, so stream() pointers
+  /// survive later insertions.
+  std::vector<std::pair<net::SenderId, std::unique_ptr<rli::RliReceiver>>> streams_;
   /// Deque: per-stream adapter lambdas hold references to elements, and
   /// deque end-insertion never invalidates them.
   std::deque<StreamEstimateSink> sinks_;

@@ -1,6 +1,8 @@
 #include "topo/ecmp.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace rlir::topo {
@@ -11,20 +13,37 @@ namespace {
 /// little-endian, salted by prepending the router salt.
 std::array<std::byte, 21> key_bytes(const net::FiveTuple& key, std::uint64_t salt) {
   std::array<std::byte, 21> buf{};
-  auto put32 = [&](std::size_t at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf[at + i] = static_cast<std::byte>(v >> (8 * i));
-  };
-  auto put16 = [&](std::size_t at, std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) buf[at + i] = static_cast<std::byte>(v >> (8 * i));
-  };
-  put32(0, static_cast<std::uint32_t>(salt));
-  put32(4, static_cast<std::uint32_t>(salt >> 32));
-  put32(8, key.src.value());
-  put32(12, key.dst.value());
-  put16(16, key.src_port);
-  put16(18, key.dst_port);
+  const std::uint32_t src = key.src.value();
+  const std::uint32_t dst = key.dst.value();
+  if constexpr (std::endian::native == std::endian::little) {
+    // A field's memory image already is its little-endian encoding, so each
+    // field is one store rather than one per byte.
+    std::memcpy(&buf[0], &salt, 8);
+    std::memcpy(&buf[8], &src, 4);
+    std::memcpy(&buf[12], &dst, 4);
+    std::memcpy(&buf[16], &key.src_port, 2);
+    std::memcpy(&buf[18], &key.dst_port, 2);
+  } else {
+    auto put = [&](std::size_t at, std::uint64_t v, int bytes) {
+      for (int i = 0; i < bytes; ++i) buf[at + i] = static_cast<std::byte>(v >> (8 * i));
+    };
+    put(0, salt, 8);
+    put(8, src, 4);
+    put(12, dst, 4);
+    put(16, key.src_port, 2);
+    put(18, key.dst_port, 2);
+  }
   buf[20] = static_cast<std::byte>(key.proto);
   return buf;
+}
+
+/// The switch one tier up that `node` (a ToR or an edge switch) hashes `key`
+/// to: the one ECMP hop both the forward route and its inversion take.
+NodeId uplink(const FatTree& topo, const EcmpHasher& hasher, const net::FiveTuple& key,
+              NodeId node) {
+  const auto choice = static_cast<int>(
+      hasher.select(key, router_salt(topo, node), static_cast<std::uint32_t>(topo.k() / 2)));
+  return node.tier == Tier::kTor ? topo.edge(node.pod, choice) : topo.core_for(node.index, choice);
 }
 
 }  // namespace
@@ -61,22 +80,11 @@ std::uint64_t router_salt(const FatTree& topo, NodeId node) {
 
 std::vector<NodeId> ecmp_route(const FatTree& topo, const EcmpHasher& hasher,
                                const net::FiveTuple& key, NodeId src_tor, NodeId dst_tor) {
-  const int half = topo.k() / 2;
   if (src_tor == dst_tor) return {src_tor};
-
-  const std::uint32_t edge_pos =
-      hasher.select(key, router_salt(topo, src_tor), static_cast<std::uint32_t>(half));
-  const NodeId up_edge = topo.edge(src_tor.pod, static_cast<int>(edge_pos));
-
-  if (src_tor.pod == dst_tor.pod) {
-    return {src_tor, up_edge, dst_tor};
-  }
-
-  const std::uint32_t core_off =
-      hasher.select(key, router_salt(topo, up_edge), static_cast<std::uint32_t>(half));
-  const NodeId via_core = topo.core_for(static_cast<int>(edge_pos), static_cast<int>(core_off));
-  const NodeId down_edge = topo.edge(dst_tor.pod, static_cast<int>(edge_pos));
-  return {src_tor, up_edge, via_core, down_edge, dst_tor};
+  const NodeId up_edge = uplink(topo, hasher, key, src_tor);
+  if (src_tor.pod == dst_tor.pod) return {src_tor, up_edge, dst_tor};
+  const NodeId down_edge = topo.edge(dst_tor.pod, up_edge.index);
+  return {src_tor, up_edge, uplink(topo, hasher, key, up_edge), down_edge, dst_tor};
 }
 
 NodeId reverse_ecmp_core(const FatTree& topo, const EcmpHasher& hasher,
@@ -84,8 +92,7 @@ NodeId reverse_ecmp_core(const FatTree& topo, const EcmpHasher& hasher,
   if (src_tor.pod == dst_tor.pod) {
     throw std::invalid_argument("reverse_ecmp_core: same-pod flows do not cross a core");
   }
-  const auto route = ecmp_route(topo, hasher, key, src_tor, dst_tor);
-  return route.at(2);  // {src_tor, edge, core, edge, dst_tor}
+  return uplink(topo, hasher, key, uplink(topo, hasher, key, src_tor));
 }
 
 }  // namespace rlir::topo

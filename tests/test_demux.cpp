@@ -67,25 +67,34 @@ TEST_F(ReverseEcmpDemuxTest, ValidatesConstruction) {
   ReverseEcmpDemux demux(&topo_, &hasher_, receiver_tor_);
   EXPECT_THROW(demux.set_sender_at_core(4, 1), std::out_of_range);
   EXPECT_THROW(demux.set_sender_at_core(-1, 1), std::out_of_range);
+  // kNoSender marks an unmapped core; it cannot be registered as a verdict.
+  EXPECT_THROW(demux.set_sender_at_core(0, net::kNoSender), std::invalid_argument);
 }
 
 TEST_F(ReverseEcmpDemuxTest, CrossPodAttributedToForwardRouteCore) {
   ReverseEcmpDemux demux(&topo_, &hasher_, receiver_tor_);
+  // Register every core twice: the second registration replaces the first.
   for (int c = 0; c < topo_.core_count(); ++c) {
+    demux.set_sender_at_core(c, static_cast<net::SenderId>(50 + c));
     demux.set_sender_at_core(c, static_cast<net::SenderId>(100 + c));
   }
   common::Xoshiro256 rng(1);
-  const auto origin = topo_.tor(0, 0);
-  for (int i = 0; i < 500; ++i) {
-    net::Packet p = packet_from(
-        topo_.host_address(origin, static_cast<int>(rng.uniform_u64(200))),
-        topo_.host_address(receiver_tor_, static_cast<int>(rng.uniform_u64(200))));
-    p.key.src_port = static_cast<std::uint16_t>(rng.next());
-    p.key.dst_port = static_cast<std::uint16_t>(rng.next());
-    const auto route = topo::ecmp_route(topo_, hasher_, p.key, origin, receiver_tor_);
-    const auto sender = demux.classify(p);
-    ASSERT_TRUE(sender);
-    EXPECT_EQ(*sender, 100 + route[2].index);
+  for (int pod = 0; pod < topo_.pods(); ++pod) {
+    if (pod == receiver_tor_.pod) continue;
+    for (int t = 0; t < topo_.tors_per_pod(); ++t) {
+      const auto origin = topo_.tor(pod, t);
+      for (int i = 0; i < 500; ++i) {
+        net::Packet p = packet_from(
+            topo_.host_address(origin, static_cast<int>(rng.uniform_u64(200))),
+            topo_.host_address(receiver_tor_, static_cast<int>(rng.uniform_u64(200))));
+        p.key.src_port = static_cast<std::uint16_t>(rng.next());
+        p.key.dst_port = static_cast<std::uint16_t>(rng.next());
+        const auto route = topo::ecmp_route(topo_, hasher_, p.key, origin, receiver_tor_);
+        const auto sender = demux.classify(p);
+        ASSERT_TRUE(sender);
+        EXPECT_EQ(*sender, 100 + route[2].index) << origin.name(topo_.k());
+      }
+    }
   }
 }
 

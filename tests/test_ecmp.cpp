@@ -40,6 +40,46 @@ TEST(EcmpHasher, SelectRespectsFanout) {
   EXPECT_EQ(hasher.select(random_key(rng), 7, 0), 0u);
 }
 
+// Known answers: the digests every simulated route and recorded workload
+// depend on. Comparing against ecmp_route cannot catch a change to the
+// hashed key layout (both sides would move together); these constants can.
+// Distinct bytes in every field expose any reordering; the salts have both
+// 32-bit halves non-zero, so swapping them shows too.
+TEST(EcmpHasher, KnownAnswers) {
+  struct Case {
+    std::uint32_t src;
+    std::uint32_t dst;
+    std::uint16_t src_port;
+    std::uint16_t dst_port;
+    std::uint8_t proto;
+    std::uint64_t salt;
+    std::uint32_t crc32c;
+    std::uint32_t jenkins;
+  };
+  const Case cases[] = {
+      {0, 0, 0, 0, 0, 0, 0x42fbbb4cu, 0x584edb8du},
+      {0, 0, 0, 0, 0, 0x9e3779b97f4a7c15ull, 0x0e3358abu, 0xbd5e6ab3u},
+      {0xffffffffu, 0xffffffffu, 0xffff, 0xffff, 0xff, ~std::uint64_t{0}, 0x46fa9d02u,
+       0x3b4896b2u},
+      {0x01020304u, 0x05060708u, 0x090a, 0x0b0c, 0x0d, 0x1112131415161718ull, 0x5f184a36u,
+       0x03f06229u},
+      {0x0a000102u, 0x0a030005u, 40000, 80, 6, 0x0000000100000002ull, 0xbfec1f13u,
+       0x0c84005au},
+  };
+  const Crc32EcmpHasher crc;
+  const JenkinsEcmpHasher jenkins;
+  for (const Case& c : cases) {
+    net::FiveTuple key;
+    key.src = net::Ipv4Address(c.src);
+    key.dst = net::Ipv4Address(c.dst);
+    key.src_port = c.src_port;
+    key.dst_port = c.dst_port;
+    key.proto = c.proto;
+    EXPECT_EQ(crc.hash(key, c.salt), c.crc32c) << key.to_string();
+    EXPECT_EQ(jenkins.hash(key, c.salt), c.jenkins) << key.to_string();
+  }
+}
+
 TEST(EcmpHasher, Names) {
   EXPECT_EQ(Crc32EcmpHasher{}.name(), "crc32c");
   EXPECT_EQ(JenkinsEcmpHasher{}.name(), "jenkins");

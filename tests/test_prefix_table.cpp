@@ -1,6 +1,7 @@
-// Unit tests: net/prefix_table.h — longest-prefix-match trie.
+// Unit tests: net/prefix_table.h — longest-prefix-match table.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "common/rng.h"
@@ -72,8 +73,8 @@ TEST(PrefixTable, FindExact) {
   EXPECT_FALSE(table.find_exact(Ipv4Prefix(Ipv4Address(10, 0, 0, 0), 8)));
 }
 
-// Regression: inserting many prefixes reallocates the node vector; the trie
-// must stay intact (this once hid a use-after-free on vector growth).
+// Regression: inserting many prefixes reallocates the table's storage; every
+// rule must survive (this once hid a use-after-free on vector growth).
 TEST(PrefixTable, ManyInsertsSurviveReallocation) {
   PrefixTable<int> table;
   for (int pod = 0; pod < 48; ++pod) {
@@ -95,7 +96,9 @@ TEST(PrefixTable, ManyInsertsSurviveReallocation) {
   }
 }
 
-// Property: the trie agrees with brute-force LPM over random rule sets.
+// Property: the table agrees with brute-force LPM over random rule sets that
+// mix every length, the default route included, and find_exact hits exactly
+// the inserted prefixes.
 class PrefixTableRandomSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PrefixTableRandomSweep, AgreesWithBruteForce) {
@@ -103,7 +106,7 @@ TEST_P(PrefixTableRandomSweep, AgreesWithBruteForce) {
   PrefixTable<std::size_t> table;
   std::vector<Ipv4Prefix> rules;
   for (int i = 0; i < 200; ++i) {
-    const auto len = static_cast<std::uint8_t>(rng.uniform_u64(25) + 8);  // /8../32
+    const auto len = static_cast<std::uint8_t>(rng.uniform_u64(33));  // /0../32
     const Ipv4Prefix p(Ipv4Address(static_cast<std::uint32_t>(rng.next())), len);
     // Skip duplicates (insert would overwrite; brute force keeps first).
     bool dup = false;
@@ -130,6 +133,24 @@ TEST_P(PrefixTableRandomSweep, AgreesWithBruteForce) {
       ASSERT_TRUE(got);
       EXPECT_EQ(rules[*got].length(), rules[static_cast<std::size_t>(best)].length());
       EXPECT_TRUE(rules[*got].contains(addr));
+    }
+  }
+
+  const auto inserted = [&](const Ipv4Prefix& p) -> std::optional<std::size_t> {
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+      if (rules[r] == p) return r;
+    }
+    return std::nullopt;
+  };
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    EXPECT_EQ(table.find_exact(rules[r]), r);
+    // The same base one bit shorter and one bit longer: a miss unless that
+    // prefix was inserted too.
+    for (const int delta : {-1, 1}) {
+      const int len = rules[r].length() + delta;
+      if (len < 0 || len > 32) continue;
+      const Ipv4Prefix near(rules[r].base(), static_cast<std::uint8_t>(len));
+      EXPECT_EQ(table.find_exact(near), inserted(near)) << near.to_string();
     }
   }
 }

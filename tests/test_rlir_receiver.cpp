@@ -142,6 +142,51 @@ TEST_F(RlirReceiverTest, MergedEstimatesUnionStreams) {
   EXPECT_EQ(merged.size(), 2u);  // one flow per origin
 }
 
+// Streams are kept in sender order whatever order their senders first
+// appear in: each stream is found by its sender, and flush() visits them in
+// ascending sender order.
+TEST_F(RlirReceiverTest, StreamsOrderedBySenderNotArrival) {
+  const net::SenderId senders[] = {9, 3, 5};
+  const net::Ipv4Address origins[] = {net::Ipv4Address(10, 0, 9, 1),
+                                      net::Ipv4Address(10, 0, 3, 1),
+                                      net::Ipv4Address(10, 0, 5, 1)};
+  PrefixDemux demux;
+  for (int i = 0; i < 3; ++i) demux.add_origin(net::Ipv4Prefix(origins[i], 24), senders[i]);
+  RlirReceiver receiver(rli::ReceiverConfig{}, &clock_, &demux);
+  std::vector<std::pair<net::SenderId, double>> flushed;
+  receiver.add_estimate_sink(
+      [&](net::SenderId sender, const rli::RliReceiver::PacketEstimate& e) {
+        flushed.emplace_back(sender, e.estimate_ns);
+      });
+
+  // Sender s's segment delay is 100*s ns. Senders 9, 3 and 5 send 1, 2 and
+  // 3 references, in that order: 3 and 5 land before 9 in sender order.
+  receiver.on_packet(reference(0, 900, 0, 9), TimePoint(0));
+  const rli::RliReceiver* stream9 = receiver.stream(9);
+  ASSERT_NE(stream9, nullptr);
+  receiver.on_packet(reference(10, 300, 1, 3), TimePoint(10));
+  receiver.on_packet(reference(20, 300, 2, 3), TimePoint(20));
+  receiver.on_packet(reference(30, 500, 3, 5), TimePoint(30));
+  receiver.on_packet(reference(40, 500, 4, 5), TimePoint(40));
+  receiver.on_packet(reference(50, 500, 5, 5), TimePoint(50));
+  for (int i = 0; i < 3; ++i) {
+    receiver.on_packet(regular(1000 + i, origins[i]), TimePoint(1000 + i));
+  }
+
+  EXPECT_EQ(receiver.stream_count(), 3u);
+  EXPECT_EQ(receiver.stream(9), stream9);  // later insertions moved no stream
+  const std::pair<net::SenderId, std::uint64_t> references_seen[] = {{9, 1}, {3, 2}, {5, 3}};
+  for (const auto& [sender, refs] : references_seen) {
+    ASSERT_NE(receiver.stream(sender), nullptr);
+    EXPECT_EQ(receiver.stream(sender)->references_seen(), refs) << sender;
+  }
+
+  EXPECT_EQ(receiver.flush(), 3u);
+  const std::vector<std::pair<net::SenderId, double>> expected = {
+      {3, 300.0}, {5, 500.0}, {9, 900.0}};
+  EXPECT_EQ(flushed, expected);
+}
+
 TEST_F(RlirReceiverTest, StreamAccessorForUnknownSender) {
   const RlirReceiver receiver(rli::ReceiverConfig{}, &clock_, &demux_);
   EXPECT_EQ(receiver.stream(99), nullptr);
