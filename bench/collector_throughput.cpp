@@ -128,8 +128,7 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
   // --- Stage 1: exporter ingest (per-packet estimate -> per-flow sketch).
   // Latencies are synthetic (log-normal around ~80us, the paper's loaded-
   // queue scale); the estimate path doesn't care where the number came from.
-  collect::EstimateExporter exporter(
-      collect::ExporterConfig{common::LatencySketchConfig{}, 0});
+  collect::EstimateExporter exporter(collect::ExporterConfig{{}, 0});
   common::Xoshiro256 latency_rng(7);
   const auto ingest_start = Clock::now();
   const std::uint64_t streamed = trace::TraceReader::for_each(

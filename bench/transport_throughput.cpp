@@ -89,8 +89,7 @@ std::vector<collect::EstimateRecord> make_batch(std::uint64_t target_packets) {
       timebase::Duration::milliseconds(static_cast<std::int64_t>(target_packets / 400 + 1));
   trace_cfg.seed = 42;
   trace::SyntheticTraceGenerator gen(trace_cfg);
-  collect::EstimateExporter exporter(
-      collect::ExporterConfig{common::LatencySketchConfig{}, 0});
+  collect::EstimateExporter exporter(collect::ExporterConfig{{}, 0});
   common::Xoshiro256 latency_rng(7);
   for (std::uint64_t i = 0; i < target_packets; ++i) {
     auto pkt = gen.next();

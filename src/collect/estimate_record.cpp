@@ -21,13 +21,12 @@ using common::wire::take_f64;
 
 constexpr std::array<char, 4> kMagic = {'R', 'L', 'E', 'S'};
 constexpr std::size_t kHeaderSize = kMagic.size() + 4 + 8;      // magic, version, count
-constexpr std::size_t kKeyedFixedSize = 13 + 4 + 2 + 4;        // key, link, sender, epoch
+constexpr std::size_t kKeyedFixedSize =
+    net::kFiveTupleWireSize + 4 + 2 + 4;                       // key, link, sender, epoch
 /// Smallest encoded record (no bins): what a claimed batch count is checked
 /// against before anything is reserved for it.
 constexpr std::size_t kMinRecordSize = kKeyedFixedSize + kSketchFixedSize;
 constexpr std::size_t kBinSize = 4 + 8;                        // index, count
-/// Corruption guard: no honest sketch carries this many bins.
-constexpr std::uint32_t kMaxWireBins = 1u << 20;
 
 /// Reads a batch's record count and checks that that many smallest records
 /// fit in the bytes left — a lying count fails here, before any reserve.
@@ -40,11 +39,7 @@ std::uint64_t take_count(const std::uint8_t*& p, const std::uint8_t* end) {
 }
 
 void encode_record(const EstimateRecord& r, std::uint8_t*& p) {
-  put<std::uint32_t>(p, r.key.src.value());
-  put<std::uint32_t>(p, r.key.dst.value());
-  put<std::uint16_t>(p, r.key.src_port);
-  put<std::uint16_t>(p, r.key.dst_port);
-  put<std::uint8_t>(p, r.key.proto);
+  net::put_tuple(p, r.key);
   put<std::uint32_t>(p, r.link);
   put<std::uint16_t>(p, r.sender);
   put<std::uint32_t>(p, r.epoch);
@@ -58,11 +53,7 @@ EstimateRecord decode_record(const std::uint8_t*& p, const std::uint8_t* end) {
     throw std::runtime_error("EstimateRecord: truncated record");
   }
   EstimateRecord r;
-  r.key.src = net::Ipv4Address(take<std::uint32_t>(p));
-  r.key.dst = net::Ipv4Address(take<std::uint32_t>(p));
-  r.key.src_port = take<std::uint16_t>(p);
-  r.key.dst_port = take<std::uint16_t>(p);
-  r.key.proto = take<std::uint8_t>(p);
+  r.key = net::take_tuple(p);
   r.link = take<std::uint32_t>(p);
   r.sender = take<std::uint16_t>(p);
   r.epoch = take<std::uint32_t>(p);
@@ -77,8 +68,6 @@ std::size_t sketch_wire_size(const common::LatencySketch& sketch) {
 }
 
 void encode_sketch(std::uint8_t*& p, const common::LatencySketch& sketch) {
-  put_f64(p, sketch.config().relative_accuracy);
-  put<std::uint32_t>(p, static_cast<std::uint32_t>(sketch.config().max_bins));
   put<std::uint64_t>(p, sketch.zero_count());
   put_f64(p, sketch.sum());
   put_f64(p, sketch.min());
@@ -94,9 +83,6 @@ common::LatencySketch decode_sketch(const std::uint8_t*& p, const std::uint8_t* 
   if (static_cast<std::size_t>(end - p) < kSketchFixedSize) {
     throw std::runtime_error("EstimateRecord: truncated sketch");
   }
-  common::LatencySketchConfig config;
-  config.relative_accuracy = take_f64(p);
-  config.max_bins = take<std::uint32_t>(p);
   const auto zero_count = take<std::uint64_t>(p);
   const double sum = take_f64(p);
   const double min = take_f64(p);
@@ -107,8 +93,10 @@ common::LatencySketch decode_sketch(const std::uint8_t*& p, const std::uint8_t* 
     throw std::runtime_error("EstimateRecord: non-finite sketch moments (corrupt input)");
   }
   const auto bin_count = take<std::uint32_t>(p);
-  if (bin_count > kMaxWireBins) {
-    throw std::runtime_error("EstimateRecord: implausible bin count (corrupt input)");
+  // collapse_if_needed runs after every add and merge, so no honest encoder
+  // ships more bins than the budget.
+  if (bin_count > common::LatencySketchConfig::max_bins) {
+    throw std::runtime_error("EstimateRecord: bin count above max_bins (corrupt input)");
   }
   if (static_cast<std::size_t>(end - p) < static_cast<std::size_t>(bin_count) * kBinSize) {
     throw std::runtime_error("EstimateRecord: truncated bins");
@@ -119,26 +107,19 @@ common::LatencySketch decode_sketch(const std::uint8_t*& p, const std::uint8_t* 
     const auto count = take<std::uint64_t>(p);
     bins[index] += count;
   }
-  try {
-    return common::LatencySketch::from_parts(config, zero_count, sum, min, max,
-                                             std::move(bins));
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("EstimateRecord: corrupt sketch config: ") + e.what());
-  }
+  return common::LatencySketch::from_parts(zero_count, sum, min, max, bins);
 }
 
 namespace {
 
-/// View counterpart of decode_sketch: same bounds/corruption checks, but
-/// bins stay in place. The accuracy-range check stands in for the sketch
-/// constructor the owning path ran (same runtime_error verdict).
+/// View counterpart of decode_sketch: same bounds/corruption checks, each
+/// made here rather than shared, so the owning decoder stays an independent
+/// oracle. Bins stay in place.
 SketchView decode_sketch_view(const std::uint8_t*& p, const std::uint8_t* end) {
   if (static_cast<std::size_t>(end - p) < kSketchFixedSize) {
     throw std::runtime_error("EstimateRecord: truncated sketch");
   }
   SketchView v;
-  v.relative_accuracy = take_f64(p);
-  v.max_bins = take<std::uint32_t>(p);
   v.zero_count = take<std::uint64_t>(p);
   v.sum = take_f64(p);
   v.min = take_f64(p);
@@ -147,18 +128,12 @@ SketchView decode_sketch_view(const std::uint8_t*& p, const std::uint8_t* end) {
     throw std::runtime_error("EstimateRecord: non-finite sketch moments (corrupt input)");
   }
   v.bin_count = take<std::uint32_t>(p);
-  if (v.bin_count > kMaxWireBins) {
-    throw std::runtime_error("EstimateRecord: implausible bin count (corrupt input)");
+  // Within the budget, merge_parts equals a merge of the from_parts sketch.
+  if (v.bin_count > common::LatencySketchConfig::max_bins) {
+    throw std::runtime_error("EstimateRecord: bin count above max_bins (corrupt input)");
   }
   if (static_cast<std::size_t>(end - p) < static_cast<std::size_t>(v.bin_count) * kBinSize) {
     throw std::runtime_error("EstimateRecord: truncated bins");
-  }
-  // The owning path validated accuracy inside from_parts (after reading the
-  // bins); match its verdict and ordering. Same runtime_error → peers with
-  // corrupt configs are dropped, not crashed into.
-  if (!(v.relative_accuracy > 0.0) || !(v.relative_accuracy < 1.0)) {
-    throw std::runtime_error(
-        "EstimateRecord: corrupt sketch config: LatencySketch: relative_accuracy must be in (0, 1)");
   }
   v.bins = p;
   // One warm sequential pass for the total; the merge re-reads the bins from
@@ -176,11 +151,7 @@ RecordView decode_record_view(const std::uint8_t*& p, const std::uint8_t* end) {
     throw std::runtime_error("EstimateRecord: truncated record");
   }
   RecordView r;
-  r.key.src = net::Ipv4Address(take<std::uint32_t>(p));
-  r.key.dst = net::Ipv4Address(take<std::uint32_t>(p));
-  r.key.src_port = take<std::uint16_t>(p);
-  r.key.dst_port = take<std::uint16_t>(p);
-  r.key.proto = take<std::uint8_t>(p);
+  r.key = net::take_tuple(p);
   r.link = take<std::uint32_t>(p);
   r.sender = take<std::uint16_t>(p);
   r.epoch = take<std::uint32_t>(p);
@@ -213,8 +184,8 @@ std::size_t decode_record_views_prefix(const std::uint8_t* data, std::size_t siz
 }
 
 void merge_sketch_view(common::LatencySketch& dst, const SketchView& view) {
-  dst.merge_parts(view.relative_accuracy, view.max_bins, view.zero_count, view.binned_count,
-                  view.sum, view.min, view.max, view.bin_count, [&view](auto&& emit) {
+  dst.merge_parts(view.zero_count, view.binned_count, view.sum, view.min, view.max,
+                  [&view](auto&& emit) {
                     const std::uint8_t* p = view.bins;
                     for (std::uint32_t i = 0; i < view.bin_count; ++i) {
                       const auto index = take<std::int32_t>(p);
@@ -236,16 +207,10 @@ std::size_t wire_size(const RecordView& record) {
 void encode_record_body(const RecordView& record, std::uint8_t* out) {
   const std::size_t bin_bytes = static_cast<std::size_t>(record.sketch.bin_count) * kBinSize;
   std::uint8_t* p = out;
-  put<std::uint32_t>(p, record.key.src.value());
-  put<std::uint32_t>(p, record.key.dst.value());
-  put<std::uint16_t>(p, record.key.src_port);
-  put<std::uint16_t>(p, record.key.dst_port);
-  put<std::uint8_t>(p, record.key.proto);
+  net::put_tuple(p, record.key);
   put<std::uint32_t>(p, record.link);
   put<std::uint16_t>(p, record.sender);
   put<std::uint32_t>(p, record.epoch);
-  put_f64(p, record.sketch.relative_accuracy);
-  put<std::uint32_t>(p, record.sketch.max_bins);
   put<std::uint64_t>(p, record.sketch.zero_count);
   put_f64(p, record.sketch.sum);
   put_f64(p, record.sketch.min);

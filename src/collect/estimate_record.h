@@ -8,12 +8,13 @@
 //
 //   batch:   magic "RLES" | u32 version | u64 record count
 //   record:  5-tuple (4+4+2+2+1) | u32 link | u16 sender | u32 epoch
-//            | f64 relative_accuracy | u32 max_bins
 //            | u64 zero_count | f64 sum | f64 min | f64 max
 //            | u32 bin_count | bin_count x (i32 index, u64 count)
 //
-// Decoding rejects bad magic, unsupported versions, truncated input, and
-// implausible bin counts (corruption guard) with std::runtime_error.
+// No sketch accuracy or budget travels: every sketch has the one shape of
+// common::LatencySketchConfig. Decoding rejects bad magic, unsupported
+// versions, truncated input, non-finite moments, and bin counts above the
+// budget (no honest encoder exceeds it) with std::runtime_error.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,8 @@
 
 namespace rlir::collect {
 
-inline constexpr std::uint32_t kEstimateWireVersion = 1;
+/// 2: the sketch segment lost its f64 relative accuracy and u32 max bins.
+inline constexpr std::uint32_t kEstimateWireVersion = 2;
 
 /// Vantage-point identifier: which deployed receiver (router interface)
 /// produced a record. Assigned by the collection tier at deployment.
@@ -82,8 +84,6 @@ struct DecodedBatch {
 /// wire bytes; borrow lifetime is the underlying buffer's (a FrameView's
 /// payload: until the decoder's next feed()).
 struct SketchView {
-  double relative_accuracy = 0.0;
-  std::uint32_t max_bins = 0;
   std::uint64_t zero_count = 0;
   double sum = 0.0;
   double min = 0.0;
@@ -110,17 +110,14 @@ struct RecordView {
 /// View-based overload of decode_records_prefix: appends one batch's records
 /// to `out` (not cleared — callers reuse it as a scratch arena across
 /// batches) and returns the bytes consumed. Performs the same validation and
-/// throws the same std::runtime_errors as the owning decoder, including
-/// rejecting out-of-range relative accuracies (which the owning path caught
-/// via sketch construction). Views borrow `data`; they are invalidated by
-/// whatever invalidates it.
+/// throws the same std::runtime_errors as the owning decoder. Views borrow
+/// `data`; they are invalidated by whatever invalidates it.
 std::size_t decode_record_views_prefix(const std::uint8_t* data, std::size_t size,
                                        std::vector<RecordView>& out);
 
 /// Merges a decoded view into `dst` exactly as
 /// `dst.merge(decode_sketch(...)-materialized sketch)` would — bin for bin —
-/// without building the intermediate. Throws std::invalid_argument on a
-/// relative-accuracy mismatch, like merge.
+/// without building the intermediate.
 void merge_sketch_view(common::LatencySketch& dst, const SketchView& view);
 
 /// Exact wire size of one record in bytes (memory/bandwidth accounting).
@@ -157,13 +154,14 @@ void decode_record_body_views(const std::uint8_t* data, std::size_t size,
                               std::vector<RecordView>& out);
 
 // --- Sketch segment helpers ------------------------------------------------
-// The sketch portion of a record (config, moments, bins) is a format of its
-// own, reused by the transport tier's query replies to ship bare sketches.
+// The sketch portion of a record (moments, bins) is a format of its own,
+// reused by the transport tier's query replies and the metrics scrape to
+// ship bare sketches.
 
-/// Bytes of a sketch segment before its bins (accuracy, max bins, zero count,
-/// sum, min, max, bin count) — an empty sketch's whole segment, and the floor
-/// a decoder checks a claimed entry count against.
-inline constexpr std::size_t kSketchFixedSize = 8 + 4 + 8 + 8 + 8 + 8 + 4;
+/// Bytes of a sketch segment before its bins (zero count, sum, min, max, bin
+/// count) — an empty sketch's whole segment, and the floor a decoder checks a
+/// claimed entry count against.
+inline constexpr std::size_t kSketchFixedSize = 8 + 8 + 8 + 8 + 4;
 
 /// Exact wire size of one sketch's segment in bytes.
 [[nodiscard]] std::size_t sketch_wire_size(const common::LatencySketch& sketch);

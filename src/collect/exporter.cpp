@@ -20,10 +20,7 @@ void EstimateExporter::observe(net::SenderId sender,
                                const rli::RliReceiver::PacketEstimate& estimate) {
   auto it = flows_.find(estimate.key);
   if (it == flows_.end()) {
-    it = flows_
-             .try_emplace(estimate.key,
-                          FlowEntry{common::LatencySketch(config_.sketch), sender, estimate.arrival})
-             .first;
+    it = flows_.try_emplace(estimate.key, FlowEntry{{}, sender, estimate.arrival}).first;
   }
   it->second.sketch.add(estimate.estimate_ns);
   it->second.sender = sender;

@@ -27,6 +27,9 @@
 namespace rlir::collect {
 
 struct ExporterConfig {
+  /// Holds nothing (every sketch has one shape); kept so the aggregate form
+  /// `ExporterConfig{{}, link}` that perfbench/src/replay.cpp writes still
+  /// compiles.
   common::LatencySketchConfig sketch;
   /// Vantage-point identity stamped into every drained record.
   LinkId link = kNoLink;

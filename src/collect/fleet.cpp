@@ -18,8 +18,7 @@ LinkId FleetCollector::deploy(topo::FatTreeSim& sim, topo::NodeId node,
   Vantage v;
   v.node = node;
   v.receiver = std::make_unique<rlir::RlirReceiver>(config_.receiver, clock_, demux);
-  v.exporter = std::make_unique<EstimateExporter>(
-      ExporterConfig{config_.collector.sketch, link});
+  v.exporter = std::make_unique<EstimateExporter>(ExporterConfig{{}, link});
   v.exporter->attach(*v.receiver);
   sim.add_arrival_tap(node, v.receiver.get());
   // A vantage deployed after attach_scheduler() must still be drained on

@@ -35,8 +35,6 @@ SketchHistoryStore::SketchHistoryStore(HistoryConfig config)
     throw std::invalid_argument(
         "SketchHistoryStore: coarse_window must be a positive multiple of mid_window");
   }
-  // Validates the accuracy range the same way every sketch consumer does.
-  (void)common::LatencySketch(config_.sketch);
 
   auto& r = obs_.registry();
   const obs::Labels base = obs_.labels();
@@ -97,9 +95,8 @@ bool SketchHistoryStore::admit_epoch_locked(std::uint32_t epoch) {
 }
 
 void SketchHistoryStore::merge_view_locked(Segment& seg, const RecordView& record) const {
-  const common::LatencySketch empty(config_.sketch);
-  merge_sketch_view(seg.flows.try_emplace(record.key, empty).first->second, record.sketch);
-  merge_sketch_view(seg.links.try_emplace(record.link, empty).first->second, record.sketch);
+  merge_sketch_view(seg.flows.try_emplace(record.key).first->second, record.sketch);
+  merge_sketch_view(seg.links.try_emplace(record.link).first->second, record.sketch);
 }
 
 void SketchHistoryStore::fold_front_locked(std::deque<Segment>& from, std::deque<Segment>& into,
@@ -114,12 +111,11 @@ void SketchHistoryStore::fold_front_locked(std::deque<Segment>& from, std::deque
   }
   Segment& dst = into.back();
   for_each_raw_view_locked(src, [&](const RecordView& v) { merge_view_locked(dst, v); });
-  const common::LatencySketch empty(config_.sketch);
   for (const auto& [key, sketch] : src.flows) {
-    dst.flows.try_emplace(key, empty).first->second.merge(sketch);
+    dst.flows.try_emplace(key).first->second.merge(sketch);
   }
   for (const auto& [link, sketch] : src.links) {
-    dst.links.try_emplace(link, empty).first->second.merge(sketch);
+    dst.links.try_emplace(link).first->second.merge(sketch);
   }
   dst.last = src.last;
   dst.records += src.records;
@@ -227,12 +223,6 @@ void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
 }
 
 void SketchHistoryStore::ingest_views(const std::vector<RecordView>& batch) {
-  for (const auto& record : batch) {
-    if (record.sketch.relative_accuracy != config_.sketch.relative_accuracy) {
-      throw std::invalid_argument(
-          "SketchHistoryStore::ingest: record sketch accuracy differs from history config");
-    }
-  }
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& record : batch) ingest_view_locked(record);
   flush_cells_locked();
@@ -302,7 +292,7 @@ std::optional<common::LatencySketch> SketchHistoryStore::window_one(
   if (first > last) std::swap(first, last);
   obs::SpanTimer span(obs_.spans(), obs::SpanKind::kHistoryWindow, {}, label);
   std::lock_guard<std::mutex> lock(mu_);
-  common::LatencySketch out(config_.sketch);
+  common::LatencySketch out;
   bool found = false;
   const auto cov = for_each_covering_locked(first, last, [&](const Segment& seg) {
     for_each_raw_view_locked(seg, [&](const RecordView& v) {
@@ -328,7 +318,7 @@ std::vector<std::pair<Key, common::LatencySketch>> SketchHistoryStore::window_gr
   std::lock_guard<std::mutex> lock(mu_);
   std::map<Key, common::LatencySketch> merged;
   const auto slot = [&](const Key& key) -> common::LatencySketch& {
-    return merged.try_emplace(key, config_.sketch).first->second;
+    return merged[key];
   };
   for_each_covering_locked(first, last, [&](const Segment& seg) {
     for_each_raw_view_locked(
@@ -358,7 +348,7 @@ common::LatencySketch SketchHistoryStore::window_fleet(std::uint32_t epoch_first
   if (epoch_first > epoch_last) std::swap(epoch_first, epoch_last);
   obs::SpanTimer span(obs_.spans(), obs::SpanKind::kHistoryWindow, {}, "fleet");
   std::lock_guard<std::mutex> lock(mu_);
-  common::LatencySketch out(config_.sketch);
+  common::LatencySketch out;
   const auto cov = for_each_covering_locked(epoch_first, epoch_last, [&](const Segment& seg) {
     for_each_raw_view_locked(seg, [&](const RecordView& v) { merge_sketch_view(out, v.sketch); });
     // Every record lands in exactly one link aggregate, so the union over

@@ -15,9 +15,10 @@
 //     mid-tier segments of `mid_window` epochs (per-flow/per-link merged
 //     sketch maps), which in turn fold into coarse segments of
 //     `coarse_window` epochs; the oldest coarse segments evict. Retained
-//     coverage is always one contiguous range [oldest, newest]. Compacted
-//     sketches keep the producer's config, so a fold is bin-for-bin exact:
-//     compaction only loses the per-epoch split inside a segment.
+//     coverage is always one contiguous range [oldest, newest]. A fold is
+//     bin-for-bin exact (every sketch has the one shape of
+//     common::LatencySketchConfig): compaction only loses the per-epoch
+//     split inside a segment.
 //   * a hard byte bound (`max_bytes`): whenever the accounted footprint
 //     exceeds it, the oldest segments evict (coarse first, then mid, then
 //     raw — never the newest raw epoch, which is still filling).
@@ -70,10 +71,6 @@ struct HistoryConfig {
   std::size_t coarse_segments = 16;
   /// Hard footprint bound; exceeding it evicts oldest segments. 0 = none.
   std::size_t max_bytes = 64u << 20;
-  /// Accuracy contract: ingest rejects records whose relative accuracy
-  /// differs (same rule as the collectors'). Every retained and answered
-  /// sketch uses this config.
-  common::LatencySketchConfig sketch;
   /// Observability attachment (see obs/instrument.h): rlir_history_* gauges
   /// and counters — the store's memory watchdog.
   obs::Instruments instruments;
@@ -122,17 +119,15 @@ class SketchHistoryStore {
   /// Records older than the retained range are dropped (counted); records
   /// landing in an already compacted segment merge into its maps (counted
   /// as late). A record's epoch seals every epoch before it, idle ones
-  /// included, so compaction advances with the records alone. Throws
-  /// std::invalid_argument, storing nothing of the batch, if any record's
-  /// relative accuracy differs.
+  /// included, so compaction advances with the records alone.
   void ingest_views(const std::vector<RecordView>& batch);
   /// Owned records: encodes the batch and ingests its views (encode_views).
   void ingest(const std::vector<EstimateRecord>& batch);
 
   // --- Window queries ------------------------------------------------------
   // All take an inclusive epoch range (swapped if reversed) and optionally
-  // report coverage. Result sketches use the producer config, so they merge
-  // exactly with live collector sketches.
+  // report coverage. Result sketches merge exactly with live collector
+  // sketches.
 
   /// One flow's merged delta over the window; nullopt if the flow appears in
   /// no covered segment.

@@ -34,23 +34,12 @@ ShardedCollector::ShardedCollector(CollectorConfig config)
   }
 }
 
-void ShardedCollector::merge_into_flow(Shard& shard, const net::FiveTuple& key,
-                                       const common::LatencySketch& sketch) {
-  auto [it, inserted] = shard.flows.try_emplace(key, common::LatencySketch(config_.sketch));
-  it->second.merge(sketch);
-  shard.rank_stale = true;
-}
-
 void ShardedCollector::merge_record(Shard& shard, const RecordView& record) {
-  auto [flow_it, flow_inserted] =
-      shard.flows.try_emplace(record.key, common::LatencySketch(config_.sketch));
-  merge_sketch_view(flow_it->second, record.sketch);
+  merge_sketch_view(shard.flows.try_emplace(record.key).first->second, record.sketch);
   shard.rank_stale = true;
   // A link's records scatter across flow shards, so link aggregates are kept
   // per shard and unioned at query time (exact merge makes that lossless).
-  auto [link_it, link_inserted] =
-      shard.links.try_emplace(record.link, common::LatencySketch(config_.sketch));
-  merge_sketch_view(link_it->second, record.sketch);
+  merge_sketch_view(shard.links.try_emplace(record.link).first->second, record.sketch);
   shard.epochs.insert(record.epoch);
   ++shard.records;
   shard.estimates += record.sketch.count();
@@ -61,14 +50,7 @@ void ShardedCollector::ingest(const std::vector<RecordView>& batch) {
   ShardGrouping& g = grouping;
   g.shard_of.resize(batch.size());
   g.bounds.assign(n_shards + 1, 0);
-  // Validate and route in one pass. No shard is touched until the whole
-  // batch has passed, so a bad record rejects the batch whole and leaves no
-  // phantom flow or link entries behind.
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].sketch.relative_accuracy != config_.sketch.relative_accuracy) {
-      throw std::invalid_argument(
-          "ShardedCollector::ingest: record sketch accuracy differs from collector config");
-    }
     g.shard_of[i] = shard_for(batch[i].key);
     ++g.bounds[g.shard_of[i]];
   }
@@ -123,55 +105,20 @@ ShardedCollector ShardedCollector::snapshot() const {
     const Shard& from = *shards_[s];
     Shard& to = *copy.shards_[s];
     const std::lock_guard<std::mutex> lock(from.mu);
-    // Each sketch is merged into a fresh one, as merge() builds them, so a
-    // copy's approx_flow_bytes() does not depend on how it was taken.
-    for (const auto& [key, sketch] : from.flows) copy.merge_into_flow(to, key, sketch);
-    for (const auto& [link_id, sketch] : from.links) {
-      to.links.try_emplace(link_id, common::LatencySketch(config_.sketch))
-          .first->second.merge(sketch);
+    // Each sketch is merged into a fresh one, so a copy's
+    // approx_flow_bytes() does not depend on how the original grew.
+    for (const auto& [key, sketch] : from.flows) {
+      to.flows.try_emplace(key).first->second.merge(sketch);
     }
+    for (const auto& [link_id, sketch] : from.links) {
+      to.links.try_emplace(link_id).first->second.merge(sketch);
+    }
+    to.rank_stale = true;  // the copy ranks its own flows on first top-k
     to.epochs = from.epochs;
     to.records = from.records;
     to.estimates = from.estimates;
   }
   return copy;
-}
-
-void ShardedCollector::merge(const ShardedCollector& other) {
-  // Same up-front rejection as ingest(): a mismatched replica must not
-  // leave phantom entries behind by throwing mid-merge. (Every sketch in
-  // `other` carries its config's accuracy — ingest enforced that.)
-  if (other.config_.sketch.relative_accuracy != config_.sketch.relative_accuracy) {
-    throw std::invalid_argument(
-        "ShardedCollector::merge: replica sketch accuracy differs from collector config");
-  }
-  // Reading `other` and writing this collector never overlap: the snapshot
-  // takes other's shard locks one at a time and releases each before any
-  // of ours is taken, so a.merge(b) racing b.merge(a) cannot deadlock, and
-  // a self-merge reads a stable copy ("every record twice").
-  const ShardedCollector src = other.snapshot();
-  for (std::size_t d = 0; d < shards_.size(); ++d) {
-    Shard& dst = *shards_[d];
-    const std::lock_guard<std::mutex> lock(dst.mu);
-    for (const auto& from : src.shards_) {
-      for (const auto& [key, sketch] : from->flows) {
-        if (shard_for(key) == d) merge_into_flow(dst, key, sketch);
-      }
-      // Keep each link aggregate in a single home shard when re-merging so
-      // repeated replica unions don't scatter state: home = link % shards.
-      for (const auto& [link_id, sketch] : from->links) {
-        if (link_id % shards_.size() != d) continue;
-        dst.links.try_emplace(link_id, common::LatencySketch(config_.sketch))
-            .first->second.merge(sketch);
-      }
-      if (d != 0) continue;
-      // Totals are per shard only so ingest can count under the lock it
-      // already holds; the replica's land in shard 0.
-      dst.epochs.insert(from->epochs.begin(), from->epochs.end());
-      dst.records += from->records;
-      dst.estimates += from->estimates;
-    }
-  }
 }
 
 const common::LatencySketch* ShardedCollector::flow(const net::FiveTuple& key) const {
@@ -214,7 +161,7 @@ std::optional<FlowSummary> ShardedCollector::flow_summary(const net::FiveTuple& 
 }
 
 std::optional<common::LatencySketch> ShardedCollector::link_distribution(LinkId link_id) const {
-  common::LatencySketch merged(config_.sketch);
+  common::LatencySketch merged;
   bool seen = false;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mu);
@@ -245,15 +192,14 @@ std::vector<std::pair<LinkId, common::LatencySketch>> ShardedCollector::link_dis
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mu);
     for (const auto& [link_id, sketch] : shard->links) {
-      auto [it, inserted] = merged.try_emplace(link_id, config_.sketch);
-      it->second.merge(sketch);
+      merged[link_id].merge(sketch);
     }
   }
   return {merged.begin(), merged.end()};
 }
 
 common::LatencySketch ShardedCollector::fleet() const {
-  common::LatencySketch all(config_.sketch);
+  common::LatencySketch all;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mu);
     for (const auto& [link_id, sketch] : shard->links) {

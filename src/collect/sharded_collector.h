@@ -4,14 +4,14 @@
 // Records are routed by flow-key hash to one of N shards; each shard keeps a
 // flow table of merged sketches plus per-link (vantage) aggregates. Because
 // sketch merge is exact (bin-wise addition), any grouping of the same
-// records — by shard, by epoch, by collector replica — converges to the same
-// state, which is what makes the tier horizontally scalable: shards can live
-// on different machines and replicas can be merged pairwise.
+// records — by shard, by epoch, by agent — converges to the same state,
+// which is what makes the tier horizontally scalable: a coordinator merges
+// partitioned agents' answers bin for bin (transport/coordinator.h).
 //
 // Threading: every method but set_history may be called from any thread
 // (flow()'s pointer carries its own caveat). Each shard owns a mutex over
-// its maps, rank index, epoch set and counts. An ingest validates
-// the whole batch, groups it by shard, and merges each shard's share under
+// its maps, rank index, epoch set and counts. An ingest groups the batch
+// by shard and merges each shard's share under
 // one hold of that shard's lock, so producers on different shards merge in
 // parallel. No code path holds two shard locks at once. An ingest is
 // complete when it returns: a query issued after it sees it. Because merge
@@ -55,9 +55,6 @@ struct CollectorConfig {
   /// Shard fan-out. More shards = smaller per-shard flow tables (and, in a
   /// distributed deployment, more machines). Must be >= 1.
   std::size_t shard_count = 8;
-  /// Accuracy/budget of the shard-side merged sketches. The relative
-  /// accuracy must match the exporters' so merges stay exact.
-  common::LatencySketchConfig sketch;
   /// Observability attachment (see obs/instrument.h): the
   /// rlir_collect_records_submitted_total counter. Null members = the
   /// collector owns a private registry/trace.
@@ -78,8 +75,8 @@ struct FlowSummary {
 using RankedFlowSummary = std::pair<double, FlowSummary>;
 
 /// The worst-first ordering contract every top-k path shares — rank index,
-/// full scan, and cross-collector merges: higher value first, flow key as
-/// the deterministic tie-break.
+/// full scan, and the coordinator's cross-agent merge: higher value first,
+/// flow key as the deterministic tie-break.
 [[nodiscard]] inline bool ranked_worse_first(const RankedFlowSummary& a,
                                              const RankedFlowSummary& b) {
   if (a.first != b.first) return a.first > b.first;
@@ -107,27 +104,16 @@ class ShardedCollector {
 
   /// Merges a batch of decoded RecordViews (they borrow the wire bytes, so
   /// no sketch is materialized) into the flow tables and link aggregates,
-  /// then tees the batch to the attached history store. Validates every
-  /// record's sketch accuracy before touching any shard: on a mismatch it
-  /// throws std::invalid_argument and nothing of the batch is merged.
+  /// then tees the batch to the attached history store.
   void ingest(const std::vector<RecordView>& batch);
   /// Owned records: encodes the batch and ingests its views (encode_views),
   /// so both overloads share one merge body and reach the same state.
   void ingest(const std::vector<EstimateRecord>& batch);
 
-  /// Merges another collector's entire state (replica/epoch union) from
-  /// other.snapshot(), so merging into itself doubles every aggregate.
-  /// Shard counts need not match; flows are re-routed by this collector's
-  /// hash. Throws std::invalid_argument, changing nothing, if the sketch
-  /// accuracies differ.
-  void merge(const ShardedCollector& other);
-
   /// Attaches a history store tee (see collect/history.h): every batch
   /// ingested after this call is also appended to `history`'s epoch log.
   /// Borrowed — the store must outlive the last ingest; null detaches.
   /// Attach before the first ingest; the pointer itself is not locked.
-  /// merge() does NOT tee: a replica union re-plays records some collector
-  /// already ingested (and teed), not new ones.
   void set_history(SketchHistoryStore* history) { history_ = history; }
   [[nodiscard]] SketchHistoryStore* history() const { return history_; }
 
@@ -184,7 +170,7 @@ class ShardedCollector {
   [[nodiscard]] std::uint64_t estimates_ingested() const;
   /// Distinct epochs seen in ingested records.
   [[nodiscard]] std::size_t epoch_count() const { return epochs_seen().size(); }
-  /// Epochs seen, ascending (replica union visibility).
+  /// Epochs seen, ascending.
   [[nodiscard]] std::vector<std::uint32_t> epochs_seen() const;
   /// Flows per shard (load-balance visibility).
   [[nodiscard]] std::vector<std::size_t> shard_flow_counts() const;
@@ -232,10 +218,6 @@ class ShardedCollector {
   }
   /// Merges one record into its shard, whose lock the caller holds.
   void merge_record(Shard& shard, const RecordView& record);
-  /// Merges `sketch` into `key`'s flow state and marks the shard's rank
-  /// index stale (the flow mutation merge() shares with merge_record).
-  void merge_into_flow(Shard& shard, const net::FiveTuple& key,
-                       const common::LatencySketch& sketch);
   /// Re-ranks a shard's flows at quantile `q` unless its index is fresh and
   /// already keyed on `q`.
   void refresh_rank(const Shard& shard, double q) const;

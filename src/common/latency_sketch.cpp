@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+#include <utility>
+
+#include "common/log2_index.h"
 
 namespace rlir::common {
 
@@ -12,30 +14,23 @@ namespace {
 /// share the zero bin so the log mapping never sees a non-positive input.
 constexpr double kMinTrackable = 1e-3;
 
+// The bin geometry, computed once from the one relative accuracy a.
+constexpr double kAccuracy = LatencySketchConfig::relative_accuracy;
+/// ln gamma, gamma = (1+a)/(1-a): bin i covers (gamma^(i-1), gamma^i].
+const double kLogGamma = std::log((1.0 + kAccuracy) / (1.0 - kAccuracy));
+const double kGamma = std::exp(kLogGamma);
+/// ceil(log_gamma(value)): every value in (gamma^(i-1), gamma^i] maps to i,
+/// so the bin's representative value is within the accuracy of it. Computed
+/// log-free (common/log2_index.h), bin-for-bin identical to
+/// ceil(log(value) / kLogGamma).
+const LogGammaCeilIndexer kIndexer(kLogGamma);
+
 }  // namespace
 
-LatencySketch::LatencySketch(LatencySketchConfig config) : config_(config) {
-  if (!(config_.relative_accuracy > 0.0) || !(config_.relative_accuracy < 1.0)) {
-    throw std::invalid_argument("LatencySketch: relative_accuracy must be in (0, 1)");
-  }
-  const double a = config_.relative_accuracy;
-  log_gamma_ = std::log((1.0 + a) / (1.0 - a));
-  indexer_ = LogGammaCeilIndexer(log_gamma_);
-}
-
-std::int32_t LatencySketch::index_for(double value) const {
-  // ceil(log_gamma(value)): every value in (gamma^(i-1), gamma^i] maps to i,
-  // so the bin's representative value is within relative_accuracy of it.
-  // Computed log-free (common/log2_index.h), bin-for-bin identical to
-  // ceil(log(value) / log_gamma_).
-  return indexer_.index(value);
-}
-
-double LatencySketch::value_for(std::int32_t index) const {
+double LatencySketch::value_for(std::int32_t index) {
   // Midpoint 2*gamma^i / (gamma + 1) minimizes the worst-case relative error
   // over the bin (the standard DDSketch representative).
-  const double gamma = std::exp(log_gamma_);
-  return 2.0 * std::exp(static_cast<double>(index) * log_gamma_) / (gamma + 1.0);
+  return 2.0 * std::exp(static_cast<double>(index) * kLogGamma) / (kGamma + 1.0);
 }
 
 void LatencySketch::add(double value, std::uint64_t count) {
@@ -54,14 +49,13 @@ void LatencySketch::add(double value, std::uint64_t count) {
     zero_count_ += count;
     return;
   }
-  bins_.add(index_for(value), count);
+  bins_.add(kIndexer.index(value), count);
   binned_count_ += count;
   collapse_if_needed();
 }
 
 void LatencySketch::collapse_if_needed() {
-  if (config_.max_bins == 0) return;
-  while (bins_.size() > config_.max_bins) {
+  while (bins_.size() > LatencySketchConfig::max_bins) {
     // Fold the lowest bin into its neighbor above: only quantiles below the
     // surviving bin's range lose accuracy, preserving the tail.
     bins_.fold_lowest();
@@ -70,9 +64,6 @@ void LatencySketch::collapse_if_needed() {
 }
 
 void LatencySketch::merge(const LatencySketch& other) {
-  if (other.config_.relative_accuracy != config_.relative_accuracy) {
-    throw std::invalid_argument("LatencySketch::merge: relative accuracies differ");
-  }
   if (other.empty()) return;
   if (empty()) {
     min_ = other.min_;
@@ -109,17 +100,17 @@ std::size_t LatencySketch::approx_bytes() const {
   return sizeof(LatencySketch) + bins_.capacity_bytes();
 }
 
-LatencySketch LatencySketch::from_parts(LatencySketchConfig config, std::uint64_t zero_count,
-                                        double sum, double min, double max, const BinMap& bins) {
+LatencySketch LatencySketch::from_parts(std::uint64_t zero_count, double sum, double min,
+                                        double max, const BinMap& bins) {
   BinStore store;
   // Ascending map order hits the store's append fast path throughout.
   for (const auto& [index, count] : bins) store.add(index, count);
-  return from_parts(config, zero_count, sum, min, max, std::move(store));
+  return from_parts(zero_count, sum, min, max, std::move(store));
 }
 
-LatencySketch LatencySketch::from_parts(LatencySketchConfig config, std::uint64_t zero_count,
-                                        double sum, double min, double max, BinStore bins) {
-  LatencySketch s(config);
+LatencySketch LatencySketch::from_parts(std::uint64_t zero_count, double sum, double min,
+                                        double max, BinStore bins) {
+  LatencySketch s;
   s.zero_count_ = zero_count;
   s.sum_ = sum;
   s.min_ = min;

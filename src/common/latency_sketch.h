@@ -4,15 +4,19 @@
 // Per-flow latency state must be bounded: a FlowStatsMap entry is O(1) but
 // only answers mean/stddev, while a raw sample list answers quantiles at
 // O(packets) memory. The sketch is the middle ground the collection tier is
-// built on — logarithmic buckets sized so every quantile answer is within a
-// configured relative accuracy of the true order statistic, with memory
-// bounded by `max_bins` regardless of how many samples are added.
+// built on — logarithmic buckets sized so every quantile answer is within
+// 1% of the true order statistic, with memory bounded by 2,048 bins
+// regardless of how many samples are added.
+//
+// Every sketch in the system has that one shape: the relative accuracy and
+// the bin budget are constants of LatencySketchConfig, so no config, wire
+// byte or check carries them, and any two sketches merge exactly.
 //
 // Properties:
 //   * add() is O(1); quantile() is O(bins);
-//   * merge() of two sketches with the same accuracy equals the sketch of
-//     the concatenated sample streams, bin for bin (merge is exact, so it is
-//     associative and commutative — the property sharded collection needs);
+//   * merge() of two sketches equals the sketch of the concatenated sample
+//     streams, bin for bin (merge is exact, so it is associative and
+//     commutative — the property sharded collection needs);
 //   * when the bin budget overflows, the lowest bins collapse into one,
 //     degrading only low quantiles (latency monitoring cares about the upper
 //     tail).
@@ -21,20 +25,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <stdexcept>
-#include <utility>
 
 #include "common/bin_store.h"
-#include "common/log2_index.h"
 
 namespace rlir::common {
 
+/// The one sketch shape. It holds no state: both values are constants.
 struct LatencySketchConfig {
   /// Quantile answers are within this relative error of the true order
   /// statistic (for uncollapsed bins). 0.01 = 1%.
-  double relative_accuracy = 0.01;
-  /// Bin budget; exceeding it collapses the lowest bins together. 0 = unbounded.
-  std::size_t max_bins = 2048;
+  static constexpr double relative_accuracy = 0.01;
+  /// Bin budget; exceeding it collapses the lowest bins together.
+  static constexpr std::size_t max_bins = 2048;
 };
 
 class LatencySketch {
@@ -44,9 +46,11 @@ class LatencySketch {
   /// (common/bin_store.h); iteration order is identical (ascending index).
   using BinMap = std::map<std::int32_t, std::uint64_t>;
 
-  LatencySketch() : LatencySketch(LatencySketchConfig{}) {}
-  /// Throws std::invalid_argument unless 0 < relative_accuracy < 1.
-  explicit LatencySketch(LatencySketchConfig config);
+  LatencySketch() = default;
+  /// Same as the default constructor: there is one shape. Kept so
+  /// `LatencySketch out(s.config())`, which perfbench/src/main.cpp writes,
+  /// still compiles.
+  explicit LatencySketch(LatencySketchConfig /*config*/) {}
 
   /// Records one observation. Values below the minimum trackable latency
   /// (1e-3 ns — far below anything physical) land in the zero bin, including
@@ -56,40 +60,24 @@ class LatencySketch {
   void add(double value) { add(value, 1); }
   void add(double value, std::uint64_t count);
 
-  /// Exact union with `other` (bin-wise count addition). Throws
-  /// std::invalid_argument if relative accuracies differ; the result keeps
-  /// this sketch's bin budget.
+  /// Exact union with `other` (bin-wise count addition), collapsed back to
+  /// the bin budget.
   void merge(const LatencySketch& other);
 
   /// Zero-copy merge of serialized sketch state: behaves exactly like
-  /// `merge(from_parts(config, zero_count, sum, min, max, bins))` — bin for
-  /// bin — without materializing the intermediate sketch or its BinMap.
+  /// `merge(from_parts(zero_count, sum, min, max, bins))` — bin for bin —
+  /// without materializing the intermediate sketch or its BinMap.
   ///
   /// `each_bin` is invoked with a `void(std::int32_t index, std::uint64_t
   /// count)` callback and must visit every serialized bin (duplicates
   /// accumulate, as from_parts' map construction did); `binned_count` must be
-  /// the sum of those counts and `bin_count` their number. `max_bins_budget`
-  /// is the *serialized* config's budget: when the serialized bins exceed it,
-  /// from_parts would have collapsed them before the merge, so this falls
-  /// back to the materializing path to preserve exact equivalence (honest
-  /// encoders never exceed their own budget).
+  /// the sum of those counts. The serialized bins must number at most
+  /// max_bins, as the wire decoders enforce: from_parts would collapse more
+  /// before the merge.
   template <typename BinFn>
-  void merge_parts(double relative_accuracy, std::size_t max_bins_budget,
-                   std::uint64_t zero_count, std::uint64_t binned_count, double sum,
-                   double min, double max, std::uint32_t bin_count, BinFn&& each_bin) {
-    if (relative_accuracy != config_.relative_accuracy) {
-      throw std::invalid_argument("LatencySketch::merge: relative accuracies differ");
-    }
+  void merge_parts(std::uint64_t zero_count, std::uint64_t binned_count, double sum,
+                   double min, double max, BinFn&& each_bin) {
     if (zero_count + binned_count == 0) return;  // merge()'s empty-other early-out
-    if (max_bins_budget != 0 && bin_count > max_bins_budget) {
-      // from_parts would collapse under the serialized budget before merging;
-      // reproduce that exactly (corrupt-encoder territory, never hot).
-      BinMap bins;
-      each_bin([&bins](std::int32_t index, std::uint64_t count) { bins[index] += count; });
-      merge(from_parts({relative_accuracy, max_bins_budget}, zero_count, sum, min, max,
-                       std::move(bins)));
-      return;
-    }
     if (empty()) {
       min_ = min;
       max_ = max;
@@ -104,7 +92,7 @@ class LatencySketch {
     collapse_if_needed();
   }
 
-  /// Value within `relative_accuracy` of the order statistic at rank
+  /// Value within the relative accuracy of the order statistic at rank
   /// floor(q * (count-1)), q clamped to [0,1]. 0 when empty.
   [[nodiscard]] double quantile(double q) const;
 
@@ -123,33 +111,28 @@ class LatencySketch {
   /// In-memory footprint estimate: O(bins), never O(samples).
   [[nodiscard]] std::size_t approx_bytes() const;
 
-  [[nodiscard]] const LatencySketchConfig& config() const { return config_; }
+  /// The constants every sketch shares.
+  [[nodiscard]] static constexpr LatencySketchConfig config() { return {}; }
   [[nodiscard]] const BinStore& bins() const { return bins_; }
 
-  /// Representative value (within relative_accuracy) for a bin index from
+  /// Representative value (within the relative accuracy) for a bin index from
   /// bins() — what an exposition writer needs to turn bins into bucket
   /// upper bounds.
   [[nodiscard]] double bin_value(std::int32_t index) const { return value_for(index); }
 
   /// Rebuilds a sketch from serialized state (the estimate-record wire
   /// format). Count is derived from the bins; collapses if `bins` exceeds
-  /// the config's budget.
-  [[nodiscard]] static LatencySketch from_parts(LatencySketchConfig config,
-                                                std::uint64_t zero_count, double sum,
+  /// the bin budget.
+  [[nodiscard]] static LatencySketch from_parts(std::uint64_t zero_count, double sum,
                                                 double min, double max, const BinMap& bins);
   /// Same, from another sketch's bins() (round-trip/re-bucket helpers).
-  [[nodiscard]] static LatencySketch from_parts(LatencySketchConfig config,
-                                                std::uint64_t zero_count, double sum,
+  [[nodiscard]] static LatencySketch from_parts(std::uint64_t zero_count, double sum,
                                                 double min, double max, BinStore bins);
 
  private:
-  [[nodiscard]] std::int32_t index_for(double value) const;
-  [[nodiscard]] double value_for(std::int32_t index) const;
+  [[nodiscard]] static double value_for(std::int32_t index);
   void collapse_if_needed();
 
-  LatencySketchConfig config_;
-  double log_gamma_ = 0.0;  // ln((1+a)/(1-a)), cached for index_for
-  LogGammaCeilIndexer indexer_;  // log-free bin index, identical to the libm formula
   BinStore bins_;
   std::uint64_t zero_count_ = 0;
   std::uint64_t binned_count_ = 0;

@@ -3,10 +3,12 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 
+#include "common/wire.h"
 #include "net/hash.h"
 #include "net/ipv4.h"
 
@@ -41,6 +43,31 @@ struct FiveTuple {
 
   [[nodiscard]] std::string to_string() const;
 };
+
+/// Bytes of a 5-tuple on every wire and file format: u32 src | u32 dst |
+/// u16 src_port | u16 dst_port | u8 proto, little-endian (common/wire.h).
+inline constexpr std::size_t kFiveTupleWireSize = 4 + 4 + 2 + 2 + 1;
+
+/// Writes `key` at `p` and advances `p` past it.
+inline void put_tuple(std::uint8_t*& p, const FiveTuple& key) {
+  common::wire::put<std::uint32_t>(p, key.src.value());
+  common::wire::put<std::uint32_t>(p, key.dst.value());
+  common::wire::put<std::uint16_t>(p, key.src_port);
+  common::wire::put<std::uint16_t>(p, key.dst_port);
+  common::wire::put<std::uint8_t>(p, key.proto);
+}
+
+/// Reads a 5-tuple at `p` and advances `p` past it; the caller has checked
+/// that kFiveTupleWireSize bytes are there.
+[[nodiscard]] inline FiveTuple take_tuple(const std::uint8_t*& p) {
+  FiveTuple key;
+  key.src = Ipv4Address(common::wire::take<std::uint32_t>(p));
+  key.dst = Ipv4Address(common::wire::take<std::uint32_t>(p));
+  key.src_port = common::wire::take<std::uint16_t>(p);
+  key.dst_port = common::wire::take<std::uint16_t>(p);
+  key.proto = common::wire::take<std::uint8_t>(p);
+  return key;
+}
 
 }  // namespace rlir::net
 

@@ -39,9 +39,8 @@ const char* metric_kind_name(MetricKind kind) {
   return "?";
 }
 
-MetricsRegistry::Entry& MetricsRegistry::entry_for(
-    MetricKind kind, std::string_view name, Labels&& labels,
-    const common::LatencySketchConfig* sketch_config) {
+MetricsRegistry::Entry& MetricsRegistry::entry_for(MetricKind kind, std::string_view name,
+                                                   Labels&& labels) {
   if (name.empty()) throw std::invalid_argument("MetricsRegistry: empty metric name");
   canonicalize(labels);
   const std::string key = identity_key(name, labels);
@@ -65,8 +64,7 @@ MetricsRegistry::Entry& MetricsRegistry::entry_for(
       entry.gauge = std::make_unique<Gauge>();
       break;
     case MetricKind::kHistogram:
-      entry.histogram = std::make_unique<Histogram>(
-          sketch_config != nullptr ? *sketch_config : common::LatencySketchConfig{});
+      entry.histogram = std::make_unique<Histogram>();
       break;
   }
   return entries_.emplace(key, std::move(entry)).first->second;
@@ -74,19 +72,17 @@ MetricsRegistry::Entry& MetricsRegistry::entry_for(
 
 Counter* MetricsRegistry::counter(std::string_view name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  return entry_for(MetricKind::kCounter, name, std::move(labels), nullptr).counter.get();
+  return entry_for(MetricKind::kCounter, name, std::move(labels)).counter.get();
 }
 
 Gauge* MetricsRegistry::gauge(std::string_view name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  return entry_for(MetricKind::kGauge, name, std::move(labels), nullptr).gauge.get();
+  return entry_for(MetricKind::kGauge, name, std::move(labels)).gauge.get();
 }
 
-Histogram* MetricsRegistry::histogram(std::string_view name, Labels labels,
-                                      common::LatencySketchConfig config) {
+Histogram* MetricsRegistry::histogram(std::string_view name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  return entry_for(MetricKind::kHistogram, name, std::move(labels), &config)
-      .histogram.get();
+  return entry_for(MetricKind::kHistogram, name, std::move(labels)).histogram.get();
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

@@ -75,8 +75,6 @@ class Gauge {
 /// histogram); snapshot() copies the sketch under it.
 class Histogram {
  public:
-  explicit Histogram(common::LatencySketchConfig config) : sketch_(config) {}
-
   void observe(double value) {
     std::lock_guard<std::mutex> lock(mu_);
     sketch_.add(value);
@@ -120,9 +118,7 @@ class MetricsRegistry {
   /// exists with a different kind.
   Counter* counter(std::string_view name, Labels labels = {});
   Gauge* gauge(std::string_view name, Labels labels = {});
-  /// `config` applies only when the cell is created by this call.
-  Histogram* histogram(std::string_view name, Labels labels = {},
-                       common::LatencySketchConfig config = {});
+  Histogram* histogram(std::string_view name, Labels labels = {});
 
   /// Consistent read of every registered metric, sorted by (name, labels).
   [[nodiscard]] MetricsSnapshot snapshot() const;
@@ -141,8 +137,7 @@ class MetricsRegistry {
   };
 
   /// Looks up / creates the entry for one identity; caller picks the cell.
-  Entry& entry_for(MetricKind kind, std::string_view name, Labels&& labels,
-                   const common::LatencySketchConfig* sketch_config);
+  Entry& entry_for(MetricKind kind, std::string_view name, Labels&& labels);
 
   mutable std::mutex mu_;
   /// Key = name + '\x1f' + k + '\x1e' + v + ... — canonical identity; map

@@ -45,7 +45,6 @@ class TapFanout final : public PacketTap {
 class DelaySketchTap final : public PacketTap {
  public:
   DelaySketchTap() = default;
-  explicit DelaySketchTap(common::LatencySketchConfig config) : sketch_(config) {}
 
   void on_packet(const net::Packet& packet, timebase::TimePoint) override {
     if (packet.kind != net::PacketKind::kRegular) return;

@@ -28,11 +28,7 @@ void encode(const net::Packet& pkt, std::uint8_t* buf) {
   put<std::int64_t>(p, pkt.ts.ns());
   put<std::int64_t>(p, pkt.injected_at.ns());
   put<std::int64_t>(p, pkt.ref_stamp.ns());
-  put<std::uint32_t>(p, pkt.key.src.value());
-  put<std::uint32_t>(p, pkt.key.dst.value());
-  put<std::uint16_t>(p, pkt.key.src_port);
-  put<std::uint16_t>(p, pkt.key.dst_port);
-  put<std::uint8_t>(p, pkt.key.proto);
+  net::put_tuple(p, pkt.key);
   put<std::uint8_t>(p, static_cast<std::uint8_t>(pkt.kind));
   put<std::uint16_t>(p, pkt.sender);
   put<std::uint8_t>(p, pkt.tos);
@@ -46,11 +42,7 @@ net::Packet decode(const std::uint8_t* buf) {
   pkt.ts = timebase::TimePoint(take<std::int64_t>(p));
   pkt.injected_at = timebase::TimePoint(take<std::int64_t>(p));
   pkt.ref_stamp = timebase::TimePoint(take<std::int64_t>(p));
-  pkt.key.src = net::Ipv4Address(take<std::uint32_t>(p));
-  pkt.key.dst = net::Ipv4Address(take<std::uint32_t>(p));
-  pkt.key.src_port = take<std::uint16_t>(p);
-  pkt.key.dst_port = take<std::uint16_t>(p);
-  pkt.key.proto = take<std::uint8_t>(p);
+  pkt.key = net::take_tuple(p);
   pkt.kind = static_cast<net::PacketKind>(take<std::uint8_t>(p));
   pkt.sender = take<std::uint16_t>(p);
   pkt.tos = take<std::uint8_t>(p);

@@ -47,10 +47,8 @@ CollectorAgent::CollectorAgent(CollectorAgentConfig config)
 
   if (config_.enable_history) {
     collect::HistoryConfig hc = config_.history;
-    // The accuracy contract: the store must accept exactly the records the
-    // collector accepts. And its gauges/counters belong in this agent's
-    // scrape, not a private registry nobody reads.
-    hc.sketch = config_.collector.sketch;
+    // Its gauges/counters belong in this agent's scrape, not a private
+    // registry nobody reads.
     hc.instruments = obs_.child(obs_.id());
     history_ = std::make_unique<collect::SketchHistoryStore>(hc);
     collector_.set_history(history_.get());
@@ -118,11 +116,6 @@ std::size_t CollectorAgent::service(Connection& conn) {
   } catch (const std::runtime_error&) {
     // FrameError (bad magic/version/type/CRC/length: the stream cannot be
     // resynced) or a sound frame whose payload fails its own format checks.
-    drop_peer(conn);
-  } catch (const std::invalid_argument&) {
-    // A well-formed request the collector refuses, e.g. a record batch
-    // sketched at another relative accuracy. The peer is misconfigured, not
-    // this agent: drop it and keep serving everyone else.
     drop_peer(conn);
   }
   return frames;

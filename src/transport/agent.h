@@ -19,8 +19,8 @@
 //
 // poll() is the single-threaded reactor step: accept pending connections,
 // read every readable byte, process complete frames, flush reply bytes.
-// A connection that violates the protocol (bad magic/CRC/length, a frame
-// type only agents send, a record batch at another sketch accuracy) is
+// A connection that violates the protocol (bad magic/version/CRC/length, a
+// frame type only agents send, a payload failing its format checks) is
 // counted and dropped — on a raw byte stream there is no safe resync.
 // run() wraps poll() into a daemon loop.
 //
@@ -62,9 +62,8 @@ struct CollectorAgentConfig {
   /// Off by default: the store is a per-record ingest tee plus resident
   /// memory, which a pure live-query deployment should not pay for.
   bool enable_history = false;
-  /// Store shape when enabled. sketch and instruments are overwritten with
-  /// the collector's sketch config and the agent's shared registry (the
-  /// accuracy contract and the single-scrape story both demand it).
+  /// Store shape when enabled. instruments is overwritten with the agent's
+  /// shared registry (the single-scrape story demands it).
   collect::HistoryConfig history;
 };
 

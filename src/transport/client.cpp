@@ -128,37 +128,42 @@ void CollectorClient::shed_to_cap() {
   }
 }
 
+void CollectorClient::drop_connection(const char* query_status) {
+  if (stream_ != nullptr) {
+    // Whatever was partially written is gone with the connection; resend
+    // the front frame whole on the next one.
+    stream_->close();
+    stream_.reset();
+    obs_.trace().record(obs::EventKind::kDisconnect, 0, obs_.id());
+  }
+  front_offset_ = 0;
+  // A reply can't arrive on a new connection for a query sent on the old
+  // one; surface the loss instead of waiting forever. Queued query frames
+  // die with the connection too: resending one would produce a reply the
+  // caller no longer waits for, which would then be mis-paired with the
+  // next query sent on the new connection.
+  reply_decoder_ = FrameDecoder();
+  if (query_outstanding_) {
+    // One query can be outstanding at a time, so at most one query frame
+    // is in the queue (and only while its query is outstanding) — this is
+    // exactly one loss however far the frame got.
+    query_outstanding_ = false;
+    c_.queries_lost->increment();
+    finish_query_span(query_status);
+  }
+  for (std::size_t i = 0; i < queue_.size();) {
+    if (queue_[i].is_batch) {
+      ++i;
+      continue;
+    }
+    buffered_bytes_ -= queue_[i].bytes.size();
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+}
+
 bool CollectorClient::ensure_connected() {
   if (stream_ != nullptr && !stream_->closed()) return true;
-  if (stream_ != nullptr) {
-    // The connection died. Whatever was partially written is gone with it;
-    // resend the front frame whole on the next connection.
-    stream_.reset();
-    front_offset_ = 0;
-    obs_.trace().record(obs::EventKind::kDisconnect, 0, obs_.id());
-    // A reply can't arrive on a new connection for a query sent on the old
-    // one; surface the timeout instead of waiting forever. Queued query
-    // frames die with the connection too: resending one would produce a
-    // reply the caller no longer waits for, which would then be mis-paired
-    // with the next query sent on the new connection.
-    reply_decoder_ = FrameDecoder();
-    if (query_outstanding_) {
-      // One query can be outstanding at a time, so at most one query frame
-      // is in the queue (and only while its query is outstanding) — this is
-      // exactly one loss however far the frame got.
-      query_outstanding_ = false;
-      c_.queries_lost->increment();
-      finish_query_span("lost");
-    }
-    for (std::size_t i = 0; i < queue_.size();) {
-      if (queue_[i].is_batch) {
-        ++i;
-        continue;
-      }
-      buffered_bytes_ -= queue_[i].bytes.size();
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-  }
+  if (stream_ != nullptr) drop_connection("lost");  // the connection died
   if (backoff_countdown_ > 0) {
     --backoff_countdown_;
     return false;
@@ -305,25 +310,27 @@ std::optional<QueryReply> CollectorClient::poll_reply() {
     if (n == 0) break;
     reply_decoder_.feed(reply_chunk_.data(), n);
   }
-  std::optional<FrameView> frame;
   try {
-    frame = reply_decoder_.next_view();
-  } catch (const FrameError&) {
-    // A peer speaking garbage is indistinguishable from corruption: drop
-    // the connection (reconnect machinery takes over) and rethrow.
+    const auto frame = reply_decoder_.next_view();
+    if (!frame.has_value()) return std::nullopt;
+    if (frame->type != FrameType::kQueryReply) {
+      throw FrameError("CollectorClient: unexpected frame type from agent");
+    }
+    // Decoded before it counts: a reply that fails its format is lost.
+    QueryReply reply = decode_reply(frame->payload, frame->size);
+    query_outstanding_ = false;
+    c_.replies_received->increment();
+    finish_query_span(nullptr);
+    return reply;
+  } catch (const std::runtime_error&) {
+    // A bad frame, a frame only clients send, or a sound frame whose payload
+    // is not a reply: a peer speaking garbage is indistinguishable from
+    // corruption. Drop the connection (reconnect machinery takes over) and
+    // the query with it, then rethrow.
     obs_.trace().record(obs::EventKind::kCrcPoison, 0, obs_.id());
-    stream_->close();
+    drop_connection("abandoned");
     throw;
   }
-  if (!frame.has_value()) return std::nullopt;
-  if (frame->type != FrameType::kQueryReply) {
-    stream_->close();
-    throw FrameError("CollectorClient: unexpected frame type from agent");
-  }
-  query_outstanding_ = false;
-  c_.replies_received->increment();
-  finish_query_span(nullptr);
-  return decode_reply(frame->payload, frame->size);
 }
 
 std::optional<QueryReply> CollectorClient::query(const Query& q, std::size_t max_rounds,
@@ -337,9 +344,7 @@ std::optional<QueryReply> CollectorClient::query(const Query& q, std::size_t max
       reply = poll_reply();
     } catch (const std::runtime_error&) {
       // Corrupt/unexpected reply bytes: poll_reply already dropped the
-      // connection (reconnect machinery takes over). Abandon so the next
-      // send_query starts fresh.
-      abandon_query();
+      // connection and counted the query lost.
       return std::nullopt;
     }
     if (reply.has_value()) return reply;
@@ -354,20 +359,7 @@ void CollectorClient::abandon_query() {
   if (!query_outstanding_) return;
   // The reply may still be in flight; it must die with the connection (the
   // next pump re-dials). A queued, unsent query frame dies here too.
-  if (stream_ != nullptr) stream_->close();
-  for (std::size_t i = 0; i < queue_.size();) {
-    if (queue_[i].is_batch) {
-      ++i;
-      continue;
-    }
-    if (i == 0) front_offset_ = 0;
-    buffered_bytes_ -= queue_[i].bytes.size();
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-  reply_decoder_ = FrameDecoder();
-  query_outstanding_ = false;
-  c_.queries_lost->increment();
-  finish_query_span("abandoned");
+  drop_connection("abandoned");
 }
 
 collect::EpochScheduler::BatchSink CollectorClient::make_sink() {

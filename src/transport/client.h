@@ -103,8 +103,9 @@ class CollectorClient {
 
   /// Nonblocking: reads reply bytes if any arrived; returns the reply once
   /// its frame is complete, decoded straight from the decoder's borrowed
-  /// payload. Malformed reply bytes throw FrameError / std::runtime_error
-  /// (the stream is then closed).
+  /// payload. Malformed reply bytes throw FrameError / std::runtime_error;
+  /// the connection is then dropped and the query counted in
+  /// stats().queries_lost, never in replies_received.
   [[nodiscard]] std::optional<QueryReply> poll_reply();
 
   /// The one send-and-wait loop: send, then up to `max_rounds` rounds of
@@ -187,6 +188,11 @@ class CollectorClient {
   void shed_to_cap();
   /// True when a usable stream exists after dial/backoff bookkeeping.
   bool ensure_connected();
+  /// Closes and forgets the connection (if any), so the next pump re-dials
+  /// and resends the front frame whole. The outstanding query and any
+  /// queued query frame die with it: the query counts as lost and its span
+  /// closes with `query_status`.
+  void drop_connection(const char* query_status);
   /// Closes the pending kClientQuery span (reply arrived, or the query died
   /// with the connection). `status` is appended to the span label when the
   /// query was lost. No-op when tracing is off or no span is pending.

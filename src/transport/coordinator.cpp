@@ -10,13 +10,6 @@ namespace rlir::transport {
 
 // --- Merge helpers ---------------------------------------------------------
 
-common::LatencySketch merge_fleet_sketches(const std::vector<common::LatencySketch>& parts) {
-  if (parts.empty()) return common::LatencySketch{};
-  common::LatencySketch merged(parts.front().config());
-  for (const auto& part : parts) merged.merge(part);
-  return merged;
-}
-
 std::vector<collect::RankedFlowSummary> merge_ranked_top_k(
     const std::vector<std::vector<collect::RankedFlowSummary>>& parts, std::size_t k,
     const FlowResolver& resolve) {
@@ -66,8 +59,8 @@ struct MergedSketches {
 };
 
 /// The one merge every sketch fan-out goes through. Entries with the same
-/// (link, flow) merge bin-wise across agents (exact; an accuracy mismatch
-/// throws std::invalid_argument). Coverage unions the window replies:
+/// (link, flow) merge bin-wise across agents (exact). Coverage unions the
+/// window replies:
 /// covered = any agent covered, bounds = union of covered bounds, records =
 /// saturating sum, and complete = EVERY agent answered AND answered
 /// complete — a missed agent or an evicted epoch anywhere makes the fleet

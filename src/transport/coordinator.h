@@ -52,11 +52,6 @@ namespace rlir::transport {
 
 // --- Merge helpers (the coordinator's math, exposed for property tests) ----
 
-/// Exact union of sketch parts (empty input -> empty default sketch).
-/// Throws std::invalid_argument on a relative-accuracy mismatch.
-[[nodiscard]] common::LatencySketch merge_fleet_sketches(
-    const std::vector<common::LatencySketch>& parts);
-
 /// Re-derives one flow's ranked summary when it shows up in several parts:
 /// given the flow's exact merged sketch, returns the entry the single
 /// collector would have produced. nullopt = leave the duplicate unresolved.

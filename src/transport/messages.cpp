@@ -6,7 +6,6 @@
 
 #include "collect/estimate_record.h"
 #include "common/wire.h"
-#include "net/ipv4.h"
 
 namespace rlir::transport {
 
@@ -17,10 +16,10 @@ using common::wire::put_f64;
 using common::wire::take;
 using common::wire::take_f64;
 
-constexpr std::size_t kTupleSize = 4 + 4 + 2 + 2 + 1;
 /// target | flags | link | 5-tuple | k | q | epoch_first | epoch_last
 /// | trace_id | parent_span_id — one size, traced or not.
-constexpr std::size_t kQuerySize = 1 + 1 + 4 + kTupleSize + 4 + 8 + 4 + 4 + 8 + 8;
+constexpr std::size_t kQuerySize =
+    1 + 1 + 4 + net::kFiveTupleWireSize + 4 + 8 + 4 + 4 + 8 + 8;
 /// Query and reply flag bit 0: a window (query) / coverage block (reply)
 /// follows. Every other bit is reserved and rejected.
 constexpr std::uint8_t kFlagBlock = 1;
@@ -28,26 +27,9 @@ constexpr std::uint8_t kFlagBlock = 1;
 constexpr std::size_t kWindowInfoSize = 1 + 4 + 4 + 8;
 /// Smallest encoded entry of each counted list — the floor a claimed count is
 /// checked against before anything is reserved for it.
-constexpr std::size_t kSketchEntryMinSize = 4 + kTupleSize + collect::kSketchFixedSize;
+constexpr std::size_t kSketchEntryMinSize =
+    4 + net::kFiveTupleWireSize + collect::kSketchFixedSize;
 constexpr std::size_t kSpanEntryFixedSize = 8 + 8 + 8 + 1 + 8 + 8 + 2;
-
-void put_tuple(std::uint8_t*& p, const net::FiveTuple& key) {
-  put<std::uint32_t>(p, key.src.value());
-  put<std::uint32_t>(p, key.dst.value());
-  put<std::uint16_t>(p, key.src_port);
-  put<std::uint16_t>(p, key.dst_port);
-  put<std::uint8_t>(p, key.proto);
-}
-
-net::FiveTuple take_tuple(const std::uint8_t*& p) {
-  net::FiveTuple key;
-  key.src = net::Ipv4Address(take<std::uint32_t>(p));
-  key.dst = net::Ipv4Address(take<std::uint32_t>(p));
-  key.src_port = take<std::uint16_t>(p);
-  key.dst_port = take<std::uint16_t>(p);
-  key.proto = take<std::uint8_t>(p);
-  return key;
-}
 
 void put_window(std::uint8_t*& p, const WindowInfo& window) {
   std::uint8_t flags = 0;
@@ -111,7 +93,7 @@ std::vector<std::uint8_t> encode_query(const Query& query) {
   put<std::uint8_t>(p, static_cast<std::uint8_t>(query.target));
   put<std::uint8_t>(p, query.window.has_value() ? kFlagBlock : 0);
   put<std::uint32_t>(p, query.link);
-  put_tuple(p, query.flow);
+  net::put_tuple(p, query.flow);
   put<std::uint32_t>(p, query.k);
   put_f64(p, query.q);
   const EpochWindow window = query.window.value_or(EpochWindow{});
@@ -135,7 +117,7 @@ Query decode_query(const std::uint8_t* data, std::size_t size) {
   const auto flags = take<std::uint8_t>(p);
   if ((flags & ~kFlagBlock) != 0) throw std::runtime_error("Query: reserved flag bits set");
   query.link = take<std::uint32_t>(p);
-  query.flow = take_tuple(p);
+  query.flow = net::take_tuple(p);
   query.k = take<std::uint32_t>(p);
   query.q = take_f64(p);
   if (!(query.q >= 0.0 && query.q <= 1.0)) {  // also rejects NaN
@@ -163,7 +145,7 @@ std::vector<std::uint8_t> encode_reply(const QueryReply& reply) {
     case ReplyBody::kSketches:
       body = 4;
       for (const auto& entry : reply.entries) {
-        body += 4 + kTupleSize + collect::sketch_wire_size(entry.sketch);
+        body += 4 + net::kFiveTupleWireSize + collect::sketch_wire_size(entry.sketch);
       }
       break;
     case ReplyBody::kScrape:
@@ -185,7 +167,7 @@ std::vector<std::uint8_t> encode_reply(const QueryReply& reply) {
       put<std::uint32_t>(p, static_cast<std::uint32_t>(reply.entries.size()));
       for (const auto& entry : reply.entries) {
         put<std::uint32_t>(p, entry.link);
-        put_tuple(p, entry.flow);
+        net::put_tuple(p, entry.flow);
         collect::encode_sketch(p, entry.sketch);
       }
       break;
@@ -242,11 +224,11 @@ QueryReply decode_reply(const std::uint8_t* data, std::size_t size) {
       reply.entries.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
         SketchEntry entry;
-        if (static_cast<std::size_t>(end - p) < 4 + kTupleSize) {
+        if (static_cast<std::size_t>(end - p) < 4 + net::kFiveTupleWireSize) {
           throw std::runtime_error("QueryReply: truncated sketch entry");
         }
         entry.link = take<std::uint32_t>(p);
-        entry.flow = take_tuple(p);
+        entry.flow = net::take_tuple(p);
         entry.sketch = collect::decode_sketch(p, end);
         reply.entries.push_back(std::move(entry));
       }

@@ -11,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -122,32 +126,53 @@ inline collect::ShardedCollector fleet_baseline_state() {
   return run_fleet_workload({}, [] {});
 }
 
-/// Bin-for-bin equality of two collectors' entire observable state.
-inline void expect_identical_collectors(collect::ShardedCollector& got,
-                                        collect::ShardedCollector& want) {
+/// Bin-for-bin equality of the union of flow-disjoint collector `parts` (a
+/// partitioned fleet's agents, or one collector) with `want`'s entire
+/// observable state.
+inline void expect_partitions_match(const std::vector<const collect::ShardedCollector*>& parts,
+                                    const collect::ShardedCollector& want) {
   ASSERT_GT(want.records_ingested(), 0u);
-  EXPECT_EQ(got.records_ingested(), want.records_ingested());
-  EXPECT_EQ(got.estimates_ingested(), want.estimates_ingested());
-  EXPECT_EQ(got.flow_count(), want.flow_count());
-  EXPECT_EQ(got.epochs_seen(), want.epochs_seen());
+  std::uint64_t records = 0;
+  std::uint64_t estimates = 0;
+  std::size_t flows = 0;
+  std::set<std::uint32_t> epochs;
+  common::LatencySketch fleet;
+  std::map<collect::LinkId, common::LatencySketch> links;
+  std::vector<collect::RankedFlowSummary> top;
+  for (const auto* part : parts) {
+    records += part->records_ingested();
+    estimates += part->estimates_ingested();
+    flows += part->flow_count();
+    for (const auto epoch : part->epochs_seen()) epochs.insert(epoch);
+    fleet.merge(part->fleet());
+    for (const auto& [link, sketch] : part->link_distributions()) links[link].merge(sketch);
+    const auto ranked = part->top_k_ranked(10, 0.99);
+    top.insert(top.end(), ranked.begin(), ranked.end());
+  }
+  EXPECT_EQ(records, want.records_ingested());
+  EXPECT_EQ(estimates, want.estimates_ingested());
+  EXPECT_EQ(flows, want.flow_count());
+  EXPECT_EQ(std::vector<std::uint32_t>(epochs.begin(), epochs.end()), want.epochs_seen());
 
   // Fleet-wide and per-vantage distributions, exact.
-  EXPECT_EQ(got.fleet().bins(), want.fleet().bins());
-  EXPECT_EQ(got.fleet().count(), want.fleet().count());
-  ASSERT_EQ(got.links(), want.links());
+  EXPECT_EQ(fleet.bins(), want.fleet().bins());
+  EXPECT_EQ(fleet.count(), want.fleet().count());
+  ASSERT_EQ(links.size(), want.links().size());
   for (const auto link : want.links()) {
-    const auto got_dist = got.link_distribution(link);
     const auto want_dist = want.link_distribution(link);
-    ASSERT_TRUE(got_dist.has_value());
-    EXPECT_EQ(got_dist->bins(), want_dist->bins()) << "link " << link;
+    ASSERT_EQ(links.count(link), 1u) << "link " << link;
+    EXPECT_EQ(links[link].bins(), want_dist->bins()) << "link " << link;
   }
 
-  // Every flow's merged sketch, bin for bin (top_k with k = all flows
-  // enumerates them deterministically).
+  // Every flow's sketch, bin for bin, from the one part that holds it (top_k
+  // with k = all flows enumerates them deterministically).
   const auto all = want.top_k_flows(want.flow_count(), 0.99);
   ASSERT_EQ(all.size(), want.flow_count());
   for (const auto& flow : all) {
-    const auto* got_sketch = got.flow(flow.key);
+    const common::LatencySketch* got_sketch = nullptr;
+    for (const auto* part : parts) {
+      if (const auto* sketch = part->flow(flow.key)) got_sketch = sketch;
+    }
     const auto* want_sketch = want.flow(flow.key);
     ASSERT_NE(got_sketch, nullptr) << flow.key.to_string();
     EXPECT_EQ(got_sketch->bins(), want_sketch->bins()) << flow.key.to_string();
@@ -155,13 +180,15 @@ inline void expect_identical_collectors(collect::ShardedCollector& got,
     EXPECT_EQ(got_sketch->sum(), want_sketch->sum()) << flow.key.to_string();
   }
 
-  // And the ranked answers a higher tier would consume.
-  const auto got_top = got.top_k_flows(10, 0.99);
+  // And the ranked answers a higher tier would consume: each part's rank
+  // index, merged worst-first.
+  std::sort(top.begin(), top.end(), collect::ranked_worse_first);
+  if (top.size() > 10) top.resize(10);
   const auto want_top = want.top_k_flows(10, 0.99);
-  ASSERT_EQ(got_top.size(), want_top.size());
+  ASSERT_EQ(top.size(), want_top.size());
   for (std::size_t i = 0; i < want_top.size(); ++i) {
-    EXPECT_EQ(got_top[i].key, want_top[i].key) << "rank " << i;
-    EXPECT_EQ(got_top[i].p99_ns, want_top[i].p99_ns) << "rank " << i;
+    EXPECT_EQ(top[i].second.key, want_top[i].key) << "rank " << i;
+    EXPECT_EQ(top[i].second.p99_ns, want_top[i].p99_ns) << "rank " << i;
   }
 }
 

@@ -1,10 +1,11 @@
-// EstimateRecord wire format: byte-exact round-trips, stream/byte-buffer
-// equivalence, and rejection of bad magic, wrong versions, truncation, and
-// corrupt bin counts.
+// EstimateRecord wire format: known-answer bytes for the version-2 layout,
+// byte-exact round-trips, stream/byte-buffer equivalence, and rejection of
+// bad magic, wrong versions, truncation, and corrupt bin counts.
 #include "collect/estimate_record.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
@@ -49,8 +50,43 @@ void expect_equal(const EstimateRecord& a, const EstimateRecord& b) {
   EXPECT_EQ(a.sketch.sum(), b.sketch.sum());
   EXPECT_EQ(a.sketch.min(), b.sketch.min());
   EXPECT_EQ(a.sketch.max(), b.sketch.max());
-  EXPECT_EQ(a.sketch.config().relative_accuracy, b.sketch.config().relative_accuracy);
-  EXPECT_EQ(a.sketch.config().max_bins, b.sketch.config().max_bins);
+}
+
+TEST(EstimateRecordTest, KnownAnswerBytes) {
+  // Round trips pass for any self-consistent layout; these bytes pin this
+  // one (docs/WIRE.md, "RLES record batches"), written out by hand.
+  EstimateRecord r;
+  r.key.src = net::Ipv4Address(10, 0, 0, 1);
+  r.key.dst = net::Ipv4Address(10, 0, 0, 2);
+  r.key.src_port = 1000;
+  r.key.dst_port = 80;
+  r.key.proto = 6;
+  r.link = 7;
+  r.sender = 3;
+  r.epoch = 5;
+  r.sketch.add(1000.0, 2);  // bin ceil(ln 1000 / ln(1.01/0.99)) = 346
+  r.sketch.add(2000.0);     // bin 381
+  r.sketch.add(0.0);        // zero bin
+  const std::vector<std::uint8_t> want = {
+      'R', 'L', 'E', 'S', 2, 0, 0, 0,                  // magic, version 2
+      1, 0, 0, 0, 0, 0, 0, 0,                          // record count
+      1, 0, 0, 10, 2, 0, 0, 10,                        // src, dst
+      0xe8, 0x03, 80, 0, 6,                            // ports, proto
+      7, 0, 0, 0, 3, 0, 5, 0, 0, 0,                    // link, sender, epoch
+      1, 0, 0, 0, 0, 0, 0, 0,                          // zero count
+      0, 0, 0, 0, 0, 0x40, 0xaf, 0x40,                 // sum 4000.0
+      0, 0, 0, 0, 0, 0, 0, 0,                          // min 0.0
+      0, 0, 0, 0, 0, 0x40, 0x9f, 0x40,                 // max 2000.0
+      2, 0, 0, 0,                                      // bin count
+      0x5a, 0x01, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,        // bin 346 x2
+      0x7d, 0x01, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,        // bin 381 x1
+  };
+  EXPECT_EQ(encode_records({r}), want);
+  EXPECT_EQ(want.size(), 16 + wire_size(r));
+  EXPECT_EQ(sketch_wire_size(r.sketch), 36u + 12u * 2);
+  const auto back = decode_records(want.data(), want.size());
+  ASSERT_EQ(back.size(), 1u);
+  expect_equal(back[0], r);
 }
 
 TEST(EstimateRecordTest, RoundTripBatch) {
@@ -137,8 +173,8 @@ TEST(EstimateRecordTest, RejectsImplausibleBinCount) {
   r.key = make_key(3);
   r.sketch.add(100.0);
   auto bytes = encode_records({r});
-  // bin_count is the last 4 bytes of the fixed part: header 16 + fixed 71.
-  const std::size_t bin_count_offset = 16 + 71 - 4;
+  // bin_count is the last 4 bytes of the fixed part: header 16 + fixed 59.
+  const std::size_t bin_count_offset = 16 + 59 - 4;
   bytes[bin_count_offset + 3] = 0xff;
   EXPECT_THROW(decode_records(bytes.data(), bytes.size()), std::runtime_error);
 }
@@ -148,21 +184,10 @@ TEST(EstimateRecordTest, RejectsNonFiniteMoments) {
   r.key = make_key(6);
   r.sketch.add(100.0);
   auto bytes = encode_records({r});
-  // sum f64 sits after key(13)+link(4)+sender(2)+epoch(4)+accuracy(8)+
-  // max_bins(4)+zero_count(8); all-ones is a NaN bit pattern.
-  const std::size_t sum_offset = 16 + 13 + 4 + 2 + 4 + 8 + 4 + 8;
+  // sum f64 sits after key(13)+link(4)+sender(2)+epoch(4)+zero_count(8);
+  // all-ones is a NaN bit pattern.
+  const std::size_t sum_offset = 16 + 13 + 4 + 2 + 4 + 8;
   for (std::size_t i = 0; i < 8; ++i) bytes[sum_offset + i] = 0xff;
-  EXPECT_THROW(decode_records(bytes.data(), bytes.size()), std::runtime_error);
-}
-
-TEST(EstimateRecordTest, RejectsCorruptAccuracy) {
-  EstimateRecord r;
-  r.key = make_key(4);
-  r.sketch.add(100.0);
-  auto bytes = encode_records({r});
-  // relative_accuracy f64 sits after key(13)+link(4)+sender(2)+epoch(4).
-  const std::size_t accuracy_offset = 16 + 13 + 4 + 2 + 4;
-  for (std::size_t i = 0; i < 8; ++i) bytes[accuracy_offset + i] = 0;  // accuracy = 0.0
   EXPECT_THROW(decode_records(bytes.data(), bytes.size()), std::runtime_error);
 }
 

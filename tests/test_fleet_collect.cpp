@@ -95,7 +95,7 @@ TEST_F(FleetCollectTest, CollectorMatchesUnshardedGroundTruth) {
 
   // --- The collection tier under test.
   collect::FleetConfig fleet_cfg;
-  const double accuracy = fleet_cfg.collector.sketch.relative_accuracy;
+  const double accuracy = common::LatencySketchConfig::relative_accuracy;
   collect::FleetCollector fleet(fleet_cfg, &clock_);
   for (const auto& core : cores) fleet.deploy(sim, core, &up_demux);
   const auto down_link = fleet.deploy(sim, dst_, &down_demux);
@@ -181,7 +181,7 @@ TEST_F(FleetCollectTest, CollectorMatchesUnshardedGroundTruth) {
   for (const auto& [key, stats] : truth) {
     largest_flow = std::max(largest_flow, stats.count());
     const auto* sketch = collector.flow(key);
-    EXPECT_LE(sketch->bin_count(), sketch->config().max_bins);
+    EXPECT_LE(sketch->bin_count(), common::LatencySketchConfig::max_bins);
   }
   ASSERT_GT(largest_flow, 200u);  // the heavy-tailed workload has big flows
   for (const auto& [key, stats] : truth) {

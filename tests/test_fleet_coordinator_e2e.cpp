@@ -39,15 +39,13 @@ transport::CollectorAgentConfig agent_config() {
   return cfg;
 }
 
-/// Merged state of every agent — what "the fleet's collector" means.
-collect::ShardedCollector merged_snapshot(
+/// Every agent's collector: together, what "the fleet's collector" means.
+/// Read once the agents are idle.
+std::vector<const collect::ShardedCollector*> collectors(
     std::vector<std::unique_ptr<transport::CollectorAgent>>& agents) {
-  auto merged = agents.front()->collector().snapshot();
-  for (std::size_t i = 1; i < agents.size(); ++i) {
-    const auto part = agents[i]->collector().snapshot();
-    merged.merge(part);
-  }
-  return merged;
+  std::vector<const collect::ShardedCollector*> parts;
+  for (auto& agent : agents) parts.push_back(&agent->collector());
+  return parts;
 }
 
 /// Coordinator answers vs the baseline collector: fleet sketch, EVERY
@@ -142,9 +140,8 @@ TEST(FleetCoordinatorE2E, PartitionedLoopbackFleetMatchesSingleCollector) {
   }
   EXPECT_EQ(ingested, want.records_ingested());
 
-  // The four agents' merged state IS the single collector's state.
-  auto got = merged_snapshot(agents);
-  testutil::expect_identical_collectors(got, want);
+  // The four agents' state, unioned, IS the single collector's state.
+  testutil::expect_partitions_match(collectors(agents), want);
 
   // And the coordinator derives the same answers over the wire.
   transport::QueryCoordinator coord;
@@ -225,8 +222,7 @@ TEST(FleetCoordinatorE2E, PartitionedUnixSocketFleetMatchesSingleCollector) {
   stop.store(true);
   for (auto& thread : threads) thread.join();
 
-  auto got = merged_snapshot(agents);
-  testutil::expect_identical_collectors(got, want);
+  testutil::expect_partitions_match(collectors(agents), want);
 }
 
 }  // namespace

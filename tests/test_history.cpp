@@ -8,8 +8,7 @@
 //   * Boundedness: >= 1000 epochs of ingest stay under max_bytes, with the
 //     rlir_history_* gauges agreeing with the accessors.
 //   * Edge cases: empty store, idle epochs, single-epoch windows, reversed
-//     windows, evicted/future windows, late records, backward growth,
-//     accuracy mismatch.
+//     windows, evicted/future windows, late records, backward growth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,7 +58,7 @@ using EpochRecords = std::map<std::uint32_t, std::vector<EstimateRecord>>;
 template <typename Pred>
 common::LatencySketch direct_merge(const EpochRecords& model, std::uint32_t first,
                                    std::uint32_t last, Pred&& pred) {
-  common::LatencySketch out{common::LatencySketchConfig{}};
+  common::LatencySketch out;
   for (auto it = model.lower_bound(first); it != model.end() && it->first <= last; ++it) {
     for (const auto& r : it->second) {
       if (pred(r)) out.merge(r.sketch);
@@ -132,19 +131,9 @@ TEST(HistoryStoreTest, ImplausibleForwardEpochJumpIsDroppedAndCounted) {
   EXPECT_TRUE(store.window_flow(kJump, kJump, flow_key(2)).has_value());
 }
 
-TEST(HistoryStoreTest, AccuracyMismatchThrows) {
-  SketchHistoryStore store;
-  EstimateRecord r;
-  r.key = flow_key(0);
-  common::LatencySketchConfig other;
-  other.relative_accuracy = 0.05;
-  r.sketch = common::LatencySketch(other);
-  EXPECT_THROW(store.ingest({r}), std::invalid_argument);
-}
-
 // The tentpole property: window query == direct merge of the covered
-// epochs' records, across all three tiers. Compacted sketches keep the
-// producer config, so even compacted answers must be bin-for-bin exact.
+// epochs' records, across all three tiers. Every sketch has one shape, so
+// even compacted answers must be bin-for-bin exact.
 TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
   HistoryConfig cfg;
   cfg.raw_epochs = 4;

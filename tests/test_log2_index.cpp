@@ -100,8 +100,8 @@ TEST(LogGammaCeilIndexer, MatchesOracleOnAwkwardInputs) {
 // identical bins. (The indexer-level oracles above are the strong check;
 // this guards the wiring.)
 TEST(Log2IndexIntegration, SketchBinsMatchOracleFormula) {
-  LatencySketch sketch({.relative_accuracy = 0.02, .max_bins = 0});
-  const double log_gamma = log_gamma_for(0.02);
+  LatencySketch sketch;  // 11 decades: about 1,270 bins, under the budget
+  const double log_gamma = log_gamma_for(LatencySketchConfig::relative_accuracy);
   std::map<std::int32_t, std::uint64_t> expected;
   std::mt19937_64 rng(4);
   std::uniform_real_distribution<double> exponents(std::log(1e-2), std::log(1e9));

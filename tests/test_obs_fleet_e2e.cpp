@@ -175,8 +175,7 @@ TEST(ObsFleetE2E, MergedFleetScrapeIsSumOfPerAgentScrapesUnderAgentKill) {
           break;
         }
         case obs::MetricKind::kHistogram: {
-          auto [it, inserted] = expect_hist.try_emplace(key, s.histogram.config());
-          it->second.merge(s.histogram);
+          expect_hist[key].merge(s.histogram);
           break;
         }
       }

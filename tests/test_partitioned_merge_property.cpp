@@ -54,6 +54,13 @@ void expect_same_sketch(const common::LatencySketch& got, const common::LatencyS
   EXPECT_EQ(got.zero_count(), want.zero_count());
 }
 
+/// Exact union of sketch parts, as the coordinator merges agents' replies.
+common::LatencySketch union_of(const std::vector<common::LatencySketch>& parts) {
+  common::LatencySketch merged;
+  for (const auto& part : parts) merged.merge(part);
+  return merged;
+}
+
 /// Merged flow sketch across partitions (nullopt = no partition saw it).
 std::optional<common::LatencySketch> merged_flow(
     const std::vector<collect::ShardedCollector>& parts, const net::FiveTuple& key) {
@@ -62,7 +69,7 @@ std::optional<common::LatencySketch> merged_flow(
     if (const auto* sketch = part.flow(key)) sketches.push_back(*sketch);
   }
   if (sketches.empty()) return std::nullopt;
-  return merge_fleet_sketches(sketches);
+  return union_of(sketches);
 }
 
 /// Runs every merge-exactness assertion for one split of `records`.
@@ -74,7 +81,7 @@ void check_split(const std::vector<collect::ShardedCollector>& parts,
   // Fleet distribution: exact union.
   std::vector<common::LatencySketch> fleet_parts;
   for (const auto& part : parts) fleet_parts.push_back(part.fleet());
-  expect_same_sketch(merge_fleet_sketches(fleet_parts), want.fleet());
+  expect_same_sketch(union_of(fleet_parts), want.fleet());
 
   // Link distributions: exact union per link.
   for (const auto link : want.links()) {
@@ -83,7 +90,7 @@ void check_split(const std::vector<collect::ShardedCollector>& parts,
       if (auto dist = part.link_distribution(link)) link_parts.push_back(std::move(*dist));
     }
     ASSERT_FALSE(link_parts.empty()) << "link " << link << " lost in the split";
-    expect_same_sketch(merge_fleet_sketches(link_parts), *want.link_distribution(link));
+    expect_same_sketch(union_of(link_parts), *want.link_distribution(link));
   }
 
   // Per-flow sketches and quantiles: bin-for-bin and value-exact.

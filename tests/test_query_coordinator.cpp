@@ -1,9 +1,9 @@
-// QueryCoordinator: the merge math in isolation (exact sketch unions,
-// worst-first top-k merging with duplicate resolution, saturating sums, the
-// shared flow summary), then the coordinator fanning real queries over loopback
-// connections to live agents — answers must equal a single collector that
-// ingested everything, including for a flow split across agents and for a
-// fleet with an unreachable member (partial truth, never double counting).
+// QueryCoordinator: the merge math in isolation (worst-first top-k merging
+// with duplicate resolution, saturating sums, the shared flow summary), then
+// the coordinator fanning real queries over loopback connections to live
+// agents — answers must equal a single collector that ingested everything,
+// including for a flow split across agents and for a fleet with an
+// unreachable member (partial truth, never double counting).
 #include "transport/coordinator.h"
 
 #include <gtest/gtest.h>
@@ -52,32 +52,6 @@ void expect_same_sketch(const common::LatencySketch& got, const common::LatencyS
 }
 
 // --- Merge helpers in isolation ---------------------------------------------
-
-TEST(CoordinatorMerge, FleetSketchUnionIsExact) {
-  common::Xoshiro256 rng(5);
-  std::vector<common::LatencySketch> parts(3);
-  common::LatencySketch want;
-  for (auto& part : parts) {
-    for (int i = 0; i < 200; ++i) {
-      const double v = rng.lognormal(9.0, 1.5);
-      part.add(v);
-      want.add(v);
-    }
-  }
-  expect_same_sketch(merge_fleet_sketches(parts), want);
-  EXPECT_EQ(merge_fleet_sketches({}).count(), 0u);
-}
-
-TEST(CoordinatorMerge, FleetSketchUnionRejectsAccuracyMismatch) {
-  common::LatencySketchConfig coarse;
-  coarse.relative_accuracy = 0.1;
-  std::vector<common::LatencySketch> parts;
-  parts.emplace_back();
-  parts.emplace_back(coarse);
-  parts[0].add(100.0);
-  parts[1].add(100.0);
-  EXPECT_THROW(merge_fleet_sketches(parts), std::invalid_argument);
-}
 
 TEST(CoordinatorMerge, SaturatingAddClampsAtMax) {
   // Fleet sums (here a scrape roll-up's ring drops) clamp, never wrap.

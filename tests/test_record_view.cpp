@@ -1,19 +1,21 @@
 // Zero-copy record views: the view decode path and the merge-from-view path
 // must be bin-for-bin equivalent to the owning decode + merge path on every
 // input the owning path accepts, and must reject every input it rejects with
-// the same exception taxonomy (runtime_error = corrupt wire, drop the peer;
-// invalid_argument = accuracy mismatch, a deployment bug that must surface).
+// the same std::runtime_error (corrupt wire: the agent drops the peer).
 #include "collect/estimate_record.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "collect/sharded_collector.h"
 #include "common/rng.h"
+#include "common/wire.h"
 
 namespace rlir::collect {
 namespace {
@@ -28,7 +30,7 @@ net::FiveTuple make_key(std::uint32_t i) {
   return key;
 }
 
-std::vector<EstimateRecord> make_batch(std::size_t n, common::LatencySketchConfig sketch_cfg = {}) {
+std::vector<EstimateRecord> make_batch(std::size_t n) {
   common::Xoshiro256 rng(23);
   std::vector<EstimateRecord> records;
   for (std::size_t i = 0; i < n; ++i) {
@@ -37,7 +39,6 @@ std::vector<EstimateRecord> make_batch(std::size_t n, common::LatencySketchConfi
     r.link = static_cast<LinkId>(i % 3);
     r.sender = static_cast<net::SenderId>(i % 2 + 1);
     r.epoch = static_cast<std::uint32_t>(i / 4);
-    r.sketch = common::LatencySketch(sketch_cfg);
     const int observations = static_cast<int>(1 + i * 37 % 300);
     for (int j = 0; j < observations; ++j) r.sketch.add(rng.lognormal(9.0, 2.0));
     if (i % 5 == 0) r.sketch.add(0.0);  // exercise the zero bin
@@ -72,13 +73,12 @@ TEST(RecordViewTest, ViewDecodeMatchesOwningDecode) {
     EXPECT_EQ(v.link, o.link);
     EXPECT_EQ(v.sender, o.sender);
     EXPECT_EQ(v.epoch, o.epoch);
-    EXPECT_EQ(v.sketch.relative_accuracy, o.sketch.config().relative_accuracy);
     EXPECT_EQ(v.sketch.zero_count, o.sketch.zero_count());
     EXPECT_EQ(v.sketch.count(), o.sketch.count());
 
     // Merging the view into a fresh sketch must equal merging the
     // materialized sketch — bin for bin.
-    common::LatencySketch from_view{{}}, from_owned{{}};
+    common::LatencySketch from_view, from_owned;
     merge_sketch_view(from_view, v.sketch);
     from_owned.merge(o.sketch);
     expect_same_sketch(from_view, from_owned);
@@ -111,8 +111,8 @@ TEST(RecordViewTest, CollectorViewIngestMatchesOwningIngest) {
   decode_record_views_prefix(bytes.data(), bytes.size(), views);
   ASSERT_EQ(views.size(), batch.size());
 
-  ShardedCollector from_records{{}};
-  ShardedCollector from_views{{}};
+  ShardedCollector from_records;
+  ShardedCollector from_views;
   from_records.ingest(batch);
   for (const auto& v : views) from_views.ingest({v});
 
@@ -179,14 +179,13 @@ TEST(RecordViewTest, DuplicateWireBinsAccumulateLikeOwningPath) {
   // decoders must sum them (the owning path's BinMap += behavior).
   auto batch = make_batch(1);
   // Guarantee at least 2 bins with controlled values.
-  batch[0].sketch = common::LatencySketch(common::LatencySketchConfig{});
+  batch[0].sketch = common::LatencySketch{};
   batch[0].sketch.add(1000.0);
   batch[0].sketch.add(2000.0);
   auto bytes = encode_records(batch);
-  // Wire layout: 16-byte batch header, 23-byte keyed fields, sketch = f64
-  // accuracy + u32 max_bins + u64 zero + f64 sum/min/max + u32 bin_count,
-  // then (i32 index, u64 count) pairs.
-  const std::size_t bins_start = 16 + 23 + 8 + 4 + 8 + 8 + 8 + 8 + 4;
+  // Wire layout: 16-byte batch header, 23-byte keyed fields, sketch = u64
+  // zero + f64 sum/min/max + u32 bin_count, then (i32 index, u64 count) pairs.
+  const std::size_t bins_start = 16 + 23 + 8 + 8 + 8 + 8 + 4;
   ASSERT_GE(bytes.size(), bins_start + 2 * 12);
   // Overwrite the second bin's index with the first's.
   std::memcpy(bytes.data() + bins_start + 12, bytes.data() + bins_start, 4);
@@ -196,50 +195,59 @@ TEST(RecordViewTest, DuplicateWireBinsAccumulateLikeOwningPath) {
   decode_record_views_prefix(bytes.data(), bytes.size(), views);
   ASSERT_EQ(views.size(), 1u);
 
-  common::LatencySketch from_view{{}}, from_owned{{}};
+  common::LatencySketch from_view, from_owned;
   merge_sketch_view(from_view, views[0].sketch);
   from_owned.merge(owned.records[0].sketch);
   expect_same_sketch(from_view, from_owned);
   EXPECT_EQ(from_view.bins().size(), 1u);  // the duplicate collapsed into one bin
 }
 
-TEST(RecordViewTest, WireBinCountOverBudgetCollapsesLikeOwningPath) {
-  // Patch the record's max_bins below its bin_count: the owning path
-  // materializes via from_parts (which collapses before the merge); the view
-  // path must detect the over-budget wire sketch and reproduce that exactly.
-  common::LatencySketchConfig wide{0.01, 2048};
-  auto batch = make_batch(1, wide);
-  batch[0].sketch = common::LatencySketch(wide);
+TEST(RecordViewTest, WireBinCountOverBudgetRejectedByBothDecoders) {
+  // collapse_if_needed runs after every add and merge, so an honest sketch
+  // holds at most max_bins bins; both decoders accept that many and reject
+  // one more as corruption, each by its own check.
+  constexpr std::size_t kMaxBins = common::LatencySketchConfig::max_bins;
+  auto batch = make_batch(1);
+  batch[0].sketch = common::LatencySketch{};
   common::Xoshiro256 rng(5);
-  for (int i = 0; i < 5000; ++i) batch[0].sketch.add(rng.lognormal(9.0, 3.0));
-  const std::uint32_t bins = static_cast<std::uint32_t>(batch[0].sketch.bins().size());
-  ASSERT_GT(bins, 8u);
+  // Twenty decades need about 2,300 bins at 1%: the sketch fills its budget.
+  for (int i = 0; i < 50000; ++i) batch[0].sketch.add(std::pow(10.0, rng.uniform(0.0, 20.0)));
+  ASSERT_EQ(batch[0].sketch.bin_count(), kMaxBins);
   auto bytes = encode_records(batch);
-  const std::size_t max_bins_off = 16 + 23 + 8;
-  const std::uint32_t shrunk = 8;
-  std::memcpy(bytes.data() + max_bins_off, &shrunk, 4);
 
   const auto owned = decode_records_prefix(bytes.data(), bytes.size());
   std::vector<RecordView> views;
   decode_record_views_prefix(bytes.data(), bytes.size(), views);
   ASSERT_EQ(views.size(), 1u);
-  EXPECT_GT(views[0].sketch.bin_count, views[0].sketch.max_bins);
-
-  common::LatencySketch from_view{wide}, from_owned{wide};
+  EXPECT_EQ(views[0].sketch.bin_count, kMaxBins);
+  common::LatencySketch from_view, from_owned;
   merge_sketch_view(from_view, views[0].sketch);
   from_owned.merge(owned.records[0].sketch);
   expect_same_sketch(from_view, from_owned);
+
+  // One more bin, above every other, with the count patched to match: a
+  // self-consistent record, one bin over the budget.
+  std::uint8_t* p = bytes.data() + 16 + 23 + 8 + 8 + 8 + 8;  // the bin count
+  common::wire::put<std::uint32_t>(p, static_cast<std::uint32_t>(kMaxBins + 1));
+  std::uint8_t extra[12];
+  p = extra;
+  common::wire::put<std::int32_t>(p, std::prev(batch[0].sketch.bins().end())->first + 1);
+  common::wire::put<std::uint64_t>(p, 1);
+  bytes.insert(bytes.end(), extra, extra + sizeof(extra));
+  EXPECT_THROW(decode_records_prefix(bytes.data(), bytes.size()), std::runtime_error);
+  views.clear();
+  EXPECT_THROW(decode_record_views_prefix(bytes.data(), bytes.size(), views), std::runtime_error);
 }
 
 TEST(RecordViewTest, EmptySketchMergeIsANoOp) {
   auto batch = make_batch(1);
-  batch[0].sketch = common::LatencySketch(common::LatencySketchConfig{});  // zero observations
+  batch[0].sketch = common::LatencySketch{};  // zero observations
   const auto bytes = encode_records(batch);
   std::vector<RecordView> views;
   decode_record_views_prefix(bytes.data(), bytes.size(), views);
   ASSERT_EQ(views.size(), 1u);
 
-  common::LatencySketch dst{{}};
+  common::LatencySketch dst;
   dst.add(500.0);
   const auto before_min = dst.min();
   merge_sketch_view(dst, views[0].sketch);
@@ -257,39 +265,6 @@ TEST(RecordViewTest, TruncatedBinsRejectedAsRuntimeError) {
     EXPECT_THROW(decode_record_views_prefix(bytes.data(), cut, views), std::runtime_error)
         << "cut=" << cut;
   }
-}
-
-TEST(RecordViewTest, CorruptAccuracyRejectedAsRuntimeError) {
-  // An out-of-range relative accuracy is wire corruption (the owning path
-  // throws from sketch construction): runtime_error, not invalid_argument,
-  // so the agent drops the peer instead of crashing the poll loop.
-  auto batch = make_batch(1);
-  auto bytes = encode_records(batch);
-  const double bad = 1.5;
-  std::memcpy(bytes.data() + 16 + 23, &bad, 8);
-  std::vector<RecordView> views;
-  try {
-    decode_record_views_prefix(bytes.data(), bytes.size(), views);
-    FAIL() << "expected runtime_error";
-  } catch (const std::invalid_argument&) {
-    FAIL() << "invalid_argument would escape the agent's drop-the-peer handling";
-  } catch (const std::runtime_error&) {
-    // expected
-  }
-}
-
-TEST(RecordViewTest, AccuracyMismatchThrowsInvalidArgument) {
-  common::LatencySketchConfig other{0.02, 2048};
-  auto batch = make_batch(1, other);
-  const auto bytes = encode_records(batch);
-  std::vector<RecordView> views;
-  decode_record_views_prefix(bytes.data(), bytes.size(), views);
-  ASSERT_EQ(views.size(), 1u);
-
-  common::LatencySketch dst{{}};  // default 0.01 accuracy
-  EXPECT_THROW(merge_sketch_view(dst, views[0].sketch), std::invalid_argument);
-  ShardedCollector collector{{}};
-  EXPECT_THROW(collector.ingest({views[0]}), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// ShardedCollector: hash routing, cross-shard/epoch/replica merging, the
-// query API (flow quantiles, link distributions, fleet union, top-k), and
-// the bounded-memory accounting.
+// ShardedCollector: hash routing, cross-shard/epoch merging, the query API
+// (flow quantiles, link distributions, fleet union, top-k), and the
+// bounded-memory accounting.
 #include "collect/sharded_collector.h"
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
@@ -36,7 +36,7 @@ EstimateRecord make_record(std::uint32_t flow, LinkId link, std::uint32_t epoch,
 }
 
 TEST(ShardedCollectorTest, ZeroShardsThrows) {
-  EXPECT_THROW(ShardedCollector(CollectorConfig{0, {}}), std::invalid_argument);
+  EXPECT_THROW(ShardedCollector(CollectorConfig{0}), std::invalid_argument);
 }
 
 TEST(ShardedCollectorTest, FlowQueriesMatchDirectSketch) {
@@ -208,199 +208,23 @@ TEST(ShardedCollectorTest, TopKIndexMatchesFullScanOn10kRandomFlows) {
   }
 }
 
-TEST(ShardedCollectorTest, TopKIndexSurvivesReplicaMerge) {
-  // merge() routes through the same index maintenance as ingest(); the
-  // merged collector's heap path must agree with its scan path.
-  common::Xoshiro256 rng(32);
-  ShardedCollector a(CollectorConfig{4, {}});
-  ShardedCollector b(CollectorConfig{2, {}});
-  for (std::uint32_t i = 0; i < 300; ++i) {
-    (i % 2 == 0 ? a : b)
-        .ingest({make_record(i % 90, 0, 0, rng.uniform(10e3, 300e3), rng, 8)});
-  }
-  a.merge(b);
-  const auto fast = a.top_k_flows(15, 0.99);
-  const auto scan = a.top_k_flows_scan(15, 0.99);
-  ASSERT_EQ(fast.size(), scan.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i].key, scan[i].key) << "rank " << i;
-    EXPECT_EQ(fast[i].p99_ns, scan[i].p99_ns) << "rank " << i;
-  }
-}
-
-TEST(ShardedCollectorTest, ReplicaMergeEqualsSingleCollector) {
-  // Two collector replicas (different shard counts, interleaved batches)
-  // merged together must equal one collector that saw every record.
-  common::Xoshiro256 rng_a(26);
-  std::vector<EstimateRecord> records;
-  for (std::uint32_t i = 0; i < 60; ++i) {
-    records.push_back(make_record(i % 25, i % 4, i % 3, 30e3 + 1e3 * i, rng_a, 30));
-  }
-
-  ShardedCollector whole(CollectorConfig{8, {}});
-  whole.ingest(records);
-
-  ShardedCollector replica_a(CollectorConfig{8, {}});
-  ShardedCollector replica_b(CollectorConfig{3, {}});
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    (i % 2 == 0 ? replica_a : replica_b).ingest({records[i]});
-  }
-  replica_a.merge(replica_b);
-
-  EXPECT_EQ(replica_a.flow_count(), whole.flow_count());
-  EXPECT_EQ(replica_a.records_ingested(), whole.records_ingested());
-  EXPECT_EQ(replica_a.estimates_ingested(), whole.estimates_ingested());
-  EXPECT_EQ(replica_a.epoch_count(), whole.epoch_count());
-  for (std::uint32_t i = 0; i < 25; ++i) {
-    const auto* merged = replica_a.flow(make_key(i));
-    const auto* direct = whole.flow(make_key(i));
-    ASSERT_NE(merged, nullptr);
-    ASSERT_NE(direct, nullptr);
-    EXPECT_EQ(merged->bins(), direct->bins()) << "flow " << i;
-  }
-  EXPECT_EQ(replica_a.fleet().bins(), whole.fleet().bins());
-}
-
 TEST(ShardedCollectorTest, MemoryIsBoundedBySketchSizeNotSamples) {
   common::Xoshiro256 rng(27);
-  CollectorConfig config;
-  config.sketch.max_bins = 128;
-  ShardedCollector collector(config);
-  // One flow, a million estimates: resident bytes must stay O(bins).
-  collector.ingest({make_record(1, 0, 0, 80e3, rng, 1'000'000)});
+  ShardedCollector collector;
+  // One flow, a million estimates over 19 decades (about 2,190 bins at 1%,
+  // more than the budget): resident bytes must stay O(bins).
+  EstimateRecord r;
+  r.key = make_key(1);
+  for (int i = 0; i < 1'000'000; ++i) r.sketch.add(std::pow(10.0, rng.uniform(-2.0, 17.0)));
+  ASSERT_GT(r.sketch.collapses(), 0u);
+  collector.ingest({r});
   EXPECT_EQ(collector.estimates_ingested(), 1'000'000u);
   const auto* sketch = collector.flow(make_key(1));
   ASSERT_NE(sketch, nullptr);
-  EXPECT_LE(sketch->bin_count(), 128u);
+  constexpr std::size_t kMaxBins = common::LatencySketchConfig::max_bins;
+  EXPECT_LE(sketch->bin_count(), kMaxBins);
   // Generous per-bin envelope (map node overhead), nowhere near 1M samples.
-  EXPECT_LT(collector.approx_flow_bytes(), 128 * 64 + 256);
-}
-
-TEST(ShardedCollectorTest, AccuracyMismatchRejectedWithoutSideEffects) {
-  ShardedCollector collector;  // default 1% sketches
-  EstimateRecord r;
-  r.key = make_key(1);
-  r.sketch = common::LatencySketch(common::LatencySketchConfig{0.05, 128});
-  r.sketch.add(100.0);
-  EXPECT_THROW(collector.ingest({r}), std::invalid_argument);
-  // The rejected record must leave no phantom state behind.
-  EXPECT_EQ(collector.flow_count(), 0u);
-  EXPECT_EQ(collector.flow(r.key), nullptr);
-  EXPECT_TRUE(collector.links().empty());
-  EXPECT_EQ(collector.records_ingested(), 0u);
-}
-
-TEST(ShardedCollectorTest, MergeAccuracyMismatchRejectedWithoutSideEffects) {
-  common::Xoshiro256 rng(29);
-  ShardedCollector collector;  // default 1% sketches
-  ShardedCollector replica(CollectorConfig{2, common::LatencySketchConfig{0.05, 128}});
-  EstimateRecord r = make_record(1, 0, 0, 50e3, rng, 10);
-  r.sketch = common::LatencySketch(common::LatencySketchConfig{0.05, 128});
-  r.sketch.add(100.0);
-  replica.ingest({r});
-
-  EXPECT_THROW(collector.merge(replica), std::invalid_argument);
-  EXPECT_EQ(collector.flow_count(), 0u);
-  EXPECT_TRUE(collector.links().empty());
-  EXPECT_EQ(collector.records_ingested(), 0u);
-}
-
-TEST(ShardedCollectorTest, SelfMergeDoublesEveryAggregate) {
-  common::Xoshiro256 rng(28);
-  ShardedCollector collector(CollectorConfig{4, {}});
-  for (std::uint32_t i = 0; i < 30; ++i) {
-    collector.ingest({make_record(i % 10, i % 3, 0, 40e3, rng, 20)});
-  }
-  const auto flows_before = collector.flow_count();
-  const auto estimates_before = collector.estimates_ingested();
-  const auto fleet_before = collector.fleet();
-
-  collector.merge(collector);
-
-  EXPECT_EQ(collector.flow_count(), flows_before);
-  EXPECT_EQ(collector.estimates_ingested(), 2 * estimates_before);
-  const auto fleet_after = collector.fleet();
-  EXPECT_EQ(fleet_after.count(), 2 * fleet_before.count());
-  for (const auto link : collector.links()) {
-    // Exactly doubled, not the inconsistent re-homing double-count.
-    EXPECT_EQ(collector.link_distribution(link)->count() % 2, 0u);
-  }
-  for (const auto& [index, count] : fleet_before.bins()) {
-    EXPECT_EQ(fleet_after.bins().at(index), 2 * count);
-  }
-}
-
-/// Records [200·part, 200·(part + 1)) of a fixed 600-record workload.
-std::vector<EstimateRecord> merge_workload_part(std::size_t part) {
-  common::Xoshiro256 rng(34);
-  std::vector<EstimateRecord> records;
-  for (std::uint32_t i = 0; i < 600; ++i) {
-    records.push_back(make_record(i % 70, i % 5, i % 4, rng.uniform(10e3, 300e3), rng, 8));
-  }
-  const auto first = records.begin() + static_cast<std::ptrdiff_t>(200 * part);
-  return {first, first + 200};
-}
-
-TEST(ShardedCollectorTest, ConcurrentMergesAndIngestMatchSerialUnion) {
-  // Two threads merge different replicas into one target while a third
-  // ingests a batch: the end state is the serially built union, bin for bin.
-  ShardedCollector replica_a(CollectorConfig{3, {}});
-  ShardedCollector replica_b(CollectorConfig{5, {}});
-  replica_a.ingest(merge_workload_part(0));
-  replica_b.ingest(merge_workload_part(1));
-  ShardedCollector serial(CollectorConfig{4, {}});
-  for (std::size_t part = 0; part < 3; ++part) serial.ingest(merge_workload_part(part));
-
-  ShardedCollector target(CollectorConfig{4, {}});
-  const auto batch = merge_workload_part(2);
-  std::thread merge_a([&] { target.merge(replica_a); });
-  std::thread merge_b([&] { target.merge(replica_b); });
-  std::thread ingest([&] { target.ingest(batch); });
-  merge_a.join();
-  merge_b.join();
-  ingest.join();
-
-  EXPECT_EQ(target.records_ingested(), serial.records_ingested());
-  EXPECT_EQ(target.estimates_ingested(), serial.estimates_ingested());
-  EXPECT_EQ(target.epochs_seen(), serial.epochs_seen());
-  ASSERT_EQ(target.flow_count(), serial.flow_count());
-  for (std::uint32_t f = 0; f < 70; ++f) {
-    const auto got = target.flow_sketch(make_key(f));
-    const auto want = serial.flow_sketch(make_key(f));
-    ASSERT_TRUE(got.has_value() && want.has_value()) << "flow " << f;
-    EXPECT_EQ(got->bins(), want->bins()) << "flow " << f;
-  }
-  ASSERT_EQ(target.links(), serial.links());
-  for (const LinkId link : serial.links()) {
-    EXPECT_EQ(target.link_distribution(link)->bins(), serial.link_distribution(link)->bins())
-        << "link " << link;
-  }
-  EXPECT_EQ(target.fleet().bins(), serial.fleet().bins());
-  const auto top_got = target.top_k_flows(10, 0.99);
-  const auto top_want = serial.top_k_flows(10, 0.99);
-  ASSERT_EQ(top_got.size(), top_want.size());
-  for (std::size_t i = 0; i < top_want.size(); ++i) {
-    EXPECT_EQ(top_got[i].key, top_want[i].key) << "rank " << i;
-  }
-}
-
-TEST(ShardedCollectorTest, CrossMergesOnTwoThreadsBothReturn) {
-  // a.merge(b) and b.merge(a) at once: merge never holds two shard locks,
-  // so neither can wait on the other (no lock-order deadlock).
-  ShardedCollector a(CollectorConfig{4, {}});
-  ShardedCollector b(CollectorConfig{4, {}});
-  a.ingest(merge_workload_part(0));
-  b.ingest(merge_workload_part(1));
-  std::thread ab([&] {
-    for (int i = 0; i < 20; ++i) a.merge(b);
-  });
-  std::thread ba([&] {
-    for (int i = 0; i < 20; ++i) b.merge(a);
-  });
-  ab.join();
-  ba.join();
-  EXPECT_EQ(a.flow_count(), 70u);
-  EXPECT_EQ(b.flow_count(), 70u);
+  EXPECT_LT(collector.approx_flow_bytes(), kMaxBins * 64 + 256);
 }
 
 }  // namespace

@@ -112,7 +112,7 @@ TEST(DelaySketchTap, RecordsTrueDelayOfRegularPacketsOnly) {
   tap.on_packet(cross, cross.ts);
 
   EXPECT_EQ(tap.sketch().count(), 1u);
-  const double accuracy = tap.sketch().config().relative_accuracy;
+  const double accuracy = common::LatencySketchConfig::relative_accuracy;
   EXPECT_NEAR(tap.sketch().quantile(0.5), 4'000.0, accuracy * 4'000.0);
 }
 

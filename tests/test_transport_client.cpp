@@ -14,8 +14,10 @@
 #include <utility>
 #include <vector>
 
+#include "collect/estimate_record.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "transport/agent.h"
 #include "transport/byte_stream.h"
 #include "transport/frame.h"
@@ -24,13 +26,11 @@ namespace rlir::transport {
 namespace {
 
 std::vector<collect::EstimateRecord> make_batch(std::size_t n, std::uint32_t epoch,
-                                                std::uint64_t seed = 11,
-                                                common::LatencySketchConfig sketch = {}) {
+                                                std::uint64_t seed = 11) {
   common::Xoshiro256 rng(seed);
   std::vector<collect::EstimateRecord> records;
   for (std::size_t i = 0; i < n; ++i) {
     collect::EstimateRecord r;
-    r.sketch = common::LatencySketch(sketch);
     r.key.src = net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(i));
     r.key.dst = net::Ipv4Address(10, 1, 0, static_cast<std::uint8_t>(i));
     r.key.src_port = static_cast<std::uint16_t>(1000 + i);
@@ -259,23 +259,26 @@ TEST(TransportClient, AgentStartsNoThreads) {
   EXPECT_EQ(threads(), before);
 }
 
-TEST(TransportClient, AgentDropsPeerWithMismatchedSketchAccuracy) {
-  // A well-formed batch sketched at another relative accuracy is a
-  // misconfigured peer, not a reason for the agent to stop: that peer is
-  // dropped like any protocol violator and every other peer keeps streaming.
-  CollectorAgent agent;  // sketches at the default 0.01
+TEST(TransportClient, AgentDropsPeerSpeakingFrameVersionThree) {
+  // A peer built before the sketch segment lost its accuracy and budget
+  // still frames at version 3: it is refused at its first frame, dropped
+  // like any protocol violator, and every other peer keeps streaming.
+  CollectorAgent agent;
   LoopbackDialer good_dialer{&agent};
-  LoopbackDialer bad_dialer{&agent};
   CollectorClient good(CollectorClientConfig{}, good_dialer.factory());
-  CollectorClient bad(CollectorClientConfig{}, bad_dialer.factory());
+  auto [old_end, agent_end] = make_loopback();
+  agent.add_connection(std::move(agent_end));
 
   good.submit(0, make_batch(20, 0));
-  bad.submit(0, make_batch(20, 0, 12, common::LatencySketchConfig{0.02, 2048}));
   ASSERT_TRUE(good.drain());
-  ASSERT_TRUE(bad.drain());
+  auto old_frame = encode_frame(FrameType::kRecordBatch,
+                                collect::encode_records(make_batch(20, 0, 12)));
+  ASSERT_EQ(old_frame[4], kFrameVersion);
+  old_frame[4] = 3;  // the version byte; the CRC covers only the payload
+  ASSERT_EQ(old_end->write_some(old_frame.data(), old_frame.size()), old_frame.size());
   EXPECT_NO_THROW(agent.poll());
   EXPECT_EQ(agent.protocol_errors(), 1u);
-  EXPECT_EQ(agent.connection_count(), 1u);  // only the bad peer is gone
+  EXPECT_EQ(agent.connection_count(), 1u);  // only the old peer is gone
   const auto events = agent.events().snapshot();
   EXPECT_EQ(std::count_if(events.events.begin(), events.events.end(),
                           [](const obs::Event& ev) {
@@ -287,7 +290,7 @@ TEST(TransportClient, AgentDropsPeerWithMismatchedSketchAccuracy) {
   ASSERT_TRUE(good.drain());
   EXPECT_NO_THROW(agent.poll());
   EXPECT_EQ(good.stats().reconnects, 0u);
-  EXPECT_EQ(agent.stats().records_ingested, 40u);  // all of the good peer's, none of the bad's
+  EXPECT_EQ(agent.stats().records_ingested, 40u);  // all of the good peer's, none of the old's
   EXPECT_EQ(agent.protocol_errors(), 1u);
 }
 
@@ -304,6 +307,59 @@ TEST(TransportClient, AgentDropsPeerOnCorruptPayloadInsideValidFrame) {
   agent.poll();
   EXPECT_EQ(agent.protocol_errors(), 1u);
   EXPECT_EQ(agent.connection_count(), 0u);
+}
+
+TEST(TransportClient, ClientDropsConnectionOnCorruptReplyInsideValidFrame) {
+  // The client-side mirror: a sound kQueryReply frame whose payload is not a
+  // reply (unknown body 0x7f) poisons the connection like a bad frame. The
+  // query is lost, not received, whether the caller polls or uses query().
+  obs::SpanRecorder spans;
+  std::vector<std::unique_ptr<ByteStream>> peers;
+  CollectorClientConfig cfg;
+  cfg.instruments.spans = &spans;
+  CollectorClient client(cfg, [&peers]() -> std::unique_ptr<ByteStream> {
+    auto [client_end, peer_end] = make_loopback();
+    peers.push_back(std::move(peer_end));
+    return std::move(client_end);
+  });
+  const std::vector<std::uint8_t> not_a_reply = {0x7f, 0x00};
+  const auto frame = encode_frame(FrameType::kQueryReply, not_a_reply);
+  const auto answer = [&] {
+    ASSERT_EQ(peers.back()->write_some(frame.data(), frame.size()), frame.size());
+  };
+
+  client.send_query(Query{.target = Target::kFleet});
+  client.pump();
+  ASSERT_EQ(peers.size(), 1u);
+  answer();
+  EXPECT_THROW((void)client.poll_reply(), std::runtime_error);
+  EXPECT_FALSE(client.connected());
+  EXPECT_FALSE(client.query_outstanding());
+  EXPECT_EQ(client.stats().replies_received, 0u);
+  EXPECT_EQ(client.stats().queries_lost, 1u);
+
+  // Through query(): the next round re-dials, the peer answers garbage again.
+  bool answered = false;
+  const auto reply = client.query(Query{.target = Target::kFleet}, 10, [&] {
+    if (!answered && peers.size() == 2) {
+      answer();
+      answered = true;
+    }
+  });
+  EXPECT_FALSE(reply.has_value());
+  EXPECT_TRUE(answered);
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(client.stats().replies_received, 0u);
+  EXPECT_EQ(client.stats().queries_lost, 2u);
+
+  // Each query's span closed once, as a failure.
+  std::size_t query_spans = 0;
+  for (const auto& span : spans.snapshot().spans) {
+    if (span.kind != obs::SpanKind::kClientQuery) continue;
+    ++query_spans;
+    EXPECT_EQ(span.label, "fleet abandoned");
+  }
+  EXPECT_EQ(query_spans, 2u);
 }
 
 }  // namespace

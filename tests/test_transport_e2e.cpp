@@ -42,7 +42,7 @@ collect::ShardedCollector run_workload(collect::EpochScheduler::BatchSink sink,
 collect::ShardedCollector baseline_state() { return testutil::fleet_baseline_state(); }
 
 void expect_identical(collect::ShardedCollector& got, collect::ShardedCollector& want) {
-  testutil::expect_identical_collectors(got, want);
+  testutil::expect_partitions_match({&got}, want);
 }
 
 TEST(TransportE2E, LoopbackMatchesInProcessBinForBin) {

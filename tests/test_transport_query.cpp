@@ -5,7 +5,8 @@
 // unknown target or body, a window where the history store reports no
 // coverage, a reversed window, reserved flag bits, a quantile outside
 // [0, 1], a wrong size, trailing bytes, and an entry count the payload
-// cannot hold. A version-1 RLTF frame (the per-kind codec) is refused.
+// cannot hold. Known-answer bytes pin one sketch entry. RLTF frames of
+// versions 1-3 are refused.
 #include "transport/messages.h"
 
 #include <gtest/gtest.h>
@@ -81,7 +82,7 @@ std::vector<std::uint8_t> with_byte(std::vector<std::uint8_t> bytes, std::size_t
 }
 
 common::LatencySketch sample_sketch(int n) {
-  common::LatencySketch sketch{common::LatencySketchConfig{}};
+  common::LatencySketch sketch;
   for (int i = 1; i <= n; ++i) sketch.add(1e3 * i);
   return sketch;
 }
@@ -186,6 +187,40 @@ TEST(TransportQuery, SketchReplyRoundTripsWithAndWithoutCoverage) {
   EXPECT_TRUE(back.entries.empty());
 }
 
+TEST(TransportQuery, SketchReplyKnownAnswerBytes) {
+  // One sketch entry, written out by hand from docs/WIRE.md: the reply
+  // header, then link | 5-tuple | the 36 + 12·bins byte sketch segment.
+  QueryReply reply;
+  SketchEntry entry;
+  entry.link = 9;
+  entry.flow.src = net::Ipv4Address(10, 0, 0, 1);
+  entry.flow.dst = net::Ipv4Address(10, 0, 0, 2);
+  entry.flow.src_port = 1000;
+  entry.flow.dst_port = 80;
+  entry.flow.proto = 6;
+  entry.sketch.add(1000.0, 2);  // bin 346
+  entry.sketch.add(2000.0);     // bin 381
+  reply.entries.push_back(entry);
+  const std::vector<std::uint8_t> want = {
+      1, 0,                                            // body kSketches, flags
+      1, 0, 0, 0,                                      // entry count
+      9, 0, 0, 0,                                      // link
+      1, 0, 0, 10, 2, 0, 0, 10, 0xe8, 0x03, 80, 0, 6,  // 5-tuple
+      0, 0, 0, 0, 0, 0, 0, 0,                          // zero count
+      0, 0, 0, 0, 0, 0x40, 0xaf, 0x40,                 // sum 4000.0
+      0, 0, 0, 0, 0, 0x40, 0x8f, 0x40,                 // min 1000.0
+      0, 0, 0, 0, 0, 0x40, 0x9f, 0x40,                 // max 2000.0
+      2, 0, 0, 0,                                      // bin count
+      0x5a, 0x01, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,        // bin 346 x2
+      0x7d, 0x01, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,        // bin 381 x1
+  };
+  EXPECT_EQ(encode_reply(reply), want);
+  const auto back = decode_reply(want.data(), want.size());
+  ASSERT_EQ(back.entries.size(), 1u);
+  EXPECT_EQ(back.entries[0].flow, entry.flow);
+  EXPECT_EQ(back.entries[0].sketch.bins(), entry.sketch.bins());
+}
+
 TEST(TransportQuery, ScrapeReplyRoundTrips) {
   obs::MetricsRegistry registry;
   registry.counter("rlir_agent_queries_answered_total", {{"instance", "a1"}})->add(3);
@@ -234,11 +269,12 @@ TEST(TransportQuery, DecodeRejectsMalformedReplies) {
 // --- Framing ------------------------------------------------------------------
 
 TEST(TransportQuery, VersionOneFrameIsRefused) {
-  // Frame version 3 carries the scrape without per-kind event totals. A
-  // peer still speaking the per-kind query layouts (version 1) or the old
-  // scrape (version 2) is dropped at its first frame.
-  ASSERT_EQ(kFrameVersion, 3);
-  for (const int old_version : {1, 2}) {
+  // Frame version 4 carries sketch segments without an accuracy or bin
+  // budget. A peer still speaking the per-kind query layouts (version 1),
+  // the scrape with per-kind event totals (version 2) or the old sketch
+  // segment (version 3) is dropped at its first frame.
+  ASSERT_EQ(kFrameVersion, 4);
+  for (const int old_version : {1, 2, 3}) {
     auto bytes = encode_frame(FrameType::kQuery, encode_query(Query{}));
     bytes[4] = static_cast<std::uint8_t>(old_version);
     FrameDecoder decoder;

@@ -4,10 +4,15 @@
 Usage:
     tools/check_bench.py CURRENT.json BASELINE.json [--threshold 0.15]
 
-Compares every throughput metric (keys matching ``_rate``) present in BOTH
-files and exits non-zero if any regressed by more than the threshold
-(default 15%). Higher is better for every compared key; other keys are
-ignored: counts, byte densities, and quantiles are workload properties, not
+Compares every metric of two kinds present in BOTH files and exits non-zero
+if any regressed by more than the threshold (default 15%):
+
+* throughput (keys matching ``_rate``): higher is better;
+* byte densities (keys containing ``bytes_per_``): lower is better. At a
+  fixed smoke workload they are set by the wire and state formats alone, so
+  a rise is a format regression, not noise.
+
+Other keys are ignored: counts and quantiles are workload properties, not
 performance, and ``_speedup`` ratios are derived from rates already being
 compared (gating a ratio of two noisy numbers only doubles the noise).
 
@@ -30,7 +35,12 @@ import json
 import re
 import sys
 
-COMPARED = re.compile(r"_rate($|_)")
+HIGHER_IS_BETTER = re.compile(r"_rate($|_)")
+LOWER_IS_BETTER = re.compile(r"bytes_per_")
+
+
+def is_compared(key):
+    return bool(HIGHER_IS_BETTER.search(key) or LOWER_IS_BETTER.search(key))
 
 
 def load(path):
@@ -57,12 +67,12 @@ def main():
 
     compared = sorted(
         k for k in current.keys() & baseline.keys()
-        if COMPARED.search(k)
+        if is_compared(k)
         and isinstance(current[k], (int, float))
         and isinstance(baseline[k], (int, float))
     )
     if not compared:
-        sys.exit("check_bench: no comparable *_rate keys in both files")
+        sys.exit("check_bench: no comparable *_rate or *bytes_per_* keys in both files")
 
     regressions = []
     width = max(len(k) for k in compared)
@@ -72,14 +82,16 @@ def main():
         if base <= 0:
             continue  # a skipped stage (e.g. unix_socket_rate 0 in CI sandboxes)
         delta = cur / base - 1.0
+        lower = bool(LOWER_IS_BETTER.search(key))
         flag = ""
-        if delta < -args.threshold:
+        if (delta if lower else -delta) > args.threshold:
             regressions.append((key, base, cur, delta))
             flag = "  << REGRESSION"
-        print(f"{key:<{width}}  {base:>14.0f}  {cur:>14.0f}  {delta:>+7.1%}{flag}")
+        digits = 3 if lower else 0
+        print(f"{key:<{width}}  {base:>14.{digits}f}  {cur:>14.{digits}f}  {delta:>+7.1%}{flag}")
 
     only = sorted((current.keys() ^ baseline.keys()) & set(
-        k for k in current.keys() | baseline.keys() if COMPARED.search(k)))
+        k for k in current.keys() | baseline.keys() if is_compared(k)))
     for key in only:
         where = "current" if key in current else "baseline"
         print(f"note: {key} only in {where} (not compared)")
