@@ -3,6 +3,8 @@
 // for paper-scale replays (tens of millions of packets).
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "baseline/lda.h"
@@ -151,32 +153,98 @@ void BM_LdaRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_LdaRecord);
 
+/// `count` random flow keys, made once per count and shared by every run.
+const std::vector<net::FiveTuple>& flow_keys(std::size_t count) {
+  static std::map<std::size_t, std::vector<net::FiveTuple>> cache;
+  auto& keys = cache[count];
+  if (keys.empty()) {
+    common::Xoshiro256 rng(10);
+    keys.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) keys.push_back(random_key(rng));
+  }
+  return keys;
+}
+
+/// A reference packet that saw 2 us of delay, arriving at `t`.
+void feed_reference(rli::RliReceiver& receiver, std::uint64_t seq, std::int64_t t) {
+  net::Packet ref = net::make_reference_packet(1, timebase::TimePoint(t - 2000),
+                                               timebase::TimePoint(t - 2000), seq);
+  ref.ts = timebase::TimePoint(t);
+  receiver.on_packet(ref, ref.ts);
+}
+
+void feed_regular(rli::RliReceiver& receiver, const net::FiveTuple& key, std::int64_t t) {
+  net::Packet pkt;
+  pkt.key = key;
+  pkt.ts = timebase::TimePoint(t);
+  pkt.injected_at = timebase::TimePoint(t - 2000);
+  receiver.on_packet(pkt, pkt.ts);
+}
+
+// One packet (a reference every 100) into a receiver that already holds all
+// N flows, N the argument: 1,536 stands for elephant_flows' ~1.5k flows and
+// 131,072 for mouse_flows' ~137k. Flows are revisited in a shuffled order,
+// so each lookup lands anywhere in the table.
 void BM_RliReceiverPacket(benchmark::State& state) {
+  const auto flows = static_cast<std::size_t>(state.range(0));
+  const auto& keys = flow_keys(flows);
   timebase::PerfectClock clock;
   rli::RliReceiver receiver(rli::ReceiverConfig{}, &clock);
-  common::Xoshiro256 rng(10);
-  std::vector<net::FiveTuple> keys;
-  for (int i = 0; i < 256; ++i) keys.push_back(random_key(rng));
   std::int64_t t = 0;
   std::uint64_t n = 0;
+  for (const auto& key : keys) {  // every flow estimated once before timing
+    if (n % 100 == 0) feed_reference(receiver, n++, t += 700);
+    feed_regular(receiver, key, t += 700);
+    ++n;
+  }
+  feed_reference(receiver, n++, t += 700);
+  std::vector<std::uint32_t> order(flows);
+  for (std::size_t i = 0; i < flows; ++i) order[i] = static_cast<std::uint32_t>(i);
+  common::Xoshiro256 rng(11);
+  for (std::size_t i = flows; i > 1; --i) std::swap(order[i - 1], order[rng.next() % i]);
+  std::size_t i = 0;
   for (auto _ : state) {
     t += 700;
     if (n % 100 == 0) {
-      net::Packet ref = net::make_reference_packet(
-          1, timebase::TimePoint(t - 2000), timebase::TimePoint(t - 2000), n);
-      ref.ts = timebase::TimePoint(t);
-      receiver.on_packet(ref, ref.ts);
+      feed_reference(receiver, n, t);
     } else {
-      net::Packet pkt;
-      pkt.key = keys[n & 255];
-      pkt.ts = timebase::TimePoint(t);
-      pkt.injected_at = timebase::TimePoint(t - 2000);
-      receiver.on_packet(pkt, pkt.ts);
+      feed_regular(receiver, keys[order[i]], t);
+      if (++i == flows) i = 0;
     }
     ++n;
   }
+  benchmark::DoNotOptimize(receiver.packets_estimated());
 }
-BENCHMARK(BM_RliReceiverPacket);
+BENCHMARK(BM_RliReceiverPacket)->Arg(256)->Arg(1536)->Arg(131072)->Arg(1048576);
+
+// Every regular packet opens a new flow, and a fresh receiver replaces the
+// old one once all N flows are in, its teardown inside the timing:
+// mouse_flows' pattern of ~2 packets a flow and new receivers at every pass.
+void BM_RliReceiverNewFlows(benchmark::State& state) {
+  const auto flows = static_cast<std::size_t>(state.range(0));
+  const auto& keys = flow_keys(flows);
+  timebase::PerfectClock clock;
+  std::optional<rli::RliReceiver> receiver;
+  std::int64_t t = 0;
+  std::uint64_t n = 0;       // packets into the current receiver
+  std::size_t next = flows;  // its next new flow
+  for (auto _ : state) {
+    if (next == flows) {
+      receiver.emplace(rli::ReceiverConfig{}, &clock);
+      n = 0;
+      next = 0;
+    }
+    t += 700;
+    if (n % 100 == 0) {  // a new receiver's first packet anchors it
+      feed_reference(*receiver, n, t);
+    } else {
+      feed_regular(*receiver, keys[next++], t);
+    }
+    ++n;
+  }
+  if (receiver) benchmark::DoNotOptimize(receiver->packets_estimated());
+}
+BENCHMARK(BM_RliReceiverNewFlows)->Arg(131072);
 
 }  // namespace
 

@@ -64,7 +64,7 @@ std::vector<SloViolation> SloWatcher::check(std::uint32_t epoch) {
       probe_key.src_port = static_cast<std::uint16_t>(i);
       common::RunningStats stats;
       stats.add(sketch.quantile(0.05 + 0.1 * i));
-      probes.emplace(probe_key, stats);
+      probes.try_emplace(probe_key, stats);
     }
     localizer.add_segment("link" + std::to_string(link), probes);
   }

@@ -1,5 +1,8 @@
 // Open-addressing hash map with dense storage, built for the collector's
-// per-flow tables.
+// per-flow tables. Beyond collect/ (collector, history, exporter), it is
+// every per-flow accumulator on the measurement path (rli::FlowStatsMap:
+// RLI/RLIR receivers, ground-truth taps, the experiment harness) and each
+// prefix length's rule table in net::PrefixTable.
 //
 // std::unordered_map pays a heap node per entry and a pointer chase per
 // lookup; on the ingest hot path (one lookup+insert per record, hundreds of
@@ -15,7 +18,7 @@
 // that need ordered output sort, which the exporter already does). The slot
 // table uses tombstones, purged on the next rehash.
 //
-// API is the std::unordered_map subset the collect/ tier uses: operator[],
+// API is the std::unordered_map subset those users need: operator[],
 // at, find, contains, try_emplace, erase(key), erase(iterator) (returns an
 // iterator that REVISITS the erased position — the swapped-in entry — so
 // `it = m.erase(it)` loops visit every entry exactly once), begin/end, size,

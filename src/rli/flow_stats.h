@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_hash_map.h"
 #include "common/stats.h"
 #include "net/flow_key.h"
 #include "net/packet.h"
@@ -19,7 +19,13 @@
 
 namespace rlir::rli {
 
-using FlowStatsMap = std::unordered_map<net::FiveTuple, common::RunningStats>;
+/// Flat per-flow accumulator: one dense entry vector plus a slot index, so a
+/// new flow is a push_back, not a heap node (most data-center flows are
+/// mice, so most estimates open or touch a short-lived flow). Iteration runs
+/// in insertion order until an erase swaps the last entry into the gap; it
+/// is not hash order, and callers that need an order sort. An insert may
+/// grow the vector, so it invalidates references and iterators into the map.
+using FlowStatsMap = common::FlatHashMap<net::FiveTuple, common::RunningStats>;
 
 /// Evaluation-side tap that records the *true* per-flow delay distribution
 /// (reads Packet::true_delay(), which the measurement stack never touches).

@@ -69,7 +69,10 @@ class RliReceiver final : public sim::PacketTap {
   /// packets interpolate normally. Returns the number of packets flushed.
   std::size_t flush();
 
-  /// Per-flow accumulated latency estimates.
+  /// Per-flow accumulated latency estimates, one entry per flow ever
+  /// estimated, in the order each flow was first estimated (FlowStatsMap is
+  /// flat). Each flow's statistics fold its estimates in the order the sinks
+  /// saw them. The next estimate may invalidate references into it.
   [[nodiscard]] const FlowStatsMap& per_flow() const { return per_flow_; }
 
   /// Per-packet estimate stream (optional hook for tests/ablation and for

@@ -80,6 +80,9 @@ const rli::RliReceiver* RlirReceiver::stream(net::SenderId sender) const {
 
 rli::FlowStatsMap RlirReceiver::merged_estimates() const {
   rli::FlowStatsMap merged;
+  std::size_t flows = 0;
+  for (const auto& [sender, receiver] : streams_) flows += receiver->per_flow().size();
+  merged.reserve(flows);
   for (const auto& [sender, receiver] : streams_) {
     for (const auto& [key, stats] : receiver->per_flow()) {
       merged[key].merge(stats);

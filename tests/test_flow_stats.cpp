@@ -1,6 +1,10 @@
 // Unit tests: rli/flow_stats.h — ground truth taps and accuracy reports.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "rli/flow_stats.h"
 
 namespace rlir::rli {
@@ -112,6 +116,55 @@ TEST(AccuracyReport, StddevCdfUsesOnlyDefinedErrors) {
   const auto report = AccuracyReport::compare(truth, estimates);
   EXPECT_EQ(report.mean_error_cdf().size(), 2u);
   EXPECT_EQ(report.stddev_error_cdf().size(), 1u);  // only flow 1 has stddev
+}
+
+// FlowStatsMap iterates in insertion order, so the report must not depend
+// on it: the same flows inserted in other orders give the same report.
+TEST(AccuracyReport, SameResultWhateverInsertionOrder) {
+  constexpr std::size_t kFlows = 1000;
+  std::vector<std::uint16_t> forward(kFlows);
+  for (std::size_t i = 0; i < kFlows; ++i) forward[i] = static_cast<std::uint16_t>(i);
+  std::vector<std::uint16_t> shuffled = forward;
+  common::Xoshiro256 rng(31);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.uniform_u64(i)]);
+  }
+  const std::vector<std::uint16_t> backward(forward.rbegin(), forward.rend());
+
+  // Flows of 1-3 packets, so some have no stddev error; every 10th flow
+  // has no estimate.
+  const auto truth_in = [](const std::vector<std::uint16_t>& flows) {
+    FlowStatsMap truth;
+    for (const std::uint16_t f : flows) {
+      net::FiveTuple key;
+      key.src_port = f;
+      for (int p = 0; p <= f % 3; ++p) truth[key].add(1000.0 + 7.0 * f + 100.0 * p);
+    }
+    return truth;
+  };
+  const auto estimates_in = [](const std::vector<std::uint16_t>& flows) {
+    FlowStatsMap estimates;
+    for (const std::uint16_t f : flows) {
+      if (f % 10 == 0) continue;
+      net::FiveTuple key;
+      key.src_port = f;
+      for (int p = 0; p <= f % 3; ++p) {
+        estimates[key].add(1000.0 + 5.0 * f + 130.0 * p + f % 7);
+      }
+    }
+    return estimates;
+  };
+
+  const auto a = AccuracyReport::compare(truth_in(forward), estimates_in(forward));
+  const auto b = AccuracyReport::compare(truth_in(shuffled), estimates_in(backward));
+  EXPECT_EQ(a.flow_count(), kFlows - kFlows / 10);
+  EXPECT_EQ(a.flow_count(), b.flow_count());
+  EXPECT_EQ(a.unmatched_flows(), kFlows / 10);
+  EXPECT_EQ(a.unmatched_flows(), b.unmatched_flows());
+  EXPECT_EQ(a.median_mean_error(), b.median_mean_error());
+  EXPECT_EQ(a.mean_error_cdf().sorted_samples(), b.mean_error_cdf().sorted_samples());
+  EXPECT_FALSE(a.stddev_error_cdf().empty());
+  EXPECT_EQ(a.stddev_error_cdf().sorted_samples(), b.stddev_error_cdf().sorted_samples());
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 // Unit tests: rli/receiver.h — interpolation buffer and estimators.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "rli/receiver.h"
 #include "timebase/clock.h"
 
@@ -29,6 +34,17 @@ net::Packet regular(std::int64_t arrival_ns, std::uint16_t src_port = 7777) {
   p.key.src_port = src_port;
   p.kind = net::PacketKind::kRegular;
   return p;
+}
+
+// Bit-equal statistics: a change of container or fold order that moved any
+// of them by one ulp fails here.
+void expect_same_stats(const common::RunningStats& got,
+                       const common::RunningStats& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.mean(), want.mean());
+  EXPECT_EQ(got.variance(), want.variance());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
 }
 
 TEST(RliReceiver, RejectsNullClock) {
@@ -102,6 +118,53 @@ TEST(RliReceiver, PerFlowAccumulation) {
     // Flat delay curve: every estimate is exactly 1000.
     EXPECT_DOUBLE_EQ(stats.mean(), 1000.0);
     EXPECT_EQ(stats.count(), key.src_port == 1 ? 2u : 1u);
+  }
+}
+
+// The flat per-flow accumulator holds exactly what folding the receiver's
+// own estimate stream, in arrival order, into an ordered map gives: the same
+// flows, and bit-equal statistics for each. Swapping the container changes
+// no number.
+TEST(RliReceiver, PerFlowMatchesSinkStreamAtScale) {
+  constexpr std::uint32_t kFlows = 50'000;
+  constexpr int kPacketsPerFlow = 4;
+  timebase::PerfectClock clock;
+  RliReceiver receiver(ReceiverConfig{}, &clock);
+  std::map<net::FiveTuple, common::RunningStats> folded;
+  receiver.add_estimate_sink(
+      [&](const RliReceiver::PacketEstimate& e) { folded[e.key].add(e.estimate_ns); });
+
+  std::vector<net::FiveTuple> arrivals;
+  for (std::uint32_t f = 0; f < kFlows; ++f) {
+    net::FiveTuple key = regular(0).key;
+    key.src = net::Ipv4Address(0x0a000000u + f);
+    for (int p = 0; p < kPacketsPerFlow; ++p) arrivals.push_back(key);
+  }
+  common::Xoshiro256 rng(23);
+  for (std::size_t i = arrivals.size(); i > 1; --i) {
+    std::swap(arrivals[i - 1], arrivals[rng.uniform_u64(i)]);
+  }
+  std::int64_t t = 0;
+  std::uint64_t seq = 0;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    t += 100;
+    if (i % 50 == 0) {
+      const auto delay = 1000 + static_cast<std::int64_t>(rng.uniform_u64(4000));
+      receiver.on_packet(reference(t, delay, seq++), TimePoint(t));
+    }
+    net::Packet p = regular(t + 50);
+    p.key = arrivals[i];
+    receiver.on_packet(p, TimePoint(t + 50));
+  }
+  receiver.flush();
+
+  const FlowStatsMap& per_flow = receiver.per_flow();
+  EXPECT_EQ(folded.size(), kFlows);
+  ASSERT_EQ(per_flow.size(), folded.size());
+  for (const auto& [key, want] : folded) {
+    const auto it = per_flow.find(key);
+    ASSERT_NE(it, per_flow.end());
+    expect_same_stats(it->second, want);
   }
 }
 

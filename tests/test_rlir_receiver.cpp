@@ -1,6 +1,11 @@
 // Unit tests: rlir/receiver.h — multi-sender stream separation.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "rlir/receiver.h"
 #include "timebase/clock.h"
 
@@ -25,6 +30,15 @@ net::Packet regular(std::int64_t arrival_ns, net::Ipv4Address src) {
   p.key.dst = net::Ipv4Address(10, 9, 9, 9);
   p.kind = net::PacketKind::kRegular;
   return p;
+}
+
+void expect_same_stats(const common::RunningStats& got,
+                       const common::RunningStats& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.mean(), want.mean());
+  EXPECT_EQ(got.variance(), want.variance());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
 }
 
 const net::Ipv4Address kOriginA(10, 0, 0, 1);
@@ -140,6 +154,74 @@ TEST_F(RlirReceiverTest, MergedEstimatesUnionStreams) {
 
   const auto merged = receiver.merged_estimates();
   EXPECT_EQ(merged.size(), 2u);  // one flow per origin
+}
+
+// At scale, each stream's flat accumulator equals its own estimate stream
+// folded in arrival order, and merged_estimates() equals the union of the
+// streams, statistic for statistic and bit for bit.
+TEST_F(RlirReceiverTest, MergedEstimatesMatchStreamUnionAtScale) {
+  constexpr std::uint32_t kFlows = 50'000;
+  constexpr int kPacketsPerFlow = 4;
+  const net::SenderId senders[] = {1, 2, 3};
+  PrefixDemux demux;
+  for (const net::SenderId s : senders) {
+    const net::Ipv4Address origin(10, static_cast<std::uint8_t>(s), 0, 0);
+    demux.add_origin(net::Ipv4Prefix(origin, 16), s);
+  }
+  RlirReceiver receiver(rli::ReceiverConfig{}, &clock_, &demux);
+  std::map<net::SenderId, std::map<net::FiveTuple, common::RunningStats>> folded;
+  receiver.add_estimate_sink(
+      [&](net::SenderId s, const rli::RliReceiver::PacketEstimate& e) {
+        folded[s][e.key].add(e.estimate_ns);
+      });
+
+  std::vector<net::Ipv4Address> arrivals;
+  for (std::uint32_t f = 0; f < kFlows; ++f) {
+    const auto s = static_cast<std::uint8_t>(senders[f % 3]);
+    const std::uint32_t host = f / 3;
+    const net::Ipv4Address src(10, s, static_cast<std::uint8_t>(host >> 8),
+                               static_cast<std::uint8_t>(host));
+    for (int p = 0; p < kPacketsPerFlow; ++p) arrivals.push_back(src);
+  }
+  common::Xoshiro256 rng(29);
+  for (std::size_t i = arrivals.size(); i > 1; --i) {
+    std::swap(arrivals[i - 1], arrivals[rng.uniform_u64(i)]);
+  }
+  std::int64_t t = 0;
+  std::uint64_t seq = 0;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    t += 100;
+    if (i % 50 == 0) {
+      for (const net::SenderId s : senders) {
+        const auto delay = 1000 + static_cast<std::int64_t>(rng.uniform_u64(4000));
+        receiver.on_packet(reference(t, delay, seq++, s), TimePoint(t));
+      }
+    }
+    receiver.on_packet(regular(t + 50, arrivals[i]), TimePoint(t + 50));
+  }
+  receiver.flush();
+
+  std::map<net::FiveTuple, common::RunningStats> stream_union;
+  for (const net::SenderId s : senders) {
+    const rli::RliReceiver* stream = receiver.stream(s);
+    ASSERT_NE(stream, nullptr);
+    const auto& want = folded[s];
+    ASSERT_EQ(stream->per_flow().size(), want.size());
+    for (const auto& [key, stats] : stream->per_flow()) {
+      const auto it = want.find(key);
+      ASSERT_NE(it, want.end());
+      expect_same_stats(stats, it->second);
+      stream_union[key].merge(stats);
+    }
+  }
+  const rli::FlowStatsMap merged = receiver.merged_estimates();
+  EXPECT_EQ(stream_union.size(), kFlows);
+  ASSERT_EQ(merged.size(), stream_union.size());
+  for (const auto& [key, want] : stream_union) {
+    const auto it = merged.find(key);
+    ASSERT_NE(it, merged.end());
+    expect_same_stats(it->second, want);
+  }
 }
 
 // Streams are kept in sender order whatever order their senders first
