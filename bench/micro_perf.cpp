@@ -8,11 +8,15 @@
 #include <vector>
 
 #include "baseline/lda.h"
+#include "collect/exporter.h"
 #include "common/rng.h"
 #include "net/hash.h"
 #include "net/prefix_table.h"
 #include "rli/receiver.h"
+#include "rlir/demux.h"
+#include "rlir/receiver.h"
 #include "sim/queue.h"
+#include "sim/tap.h"
 #include "timebase/clock.h"
 #include "topo/ecmp.h"
 #include "trace/flowmeter.h"
@@ -165,15 +169,16 @@ const std::vector<net::FiveTuple>& flow_keys(std::size_t count) {
   return keys;
 }
 
-/// A reference packet that saw 2 us of delay, arriving at `t`.
-void feed_reference(rli::RliReceiver& receiver, std::uint64_t seq, std::int64_t t) {
-  net::Packet ref = net::make_reference_packet(1, timebase::TimePoint(t - 2000),
+/// A reference packet from `sender` that saw 2 us of delay, arriving at `t`.
+void feed_reference(sim::PacketTap& receiver, std::uint64_t seq, std::int64_t t,
+                    net::SenderId sender = 1) {
+  net::Packet ref = net::make_reference_packet(sender, timebase::TimePoint(t - 2000),
                                                timebase::TimePoint(t - 2000), seq);
   ref.ts = timebase::TimePoint(t);
   receiver.on_packet(ref, ref.ts);
 }
 
-void feed_regular(rli::RliReceiver& receiver, const net::FiveTuple& key, std::int64_t t) {
+void feed_regular(sim::PacketTap& receiver, const net::FiveTuple& key, std::int64_t t) {
   net::Packet pkt;
   pkt.key = key;
   pkt.ts = timebase::TimePoint(t);
@@ -245,6 +250,54 @@ void BM_RliReceiverNewFlows(benchmark::State& state) {
   if (receiver) benchmark::DoNotOptimize(receiver->packets_estimated());
 }
 BENCHMARK(BM_RliReceiverNewFlows)->Arg(131072);
+
+// The vantage chain per regular packet: an RlirReceiver over a 4-origin
+// PrefixDemux puts the packet in its sender's stream, and the stream's
+// estimates reach an attached EstimateExporter through the receiver's sink.
+// Each sender sends a reference every 50 regular packets, and the exporter
+// drains every 16,384, as at an epoch boundary. N flows (1,536 and 131,072
+// stand for elephant_flows and mouse_flows), revisited in a shuffled order
+// after one untimed pass. Time is per regular packet.
+void BM_RlirReceiverToExporter(benchmark::State& state) {
+  constexpr net::SenderId kOrigins = 4;
+  const auto flows = static_cast<std::size_t>(state.range(0));
+  auto keys = flow_keys(flows);
+  ::rlir::rlir::PrefixDemux demux;
+  for (net::SenderId s = 1; s <= kOrigins; ++s) {
+    demux.add_origin(net::Ipv4Prefix(net::Ipv4Address(10, 0, static_cast<std::uint8_t>(s), 0), 24),
+                     s);
+  }
+  for (std::size_t i = 0; i < flows; ++i) {
+    keys[i].src = net::Ipv4Address(10, 0, static_cast<std::uint8_t>(1 + i % kOrigins),
+                                   static_cast<std::uint8_t>(i));
+  }
+  timebase::PerfectClock clock;
+  ::rlir::rlir::RlirReceiver receiver(rli::ReceiverConfig{}, &clock, &demux);
+  collect::EstimateExporter exporter(collect::ExporterConfig{{}, 0});
+  exporter.attach(receiver);
+  std::int64_t t = 0;
+  std::uint64_t regulars = 0;
+  std::uint32_t epoch = 0;
+  const auto packet = [&](const net::FiveTuple& key) {
+    if (regulars % 50 == 0) {
+      for (net::SenderId s = 1; s <= kOrigins; ++s) feed_reference(receiver, regulars, t += 700, s);
+    }
+    feed_regular(receiver, key, t += 700);
+    if (++regulars % 16384 == 0) benchmark::DoNotOptimize(exporter.drain(epoch++));
+  };
+  for (const auto& key : keys) packet(key);
+  std::vector<std::uint32_t> order(flows);
+  for (std::size_t i = 0; i < flows; ++i) order[i] = static_cast<std::uint32_t>(i);
+  common::Xoshiro256 rng(11);
+  for (std::size_t i = flows; i > 1; --i) std::swap(order[i - 1], order[rng.next() % i]);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    packet(keys[order[i]]);
+    if (++i == flows) i = 0;
+  }
+  benchmark::DoNotOptimize(exporter.estimates_observed());
+}
+BENCHMARK(BM_RlirReceiverToExporter)->Arg(1536)->Arg(131072);
 
 }  // namespace
 

@@ -125,10 +125,7 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
     for (auto& demux : down_demuxes) demux->set_sender_at_core(c, cfg.id);
   }
 
-  collect::FleetConfig fleet_cfg;
-  collect::FleetCollector fleet(fleet_cfg, &clock);
-  // The fleet-tier difference: batches leave the process N ways by flow hash.
-  fleet.add_batch_sink(pc.make_sink());
+  collect::FleetCollector fleet(collect::FleetConfig{}, &clock);
   for (const auto& core : cores) fleet.deploy(sim, core, &up_demux);
   for (std::size_t i = 0; i < destinations.size(); ++i) {
     fleet.deploy(sim, destinations[i], down_demuxes[i].get());
@@ -156,6 +153,8 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
   sched_cfg.max_flow_idle = Duration::milliseconds(4);
   collect::EpochScheduler scheduler(sched_cfg);
   fleet.attach_scheduler(scheduler);
+  // The fleet-tier difference: batches leave the process N ways by flow hash.
+  scheduler.add_sink(pc.make_sink());
 
   const Duration step = Duration::milliseconds(1);
   timebase::TimePoint t = timebase::TimePoint::zero();

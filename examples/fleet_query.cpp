@@ -15,6 +15,7 @@
 
 #include "collect/epoch_scheduler.h"
 #include "collect/fleet.h"
+#include "collect/sharded_collector.h"
 #include "rli/sender.h"
 #include "rlir/demux.h"
 #include "rlir/sender_agent.h"
@@ -72,10 +73,9 @@ int run_example() {
     for (auto& demux : down_demuxes) demux->set_sender_at_core(c, cfg.id);
   }
 
-  // --- The collection tier: one vantage per core, one per destination ToR.
-  collect::FleetConfig fleet_cfg;
-  fleet_cfg.collector.shard_count = 8;
-  collect::FleetCollector fleet(fleet_cfg, &clock);
+  // --- The collection tier: one vantage per core, one per destination ToR,
+  // feeding an 8-shard collector.
+  collect::FleetCollector fleet(collect::FleetConfig{}, &clock);
   for (const auto& core : cores) fleet.deploy(sim, core, &up_demux);
   for (std::size_t i = 0; i < destinations.size(); ++i) {
     fleet.deploy(sim, destinations[i], down_demuxes[i].get());
@@ -113,6 +113,15 @@ int run_example() {
   sched_cfg.max_flow_idle = Duration::milliseconds(4);
   collect::EpochScheduler scheduler(sched_cfg);
   fleet.attach_scheduler(scheduler);
+  // ingest() encodes each batch and merges its wire views: what a networked
+  // vantage would transmit is exactly what the collector ingests.
+  collect::CollectorConfig collector_cfg;
+  collector_cfg.shard_count = 8;
+  collect::ShardedCollector collector(collector_cfg);
+  scheduler.add_sink(
+      [&collector](std::uint32_t, const std::vector<collect::EstimateRecord>& batch) {
+        collector.ingest(batch);
+      });
 
   const Duration step = Duration::milliseconds(1);
   timebase::TimePoint t = timebase::TimePoint::zero();
@@ -124,7 +133,6 @@ int run_example() {
   scheduler.advance_to(sim.now() + sched_cfg.period);  // final drain
 
   const auto records = static_cast<std::size_t>(scheduler.records_delivered());
-  const auto& collector = fleet.collector();
   std::printf("scheduler: %llu epochs fired, %llu flows aged out mid-epoch\n",
               static_cast<unsigned long long>(scheduler.epochs_fired()),
               static_cast<unsigned long long>(scheduler.flows_aged_out()));

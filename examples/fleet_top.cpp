@@ -101,7 +101,6 @@ int run(const std::vector<std::string>& connect_texts, std::size_t n_agents,
       r.key = demo_key(i % 64);
       r.link = i % 4;
       r.epoch = i % 8;
-      r.sender = 1;
       for (int s = 0; s < 8; ++s) r.sketch.add(40e3 * rng.uniform(0.5, 1.5));
       batch.push_back(std::move(r));
     }

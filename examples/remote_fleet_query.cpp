@@ -101,10 +101,7 @@ int run(const std::string& connect_text) {
     for (auto& demux : down_demuxes) demux->set_sender_at_core(c, cfg.id);
   }
 
-  collect::FleetConfig fleet_cfg;
-  collect::FleetCollector fleet(fleet_cfg, &clock);
-  // The one-line difference from fleet_query: batches leave the process.
-  fleet.add_batch_sink(client.make_sink());
+  collect::FleetCollector fleet(collect::FleetConfig{}, &clock);
   for (const auto& core : cores) fleet.deploy(sim, core, &up_demux);
   for (std::size_t i = 0; i < destinations.size(); ++i) {
     fleet.deploy(sim, destinations[i], down_demuxes[i].get());
@@ -132,6 +129,8 @@ int run(const std::string& connect_text) {
   sched_cfg.max_flow_idle = Duration::milliseconds(4);
   collect::EpochScheduler scheduler(sched_cfg);
   fleet.attach_scheduler(scheduler);
+  // The one-line difference from fleet_query: batches leave the process.
+  scheduler.add_sink(client.make_sink());
 
   const Duration step = Duration::milliseconds(1);
   timebase::TimePoint t = timebase::TimePoint::zero();

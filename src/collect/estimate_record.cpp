@@ -2,10 +2,6 @@
 
 #include <array>
 #include <cmath>
-#include <cstring>
-#include <istream>
-#include <iterator>
-#include <ostream>
 #include <stdexcept>
 
 #include "common/wire.h"
@@ -21,8 +17,7 @@ using common::wire::take_f64;
 
 constexpr std::array<char, 4> kMagic = {'R', 'L', 'E', 'S'};
 constexpr std::size_t kHeaderSize = kMagic.size() + 4 + 8;      // magic, version, count
-constexpr std::size_t kKeyedFixedSize =
-    net::kFiveTupleWireSize + 4 + 2 + 4;                       // key, link, sender, epoch
+constexpr std::size_t kKeyedFixedSize = net::kFiveTupleWireSize + 4 + 4;  // key, link, epoch
 /// Smallest encoded record (no bins): what a claimed batch count is checked
 /// against before anything is reserved for it.
 constexpr std::size_t kMinRecordSize = kKeyedFixedSize + kSketchFixedSize;
@@ -41,7 +36,6 @@ std::uint64_t take_count(const std::uint8_t*& p, const std::uint8_t* end) {
 void encode_record(const EstimateRecord& r, std::uint8_t*& p) {
   net::put_tuple(p, r.key);
   put<std::uint32_t>(p, r.link);
-  put<std::uint16_t>(p, r.sender);
   put<std::uint32_t>(p, r.epoch);
   encode_sketch(p, r.sketch);
 }
@@ -55,7 +49,6 @@ EstimateRecord decode_record(const std::uint8_t*& p, const std::uint8_t* end) {
   EstimateRecord r;
   r.key = net::take_tuple(p);
   r.link = take<std::uint32_t>(p);
-  r.sender = take<std::uint16_t>(p);
   r.epoch = take<std::uint32_t>(p);
   r.sketch = decode_sketch(p, end);
   return r;
@@ -107,7 +100,14 @@ common::LatencySketch decode_sketch(const std::uint8_t*& p, const std::uint8_t* 
     const auto count = take<std::uint64_t>(p);
     bins[index] += count;
   }
-  return common::LatencySketch::from_parts(zero_count, sum, min, max, bins);
+  auto sketch = common::LatencySketch::from_parts(zero_count, sum, min, max, bins);
+  // An empty sketch must be all zeros, as every honest encoder writes it:
+  // from_parts would keep a stray sum, and a merge that starts from this
+  // sketch would carry it into the fleet's sum() and mean().
+  if (sketch.empty() && (sum != 0.0 || min != 0.0 || max != 0.0 || bin_count != 0)) {
+    throw std::runtime_error("EstimateRecord: empty sketch with moments or bins (corrupt input)");
+  }
+  return sketch;
 }
 
 namespace {
@@ -143,6 +143,11 @@ SketchView decode_sketch_view(const std::uint8_t*& p, const std::uint8_t* end) {
     v.binned_count += take<std::uint64_t>(bin);
   }
   p += static_cast<std::size_t>(v.bin_count) * kBinSize;
+  // merge_sketch_view skips an empty sketch whole, so a stray sum here would
+  // make this decoder disagree with the owning one.
+  if (v.count() == 0 && (v.sum != 0.0 || v.min != 0.0 || v.max != 0.0 || v.bin_count != 0)) {
+    throw std::runtime_error("EstimateRecord: empty sketch with moments or bins (corrupt input)");
+  }
   return v;
 }
 
@@ -151,9 +156,9 @@ RecordView decode_record_view(const std::uint8_t*& p, const std::uint8_t* end) {
     throw std::runtime_error("EstimateRecord: truncated record");
   }
   RecordView r;
+  r.wire = p;
   r.key = net::take_tuple(p);
   r.link = take<std::uint32_t>(p);
-  r.sender = take<std::uint16_t>(p);
   r.epoch = take<std::uint32_t>(p);
   r.sketch = decode_sketch_view(p, end);
   return r;
@@ -202,21 +207,6 @@ std::size_t wire_size(const EstimateRecord& record) {
 std::size_t wire_size(const RecordView& record) {
   return kKeyedFixedSize + kSketchFixedSize +
          static_cast<std::size_t>(record.sketch.bin_count) * kBinSize;
-}
-
-void encode_record_body(const RecordView& record, std::uint8_t* out) {
-  const std::size_t bin_bytes = static_cast<std::size_t>(record.sketch.bin_count) * kBinSize;
-  std::uint8_t* p = out;
-  net::put_tuple(p, record.key);
-  put<std::uint32_t>(p, record.link);
-  put<std::uint16_t>(p, record.sender);
-  put<std::uint32_t>(p, record.epoch);
-  put<std::uint64_t>(p, record.sketch.zero_count);
-  put_f64(p, record.sketch.sum);
-  put_f64(p, record.sketch.min);
-  put_f64(p, record.sketch.max);
-  put<std::uint32_t>(p, record.sketch.bin_count);
-  std::memcpy(p, record.sketch.bins, bin_bytes);
 }
 
 void decode_record_body_views(const std::uint8_t* data, std::size_t size,
@@ -274,17 +264,6 @@ std::vector<EstimateRecord> decode_records(const std::uint8_t* data, std::size_t
     throw std::runtime_error("EstimateRecord: trailing bytes after batch");
   }
   return std::move(batch.records);
-}
-
-void write_records(std::ostream& out, const std::vector<EstimateRecord>& records) {
-  const auto buf = encode_records(records);
-  out.write(reinterpret_cast<const char*>(buf.data()), static_cast<std::streamsize>(buf.size()));
-  if (!out) throw std::runtime_error("EstimateRecord: stream write failed");
-}
-
-std::vector<EstimateRecord> read_records(std::istream& in) {
-  std::vector<std::uint8_t> buf(std::istreambuf_iterator<char>(in), {});
-  return decode_records(buf.data(), buf.size());
 }
 
 }  // namespace rlir::collect

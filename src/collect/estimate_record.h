@@ -7,29 +7,29 @@
 // conventions (little-endian, magic + version, field-by-field packing):
 //
 //   batch:   magic "RLES" | u32 version | u64 record count
-//   record:  5-tuple (4+4+2+2+1) | u32 link | u16 sender | u32 epoch
+//   record:  5-tuple (4+4+2+2+1) | u32 link | u32 epoch
 //            | u64 zero_count | f64 sum | f64 min | f64 max
 //            | u32 bin_count | bin_count x (i32 index, u64 count)
 //
 // No sketch accuracy or budget travels: every sketch has the one shape of
 // common::LatencySketchConfig. Decoding rejects bad magic, unsupported
-// versions, truncated input, non-finite moments, and bin counts above the
-// budget (no honest encoder exceeds it) with std::runtime_error.
+// versions, truncated input, non-finite moments, bin counts above the
+// budget (no honest encoder exceeds it) and empty sketches that are not all
+// zeros with std::runtime_error.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "common/latency_sketch.h"
 #include "net/flow_key.h"
-#include "net/packet.h"
 
 namespace rlir::collect {
 
 /// 2: the sketch segment lost its f64 relative accuracy and u32 max bins.
-inline constexpr std::uint32_t kEstimateWireVersion = 2;
+/// 3: the keyed fields lost the u16 RLI sender, which nothing read.
+inline constexpr std::uint32_t kEstimateWireVersion = 3;
 
 /// Vantage-point identifier: which deployed receiver (router interface)
 /// produced a record. Assigned by the collection tier at deployment.
@@ -39,20 +39,13 @@ inline constexpr LinkId kNoLink = 0xffffffff;
 struct EstimateRecord {
   net::FiveTuple key;
   LinkId link = kNoLink;
-  /// RLI sender whose references anchored the estimates (provenance).
-  net::SenderId sender = net::kNoSender;
   /// Collection epoch the estimates belong to; merging across epochs is the
   /// collector's job.
   std::uint32_t epoch = 0;
   common::LatencySketch sketch;
 };
 
-/// Serializes a batch. Throws std::runtime_error on stream failure.
-void write_records(std::ostream& out, const std::vector<EstimateRecord>& records);
-/// Deserializes a batch. Throws std::runtime_error on malformed input.
-[[nodiscard]] std::vector<EstimateRecord> read_records(std::istream& in);
-
-/// Byte-buffer conveniences (what an RPC transport would carry).
+/// Serializes a batch: the one encoder of the record layout.
 [[nodiscard]] std::vector<std::uint8_t> encode_records(const std::vector<EstimateRecord>& records);
 /// Decodes exactly one batch spanning the whole buffer; trailing bytes are an
 /// error. For back-to-back batches use decode_records_prefix.
@@ -99,12 +92,16 @@ struct SketchView {
 };
 
 /// One record of a batch, keyed fields decoded, sketch left as a view.
+/// Only the decoders make views.
 struct RecordView {
   net::FiveTuple key;
   LinkId link = kNoLink;
-  net::SenderId sender = net::kNoSender;
   std::uint32_t epoch = 0;
   SketchView sketch;
+  /// The record's first wire byte, borrowed like the bins: the record is the
+  /// wire_size(view) bytes from here, which the history store logs as they
+  /// came.
+  const std::uint8_t* wire = nullptr;
 };
 
 /// View-based overload of decode_records_prefix: appends one batch's records
@@ -140,13 +137,8 @@ struct EncodedViews {
 // The history store's raw tier logs record bodies back-to-back WITHOUT the
 // batch header: each body is self-delimiting (fixed keyed fields plus a
 // sketch segment whose bin count says where it ends), so an epoch's log is
-// just its appended bodies.
+// just its appended bodies, each copied from its view's wire bytes.
 
-/// Writes one record body (keyed fields + sketch segment) at `out`, which
-/// the caller guarantees has wire_size(record) bytes of room. The serialized
-/// bins are copied verbatim (one memcpy), so logging a decoded view costs no
-/// sketch materialization.
-void encode_record_body(const RecordView& record, std::uint8_t* out);
 /// Decodes back-to-back record bodies until the buffer is exhausted,
 /// appending views to `out` (not cleared). Same validation and
 /// std::runtime_errors as the batch decoder; views borrow `data`.
@@ -169,7 +161,8 @@ inline constexpr std::size_t kSketchFixedSize = 8 + 8 + 8 + 8 + 4;
 /// sketch_wire_size() bytes of room.
 void encode_sketch(std::uint8_t*& p, const common::LatencySketch& sketch);
 /// Parses one sketch segment at `p` (advancing it), bounds-checked against
-/// `end`. Throws std::runtime_error on truncated/corrupt input.
+/// `end`. Throws std::runtime_error on truncated/corrupt input, including an
+/// empty sketch (zero total count) whose moments or bin count are not all 0.
 [[nodiscard]] common::LatencySketch decode_sketch(const std::uint8_t*& p,
                                                   const std::uint8_t* end);
 

@@ -16,21 +16,15 @@ void sort_by_key(std::vector<EstimateRecord>& records) {
 
 }  // namespace
 
-void EstimateExporter::observe(net::SenderId sender,
+void EstimateExporter::observe(net::SenderId /*sender*/,
                                const rli::RliReceiver::PacketEstimate& estimate) {
   auto it = flows_.find(estimate.key);
   if (it == flows_.end()) {
-    it = flows_.try_emplace(estimate.key, FlowEntry{{}, sender, estimate.arrival}).first;
+    it = flows_.try_emplace(estimate.key, FlowEntry{{}, estimate.arrival}).first;
   }
   it->second.sketch.add(estimate.estimate_ns);
-  it->second.sender = sender;
   it->second.last_arrival = estimate.arrival;
   ++observed_;
-}
-
-void EstimateExporter::attach(rli::RliReceiver& receiver, net::SenderId sender) {
-  receiver.add_estimate_sink(
-      [this, sender](const rli::RliReceiver::PacketEstimate& pe) { observe(sender, pe); });
 }
 
 void EstimateExporter::attach(rlir::RlirReceiver& receiver) {
@@ -44,8 +38,7 @@ std::vector<EstimateRecord> EstimateExporter::drain(std::uint32_t epoch) {
   std::vector<EstimateRecord> records;
   records.reserve(flows_.size());
   for (auto& [key, entry] : flows_) {
-    records.push_back(
-        EstimateRecord{key, config_.link, entry.sender, epoch, std::move(entry.sketch)});
+    records.push_back(EstimateRecord{key, config_.link, epoch, std::move(entry.sketch)});
   }
   flows_.clear();
   sort_by_key(records);
@@ -59,8 +52,8 @@ std::vector<EstimateRecord> EstimateExporter::evict_idle(timebase::TimePoint now
   if (max_idle <= timebase::Duration::zero()) return records;
   for (auto it = flows_.begin(); it != flows_.end();) {
     if (now - it->second.last_arrival > max_idle) {
-      records.push_back(EstimateRecord{it->first, config_.link, it->second.sender, epoch,
-                                       std::move(it->second.sketch)});
+      records.push_back(
+          EstimateRecord{it->first, config_.link, epoch, std::move(it->second.sketch)});
       it = flows_.erase(it);
       ++aged_out_;
     } else {

@@ -1,5 +1,5 @@
 // Receiver-side record production: folds the per-packet estimate stream of
-// one vantage point (an RLI or RLIR receiver) into bounded per-flow latency
+// one vantage point (an RLIR receiver) into bounded per-flow latency
 // sketches, and drains them as EstimateRecord batches at epoch boundaries.
 //
 // This is the piece that replaces "keep every estimate" with "keep a sketch
@@ -39,16 +39,15 @@ class EstimateExporter {
  public:
   explicit EstimateExporter(ExporterConfig config) : config_(config) {}
 
-  /// Folds one estimate into its flow's sketch. `sender` is provenance only
-  /// (recorded per flow; a flow re-anchored by several senders keeps the
-  /// last one seen). The estimate's arrival time stamps the flow's activity
-  /// for idle aging.
-  void observe(net::SenderId sender, const rli::RliReceiver::PacketEstimate& estimate);
+  /// Folds one estimate into its flow's sketch. The estimate's arrival time
+  /// stamps the flow's activity for idle aging. The sender is unused (no
+  /// record carries it); the parameter stays so that the sink signature
+  /// perfbench/src/replay.cpp calls still compiles.
+  void observe(net::SenderId /*sender*/, const rli::RliReceiver::PacketEstimate& estimate);
 
   /// Subscribes this exporter to a receiver's estimate stream (additional
   /// sink; existing sinks keep working). The exporter must outlive the
   /// receiver's last estimate.
-  void attach(rli::RliReceiver& receiver, net::SenderId sender = net::kNoSender);
   void attach(rlir::RlirReceiver& receiver);
 
   /// Ends the epoch: returns one record per live flow (observed since the
@@ -74,7 +73,6 @@ class EstimateExporter {
  private:
   struct FlowEntry {
     common::LatencySketch sketch;
-    net::SenderId sender = net::kNoSender;
     timebase::TimePoint last_arrival;
   };
   ExporterConfig config_;

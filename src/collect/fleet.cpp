@@ -6,7 +6,7 @@
 namespace rlir::collect {
 
 FleetCollector::FleetCollector(FleetConfig config, const timebase::Clock* clock)
-    : config_(config), clock_(clock), collector_(config.collector) {
+    : config_(config), clock_(clock) {
   if (clock_ == nullptr) {
     throw std::invalid_argument("FleetCollector: clock must not be null");
   }
@@ -38,32 +38,10 @@ const rlir::RlirReceiver& FleetCollector::receiver(LinkId link) const {
 
 topo::NodeId FleetCollector::node(LinkId link) const { return vantages_.at(link).node; }
 
-void FleetCollector::deliver(std::uint32_t epoch, const std::vector<EstimateRecord>& batch) {
-  collected_any_ = true;
-  if (!remote_sinks_.empty()) {
-    for (const auto& sink : remote_sinks_) sink(epoch, batch);
-    return;
-  }
-  // ingest() encodes the batch and merges its wire views: what a networked
-  // vantage would transmit is exactly what the collector ingests.
-  collector_.ingest(batch);
-}
-
-void FleetCollector::add_batch_sink(EpochScheduler::BatchSink sink) {
-  if (collected_any_) {
-    throw std::logic_error(
-        "FleetCollector::add_batch_sink: collection already started in-process");
-  }
-  if (!sink) {
-    throw std::invalid_argument("FleetCollector::add_batch_sink: null sink");
-  }
-  remote_sinks_.push_back(std::move(sink));
-}
-
 void FleetCollector::attach_scheduler(EpochScheduler& scheduler) {
   if (scheduler_ != nullptr) {
-    // A second attach would duplicate sinks/hooks and double-ingest every
-    // batch from then on — fail loudly instead.
+    // A second attach would duplicate the flush hook and the exporters, and
+    // double every batch from then on — fail loudly instead.
     throw std::logic_error("FleetCollector::attach_scheduler: already attached");
   }
   scheduler.add_epoch_hook([this](std::uint32_t) {
@@ -73,9 +51,6 @@ void FleetCollector::attach_scheduler(EpochScheduler& scheduler) {
   // deploy() keeps later vantages in sync (flush hook already iterates
   // vantages_ live; the exporter registration must match).
   scheduler_ = &scheduler;
-  scheduler.add_sink([this](std::uint32_t epoch, const std::vector<EstimateRecord>& batch) {
-    deliver(epoch, batch);
-  });
 }
 
 rli::FlowStatsMap FleetCollector::unsharded_estimates() const {

@@ -1,6 +1,7 @@
 #include "collect/history.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 
@@ -190,8 +191,10 @@ void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
   }
   if (record.epoch >= raw_first_) {
     Segment& seg = raw_[record.epoch - raw_first_];
+    // The record's bytes as they came: the same layout the body decoder
+    // reads, floats and bins bit for bit.
     const std::size_t added = wire_size(record);
-    encode_record_body(record, seg.log.append_raw(added));
+    std::memcpy(seg.log.append_raw(added), record.wire, added);
     seg.bytes += added;
     total_bytes_ += added;
     seg.records += 1;

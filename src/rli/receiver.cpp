@@ -4,8 +4,9 @@
 
 namespace rlir::rli {
 
-RliReceiver::RliReceiver(ReceiverConfig config, const timebase::Clock* clock)
-    : config_(config), clock_(clock) {
+RliReceiver::RliReceiver(ReceiverConfig config, const timebase::Clock* clock,
+                         net::SenderId sender)
+    : config_(config), clock_(clock), sender_(sender) {
   if (clock_ == nullptr) throw std::invalid_argument("RliReceiver: clock must not be null");
 }
 
@@ -74,7 +75,7 @@ std::size_t RliReceiver::flush() {
     ++flushed_;
     if (!sinks_.empty()) {
       const PacketEstimate pe{p.key, p.arrival, est};
-      for (const auto& sink : sinks_) sink(pe);
+      for (const auto& sink : sinks_) sink(sender_, pe);
     }
   }
   buffer_.clear();
@@ -88,7 +89,7 @@ void RliReceiver::estimate_buffered(const Anchor& left, const Anchor& right) {
     ++estimated_;
     if (!sinks_.empty()) {
       const PacketEstimate pe{p.key, p.arrival, est};
-      for (const auto& sink : sinks_) sink(pe);
+      for (const auto& sink : sinks_) sink(sender_, pe);
     }
   }
 }

@@ -55,7 +55,10 @@ class RliReceiver final : public sim::PacketTap {
   /// `clock` is the receiver's local clock (borrowed; must outlive the
   /// receiver). Reference delay = clock->now(arrival) - packet.ref_stamp, so
   /// clock sync error propagates into estimates exactly as in hardware.
-  RliReceiver(ReceiverConfig config, const timebase::Clock* clock);
+  /// `sender` names the RLI sender whose references anchor this stream (an
+  /// RlirReceiver passes each stream's); every sink is handed it.
+  RliReceiver(ReceiverConfig config, const timebase::Clock* clock,
+              net::SenderId sender = net::kNoSender);
 
   /// Reference packets anchor the interpolation; of the rest, only regular
   /// traffic is estimated (the paper's receiver "only produces per-flow
@@ -82,7 +85,10 @@ class RliReceiver final : public sim::PacketTap {
     timebase::TimePoint arrival;
     double estimate_ns;
   };
-  using EstimateSink = std::function<void(const PacketEstimate&)>;
+  /// The one sink type of both receivers: called with the stream's sender
+  /// and the estimate. An RlirReceiver copies each sink into every stream,
+  /// so a sink that shares state across streams captures it by reference.
+  using EstimateSink = std::function<void(net::SenderId, const PacketEstimate&)>;
   /// Registers a sink, the one way to subscribe; every estimate is delivered
   /// to each sink in registration order (an ablation probe and a collector
   /// exporter can observe the same stream). Sinks are never removed.
@@ -116,6 +122,7 @@ class RliReceiver final : public sim::PacketTap {
 
   ReceiverConfig config_;
   const timebase::Clock* clock_;
+  net::SenderId sender_;
   std::optional<Anchor> left_;
   std::vector<Pending> buffer_;
   FlowStatsMap per_flow_;

@@ -27,23 +27,15 @@ RlirReceiver::RlirReceiver(rli::ReceiverConfig per_sender_config, const timebase
 rli::RliReceiver& RlirReceiver::stream_for(net::SenderId sender) {
   const auto it = lower_stream(streams_, sender);
   if (it != streams_.end() && it->first == sender) return *it->second;
-  auto receiver = std::make_unique<rli::RliReceiver>(per_sender_config_, clock_);
-  for (const auto& sink : sinks_) {
-    receiver->add_estimate_sink(
-        [sender, &sink](const rli::RliReceiver::PacketEstimate& pe) { sink(sender, pe); });
-  }
+  auto receiver = std::make_unique<rli::RliReceiver>(per_sender_config_, clock_, sender);
+  for (const auto& sink : sinks_) receiver->add_estimate_sink(sink);
   return *streams_.emplace(it, sender, std::move(receiver))->second;
 }
 
-void RlirReceiver::add_estimate_sink(StreamEstimateSink sink) {
+void RlirReceiver::add_estimate_sink(rli::RliReceiver::EstimateSink sink) {
   if (!sink) return;
+  for (auto& stream : streams_) stream.second->add_estimate_sink(sink);
   sinks_.push_back(std::move(sink));
-  const StreamEstimateSink& stored = sinks_.back();
-  for (auto& [sender, receiver] : streams_) {
-    const net::SenderId sid = sender;
-    receiver->add_estimate_sink(
-        [sid, &stored](const rli::RliReceiver::PacketEstimate& pe) { stored(sid, pe); });
-  }
 }
 
 void RlirReceiver::on_packet(const net::Packet& packet, timebase::TimePoint arrival) {

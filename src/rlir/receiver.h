@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -48,10 +46,10 @@ class RlirReceiver final : public sim::PacketTap {
 
   /// Per-packet estimate stream across every sender's interpolation stream,
   /// tagged with the stream's sender (the collection tier's export hook).
-  /// Applies to streams that already exist and to streams created later.
-  using StreamEstimateSink =
-      std::function<void(net::SenderId, const rli::RliReceiver::PacketEstimate&)>;
-  void add_estimate_sink(StreamEstimateSink sink);
+  /// The sink is copied into every stream, those that exist and those made
+  /// later, so each estimate makes one call per sink; a sink that shares
+  /// state across streams captures it by reference.
+  void add_estimate_sink(rli::RliReceiver::EstimateSink sink);
 
   [[nodiscard]] std::uint64_t unclassified_packets() const { return unclassified_; }
   [[nodiscard]] std::uint64_t classified_packets() const { return classified_; }
@@ -68,9 +66,8 @@ class RlirReceiver final : public sim::PacketTap {
   /// faster than a tree; the streams live on the heap, so stream() pointers
   /// survive later insertions.
   std::vector<std::pair<net::SenderId, std::unique_ptr<rli::RliReceiver>>> streams_;
-  /// Deque: per-stream adapter lambdas hold references to elements, and
-  /// deque end-insertion never invalidates them.
-  std::deque<StreamEstimateSink> sinks_;
+  /// Copied into each stream stream_for() makes.
+  std::vector<rli::RliReceiver::EstimateSink> sinks_;
   std::uint64_t unclassified_ = 0;
   std::uint64_t classified_ = 0;
 };

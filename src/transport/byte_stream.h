@@ -20,17 +20,10 @@
 
 namespace rlir::transport {
 
-/// Per-call I/O granularity of the client and the agent: the byte cap of one
-/// gather write and the size of one read. Sized to hold a whole
-/// default-coalesce client frame, so the common case is one syscall per
-/// sealed frame on each side.
+/// Size of one read by the client and the agent. Sized to hold a whole
+/// default-coalesce client frame, so the common case is one recv per sealed
+/// frame.
 inline constexpr std::size_t kIoChunkBytes = 512u << 10;
-
-/// One span of a gather write (see ByteStream::write_some_vectored).
-struct ConstBuffer {
-  const std::uint8_t* data = nullptr;
-  std::size_t size = 0;
-};
 
 class ByteStream {
  public:
@@ -39,23 +32,6 @@ class ByteStream {
   /// Appends up to `size` bytes to the stream; returns how many were
   /// accepted (0 when the backend is full or the stream is closed).
   virtual std::size_t write_some(const std::uint8_t* data, std::size_t size) = 0;
-
-  /// Gather write: appends the spans back-to-back, as if write_some were
-  /// called on their concatenation, and returns the total bytes accepted
-  /// (which may end mid-span — partial writes keep byte, not span,
-  /// granularity). The default walks the spans with write_some and stops at
-  /// the first short write; socket backends override it with one writev
-  /// syscall so a queue of small frames doesn't pay a syscall each.
-  virtual std::size_t write_some_vectored(const ConstBuffer* buffers, std::size_t count) {
-    std::size_t written = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (buffers[i].size == 0) continue;
-      const std::size_t n = write_some(buffers[i].data, buffers[i].size);
-      written += n;
-      if (n < buffers[i].size) break;  // backend full (or closed): stop here
-    }
-    return written;
-  }
 
   /// Reads up to `size` bytes into `data`; returns how many arrived
   /// (0 when nothing is available right now or the stream is closed).

@@ -194,43 +194,21 @@ std::size_t CollectorClient::pump() {
   const std::int64_t t0 = spans_ != nullptr ? obs::SpanRecorder::now_ns() : 0;
   std::size_t written = 0;
   while (!queue_.empty()) {
-    // Gather up to kIoChunkBytes across queued frames — the front frame
-    // from its partial-write offset, whole frames after it — into one
-    // vectored write. Over a socket that is one writev/sendmsg syscall for
-    // the whole segment instead of one send per frame.
-    write_spans_.clear();
-    std::size_t gathered = 0;
-    for (std::size_t i = 0; i < queue_.size() && gathered < kIoChunkBytes; ++i) {
-      const auto& frame = queue_[i];
-      const std::size_t offset = i == 0 ? front_offset_ : 0;
-      const std::size_t take =
-          std::min(frame.bytes.size() - offset, kIoChunkBytes - gathered);
-      write_spans_.push_back(ConstBuffer{frame.bytes.data() + offset, take});
-      gathered += take;
-    }
-    const std::size_t n = stream_->write_some_vectored(write_spans_.data(), write_spans_.size());
-    if (n == 0) {
-      // Full or died; a died stream is picked up by the next pump's dial.
+    // The front frame from its partial-write offset. A short write means the
+    // stream is full or died; a died stream is picked up by the next pump's
+    // dial.
+    auto& front = queue_.front();
+    const std::size_t remaining = front.bytes.size() - front_offset_;
+    const std::size_t n = stream_->write_some(front.bytes.data() + front_offset_, remaining);
+    written += n;
+    if (n < remaining) {
+      front_offset_ += n;
       break;
     }
-    written += n;
-    // Advance the queue past the bytes the stream took: complete frames pop,
-    // a trailing partial write becomes the new front offset.
-    std::size_t advanced = n;
-    while (advanced > 0) {
-      auto& front = queue_.front();
-      const std::size_t remaining = front.bytes.size() - front_offset_;
-      if (advanced >= remaining) {
-        advanced -= remaining;
-        buffered_bytes_ -= front.bytes.size();
-        c_.frames_sent->increment();
-        queue_.pop_front();
-        front_offset_ = 0;
-      } else {
-        front_offset_ += advanced;
-        advanced = 0;
-      }
-    }
+    buffered_bytes_ -= front.bytes.size();
+    c_.frames_sent->increment();
+    queue_.pop_front();
+    front_offset_ = 0;
   }
   c_.bytes_sent->add(written);
   c_.buffered_bytes->set(static_cast<std::int64_t>(buffered_bytes_));

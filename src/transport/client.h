@@ -126,8 +126,8 @@ class CollectorClient {
 
   // --- Introspection -------------------------------------------------------
 
-  /// A BatchSink that submits and pumps — plug into EpochScheduler::add_sink
-  /// (or FleetCollector::add_batch_sink). The client must outlive the
+  /// A BatchSink that submits and pumps — plug into EpochScheduler::add_sink,
+  /// the one exit of a FleetCollector's batches. The client must outlive the
   /// scheduler's last advance_to.
   [[nodiscard]] collect::EpochScheduler::BatchSink make_sink();
 
@@ -220,9 +220,7 @@ class CollectorClient {
   FrameDecoder reply_decoder_;
   bool query_outstanding_ = false;
 
-  /// Reused scratch: pump()'s gather-write span list and poll_reply()'s read
-  /// chunk — neither path allocates per call.
-  std::vector<ConstBuffer> write_spans_;
+  /// Reused scratch: poll_reply()'s read chunk — no allocation per call.
   std::vector<std::uint8_t> reply_chunk_;
 
   obs::Instrumented obs_;

@@ -30,9 +30,10 @@ namespace rlir::transport {
 /// Bumped whenever a payload layout changes incompatibly (2: the query
 /// codec in transport/messages.h; 3: the scrape's events segment lost its
 /// per-kind totals, obs/wire.h; 4: the sketch segment lost its accuracy and
-/// bin budget, RLES version 2 in collect/estimate_record.h); a peer on any
-/// other version is refused at its first frame.
-inline constexpr std::uint8_t kFrameVersion = 4;
+/// bin budget, RLES version 2 in collect/estimate_record.h; 5: records lost
+/// their RLI sender, RLES version 3); a peer on any other version is refused
+/// at its first frame.
+inline constexpr std::uint8_t kFrameVersion = 5;
 
 /// Header bytes preceding every payload: magic(4) + version(1) + type(1) +
 /// reserved(2) + length(4) + crc(4).

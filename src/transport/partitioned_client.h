@@ -98,8 +98,8 @@ class PartitionedClient {
   /// their queued records are the inflight term, not a stalled drain.
   bool drain(std::size_t max_pumps = 1024);
 
-  /// A BatchSink that submits and pumps — plug into EpochScheduler::add_sink
-  /// or FleetCollector::add_batch_sink. The client must outlive the
+  /// A BatchSink that submits and pumps — plug into EpochScheduler::add_sink,
+  /// the one exit of a FleetCollector's batches. The client must outlive the
   /// scheduler's last advance_to.
   [[nodiscard]] collect::EpochScheduler::BatchSink make_sink();
 

@@ -76,32 +76,6 @@ class SocketStream final : public ByteStream {
     return 0;
   }
 
-  std::size_t write_some_vectored(const ConstBuffer* buffers, std::size_t count) override {
-    if (fd_ < 0 || count == 0) return 0;
-    // One sendmsg for the whole queue segment. iovec and ConstBuffer are not
-    // layout-compatible (iov_base is non-const void*), so spans are staged
-    // into a bounded on-stack array; a queue deeper than kMaxIov just takes
-    // another pump() round.
-    constexpr std::size_t kMaxIov = 64;
-    iovec iov[kMaxIov];
-    std::size_t iov_count = 0;
-    for (std::size_t i = 0; i < count && iov_count < kMaxIov; ++i) {
-      if (buffers[i].size == 0) continue;
-      iov[iov_count].iov_base = const_cast<std::uint8_t*>(buffers[i].data);
-      iov[iov_count].iov_len = buffers[i].size;
-      ++iov_count;
-    }
-    if (iov_count == 0) return 0;
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = iov_count;
-    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (n > 0) return static_cast<std::size_t>(n);
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) return 0;
-    close();
-    return 0;
-  }
-
   std::size_t read_some(std::uint8_t* data, std::size_t size) override {
     if (fd_ < 0 || size == 0) return 0;
     const ssize_t n = ::recv(fd_, data, size, 0);

@@ -21,6 +21,7 @@
 
 #include "collect/epoch_scheduler.h"
 #include "collect/fleet.h"
+#include "collect/sharded_collector.h"
 #include "rli/sender.h"
 #include "rlir/demux.h"
 #include "rlir/sender_agent.h"
@@ -33,12 +34,12 @@ namespace rlir::testutil {
 inline constexpr int kWorkloadFatTreeK = 4;
 inline constexpr std::size_t kWorkloadShards = 4;
 
-/// Runs the standard fleet workload. Every sink in `sinks` receives the
-/// full batch stream (none = collect into the in-process collector);
-/// `between_steps` runs after each simulation step AND once after the final
-/// epoch — the hook transport runs use to pump clients / poll agents inline
-/// with the simulation. Returns the fleet's local collector state (empty
-/// when sinks diverted collection).
+/// Runs the standard fleet workload. Every sink in `sinks` is added to the
+/// scheduler and receives the full batch stream (none = collect into an
+/// in-process collector); `between_steps` runs after each simulation step
+/// AND once after the final epoch — the hook transport runs use to pump
+/// clients / poll agents inline with the simulation. Returns the in-process
+/// collector (empty when sinks were given).
 template <typename BetweenSteps>
 collect::ShardedCollector run_fleet_workload(
     std::vector<collect::EpochScheduler::BatchSink> sinks, BetweenSteps between_steps) {
@@ -81,10 +82,16 @@ collect::ShardedCollector run_fleet_workload(
     down_demux.set_sender_at_core(c, cfg.id);
   }
 
-  collect::FleetConfig fleet_cfg;
-  fleet_cfg.collector.shard_count = kWorkloadShards;
-  collect::FleetCollector fleet(fleet_cfg, &clock);
-  for (auto& sink : sinks) fleet.add_batch_sink(std::move(sink));
+  collect::FleetCollector fleet(collect::FleetConfig{}, &clock);
+  collect::CollectorConfig collector_cfg;
+  collector_cfg.shard_count = kWorkloadShards;
+  collect::ShardedCollector collector(collector_cfg);
+  if (sinks.empty()) {
+    sinks.push_back(
+        [&collector](std::uint32_t, const std::vector<collect::EstimateRecord>& batch) {
+          collector.ingest(batch);
+        });
+  }
   for (const auto& core : cores) fleet.deploy(sim, core, &up_demux);
   fleet.deploy(sim, dst, &down_demux);
 
@@ -106,6 +113,7 @@ collect::ShardedCollector run_fleet_workload(
   sched_cfg.max_flow_idle = Duration::milliseconds(2);
   collect::EpochScheduler scheduler(sched_cfg);
   fleet.attach_scheduler(scheduler);
+  for (auto& sink : sinks) scheduler.add_sink(std::move(sink));
 
   const Duration step = Duration::milliseconds(1);
   timebase::TimePoint t = timebase::TimePoint::zero();
@@ -118,7 +126,7 @@ collect::ShardedCollector run_fleet_workload(
   scheduler.advance_to(sim.now() + sched_cfg.period);
   between_steps();
 
-  return fleet.collector().snapshot();
+  return collector;
 }
 
 /// The in-process ground truth every transport run is compared against.

@@ -38,7 +38,6 @@ EstimateRecord make_record(std::uint32_t flow, LinkId link, std::uint32_t epoch,
   r.key = make_key(flow);
   r.link = link;
   r.epoch = epoch;
-  r.sender = 1;
   for (int i = 0; i < samples; ++i) r.sketch.add(latency_base * rng.uniform(0.5, 1.5));
   return r;
 }

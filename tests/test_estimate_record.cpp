@@ -1,12 +1,11 @@
-// EstimateRecord wire format: known-answer bytes for the version-2 layout,
-// byte-exact round-trips, stream/byte-buffer equivalence, and rejection of
-// bad magic, wrong versions, truncation, and corrupt bin counts.
+// EstimateRecord wire format: known-answer bytes for the version-3 layout,
+// byte-exact round-trips, and rejection of bad magic, wrong versions,
+// truncation, corrupt bin counts and empty sketches that carry moments.
 #include "collect/estimate_record.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,7 +30,6 @@ std::vector<EstimateRecord> make_batch(std::size_t n) {
     EstimateRecord r;
     r.key = make_key(static_cast<std::uint32_t>(i));
     r.link = static_cast<LinkId>(i % 5);
-    r.sender = static_cast<net::SenderId>(i % 3 + 1);
     r.epoch = static_cast<std::uint32_t>(i / 4);
     for (int j = 0; j < 200; ++j) r.sketch.add(rng.lognormal(9.0, 1.0));
     records.push_back(std::move(r));
@@ -42,7 +40,6 @@ std::vector<EstimateRecord> make_batch(std::size_t n) {
 void expect_equal(const EstimateRecord& a, const EstimateRecord& b) {
   EXPECT_EQ(a.key, b.key);
   EXPECT_EQ(a.link, b.link);
-  EXPECT_EQ(a.sender, b.sender);
   EXPECT_EQ(a.epoch, b.epoch);
   EXPECT_EQ(a.sketch.bins(), b.sketch.bins());
   EXPECT_EQ(a.sketch.count(), b.sketch.count());
@@ -62,17 +59,16 @@ TEST(EstimateRecordTest, KnownAnswerBytes) {
   r.key.dst_port = 80;
   r.key.proto = 6;
   r.link = 7;
-  r.sender = 3;
   r.epoch = 5;
   r.sketch.add(1000.0, 2);  // bin ceil(ln 1000 / ln(1.01/0.99)) = 346
   r.sketch.add(2000.0);     // bin 381
   r.sketch.add(0.0);        // zero bin
   const std::vector<std::uint8_t> want = {
-      'R', 'L', 'E', 'S', 2, 0, 0, 0,                  // magic, version 2
+      'R', 'L', 'E', 'S', 3, 0, 0, 0,                  // magic, version 3
       1, 0, 0, 0, 0, 0, 0, 0,                          // record count
       1, 0, 0, 10, 2, 0, 0, 10,                        // src, dst
       0xe8, 0x03, 80, 0, 6,                            // ports, proto
-      7, 0, 0, 0, 3, 0, 5, 0, 0, 0,                    // link, sender, epoch
+      7, 0, 0, 0, 5, 0, 0, 0,                          // link, epoch
       1, 0, 0, 0, 0, 0, 0, 0,                          // zero count
       0, 0, 0, 0, 0, 0x40, 0xaf, 0x40,                 // sum 4000.0
       0, 0, 0, 0, 0, 0, 0, 0,                          // min 0.0
@@ -123,15 +119,6 @@ TEST(EstimateRecordTest, ZeroBinSurvivesRoundTrip) {
   EXPECT_EQ(decoded[0].sketch.count(), 14u);
 }
 
-TEST(EstimateRecordTest, StreamMatchesByteBuffer) {
-  const auto batch = make_batch(4);
-  std::stringstream stream;
-  write_records(stream, batch);
-  const auto via_stream = read_records(stream);
-  ASSERT_EQ(via_stream.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) expect_equal(batch[i], via_stream[i]);
-}
-
 TEST(EstimateRecordTest, WireSizeMatchesEncoding) {
   const auto batch = make_batch(3);
   std::size_t expected = 16;  // header
@@ -149,6 +136,23 @@ TEST(EstimateRecordTest, RejectsUnsupportedVersion) {
   auto bytes = encode_records(make_batch(1));
   bytes[4] = 0xff;  // version field, little-endian low byte
   EXPECT_THROW(decode_records(bytes.data(), bytes.size()), std::runtime_error);
+
+  // KnownAnswerBytes' record in the version-2 layout, whose keyed fields
+  // carried a u16 RLI sender (here 3) between link and epoch: both decoders
+  // refuse it rather than read every later field two bytes off.
+  const std::vector<std::uint8_t> v2 = {
+      'R', 'L', 'E', 'S', 2, 0, 0, 0,  1, 0, 0, 0, 0, 0, 0, 0,     // header
+      1, 0, 0, 10, 2, 0, 0, 10, 0xe8, 0x03, 80, 0, 6,              // key
+      7, 0, 0, 0, 3, 0, 5, 0, 0, 0,                                // link, sender, epoch
+      1, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0x40, 0xaf, 0x40,    // zero count, sum
+      0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0x40, 0x9f, 0x40,    // min, max
+      2, 0, 0, 0,                                                  // bin count
+      0x5a, 0x01, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+      0x7d, 0x01, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+  };
+  EXPECT_THROW(decode_records(v2.data(), v2.size()), std::runtime_error);
+  std::vector<RecordView> views;
+  EXPECT_THROW(decode_record_views_prefix(v2.data(), v2.size(), views), std::runtime_error);
 }
 
 TEST(EstimateRecordTest, RejectsTruncation) {
@@ -173,8 +177,8 @@ TEST(EstimateRecordTest, RejectsImplausibleBinCount) {
   r.key = make_key(3);
   r.sketch.add(100.0);
   auto bytes = encode_records({r});
-  // bin_count is the last 4 bytes of the fixed part: header 16 + fixed 59.
-  const std::size_t bin_count_offset = 16 + 59 - 4;
+  // bin_count is the last 4 bytes of the fixed part: header 16 + fixed 57.
+  const std::size_t bin_count_offset = 16 + 57 - 4;
   bytes[bin_count_offset + 3] = 0xff;
   EXPECT_THROW(decode_records(bytes.data(), bytes.size()), std::runtime_error);
 }
@@ -184,11 +188,42 @@ TEST(EstimateRecordTest, RejectsNonFiniteMoments) {
   r.key = make_key(6);
   r.sketch.add(100.0);
   auto bytes = encode_records({r});
-  // sum f64 sits after key(13)+link(4)+sender(2)+epoch(4)+zero_count(8);
-  // all-ones is a NaN bit pattern.
-  const std::size_t sum_offset = 16 + 13 + 4 + 2 + 4 + 8;
+  // sum f64 sits after key(13)+link(4)+epoch(4)+zero_count(8); all-ones is
+  // a NaN bit pattern.
+  const std::size_t sum_offset = 16 + 13 + 4 + 4 + 8;
   for (std::size_t i = 0; i < 8; ++i) bytes[sum_offset + i] = 0xff;
   EXPECT_THROW(decode_records(bytes.data(), bytes.size()), std::runtime_error);
+}
+
+TEST(EstimateRecordTest, RejectsEmptySketchCarryingMomentsOrBins) {
+  // An honest encoder writes an empty sketch as all zeros. One that claims
+  // no observation yet carries a sum, a min, a max or a (zero-count) bin is
+  // corrupt: a merge that starts from it would keep the stray sum.
+  EstimateRecord r;
+  r.key = make_key(7);
+  const auto honest = encode_records({r});
+  ASSERT_EQ(honest.size(), 16u + 57u);
+  const auto back = decode_records(honest.data(), honest.size());
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_TRUE(back[0].sketch.empty());
+
+  // Sketch segment: zero count at 16 + 21, then sum, min, max, bin count.
+  const std::size_t segment = 16 + 21;
+  for (const std::size_t field : {segment + 8, segment + 16, segment + 24}) {
+    auto bytes = honest;
+    bytes[field + 7] = 0x40;  // 2.0, finite
+    EXPECT_THROW(decode_records(bytes.data(), bytes.size()), std::runtime_error);
+    std::vector<RecordView> views;
+    EXPECT_THROW(decode_record_views_prefix(bytes.data(), bytes.size(), views),
+                 std::runtime_error);
+  }
+  auto listed = honest;
+  listed[segment + 32] = 1;  // one bin, index 0, count 0
+  listed.insert(listed.end(), 12, 0);
+  EXPECT_THROW(decode_records(listed.data(), listed.size()), std::runtime_error);
+  std::vector<RecordView> views;
+  EXPECT_THROW(decode_record_views_prefix(listed.data(), listed.size(), views),
+               std::runtime_error);
 }
 
 TEST(EstimateRecordTest, MergedDecodedSketchMatchesOriginal) {

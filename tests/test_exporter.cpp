@@ -1,5 +1,5 @@
 // EstimateExporter: estimate-stream folding into per-flow sketches, sink
-// attachment to both receiver kinds, and epoch drain/reset semantics.
+// attachment to an RLIR receiver, and epoch drain/reset semantics.
 #include "collect/exporter.h"
 
 #include <gtest/gtest.h>
@@ -42,7 +42,6 @@ TEST(EstimateExporterTest, FoldsEstimatesPerFlowAndDrainsSorted) {
   for (const auto& r : records) {
     EXPECT_EQ(r.link, 9u);
     EXPECT_EQ(r.epoch, 4u);
-    EXPECT_EQ(r.sender, 1);
   }
   EXPECT_EQ(records[1].sketch.count(), 2u);
 
@@ -51,31 +50,7 @@ TEST(EstimateExporterTest, FoldsEstimatesPerFlowAndDrainsSorted) {
   EXPECT_TRUE(exporter.drain(5).empty());
 }
 
-TEST(EstimateExporterTest, AttachToRliReceiver) {
-  timebase::PerfectClock clock;
-  rli::RliReceiver receiver(rli::ReceiverConfig{}, &clock);
-  EstimateExporter exporter(ExporterConfig{{}, 0});
-  exporter.attach(receiver, /*sender=*/7);
-
-  auto ref = net::make_reference_packet(7, TimePoint(0), TimePoint(0), 1);
-  ref.ts = TimePoint(1000);  // delay 1000ns
-  receiver.on_packet(ref, TimePoint(1000));
-  net::Packet p;
-  p.ts = TimePoint(1500);
-  p.key = make_key(42);
-  receiver.on_packet(p, TimePoint(1500));
-  auto ref2 = net::make_reference_packet(7, TimePoint(2000), TimePoint(2000), 2);
-  ref2.ts = TimePoint(3000);
-  receiver.on_packet(ref2, TimePoint(3000));
-
-  EXPECT_EQ(exporter.estimates_observed(), 1u);
-  const auto records = exporter.drain(0);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].sender, 7);
-  EXPECT_EQ(records[0].key, make_key(42));
-}
-
-TEST(EstimateExporterTest, AttachToRlirReceiverCarriesStreamSender) {
+TEST(EstimateExporterTest, AttachToRlirReceiver) {
   timebase::PerfectClock clock;
   rlir::PrefixDemux demux;
   demux.add_origin(net::Ipv4Prefix(net::Ipv4Address(10, 0, 0, 0), 24), 3);
@@ -94,9 +69,10 @@ TEST(EstimateExporterTest, AttachToRlirReceiverCarriesStreamSender) {
   ref2.ts = TimePoint(1500);
   receiver.on_packet(ref2, TimePoint(1500));
 
+  EXPECT_EQ(exporter.estimates_observed(), 1u);
   const auto records = exporter.drain(0);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].sender, 3);
+  EXPECT_EQ(records[0].key, make_key(8));
 }
 
 }  // namespace

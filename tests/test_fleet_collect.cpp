@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "collect/fleet.h"
+#include "collect/sharded_collector.h"
 #include "common/stats.h"
 #include "rli/sender.h"
 #include "rlir/demux.h"
@@ -47,6 +48,14 @@ class FleetCollectTest : public ::testing::Test {
     cfg.dst_pool = topo_.host_prefix(to);
     cfg.first_seq = seed * 100'000'000ULL;
     return trace::SyntheticTraceGenerator(cfg).generate_all();
+  }
+
+  /// The scheduler sink that feeds `collector`: a fleet's batches leave only
+  /// through the sinks its scheduler is given.
+  static collect::EpochScheduler::BatchSink ingest_into(collect::ShardedCollector& collector) {
+    return [&collector](std::uint32_t, const std::vector<collect::EstimateRecord>& batch) {
+      collector.ingest(batch);
+    };
   }
 
   FatTree topo_;
@@ -126,11 +135,12 @@ TEST_F(FleetCollectTest, CollectorMatchesUnshardedGroundTruth) {
   sched_cfg.period = Duration::seconds(1);
   collect::EpochScheduler scheduler(sched_cfg);
   fleet.attach_scheduler(scheduler);
+  collect::ShardedCollector collector;
+  scheduler.add_sink(ingest_into(collector));
   ASSERT_LT(sim.now(), timebase::TimePoint::zero() + sched_cfg.period);
   scheduler.advance_to(timebase::TimePoint::zero() + sched_cfg.period);
   const auto records = scheduler.records_delivered();
   ASSERT_GT(records, 0u);
-  const auto& collector = fleet.collector();
   EXPECT_EQ(collector.records_ingested(), records);
   EXPECT_EQ(collector.epoch_count(), 1u);
 
@@ -237,6 +247,8 @@ TEST_F(FleetCollectTest, SchedulerDrivenCollectionLosesNoEstimate) {
   sched_cfg.max_flow_idle = Duration::milliseconds(2);
   collect::EpochScheduler scheduler(sched_cfg);
   fleet.attach_scheduler(scheduler);
+  collect::ShardedCollector collector;
+  scheduler.add_sink(ingest_into(collector));
 
   const Duration horizon = Duration::milliseconds(25);
   for (const auto& pkt : make_traffic(src_a_, dst_, 1.0e9, 81, horizon)) {
@@ -253,7 +265,6 @@ TEST_F(FleetCollectTest, SchedulerDrivenCollectionLosesNoEstimate) {
   // Close out the final (partial) epoch.
   scheduler.advance_to(sim.now() + sched_cfg.period);
 
-  const auto& collector = fleet.collector();
   ASSERT_GT(observed, 1000u);
   EXPECT_EQ(collector.estimates_ingested(), observed);
   EXPECT_EQ(scheduler.records_delivered(), collector.records_ingested());
@@ -284,6 +295,8 @@ TEST_F(FleetCollectTest, EpochsAccumulateAcrossCollections) {
   sched_cfg.period = Duration::milliseconds(50);
   collect::EpochScheduler scheduler(sched_cfg);
   fleet.attach_scheduler(scheduler);
+  collect::ShardedCollector collector;
+  scheduler.add_sink(ingest_into(collector));
   // Ends the epoch in progress at the first boundary past the simulation
   // clock; returns the records that boundary delivered.
   const auto end_epoch = [&] {
@@ -304,7 +317,7 @@ TEST_F(FleetCollectTest, EpochsAccumulateAcrossCollections) {
   const auto epoch0 = end_epoch();
   ASSERT_GT(epoch0, 0u);
   ASSERT_EQ(scheduler.next_epoch(), 1u);
-  const auto flows_after_0 = fleet.collector().flow_count();
+  const auto flows_after_0 = collector.flow_count();
 
   const auto phase2_offset = sched_cfg.period + Duration::microseconds(10);
   for (auto pkt : make_traffic(src_a_, dst_, 1.0e9, 72, Duration::milliseconds(15))) {
@@ -316,16 +329,16 @@ TEST_F(FleetCollectTest, EpochsAccumulateAcrossCollections) {
   ASSERT_GT(epoch1, 0u);
   ASSERT_EQ(scheduler.next_epoch(), 2u);
 
-  EXPECT_EQ(fleet.collector().epoch_count(), 2u);
-  EXPECT_GE(fleet.collector().flow_count(), flows_after_0);
-  EXPECT_EQ(fleet.collector().records_ingested(), epoch0 + epoch1);
+  EXPECT_EQ(collector.epoch_count(), 2u);
+  EXPECT_GE(collector.flow_count(), flows_after_0);
+  EXPECT_EQ(collector.records_ingested(), epoch0 + epoch1);
 
   // After the second drain the classic aggregation (which never resets)
   // still matches the collector's totals.
   std::uint64_t truth_estimates = 0;
   for (const auto& [key, stats] : fleet.unsharded_estimates()) truth_estimates += stats.count();
-  EXPECT_EQ(fleet.collector().estimates_ingested(), truth_estimates);
-  EXPECT_EQ(fleet.collector().flow_count(), fleet.unsharded_estimates().size());
+  EXPECT_EQ(collector.estimates_ingested(), truth_estimates);
+  EXPECT_EQ(collector.flow_count(), fleet.unsharded_estimates().size());
 }
 
 }  // namespace

@@ -44,7 +44,6 @@ EstimateRecord make_record(std::uint32_t epoch, std::uint32_t flow, LinkId link,
   r.key = flow_key(flow);
   r.link = link;
   r.epoch = epoch;
-  r.sender = 1;
   const int samples = 1 + static_cast<int>(rng.uniform(0.0, 6.0));
   for (int s = 0; s < samples; ++s) r.sketch.add(30e3 * rng.uniform(0.5, 4.0));
   return r;

@@ -9,7 +9,9 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,7 +39,6 @@ std::vector<EstimateRecord> make_batch(std::size_t n) {
     EstimateRecord r;
     r.key = make_key(static_cast<std::uint32_t>(i % 7));  // repeated keys: merges happen
     r.link = static_cast<LinkId>(i % 3);
-    r.sender = static_cast<net::SenderId>(i % 2 + 1);
     r.epoch = static_cast<std::uint32_t>(i / 4);
     const int observations = static_cast<int>(1 + i * 37 % 300);
     for (int j = 0; j < observations; ++j) r.sketch.add(rng.lognormal(9.0, 2.0));
@@ -66,12 +67,14 @@ TEST(RecordViewTest, ViewDecodeMatchesOwningDecode) {
 
   EXPECT_EQ(consumed, owned.bytes_consumed);
   ASSERT_EQ(views.size(), owned.records.size());
+  const std::uint8_t* record_start = bytes.data() + 16;  // past the batch header
   for (std::size_t i = 0; i < views.size(); ++i) {
     const auto& v = views[i];
     const auto& o = owned.records[i];
+    EXPECT_EQ(v.wire, record_start);  // each view knows its own wire bytes
+    record_start += wire_size(v);
     EXPECT_EQ(v.key, o.key);
     EXPECT_EQ(v.link, o.link);
-    EXPECT_EQ(v.sender, o.sender);
     EXPECT_EQ(v.epoch, o.epoch);
     EXPECT_EQ(v.sketch.zero_count, o.sketch.zero_count());
     EXPECT_EQ(v.sketch.count(), o.sketch.count());
@@ -183,9 +186,9 @@ TEST(RecordViewTest, DuplicateWireBinsAccumulateLikeOwningPath) {
   batch[0].sketch.add(1000.0);
   batch[0].sketch.add(2000.0);
   auto bytes = encode_records(batch);
-  // Wire layout: 16-byte batch header, 23-byte keyed fields, sketch = u64
+  // Wire layout: 16-byte batch header, 21-byte keyed fields, sketch = u64
   // zero + f64 sum/min/max + u32 bin_count, then (i32 index, u64 count) pairs.
-  const std::size_t bins_start = 16 + 23 + 8 + 8 + 8 + 8 + 4;
+  const std::size_t bins_start = 16 + 21 + 8 + 8 + 8 + 8 + 4;
   ASSERT_GE(bytes.size(), bins_start + 2 * 12);
   // Overwrite the second bin's index with the first's.
   std::memcpy(bytes.data() + bins_start + 12, bytes.data() + bins_start, 4);
@@ -227,7 +230,7 @@ TEST(RecordViewTest, WireBinCountOverBudgetRejectedByBothDecoders) {
 
   // One more bin, above every other, with the count patched to match: a
   // self-consistent record, one bin over the budget.
-  std::uint8_t* p = bytes.data() + 16 + 23 + 8 + 8 + 8 + 8;  // the bin count
+  std::uint8_t* p = bytes.data() + 16 + 21 + 8 + 8 + 8 + 8;  // the bin count
   common::wire::put<std::uint32_t>(p, static_cast<std::uint32_t>(kMaxBins + 1));
   std::uint8_t extra[12];
   p = extra;
@@ -255,6 +258,94 @@ TEST(RecordViewTest, EmptySketchMergeIsANoOp) {
   // the view path must too.
   EXPECT_EQ(dst.count(), 1u);
   EXPECT_EQ(dst.min(), before_min);
+}
+
+/// Both decoders on the same bytes: "" when both throw std::runtime_error,
+/// or both accept and agree on bytes consumed, every key, link and epoch,
+/// and every sketch (the view's merged into a fresh one) on count, zero
+/// count, sum, min, max and bins; otherwise what differs.
+std::string decoder_disagreement(const std::uint8_t* data, std::size_t size) {
+  std::optional<DecodedBatch> owned;
+  try {
+    owned = decode_records_prefix(data, size);
+  } catch (const std::runtime_error&) {
+  }
+  std::vector<RecordView> views;
+  std::optional<std::size_t> consumed;
+  try {
+    consumed = decode_record_views_prefix(data, size, views);
+  } catch (const std::runtime_error&) {
+  }
+  if (owned.has_value() != consumed.has_value()) {
+    return owned ? "only the view decoder throws" : "only the owning decoder throws";
+  }
+  if (!owned) return "";
+  if (owned->bytes_consumed != *consumed) return "bytes consumed";
+  if (owned->records.size() != views.size()) return "record count";
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const auto& o = owned->records[i];
+    const auto& v = views[i];
+    common::LatencySketch merged;
+    merge_sketch_view(merged, v.sketch);
+    const std::string at = " of record " + std::to_string(i);
+    if (!(v.key == o.key) || v.link != o.link || v.epoch != o.epoch) return "keyed fields" + at;
+    if (merged.count() != o.sketch.count()) return "count" + at;
+    if (merged.zero_count() != o.sketch.zero_count()) return "zero count" + at;
+    if (merged.sum() != o.sketch.sum()) return "sum" + at;
+    if (merged.min() != o.sketch.min() || merged.max() != o.sketch.max()) return "min/max" + at;
+    if (merged.bins() != o.sketch.bins()) return "bins" + at;
+  }
+  return "";
+}
+
+TEST(RecordViewTest, DecodersAgreeOnEveryTruncationAndByteChange) {
+  // The owning decoder is the view decoder's oracle, so each must refuse
+  // exactly what the other refuses and read the same values from what both
+  // accept. Every prefix and every single-byte change of a few seeded
+  // batches, each holding an empty sketch and a sketch with only its zero
+  // bin, beside sketches with bins.
+  std::size_t inputs = 0;
+  std::size_t accepted = 0;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    common::Xoshiro256 rng(seed);
+    std::vector<EstimateRecord> batch(4);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i].key = make_key(static_cast<std::uint32_t>(seed * 10 + i));
+      batch[i].link = static_cast<LinkId>(rng.uniform_u64(4));
+      batch[i].epoch = static_cast<std::uint32_t>(rng.uniform_u64(100));
+    }
+    batch[1].sketch.add(0.0, 1 + rng.uniform_u64(5));  // zero bin only
+    for (const std::size_t i : {2, 3}) {
+      const auto n = 1 + rng.uniform_u64(6);
+      for (std::uint64_t j = 0; j < n; ++j) batch[i].sketch.add(rng.lognormal(9.0, 1.5));
+    }
+    batch[3].sketch.add(0.0);  // batch[0] stays empty
+    const auto bytes = encode_records(batch);
+
+    for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+      const auto why = decoder_disagreement(bytes.data(), cut);
+      ++inputs;
+      ASSERT_EQ(why, "") << "seed " << seed << ", prefix of " << cut << " bytes";
+    }
+    for (std::size_t at = 0; at < bytes.size(); ++at) {
+      for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+        auto changed = bytes;
+        changed[at] ^= mask;
+        const auto why = decoder_disagreement(changed.data(), changed.size());
+        ++inputs;
+        ASSERT_EQ(why, "") << "seed " << seed << ", byte " << at << " ^ " << int{mask};
+        std::vector<RecordView> views;
+        try {
+          decode_record_views_prefix(changed.data(), changed.size(), views);
+          ++accepted;
+        } catch (const std::runtime_error&) {
+        }
+      }
+    }
+  }
+  // Both outcomes were exercised, not just one.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, inputs);
 }
 
 TEST(RecordViewTest, TruncatedBinsRejectedAsRuntimeError) {

@@ -14,6 +14,7 @@ namespace {
 
 using timebase::Duration;
 using timebase::TimePoint;
+using Estimate = RliReceiver::PacketEstimate;
 
 // A reference packet that arrives at `arrival_ns` having experienced
 // `delay_ns` (stamp = arrival - delay, perfect clocks).
@@ -51,6 +52,21 @@ TEST(RliReceiver, RejectsNullClock) {
   EXPECT_THROW(RliReceiver(ReceiverConfig{}, nullptr), std::invalid_argument);
 }
 
+TEST(RliReceiver, SinksAreHandedTheStreamSender) {
+  timebase::PerfectClock clock;
+  RliReceiver unnamed(ReceiverConfig{}, &clock);
+  RliReceiver named(ReceiverConfig{}, &clock, /*sender=*/7);
+  std::vector<net::SenderId> seen;
+  for (RliReceiver* receiver : {&unnamed, &named}) {
+    receiver->add_estimate_sink(
+        [&](net::SenderId sender, const Estimate&) { seen.push_back(sender); });
+    receiver->on_packet(reference(0, 1000, 0), TimePoint(0));
+    receiver->on_packet(regular(10), TimePoint(10));
+    receiver->on_packet(reference(100, 1000, 1), TimePoint(100));
+  }
+  EXPECT_EQ(seen, (std::vector<net::SenderId>{net::kNoSender, 7}));
+}
+
 TEST(RliReceiver, LinearInterpolationIsExactOnALine) {
   timebase::PerfectClock clock;
   RliReceiver receiver(ReceiverConfig{}, &clock);
@@ -59,7 +75,7 @@ TEST(RliReceiver, LinearInterpolationIsExactOnALine) {
   receiver.on_packet(reference(0, 1000, 0), TimePoint(0));
   std::vector<double> estimates;
   receiver.add_estimate_sink(
-      [&](const RliReceiver::PacketEstimate& e) { estimates.push_back(e.estimate_ns); });
+      [&](net::SenderId, const Estimate& e) { estimates.push_back(e.estimate_ns); });
 
   receiver.on_packet(regular(250), TimePoint(250));
   receiver.on_packet(regular(500), TimePoint(500));
@@ -81,9 +97,9 @@ TEST(RliReceiver, MultipleSinksAllObserveEveryEstimate) {
 
   std::vector<double> first, second;
   receiver.add_estimate_sink(
-      [&](const RliReceiver::PacketEstimate& e) { first.push_back(e.estimate_ns); });
+      [&](net::SenderId, const Estimate& e) { first.push_back(e.estimate_ns); });
   receiver.add_estimate_sink(
-      [&](const RliReceiver::PacketEstimate& e) { second.push_back(e.estimate_ns); });
+      [&](net::SenderId, const Estimate& e) { second.push_back(e.estimate_ns); });
 
   receiver.on_packet(regular(500), TimePoint(500));
   receiver.on_packet(reference(1000, 1000, 1), TimePoint(1000));
@@ -132,7 +148,7 @@ TEST(RliReceiver, PerFlowMatchesSinkStreamAtScale) {
   RliReceiver receiver(ReceiverConfig{}, &clock);
   std::map<net::FiveTuple, common::RunningStats> folded;
   receiver.add_estimate_sink(
-      [&](const RliReceiver::PacketEstimate& e) { folded[e.key].add(e.estimate_ns); });
+      [&](net::SenderId, const Estimate& e) { folded[e.key].add(e.estimate_ns); });
 
   std::vector<net::FiveTuple> arrivals;
   for (std::uint32_t f = 0; f < kFlows; ++f) {
@@ -185,7 +201,7 @@ TEST(RliReceiver, EstimatorVariants) {
     RliReceiver receiver(cfg, &clock);
     double estimate = -1.0;
     receiver.add_estimate_sink(
-        [&](const RliReceiver::PacketEstimate& e) { estimate = e.estimate_ns; });
+        [&](net::SenderId, const Estimate& e) { estimate = e.estimate_ns; });
     receiver.on_packet(reference(0, 1000, 0), TimePoint(0));
     receiver.on_packet(regular(250), TimePoint(250));
     receiver.on_packet(reference(1000, 3000, 1), TimePoint(1000));
@@ -200,7 +216,7 @@ TEST(RliReceiver, NearestPicksRightWhenCloser) {
   RliReceiver receiver(cfg, &clock);
   double estimate = -1.0;
   receiver.add_estimate_sink(
-      [&](const RliReceiver::PacketEstimate& e) { estimate = e.estimate_ns; });
+      [&](net::SenderId, const Estimate& e) { estimate = e.estimate_ns; });
   receiver.on_packet(reference(0, 1000, 0), TimePoint(0));
   receiver.on_packet(regular(900), TimePoint(900));
   receiver.on_packet(reference(1000, 3000, 1), TimePoint(1000));
@@ -243,7 +259,7 @@ TEST(RliReceiver, ClockOffsetShiftsReferenceDelays) {
   RliReceiver receiver(ReceiverConfig{}, &clock);
   double estimate = -1.0;
   receiver.add_estimate_sink(
-      [&](const RliReceiver::PacketEstimate& e) { estimate = e.estimate_ns; });
+      [&](net::SenderId, const Estimate& e) { estimate = e.estimate_ns; });
   receiver.on_packet(reference(0, 1000, 0), TimePoint(0));
   receiver.on_packet(regular(500), TimePoint(500));
   receiver.on_packet(reference(1000, 1000, 1), TimePoint(1000));
@@ -271,7 +287,7 @@ TEST_P(InterpolationBracketSweep, EstimateWithinAnchorRange) {
   double lo = 0.0;
   double hi = 0.0;
   std::uint64_t checked = 0;
-  receiver.add_estimate_sink([&](const RliReceiver::PacketEstimate& e) {
+  receiver.add_estimate_sink([&](net::SenderId, const Estimate& e) {
     EXPECT_GE(e.estimate_ns, lo - 1e-9);
     EXPECT_LE(e.estimate_ns, hi + 1e-9);
     ++checked;
@@ -309,7 +325,7 @@ TEST(RliReceiver, FlushEstimatesBufferedPacketsWithLeftAnchor) {
   RliReceiver receiver(ReceiverConfig{}, &clock);
   std::vector<double> estimates;
   receiver.add_estimate_sink(
-      [&](const RliReceiver::PacketEstimate& e) { estimates.push_back(e.estimate_ns); });
+      [&](net::SenderId, const Estimate& e) { estimates.push_back(e.estimate_ns); });
 
   // Left anchor with delay 2000; two regulars buffered, no closing reference.
   receiver.on_packet(reference(0, 2000, 0), TimePoint(0));

@@ -91,7 +91,7 @@ TEST_F(RlirReceiverTest, SeparatesStreamsBySender) {
   }
 }
 
-TEST_F(RlirReceiverTest, StreamEstimateSinkTagsSenderAcrossStreams) {
+TEST_F(RlirReceiverTest, EstimateSinkTagsSenderAcrossStreams) {
   RlirReceiver receiver(rli::ReceiverConfig{}, &clock_, &demux_);
 
   // One sink registered before any stream exists...

@@ -44,7 +44,6 @@ void feed(SketchHistoryStore& store, std::uint32_t epochs, std::uint32_t flows,
       r.key = flow_key(f);
       r.link = static_cast<LinkId>(f % links);
       r.epoch = epoch;
-      r.sender = 1;
       const double base = r.link == slow_link ? slow_ns : fast_ns;
       for (int s = 0; s < 12; ++s) r.sketch.add(base * rng.uniform(0.9, 1.1));
       store.ingest({r});
@@ -143,7 +142,6 @@ TEST(SloWatcherTest, PollChecksEachSealedEpochOnce) {
   r.key = flow_key(1);
   r.link = 1;
   r.epoch = 4;
-  r.sender = 1;
   for (int s = 0; s < 12; ++s) r.sketch.add(900e3 * rng.uniform(0.9, 1.1));
   store.ingest({r});
   EXPECT_FALSE(watcher.poll().empty());

@@ -250,6 +250,16 @@ TEST(TransportQuery, DecodeRejectsMalformedReplies) {
   auto covered_spans = with_byte(encode_reply(spans), 1, 1);
   covered_spans.insert(covered_spans.begin() + 2, 17, 0);
 
+  // An entry that counts no observation yet carries a sum would start a
+  // coordinator's merge (merge_sketch_replies begins with the first agent's
+  // sketch) and poison the fleet's sum() and mean().
+  QueryReply empty;
+  empty.entries.push_back({1, sample_flow(), common::LatencySketch{}});
+  const auto honest_empty = encode_reply(empty);
+  ASSERT_NO_THROW((void)decode_reply(honest_empty.data(), honest_empty.size()));
+  // body, flags | u32 count | u32 link | 5-tuple | u64 zero count | f64 sum
+  const auto empty_with_sum = with_byte(honest_empty, 2 + 4 + 4 + 13 + 8 + 7, 0x40);
+
   const std::vector<std::uint8_t> bad[] = {
       {},
       {good.begin(), good.end() - 1},
@@ -260,6 +270,7 @@ TEST(TransportQuery, DecodeRejectsMalformedReplies) {
       with_byte(good, 2, 0x04),                 // reserved coverage flag bit
       covered_spans,
       with_byte(encode_reply(QueryReply{}), 2, 2),  // 2 entries, 0 bytes left
+      empty_with_sum,                           // sum 2.0 on an empty sketch
   };
   for (std::size_t i = 0; i < std::size(bad); ++i) {
     EXPECT_THROW((void)decode_reply(bad[i].data(), bad[i].size()), std::runtime_error) << i;
@@ -269,12 +280,12 @@ TEST(TransportQuery, DecodeRejectsMalformedReplies) {
 // --- Framing ------------------------------------------------------------------
 
 TEST(TransportQuery, VersionOneFrameIsRefused) {
-  // Frame version 4 carries sketch segments without an accuracy or bin
-  // budget. A peer still speaking the per-kind query layouts (version 1),
-  // the scrape with per-kind event totals (version 2) or the old sketch
-  // segment (version 3) is dropped at its first frame.
-  ASSERT_EQ(kFrameVersion, 4);
-  for (const int old_version : {1, 2, 3}) {
+  // Frame version 5 carries records without an RLI sender. A peer still
+  // speaking the per-kind query layouts (version 1), the scrape with
+  // per-kind event totals (version 2), the old sketch segment (version 3)
+  // or records with a sender (version 4) is dropped at its first frame.
+  ASSERT_EQ(kFrameVersion, 5);
+  for (const int old_version : {1, 2, 3, 4}) {
     auto bytes = encode_frame(FrameType::kQuery, encode_query(Query{}));
     bytes[4] = static_cast<std::uint8_t>(old_version);
     FrameDecoder decoder;
