@@ -159,11 +159,13 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
   collector_cfg.shard_count = shard_count;
   collect::ShardedCollector collector(collector_cfg);
   std::vector<collect::RecordView> views;
-  const auto ingest_epoch = [&](collect::ShardedCollector& c, std::uint32_t epoch) {
+  const auto ingest_epoch = [&](collect::ShardedCollector& c, std::uint32_t epoch,
+                                collect::SketchHistoryStore* history = nullptr) {
     views.clear();
     collect::decode_record_views_prefix(bytes.data(), bytes.size(), views);
     for (auto& v : views) v.epoch = epoch;
     c.ingest(views);
+    if (history != nullptr) history->ingest_views(views);
   };
   const auto collect_start = Clock::now();
   for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) ingest_epoch(collector, epoch);
@@ -176,17 +178,18 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
                static_cast<double>(collector.estimates_ingested()) / collect_s,
                "estimates/s");
 
-  // --- Stage 3a: the same serial view-path ingest with the time-travel
-  // history store teed in — what keeping every epoch's raw delta log costs
-  // on the hot path (one mutex per batch + raw-buffer body append per
-  // record; the
-  // default config keeps the bench's epochs raw, so no fold runs inside the
-  // timed loop). Plain/teed runs alternate and each reports its best pass:
-  // the overhead ratio is tens of ns per record, smaller than the drift
-  // between two one-shot loops on a shared machine.
-  const auto time_serial = [&](collect::ShardedCollector& c) {
+  // --- Stage 3a: the same serial view-path ingest with each batch also
+  // handed to the time-travel history store, as an agent tees it — what
+  // keeping every epoch's raw delta log costs on the hot path (one mutex per
+  // batch + raw-buffer body append per record; the default config keeps the
+  // bench's epochs raw, so no fold runs inside the timed loop). Plain/teed
+  // runs alternate and each reports its best pass: the overhead ratio is
+  // tens of ns per record, smaller than the drift between two one-shot loops
+  // on a shared machine.
+  const auto time_serial = [&](collect::ShardedCollector& c,
+                               collect::SketchHistoryStore* history = nullptr) {
     const auto start = Clock::now();
-    for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) ingest_epoch(c, epoch);
+    for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) ingest_epoch(c, epoch, history);
     return seconds_since(start);
   };
   const auto best_teed = [&](const collect::HistoryConfig& cfg, double* out_bytes,
@@ -195,8 +198,7 @@ int run(std::uint64_t target_packets, std::size_t shard_count, std::uint32_t epo
     for (int pass = 0; pass < 2; ++pass) {
       collect::SketchHistoryStore history(cfg);
       collect::ShardedCollector teed(collector_cfg);
-      teed.set_history(&history);
-      rate = std::max(rate, total_records / time_serial(teed));
+      rate = std::max(rate, total_records / time_serial(teed, &history));
       if (out_bytes != nullptr) *out_bytes = static_cast<double>(history.approx_bytes());
       if (out_epochs != nullptr) {
         *out_epochs = static_cast<double>(history.epochs_retained());

@@ -9,6 +9,7 @@
 
 #include "baseline/lda.h"
 #include "collect/exporter.h"
+#include "collect/sharded_collector.h"
 #include "common/rng.h"
 #include "net/hash.h"
 #include "net/prefix_table.h"
@@ -298,6 +299,65 @@ void BM_RlirReceiverToExporter(benchmark::State& state) {
   benchmark::DoNotOptimize(exporter.estimates_observed());
 }
 BENCHMARK(BM_RlirReceiverToExporter)->Arg(1536)->Arg(131072);
+
+/// An 8-shard collector holding `flows` flows of 2-sample sketches, filled
+/// once per count and shared by every run (a top-k does not change it).
+collect::ShardedCollector& filled_collector(std::size_t flows) {
+  static std::map<std::size_t, collect::ShardedCollector> cache;
+  const auto [it, fresh] = cache.try_emplace(flows, collect::CollectorConfig{8});
+  if (fresh) {
+    common::Xoshiro256 rng(12);
+    std::vector<collect::EstimateRecord> batch;
+    const auto& keys = flow_keys(flows);
+    for (std::size_t i = 0; i < flows; ++i) {
+      collect::EstimateRecord r;
+      r.key = keys[i];
+      r.link = static_cast<collect::LinkId>(i % 16);
+      for (int s = 0; s < 2; ++s) r.sketch.add(rng.lognormal(9.0, 1.0));
+      batch.push_back(std::move(r));
+      if (batch.size() == 4096 || i + 1 == flows) {
+        it->second.ingest(batch);
+        batch.clear();
+      }
+    }
+  }
+  return it->second;
+}
+
+// top_k_ranked(10, 0.99) over N flows (20,000, and 137,000 for
+// mouse_flows' ~137k) in 8 shards, in two modes. Mode 1: a small ingest
+// before each query, one record per shard, leaves every shard's rank index
+// stale, so each query re-ranks every flow (the ingest is untimed). Mode 0:
+// nothing is ingested between queries, so each reads the fresh indexes. The
+// baseline for work on the rank index.
+void BM_CollectorTopK(benchmark::State& state) {
+  const auto flows = static_cast<std::size_t>(state.range(0));
+  const bool stale = state.range(1) != 0;
+  auto& collector = filled_collector(flows);
+  // One existing flow per shard, re-ingested to mark its shard stale.
+  std::vector<collect::EstimateRecord> touch(8);
+  const auto& keys = flow_keys(flows);
+  for (std::size_t i = 0, found = 0; found < touch.size() && i < flows; ++i) {
+    auto& r = touch[keys[i].hash() % touch.size()];
+    if (r.sketch.count() != 0) continue;
+    r.key = keys[i];
+    r.sketch.add(8e3);
+    ++found;
+  }
+  benchmark::DoNotOptimize(collector.top_k_ranked(10, 0.99));  // index built
+  for (auto _ : state) {
+    if (stale) {
+      state.PauseTiming();
+      collector.ingest(touch);
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(collector.top_k_ranked(10, 0.99));
+  }
+}
+BENCHMARK(BM_CollectorTopK)
+    ->ArgsProduct({{20000, 137000}, {0, 1}})
+    ->ArgNames({"flows", "stale"})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -91,7 +91,6 @@ bool SketchHistoryStore::admit_epoch_locked(std::uint32_t epoch) {
     }
   }
   enforce_bytes_locked();
-  flush_cells_locked();  // epoch boundary: publish the deferred cells
   return true;
 }
 
@@ -171,11 +170,7 @@ std::uint32_t SketchHistoryStore::oldest_retained_locked() const {
   return raw_first_;
 }
 
-void SketchHistoryStore::flush_cells_locked() const {
-  if (records_pending_ != 0) {
-    c_.records->add(records_pending_);
-    records_pending_ = 0;
-  }
+void SketchHistoryStore::set_gauges_locked() const {
   c_.bytes->set(static_cast<std::int64_t>(total_bytes_));
   const std::size_t epochs =
       any_ ? static_cast<std::size_t>(last_seen_ - oldest_retained_locked()) + 1 : 0;
@@ -184,10 +179,10 @@ void SketchHistoryStore::flush_cells_locked() const {
 
 // --- Ingest ----------------------------------------------------------------
 
-void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
+bool SketchHistoryStore::ingest_view_locked(const RecordView& record) {
   if (!admit_epoch_locked(record.epoch)) {
     c_.dropped->increment();
-    return;
+    return false;
   }
   if (record.epoch >= raw_first_) {
     Segment& seg = raw_[record.epoch - raw_first_];
@@ -198,9 +193,8 @@ void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
     seg.bytes += added;
     total_bytes_ += added;
     seg.records += 1;
-    records_pending_ += 1;
     enforce_bytes_locked();
-    return;
+    return true;
   }
   Segment* late = nullptr;
   for (auto* tier : {&mid_, &coarse_}) {
@@ -213,22 +207,24 @@ void SketchHistoryStore::ingest_view_locked(const RecordView& record) {
   }
   if (late == nullptr) {
     c_.dropped->increment();
-    return;
+    return false;
   }
   merge_view_locked(*late, record);
   late->records += 1;
   total_bytes_ -= late->bytes;
   late->bytes = map_segment_bytes_locked(*late);
   total_bytes_ += late->bytes;
-  records_pending_ += 1;
   c_.late->increment();
   enforce_bytes_locked();
+  return true;
 }
 
 void SketchHistoryStore::ingest_views(const std::vector<RecordView>& batch) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& record : batch) ingest_view_locked(record);
-  flush_cells_locked();
+  std::uint64_t admitted = 0;
+  for (const auto& record : batch) admitted += ingest_view_locked(record) ? 1 : 0;
+  c_.records->add(admitted);
+  set_gauges_locked();
 }
 
 void SketchHistoryStore::ingest(const std::vector<EstimateRecord>& batch) {
@@ -242,19 +238,17 @@ WindowCoverage SketchHistoryStore::for_each_covering_locked(std::uint32_t first,
                                                             std::uint32_t last,
                                                             Fn&& fn) const {
   WindowCoverage cov;
-  cov.requested_first = first;
-  cov.requested_last = last;
   if (!any_) return cov;
 
   const auto visit = [&](const Segment& seg) {
     if (seg.last < first || seg.first > last) return;
     if (!cov.covered) {
       cov.covered = true;
-      cov.covered_first = seg.first;
-      cov.covered_last = seg.last;
+      cov.first = seg.first;
+      cov.last = seg.last;
     } else {
-      cov.covered_first = std::min(cov.covered_first, seg.first);
-      cov.covered_last = std::max(cov.covered_last, seg.last);
+      cov.first = std::min(cov.first, seg.first);
+      cov.last = std::max(cov.last, seg.last);
     }
     cov.records += seg.records;
     fn(seg);
@@ -268,10 +262,11 @@ WindowCoverage SketchHistoryStore::for_each_covering_locked(std::uint32_t first,
     for (; it != tier->end() && it->first <= last; ++it) visit(*it);
   }
   if (!raw_.empty() && last >= raw_first_) {
-    const std::uint32_t lo = std::max(first, raw_first_);
-    const std::uint32_t hi =
-        std::min<std::uint64_t>(last, raw_first_ + (raw_.size() - 1));
-    for (std::uint32_t e = lo; e <= hi; ++e) visit(raw_[e - raw_first_]);
+    // Raw-tier indexes, not epochs: an epoch counter would wrap past
+    // 2^32 - 1 and never exceed a window ending there.
+    const std::size_t lo = std::max(first, raw_first_) - raw_first_;
+    const std::size_t hi = std::min<std::size_t>(last - raw_first_, raw_.size() - 1);
+    for (std::size_t i = lo; i <= hi; ++i) visit(raw_[i]);
   }
 
   cov.complete = cov.covered && first >= oldest_retained_locked() && last <= last_seen_;
@@ -378,13 +373,11 @@ std::vector<std::pair<LinkId, common::LatencySketch>> SketchHistoryStore::window
 
 std::size_t SketchHistoryStore::approx_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  flush_cells_locked();
   return total_bytes_;
 }
 
 std::size_t SketchHistoryStore::epochs_retained() const {
   std::lock_guard<std::mutex> lock(mu_);
-  flush_cells_locked();
   if (!any_) return 0;
   return static_cast<std::size_t>(last_seen_ - oldest_retained_locked()) + 1;
 }
@@ -401,16 +394,7 @@ std::optional<std::uint32_t> SketchHistoryStore::last_epoch() const {
   return last_seen_;
 }
 
-void SketchHistoryStore::refresh_cells() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  flush_cells_locked();
-}
-
-std::uint64_t SketchHistoryStore::records_ingested() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  flush_cells_locked();
-  return c_.records->value();
-}
+std::uint64_t SketchHistoryStore::records_ingested() const { return c_.records->value(); }
 std::uint64_t SketchHistoryStore::compactions() const { return c_.compactions->value(); }
 std::uint64_t SketchHistoryStore::evictions() const { return c_.evictions->value(); }
 std::uint64_t SketchHistoryStore::late_records() const { return c_.late->value(); }

@@ -1,4 +1,4 @@
-// Epoch-indexed sketch history: the time-travel store behind the collector.
+// Epoch-indexed sketch history: the time-travel store beside the collector.
 //
 // The live collector answers "what is flow X's latency NOW"; operators ask
 // "what was p99 over the last 5 minutes" and "which link's distribution
@@ -11,7 +11,7 @@
 //
 //   * tiered epoch compaction: the newest `raw_epochs` epochs are kept as
 //     raw record logs (append-only byte vectors of self-delimiting record
-//     bodies — the cheapest possible ingest tee); older epochs fold into
+//     bodies — the cheapest possible ingest); older epochs fold into
 //     mid-tier segments of `mid_window` epochs (per-flow/per-link merged
 //     sketch maps), which in turn fold into coarse segments of
 //     `coarse_window` epochs; the oldest coarse segments evict. Retained
@@ -34,9 +34,10 @@
 // property tests assert.
 //
 // Thread-safety: all methods are safe to call concurrently (one internal
-// mutex). Ingest is designed as a tee riding the collector hot path: one
-// lock per batch, one body append (~bytes memcpy) per record, no sketch
-// merge.
+// mutex). Ingest rides the agent's hot path beside the collector (the agent
+// hands each batch to both stores): one lock per batch, one body append
+// (~bytes memcpy) per record, no sketch merge. The batch's record count and
+// both gauges reach the registry once, before the lock is released.
 #pragma once
 
 #include <algorithm>
@@ -77,21 +78,21 @@ struct HistoryConfig {
 };
 
 /// What a window query actually answered: the retained segments intersecting
-/// the request, snapped outward to compacted-segment boundaries.
+/// the request, snapped outward to compacted-segment boundaries. The one
+/// coverage type from the store to the fleet: a window reply carries it
+/// (transport/messages.h) and the coordinator unions it across agents.
 struct WindowCoverage {
-  std::uint32_t requested_first = 0;
-  std::uint32_t requested_last = 0;
-  /// Bounds of the segments merged (only meaningful when `covered`). May
-  /// extend beyond the request when a window edge fell inside a compacted
-  /// segment, and may fall short when epochs were evicted or never seen.
-  std::uint32_t covered_first = 0;
-  std::uint32_t covered_last = 0;
   /// At least one retained segment intersected the request.
   bool covered = false;
   /// Every requested epoch is retained (nothing evicted, nothing in the
-  /// future): covered && oldest_retained <= requested_first &&
-  /// requested_last <= newest_seen.
+  /// future): covered && oldest_retained <= requested first &&
+  /// requested last <= newest_seen.
   bool complete = false;
+  /// Bounds of the segments merged (only meaningful when `covered`). May
+  /// extend beyond the request when a window edge fell inside a compacted
+  /// segment, and may fall short when epochs were evicted or never seen.
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
   /// Records contributing to the covered segments.
   std::uint64_t records = 0;
 };
@@ -109,7 +110,7 @@ class SketchHistoryStore {
   SketchHistoryStore(const SketchHistoryStore&) = delete;
   SketchHistoryStore& operator=(const SketchHistoryStore&) = delete;
 
-  // --- Ingest (the collector tee) -----------------------------------------
+  // --- Ingest ----------------------------------------------------------------
 
   /// Appends each record of the batch, in order, to its epoch's raw log
   /// under one hold of the lock. While nothing has ever been folded or
@@ -173,18 +174,12 @@ class SketchHistoryStore {
 
   [[nodiscard]] const HistoryConfig& config() const { return config_; }
 
-  /// Publishes the deferred hot-path counters into the registry cells.
-  /// Ingest defers cell updates to epoch seals (see flush_cells_locked), so
-  /// a scrape taken mid-epoch lags by the unsealed tail — call this first
-  /// when rendering a snapshot that must reflect every ingested record.
-  void refresh_cells() const;
-
  private:
   /// Append-only record-body log in fixed chunks. A flat byte vector would
   /// double-and-memcpy megabytes per busy epoch and touch ~2x the pages the
-  /// data needs — measurable on the collector tee, which rides the ingest
-  /// hot path. Chunks never relocate once written; records never straddle
-  /// chunks (each body is appended whole into the current chunk).
+  /// data needs — measurable on the ingest hot path. Chunks never relocate
+  /// once written; records never straddle chunks (each body is appended
+  /// whole into the current chunk).
   class RecordLog {
    public:
     // Below glibc's 128 KiB mmap threshold so chunk churn recycles through
@@ -243,9 +238,9 @@ class SketchHistoryStore {
   /// True if the record's epoch was admitted (time advanced as needed);
   /// false = rejected jump (counted by the caller).
   bool admit_epoch_locked(std::uint32_t epoch);
-  /// The per-record body of ingest_views (the collector tee's hot path — no
-  /// allocations).
-  void ingest_view_locked(const RecordView& record);
+  /// The per-record body of ingest_views (the agent's second store on the
+  /// ingest hot path — no allocations). True if the record was admitted.
+  bool ingest_view_locked(const RecordView& record);
   /// Merges one record into a compacted segment's flow and link maps.
   void merge_view_locked(Segment& seg, const RecordView& record) const;
   /// Folds `from`'s oldest segment into `into`'s newest one when both lie in
@@ -256,11 +251,10 @@ class SketchHistoryStore {
                          std::size_t window);
   void evict_front_locked(std::deque<Segment>& tier);
   void enforce_bytes_locked();
-  /// Publishes the locked state into the registry cells (gauges + the
-  /// deferred record count). Runs at epoch boundaries, queries, and
-  /// accessors — NOT per record: the tee rides the collector's hot path,
-  /// and three extra atomic cache lines per record are measurable.
-  void flush_cells_locked() const;
+  /// Sets the two gauges from the locked state. ingest_views runs it once
+  /// per batch, not per record: a registry cell is a shared atomic cache
+  /// line, measurable on the ingest hot path.
+  void set_gauges_locked() const;
   [[nodiscard]] std::size_t map_segment_bytes_locked(const Segment& seg) const;
   [[nodiscard]] std::uint32_t oldest_retained_locked() const;
   /// Visits every retained segment intersecting [first, last], oldest tier
@@ -308,13 +302,11 @@ class SketchHistoryStore {
   std::size_t total_bytes_ = 0;
   /// Decode scratch of for_each_raw_view_locked, reused across segments.
   mutable std::vector<RecordView> scratch_;
-  /// Records ingested since the last flush_cells_locked() (hot-path counter
-  /// kept off the shared registry cache lines; mutable so const accessors
-  /// can publish before reading the cell).
-  mutable std::uint64_t records_pending_ = 0;
 
   /// Counter cells are the storage (accessors read them); gauges track the
-  /// bounded quantities — the memory watchdog surface.
+  /// bounded quantities — the memory watchdog surface. A batch publishes
+  /// its admitted records and both gauges before releasing the lock, so a
+  /// scrape never lags the store.
   struct Cells {
     obs::Gauge* bytes = nullptr;
     obs::Gauge* epochs = nullptr;

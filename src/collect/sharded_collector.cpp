@@ -1,11 +1,10 @@
 #include "collect/sharded_collector.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <numeric>
 #include <stdexcept>
-
-#include "collect/history.h"
 
 namespace rlir::collect {
 
@@ -40,9 +39,34 @@ void ShardedCollector::merge_record(Shard& shard, const RecordView& record) {
   // A link's records scatter across flow shards, so link aggregates are kept
   // per shard and unioned at query time (exact merge makes that lossless).
   merge_sketch_view(shard.links.try_emplace(record.link).first->second, record.sketch);
-  shard.epochs.insert(record.epoch);
+  note_epoch(shard.epochs, record.epoch);
   ++shard.records;
   shard.estimates += record.sketch.count();
+}
+
+void ShardedCollector::note_epoch(std::vector<EpochRun>& runs, std::uint32_t epoch) {
+  // At or just past the last run: the steady state of an advancing epoch
+  // clock. Sums are 64-bit, so a run ending at 2^32 - 1 never reaches 0.
+  if (!runs.empty() && epoch >= runs.back().first &&
+      epoch <= std::uint64_t{runs.back().last} + 1) {
+    runs.back().last = std::max(runs.back().last, epoch);
+    return;
+  }
+  // Anywhere else: a one-epoch run placed in order, then merged with each
+  // neighbour it touches.
+  auto it = std::lower_bound(
+      runs.begin(), runs.end(), epoch,
+      [](const EpochRun& run, std::uint32_t e) { return run.last < e; });
+  if (it != runs.end() && it->first <= epoch) return;
+  it = runs.insert(it, EpochRun{epoch, epoch});
+  if (std::next(it) != runs.end() && std::uint64_t{epoch} + 1 == std::next(it)->first) {
+    it->last = std::next(it)->last;
+    runs.erase(std::next(it));
+  }
+  if (it != runs.begin() && std::uint64_t{std::prev(it)->last} + 1 == epoch) {
+    std::prev(it)->last = it->last;
+    runs.erase(it);
+  }
 }
 
 void ShardedCollector::ingest(const std::vector<RecordView>& batch) {
@@ -82,7 +106,6 @@ void ShardedCollector::ingest(const std::vector<RecordView>& batch) {
       merge_record(shard, batch[g.order[k]]);
     }
   }
-  if (history_ != nullptr) history_->ingest_views(batch);
 }
 
 void ShardedCollector::ingest(const std::vector<EstimateRecord>& batch) {
@@ -283,14 +306,38 @@ std::uint64_t ShardedCollector::estimates_ingested() const {
   return n;
 }
 
-std::vector<std::uint32_t> ShardedCollector::epochs_seen() const {
-  std::vector<std::uint32_t> out;
+std::vector<ShardedCollector::EpochRun> ShardedCollector::epoch_runs() const {
+  std::vector<EpochRun> all;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mu);
-    out.insert(out.end(), shard->epochs.begin(), shard->epochs.end());
+    all.insert(all.end(), shard->epochs.begin(), shard->epochs.end());
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::sort(all.begin(), all.end(),
+            [](const EpochRun& a, const EpochRun& b) { return a.first < b.first; });
+  std::vector<EpochRun> merged;
+  for (const EpochRun& run : all) {
+    if (!merged.empty() && run.first <= std::uint64_t{merged.back().last} + 1) {
+      merged.back().last = std::max(merged.back().last, run.last);
+    } else {
+      merged.push_back(run);
+    }
+  }
+  return merged;
+}
+
+std::size_t ShardedCollector::epoch_count() const {
+  std::size_t n = 0;
+  for (const EpochRun& run : epoch_runs()) n += std::size_t{run.last} - run.first + 1;
+  return n;
+}
+
+std::vector<std::uint32_t> ShardedCollector::epochs_seen() const {
+  std::vector<std::uint32_t> out;
+  for (const EpochRun& run : epoch_runs()) {
+    for (std::uint64_t e = run.first; e <= run.last; ++e) {
+      out.push_back(static_cast<std::uint32_t>(e));
+    }
+  }
   return out;
 }
 

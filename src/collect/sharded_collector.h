@@ -8,15 +8,15 @@
 // which is what makes the tier horizontally scalable: a coordinator merges
 // partitioned agents' answers bin for bin (transport/coordinator.h).
 //
-// Threading: every method but set_history may be called from any thread
-// (flow()'s pointer carries its own caveat). Each shard owns a mutex over
-// its maps, rank index, epoch set and counts. An ingest groups the batch
-// by shard and merges each shard's share under
-// one hold of that shard's lock, so producers on different shards merge in
-// parallel. No code path holds two shard locks at once. An ingest is
-// complete when it returns: a query issued after it sees it. Because merge
-// is exact and commutative, any interleaving of producers converges to the
-// state one thread would reach on the same records, bin for bin.
+// Threading: every method may be called from any thread (flow()'s pointer
+// carries its own caveat). Each shard owns a mutex over its maps, rank
+// index, epoch runs and counts. An ingest groups the batch by shard and
+// merges each shard's share under one hold of that shard's lock, so
+// producers on different shards merge in parallel. No code path holds two
+// shard locks at once. An ingest is complete when it returns: a query
+// issued after it sees it. Because merge is exact and commutative, any
+// interleaving of producers converges to the state one thread would reach
+// on the same records, bin for bin.
 //
 // Query API: per-flow quantiles, per-link latency distributions, fleet-wide
 // distribution, and top-k worst-latency flows. Top-k is served from a
@@ -37,7 +37,6 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -48,8 +47,6 @@
 #include "obs/instrument.h"
 
 namespace rlir::collect {
-
-class SketchHistoryStore;
 
 struct CollectorConfig {
   /// Shard fan-out. More shards = smaller per-shard flow tables (and, in a
@@ -103,19 +100,11 @@ class ShardedCollector {
   ShardedCollector& operator=(ShardedCollector&&) noexcept = default;
 
   /// Merges a batch of decoded RecordViews (they borrow the wire bytes, so
-  /// no sketch is materialized) into the flow tables and link aggregates,
-  /// then tees the batch to the attached history store.
+  /// no sketch is materialized) into the flow tables and link aggregates.
   void ingest(const std::vector<RecordView>& batch);
   /// Owned records: encodes the batch and ingests its views (encode_views),
   /// so both overloads share one merge body and reach the same state.
   void ingest(const std::vector<EstimateRecord>& batch);
-
-  /// Attaches a history store tee (see collect/history.h): every batch
-  /// ingested after this call is also appended to `history`'s epoch log.
-  /// Borrowed — the store must outlive the last ingest; null detaches.
-  /// Attach before the first ingest; the pointer itself is not locked.
-  void set_history(SketchHistoryStore* history) { history_ = history; }
-  [[nodiscard]] SketchHistoryStore* history() const { return history_; }
 
   // --- Queries (each reads under the shard locks) ---------------------------
 
@@ -168,9 +157,10 @@ class ShardedCollector {
   [[nodiscard]] std::size_t flow_count() const;
   [[nodiscard]] std::uint64_t records_ingested() const;
   [[nodiscard]] std::uint64_t estimates_ingested() const;
-  /// Distinct epochs seen in ingested records.
-  [[nodiscard]] std::size_t epoch_count() const { return epochs_seen().size(); }
-  /// Epochs seen, ascending.
+  /// Distinct epochs seen in ingested records: the merged runs' lengths
+  /// summed, O(runs) and never a per-epoch copy.
+  [[nodiscard]] std::size_t epoch_count() const;
+  /// Epochs seen, ascending (the merged runs expanded).
   [[nodiscard]] std::vector<std::uint32_t> epochs_seen() const;
   /// Flows per shard (load-balance visibility).
   [[nodiscard]] std::vector<std::size_t> shard_flow_counts() const;
@@ -192,6 +182,14 @@ class ShardedCollector {
   };
   using RankIndex = std::set<std::pair<double, net::FiveTuple>, WorstFirst>;
 
+  /// Inclusive run of consecutive epochs. A shard keeps its epochs as
+  /// sorted, disjoint, non-adjacent runs, so a long-lived collector holds
+  /// one run per gap, not one entry per epoch.
+  struct EpochRun {
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+  };
+
   /// One shard's state and the lock every merge and query into it holds.
   struct Shard {
     mutable std::mutex mu;
@@ -208,7 +206,7 @@ class ShardedCollector {
     mutable RankIndex rank;
     mutable double rank_q = 0.0;
     mutable bool rank_stale = false;
-    std::unordered_set<std::uint32_t> epochs;
+    std::vector<EpochRun> epochs;
     std::uint64_t records = 0;
     std::uint64_t estimates = 0;
   };
@@ -218,6 +216,10 @@ class ShardedCollector {
   }
   /// Merges one record into its shard, whose lock the caller holds.
   void merge_record(Shard& shard, const RecordView& record);
+  /// Adds `epoch` to a shard's runs, merging it with its neighbours.
+  static void note_epoch(std::vector<EpochRun>& runs, std::uint32_t epoch);
+  /// Every shard's runs merged into one sorted, disjoint, non-adjacent list.
+  [[nodiscard]] std::vector<EpochRun> epoch_runs() const;
   /// Re-ranks a shard's flows at quantile `q` unless its index is fresh and
   /// already keyed on `q`.
   void refresh_rank(const Shard& shard, double q) const;
@@ -227,7 +229,6 @@ class ShardedCollector {
   /// unique_ptr: a Shard holds a mutex, so it cannot move; the collector
   /// moves by handing over the slots.
   std::vector<std::unique_ptr<Shard>> shards_;
-  SketchHistoryStore* history_ = nullptr;
   /// Records accepted by ingest (rlir_collect_records_submitted_total).
   obs::Counter* submitted_ = nullptr;
 };

@@ -6,16 +6,15 @@
 // stage records one Span {trace_id, span_id, parent_id, kind, start/end ns,
 // label} into its process's SpanRecorder (a bounded ring, one uncontended
 // mutex per record). A TraceContext (trace_id + parent span id) travels
-// with the work: in the widened RLTF query payload and in the optional
-// record-batch trailer (docs/WIRE.md), so a CollectorAgent's decode/ingest/
-// answer spans parent to the CollectorClient span that shipped the bytes,
-// and a QueryCoordinator can pull every agent's ring (a span-ring query)
-// and reassemble the cross-process tree.
+// with the work in every RLTF frame header (transport/frame.h,
+// docs/WIRE.md), so a CollectorAgent's decode/ingest/answer spans parent to
+// the CollectorClient span that shipped the bytes, and a QueryCoordinator
+// can pull every agent's ring (a span-ring query) and reassemble the
+// cross-process tree.
 //
 // Tracing is OPT-IN: a null SpanRecorder* in obs::Instruments means every
-// instrumentation site is a pointer check and nothing else — existing
-// deployments and tests are byte-for-byte unaffected until an operator
-// attaches a recorder.
+// instrumentation site is a pointer check and nothing else, and frames
+// carry a zero context until an operator attaches a recorder.
 //
 // Ids are process-unique by construction: each recorder seeds its span-id
 // counter from entropy, so ids minted on different hosts don't collide when

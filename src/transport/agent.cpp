@@ -51,7 +51,6 @@ CollectorAgent::CollectorAgent(CollectorAgentConfig config)
     // registry nobody reads.
     hc.instruments = obs_.child(obs_.id());
     history_ = std::make_unique<collect::SketchHistoryStore>(hc);
-    collector_.set_history(history_.get());
   }
 }
 
@@ -144,14 +143,7 @@ void CollectorAgent::handle_frame(Connection& conn, const FrameView& frame) {
       std::int64_t decode_ns = 0;
       std::int64_t ingest_ns = 0;
       std::size_t frame_records = 0;
-      obs::TraceContext batch_ctx;
       while (remaining > 0) {
-        // A traced client appends one RLTC trailer after the last batch;
-        // "RLTC" vs "RLES" at a batch boundary is unambiguous.
-        if (is_trace_trailer(p, remaining)) {
-          batch_ctx = decode_trace_trailer(p, remaining);
-          break;
-        }
         view_scratch_.clear();
         std::int64_t t = spans_ != nullptr ? obs::SpanRecorder::now_ns() : 0;
         const std::size_t consumed =
@@ -163,26 +155,29 @@ void CollectorAgent::handle_frame(Connection& conn, const FrameView& frame) {
         frame_records += view_scratch_.size();
         c_.batch_records->observe(static_cast<double>(view_scratch_.size()));
         if (!view_scratch_.empty()) {
+          // The agent tees each batch: the live collector, then the
+          // history store, both inside the ingest interval.
           t = spans_ != nullptr ? obs::SpanRecorder::now_ns() : 0;
           collector_.ingest(view_scratch_);
+          if (history_ != nullptr) history_->ingest_views(view_scratch_);
           if (spans_ != nullptr) ingest_ns += obs::SpanRecorder::now_ns() - t;
         }
       }
       if (spans_ != nullptr) {
         // Two adjacent intervals, both children of the client flush that
-        // shipped the bytes (a trailer-less frame yields process-local
-        // spans: trace_id 0, still feeding the stage histograms).
+        // shipped the bytes (an untraced frame yields process-local spans:
+        // trace_id 0, still feeding the stage histograms).
         obs::Span decode_span;
-        decode_span.trace_id = batch_ctx.trace_id;
-        decode_span.parent_id = batch_ctx.span_id;
+        decode_span.trace_id = frame.trace.trace_id;
+        decode_span.parent_id = frame.trace.span_id;
         decode_span.kind = obs::SpanKind::kAgentDecode;
         decode_span.start_ns = t0;
         decode_span.end_ns = t0 + decode_ns;
         decode_span.label = std::to_string(frame_records) + " records";
         spans_->record(std::move(decode_span));
         obs::Span ingest_span;
-        ingest_span.trace_id = batch_ctx.trace_id;
-        ingest_span.parent_id = batch_ctx.span_id;
+        ingest_span.trace_id = frame.trace.trace_id;
+        ingest_span.parent_id = frame.trace.span_id;
         ingest_span.kind = obs::SpanKind::kAgentIngest;
         ingest_span.start_ns = t0 + decode_ns;
         ingest_span.end_ns = t0 + decode_ns + ingest_ns;
@@ -192,13 +187,14 @@ void CollectorAgent::handle_frame(Connection& conn, const FrameView& frame) {
       break;
     }
     case FrameType::kQuery: {
-      const auto query = decode_query(frame.payload, frame.size);
+      auto query = decode_query(frame.payload, frame.size);
+      query.trace = frame.trace;
       // Counted before building the reply so a scrape includes the query
       // it is answering.
       c_.queries_answered->increment();
-      // The answer span parents to whatever context the query carried
+      // The answer span parents to whatever context the query frame carried
       // (client hop, or bare coordinator leg). A span pull is never traced:
-      // pulling a trace must not pollute it.
+      // pulling a trace must not pollute it. Replies travel untraced.
       const bool trace_answer = spans_ != nullptr && query.target != Target::kSpans;
       const std::int64_t answer_t0 = trace_answer ? obs::SpanRecorder::now_ns() : 0;
       const QueryReply reply = answer(query);
@@ -237,9 +233,8 @@ QueryReply CollectorAgent::answer(const Query& query) {
   if (query.window.has_value()) {
     // No store attached -> covered=false, no entries: a fleet can mix
     // history-enabled and plain agents and the coordinator's coverage merge
-    // reports the truth. The tee rides ingest, which is complete when
-    // ingest() returns, so every record received before this query is in
-    // the store.
+    // reports the truth. The store ingests each batch before the next frame
+    // is handled, so every record received before this query is in it.
     collect::WindowCoverage cov;
     if (history_ != nullptr) {
       const auto [first, last] = *query.window;
@@ -252,8 +247,7 @@ QueryReply CollectorAgent::answer(const Query& query) {
         add(0, query.flow, history_->window_flow(first, last, query.flow, &cov));
       }
     }
-    reply.coverage =
-        WindowInfo{cov.covered, cov.complete, cov.covered_first, cov.covered_last, cov.records};
+    reply.coverage = cov;
     return reply;
   }
   switch (query.target) {
@@ -313,9 +307,6 @@ void CollectorAgent::flush_outbox(Connection& conn) {
 
 obs::Scrape CollectorAgent::scrape() {
   obs::Scrape s;
-  // The history store defers its cell updates to epoch seals; publish the
-  // unsealed tail so the scrape's record counter matches the collector's.
-  if (history_ != nullptr) history_->refresh_cells();
   s.metrics = obs_.registry().snapshot();
   // The collector totals live in the collector, not the registry, so this
   // is their only identity — a coordinator merge sums them exactly like

@@ -14,8 +14,13 @@
 //        │ RecordView batches (borrowing the frame payload; docs/WIRE.md)
 //        ▼
 //   ShardedCollector::ingest (batch grouped by shard, each shard's share
-//   merged under one hold of its lock; no materialization), then one
-//   history tee call per batch
+//   merged under one hold of its lock; no materialization), then, with
+//   history on, SketchHistoryStore::ingest_views — the agent tees every
+//   batch into both stores it owns
+//
+// The frame header carries the trace context (transport/frame.h): a record
+// frame's decode and ingest spans parent to it, and a query frame's
+// context becomes Query::trace before the query is answered.
 //
 // poll() is the single-threaded reactor step: accept pending connections,
 // read every readable byte, process complete frames, flush reply bytes.
@@ -59,7 +64,7 @@ struct CollectorAgentConfig {
   /// members = the agent owns a private registry/trace.
   obs::Instruments instruments;
   /// Attach a history store and serve windowed (time-travel) queries.
-  /// Off by default: the store is a per-record ingest tee plus resident
+  /// Off by default: the store is a second per-record ingest plus resident
   /// memory, which a pure live-query deployment should not pay for.
   bool enable_history = false;
   /// Store shape when enabled. instruments is overwritten with the agent's
@@ -157,11 +162,10 @@ class CollectorAgent {
   /// Declared before collector_ so the agent's registry/trace exist when
   /// the collector config is patched to share them.
   obs::Instrumented obs_;
-  /// Owned history store (enable_history). Declared before collector_, which
-  /// holds a borrowed pointer to it: the store is built before the collector
-  /// can ingest and destroyed after it.
-  std::unique_ptr<collect::SketchHistoryStore> history_;
   collect::ShardedCollector collector_;
+  /// Owned history store (enable_history); each batch is ingested into
+  /// collector_ and then here.
+  std::unique_ptr<collect::SketchHistoryStore> history_;
   std::unique_ptr<Listener> listener_;
   std::vector<std::unique_ptr<Connection>> connections_;
 
@@ -178,7 +182,7 @@ class CollectorAgent {
   Cells c_{};
 
   /// Tracing attachment (null = off): decode/ingest spans per record-batch
-  /// frame (parented to the client flush via the RLTC trailer), one answer
+  /// frame (parented to the client flush in the frame header), one answer
   /// span per query, and the ring Target::kSpans serves from.
   obs::SpanRecorder* spans_ = nullptr;
 

@@ -78,17 +78,17 @@ void CollectorClient::seal_coalescing() {
   const std::int64_t t0 = spans_ != nullptr ? obs::SpanRecorder::now_ns() : 0;
   obs::Span flush;
   if (spans_ != nullptr) {
-    // Each sealed frame starts its own trace: the trailer carries this
+    // Each sealed frame starts its own trace: the frame header carries this
     // span's context, so the agent's decode/ingest spans for THESE bytes
     // parent to the flush that shipped them.
     flush.trace_id = spans_->new_trace_id();
     flush.span_id = spans_->next_span_id();
     flush.kind = obs::SpanKind::kClientFlush;
     flush.start_ns = t0;
-    append_trace_trailer(coalescing_, obs::TraceContext{flush.trace_id, flush.span_id});
   }
   QueuedFrame frame;
-  frame.bytes = encode_frame(FrameType::kRecordBatch, coalescing_);
+  frame.bytes = encode_frame(FrameType::kRecordBatch, coalescing_,
+                             obs::TraceContext{flush.trace_id, flush.span_id});
   frame.records = coalescing_records_;
   frame.is_batch = true;
   coalescing_.clear();
@@ -247,10 +247,11 @@ void CollectorClient::send_query(const Query& query) {
   // Seal first so the reply reflects at least every record submitted before
   // the query (frames are delivered in queue order).
   seal_coalescing();
-  Query wire_query = query;
-  // Start the round-trip span and splice it into the propagated context, so
+  // The frame header carries the caller's context (a span pull's filter
+  // included) unless this client's own round-trip span takes its place, so
   // the agent's answer span parents to THIS hop (not the coordinator leg two
   // hops up). A span pull is the meta-query: never traced, filter untouched.
+  obs::TraceContext trace = query.trace;
   if (spans_ != nullptr && query.target != Target::kSpans) {
     query_span_ = obs::Span{};
     query_span_.trace_id =
@@ -261,10 +262,10 @@ void CollectorClient::send_query(const Query& query) {
     query_span_.start_ns = obs::SpanRecorder::now_ns();
     query_span_.label = query_name(query);
     query_span_active_ = true;
-    wire_query.trace = obs::TraceContext{query_span_.trace_id, query_span_.span_id};
+    trace = obs::TraceContext{query_span_.trace_id, query_span_.span_id};
   }
   QueuedFrame frame;
-  frame.bytes = encode_frame(FrameType::kQuery, encode_query(wire_query));
+  frame.bytes = encode_frame(FrameType::kQuery, encode_query(query), trace);
   enqueue(std::move(frame));
   query_outstanding_ = true;
   c_.queries_sent->increment();

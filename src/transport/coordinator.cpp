@@ -16,18 +16,13 @@ std::vector<collect::RankedFlowSummary> merge_ranked_top_k(
   // k is small and each part is at most k entries: gather-and-sort beats a
   // cursor heap in clarity at the same practical cost. Duplicates (one key
   // in several parts — partitions overlapped) are re-resolved exactly from
-  // the merged flow sketch when a resolver is given.
+  // the merged flow sketch.
   std::unordered_map<net::FiveTuple, collect::RankedFlowSummary> by_key;
   for (const auto& part : parts) {
     for (const auto& entry : part) {
       auto [it, inserted] = by_key.try_emplace(entry.second.key, entry);
       if (inserted) continue;
-      if (resolve) {
-        if (auto resolved = resolve(entry.second.key)) it->second = *resolved;
-      } else if (collect::ranked_worse_first(entry, it->second)) {
-        // No resolver: deterministic but approximate — keep the worse rank.
-        it->second = entry;
-      }
+      if (auto resolved = resolve(entry.second.key)) it->second = *resolved;
     }
   }
   std::vector<collect::RankedFlowSummary> merged;
@@ -55,7 +50,7 @@ namespace {
 /// What one sketch fan-out merges to: entries by (link, flow), ascending.
 struct MergedSketches {
   std::map<std::pair<collect::LinkId, net::FiveTuple>, common::LatencySketch> entries;
-  WindowInfo coverage;
+  collect::WindowCoverage coverage;
 };
 
 /// The one merge every sketch fan-out goes through. Entries with the same
@@ -68,7 +63,7 @@ struct MergedSketches {
 /// labeled). No replies at all is uncovered and incomplete.
 [[nodiscard]] MergedSketches merge_sketch_replies(std::vector<std::optional<QueryReply>> replies) {
   MergedSketches out;
-  WindowInfo& merged = out.coverage;
+  collect::WindowCoverage& merged = out.coverage;
   bool all_complete = !replies.empty();
   for (auto& reply : replies) {
     if (!reply.has_value()) {
@@ -80,7 +75,7 @@ struct MergedSketches {
           out.entries.try_emplace({entry.link, entry.flow}, std::move(entry.sketch));
       if (!inserted) it->second.merge(entry.sketch);
     }
-    const WindowInfo w = reply->coverage.value_or(WindowInfo{});
+    const collect::WindowCoverage w = reply->coverage.value_or(collect::WindowCoverage{});
     if (!w.complete) all_complete = false;
     if (!w.covered) continue;
     if (!merged.covered) {
@@ -322,11 +317,9 @@ WindowResult QueryCoordinator::window_flow_sketch(const net::FiveTuple& key,
       .target = Target::kFlow, .flow = key, .window = ordered(epoch_first, epoch_last)})));
 }
 
-std::optional<double> QueryCoordinator::window_flow_quantile(const net::FiveTuple& key,
-                                                             double q,
-                                                             std::uint32_t epoch_first,
-                                                             std::uint32_t epoch_last,
-                                                             WindowInfo* window) {
+std::optional<double> QueryCoordinator::window_flow_quantile(
+    const net::FiveTuple& key, double q, std::uint32_t epoch_first, std::uint32_t epoch_last,
+    collect::WindowCoverage* window) {
   const auto result = window_flow_sketch(key, epoch_first, epoch_last);
   if (window != nullptr) *window = result.window;
   if (!result.sketch.has_value()) return std::nullopt;

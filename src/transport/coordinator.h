@@ -54,18 +54,17 @@ namespace rlir::transport {
 
 /// Re-derives one flow's ranked summary when it shows up in several parts:
 /// given the flow's exact merged sketch, returns the entry the single
-/// collector would have produced. nullopt = leave the duplicate unresolved.
+/// collector would have produced. nullopt = keep the first part's entry.
 using FlowResolver =
     std::function<std::optional<collect::RankedFlowSummary>(const net::FiveTuple&)>;
 
 /// Merges per-partition ranked top-k lists (each worst-first) into the
-/// global worst-first top-k. Keys appearing in several parts are resolved
-/// through `resolve` (exact, via the merged flow sketch); without a
-/// resolver the worst-ranked duplicate wins (approximate — only reachable
-/// when partitions overlap, which partitioned export prevents).
+/// global worst-first top-k. A key appearing in several parts is resolved
+/// through `resolve` (exact, via the merged flow sketch) — only reachable
+/// when partitions overlap, which partitioned export prevents.
 [[nodiscard]] std::vector<collect::RankedFlowSummary> merge_ranked_top_k(
     const std::vector<std::vector<collect::RankedFlowSummary>>& parts, std::size_t k,
-    const FlowResolver& resolve = {});
+    const FlowResolver& resolve);
 
 /// Fleet roll-up of per-agent scrapes: counters sum (saturating), gauges
 /// max, histograms sketch-union (obs::merge_snapshots); the rings' drops
@@ -81,7 +80,7 @@ struct WindowResult {
   /// Absent when no reachable agent had covered data (or the flow/link
   /// never appeared in the window).
   std::optional<common::LatencySketch> sketch;
-  WindowInfo window;
+  collect::WindowCoverage window;
 };
 
 /// A cross-process trace reassembled by QueryCoordinator::collect_trace:
@@ -176,10 +175,9 @@ class QueryCoordinator {
                                                 std::uint32_t epoch_last);
   /// Quantile of the merged window sketch (exact even for a flow split
   /// across agents); nullopt if unseen. Coverage via the out-param.
-  [[nodiscard]] std::optional<double> window_flow_quantile(const net::FiveTuple& key, double q,
-                                                           std::uint32_t epoch_first,
-                                                           std::uint32_t epoch_last,
-                                                           WindowInfo* window = nullptr);
+  [[nodiscard]] std::optional<double> window_flow_quantile(
+      const net::FiveTuple& key, double q, std::uint32_t epoch_first,
+      std::uint32_t epoch_last, collect::WindowCoverage* window = nullptr);
 
   // --- Tracing (span-ring fan-out) -----------------------------------------
 

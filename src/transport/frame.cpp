@@ -18,8 +18,13 @@ using common::wire::take;
 
 constexpr std::array<char, 4> kMagic = {'R', 'L', 'T', 'F'};
 
-[[nodiscard]] std::uint32_t payload_crc(const std::uint8_t* payload, std::size_t size) {
-  return net::crc32c(std::as_bytes(std::span<const std::uint8_t>(payload, size)));
+/// Bytes of the trace context, which ends the header.
+constexpr std::size_t kTraceBytes = 8 + 8;
+
+/// CRC-32C over the header's trace bytes and the payload that follows them.
+[[nodiscard]] std::uint32_t frame_crc(const std::uint8_t* trace, std::size_t payload_size) {
+  return net::crc32c(
+      std::as_bytes(std::span<const std::uint8_t>(trace, kTraceBytes + payload_size)));
 }
 
 [[nodiscard]] bool known_type(std::uint8_t t) {
@@ -31,7 +36,7 @@ constexpr std::array<char, 4> kMagic = {'R', 'L', 'T', 'F'};
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(FrameType type, const std::uint8_t* payload,
-                                       std::size_t size) {
+                                       std::size_t size, obs::TraceContext trace) {
   std::vector<std::uint8_t> buf(kFrameHeaderSize + size);
   std::uint8_t* p = buf.data();
   for (char c : kMagic) put<std::uint8_t>(p, static_cast<std::uint8_t>(c));
@@ -39,13 +44,19 @@ std::vector<std::uint8_t> encode_frame(FrameType type, const std::uint8_t* paylo
   put<std::uint8_t>(p, static_cast<std::uint8_t>(type));
   put<std::uint16_t>(p, 0);  // reserved
   put<std::uint32_t>(p, static_cast<std::uint32_t>(size));
-  put<std::uint32_t>(p, payload_crc(payload, size));
+  std::uint8_t* crc_at = p;
+  p += 4;  // the CRC, written once the bytes it covers are in place
+  const std::uint8_t* trace_at = p;
+  put<std::uint64_t>(p, trace.trace_id);
+  put<std::uint64_t>(p, trace.span_id);
   std::copy_n(payload, size, p);
+  put<std::uint32_t>(crc_at, frame_crc(trace_at, size));
   return buf;
 }
 
-std::vector<std::uint8_t> encode_frame(FrameType type, const std::vector<std::uint8_t>& payload) {
-  return encode_frame(type, payload.data(), payload.size());
+std::vector<std::uint8_t> encode_frame(FrameType type, const std::vector<std::uint8_t>& payload,
+                                       obs::TraceContext trace) {
+  return encode_frame(type, payload.data(), payload.size(), trace);
 }
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
@@ -95,11 +106,13 @@ std::optional<FrameView> FrameDecoder::next_view() {
 
   if (buffer_.size() - consumed_ < kFrameHeaderSize + length) return std::nullopt;
 
-  if (payload_crc(p, length) != crc) {
+  if (frame_crc(p, length) != crc) {
     poisoned_ = true;
-    throw FrameError("Frame: payload CRC mismatch");
+    throw FrameError("Frame: CRC mismatch");
   }
   FrameView view;
+  view.trace.trace_id = take<std::uint64_t>(p);
+  view.trace.span_id = take<std::uint64_t>(p);
   view.type = static_cast<FrameType>(type);
   view.payload = p;
   view.size = length;

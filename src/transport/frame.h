@@ -4,13 +4,18 @@
 // query replies — see transport/messages.h).
 //
 //   frame: magic "RLTF" | u8 version | u8 type | u16 reserved (0)
-//          | u32 payload length | u32 CRC-32C(payload) | payload bytes
+//          | u32 payload length | u32 CRC-32C(trace bytes, payload)
+//          | u64 trace_id | u64 span_id | payload bytes
 //
 // Same conventions as every other wire format in the repo (little-endian,
 // field-by-field packing via common/wire.h, magic + version up front,
-// corruption guards that reject instead of guessing). The CRC is over the
-// payload only — the header fields are each individually validatable, and
-// a corrupted length is caught by the length guard before any allocation.
+// corruption guards that reject instead of guessing). The trace context
+// (all zeros = untraced) is the one way a distributed trace crosses a
+// connection: a record batch carries the client flush that sealed it, a
+// query the span its answer parents to. The CRC covers the 16 trace bytes,
+// then the payload — the other header fields are each individually
+// validatable, and a corrupted length is caught by the length guard before
+// any allocation.
 //
 // FrameDecoder is incremental: feed it whatever read_some produced, pop
 // complete frames as they materialize with next_view(), the one way to pop
@@ -25,19 +30,21 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/span.h"
+
 namespace rlir::transport {
 
 /// Bumped whenever a payload layout changes incompatibly (2: the query
 /// codec in transport/messages.h; 3: the scrape's events segment lost its
 /// per-kind totals, obs/wire.h; 4: the sketch segment lost its accuracy and
 /// bin budget, RLES version 2 in collect/estimate_record.h; 5: records lost
-/// their RLI sender, RLES version 3); a peer on any other version is refused
-/// at its first frame.
-inline constexpr std::uint8_t kFrameVersion = 5;
+/// their RLI sender, RLES version 3; 6: the trace context moved into the
+/// header); a peer on any other version is refused at its first frame.
+inline constexpr std::uint8_t kFrameVersion = 6;
 
 /// Header bytes preceding every payload: magic(4) + version(1) + type(1) +
-/// reserved(2) + length(4) + crc(4).
-inline constexpr std::size_t kFrameHeaderSize = 4 + 1 + 1 + 2 + 4 + 4;
+/// reserved(2) + length(4) + crc(4) + trace_id(8) + span_id(8).
+inline constexpr std::size_t kFrameHeaderSize = 4 + 1 + 1 + 2 + 4 + 4 + 8 + 8;
 
 /// Corruption guard: no honest frame carries more than this. A flipped bit
 /// in the length field must not make the decoder allocate gigabytes.
@@ -58,23 +65,27 @@ enum class FrameType : std::uint8_t {
 /// before buffering more stream bytes, as a poll loop naturally does.
 struct FrameView {
   FrameType type = FrameType::kRecordBatch;
+  /// The header's trace context; zeros = untraced.
+  obs::TraceContext trace{};
   const std::uint8_t* payload = nullptr;
   std::size_t size = 0;
 };
 
 /// Thrown on malformed input: bad magic, unsupported version, unknown type,
-/// oversized length, or a payload failing its CRC.
+/// oversized length, or trace bytes and payload failing their CRC.
 class FrameError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Serializes one frame (header + CRC + payload copy).
+/// Serializes one frame (header + CRC + trace context + payload copy).
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(FrameType type,
                                                      const std::uint8_t* payload,
-                                                     std::size_t size);
+                                                     std::size_t size,
+                                                     obs::TraceContext trace = {});
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(FrameType type,
-                                                     const std::vector<std::uint8_t>& payload);
+                                                     const std::vector<std::uint8_t>& payload,
+                                                     obs::TraceContext trace = {});
 
 /// Incremental frame parser over an arbitrary chunking of the byte stream.
 class FrameDecoder {

@@ -16,22 +16,20 @@ using common::wire::put_f64;
 using common::wire::take;
 using common::wire::take_f64;
 
-/// target | flags | link | 5-tuple | k | q | epoch_first | epoch_last
-/// | trace_id | parent_span_id — one size, traced or not.
-constexpr std::size_t kQuerySize =
-    1 + 1 + 4 + net::kFiveTupleWireSize + 4 + 8 + 4 + 4 + 8 + 8;
+/// target | flags | link | 5-tuple | k | q | epoch_first | epoch_last.
+constexpr std::size_t kQuerySize = 1 + 1 + 4 + net::kFiveTupleWireSize + 4 + 8 + 4 + 4;
 /// Query and reply flag bit 0: a window (query) / coverage block (reply)
 /// follows. Every other bit is reserved and rejected.
 constexpr std::uint8_t kFlagBlock = 1;
 /// Window-reply coverage block: u8 flags | u32 first | u32 last | u64 records.
-constexpr std::size_t kWindowInfoSize = 1 + 4 + 4 + 8;
+constexpr std::size_t kCoverageSize = 1 + 4 + 4 + 8;
 /// Smallest encoded entry of each counted list — the floor a claimed count is
 /// checked against before anything is reserved for it.
 constexpr std::size_t kSketchEntryMinSize =
     4 + net::kFiveTupleWireSize + collect::kSketchFixedSize;
 constexpr std::size_t kSpanEntryFixedSize = 8 + 8 + 8 + 1 + 8 + 8 + 2;
 
-void put_window(std::uint8_t*& p, const WindowInfo& window) {
+void put_coverage(std::uint8_t*& p, const collect::WindowCoverage& window) {
   std::uint8_t flags = 0;
   if (window.covered) flags |= 1;
   if (window.complete) flags |= 2;
@@ -41,15 +39,16 @@ void put_window(std::uint8_t*& p, const WindowInfo& window) {
   put<std::uint64_t>(p, window.records);
 }
 
-[[nodiscard]] WindowInfo take_window(const std::uint8_t*& p, const std::uint8_t* end) {
-  if (static_cast<std::size_t>(end - p) < kWindowInfoSize) {
+[[nodiscard]] collect::WindowCoverage take_coverage(const std::uint8_t*& p,
+                                                   const std::uint8_t* end) {
+  if (static_cast<std::size_t>(end - p) < kCoverageSize) {
     throw std::runtime_error("QueryReply: truncated window coverage");
   }
   const auto flags = take<std::uint8_t>(p);
   if ((flags & ~0x3u) != 0) {
     throw std::runtime_error("QueryReply: reserved window flag bits set");
   }
-  WindowInfo window;
+  collect::WindowCoverage window;
   window.covered = (flags & 1) != 0;
   window.complete = (flags & 2) != 0;
   window.first = take<std::uint32_t>(p);
@@ -99,8 +98,6 @@ std::vector<std::uint8_t> encode_query(const Query& query) {
   const EpochWindow window = query.window.value_or(EpochWindow{});
   put<std::uint32_t>(p, window.first);
   put<std::uint32_t>(p, window.last);
-  put<std::uint64_t>(p, query.trace.trace_id);
-  put<std::uint64_t>(p, query.trace.span_id);
   return buf;
 }
 
@@ -134,8 +131,6 @@ Query decode_query(const std::uint8_t* data, std::size_t size) {
     if (window.first > window.last) throw std::runtime_error("Query: epoch window reversed");
     query.window = window;
   }
-  query.trace.trace_id = take<std::uint64_t>(p);
-  query.trace.span_id = take<std::uint64_t>(p);
   return query;
 }
 
@@ -157,11 +152,11 @@ std::vector<std::uint8_t> encode_reply(const QueryReply& reply) {
       break;
   }
   const bool has_coverage = reply.coverage.has_value();
-  std::vector<std::uint8_t> buf(2 + (has_coverage ? kWindowInfoSize : 0) + body);
+  std::vector<std::uint8_t> buf(2 + (has_coverage ? kCoverageSize : 0) + body);
   std::uint8_t* p = buf.data();
   put<std::uint8_t>(p, static_cast<std::uint8_t>(reply.body));
   put<std::uint8_t>(p, has_coverage ? kFlagBlock : 0);
-  if (has_coverage) put_window(p, *reply.coverage);
+  if (has_coverage) put_coverage(p, *reply.coverage);
   switch (reply.body) {
     case ReplyBody::kSketches:
       put<std::uint32_t>(p, static_cast<std::uint32_t>(reply.entries.size()));
@@ -216,7 +211,7 @@ QueryReply decode_reply(const std::uint8_t* data, std::size_t size) {
     if (reply.body != ReplyBody::kSketches) {
       throw std::runtime_error("QueryReply: coverage block on a non-sketch body");
     }
-    reply.coverage = take_window(p, end);
+    reply.coverage = take_coverage(p, end);
   }
   switch (reply.body) {
     case ReplyBody::kSketches: {
@@ -275,37 +270,6 @@ QueryReply decode_reply(const std::uint8_t* data, std::size_t size) {
   }
   if (p != end) throw std::runtime_error("QueryReply: trailing bytes");
   return reply;
-}
-
-void append_trace_trailer(std::vector<std::uint8_t>& buf, obs::TraceContext ctx) {
-  const std::size_t at = buf.size();
-  buf.resize(at + kTraceTrailerSize);
-  std::uint8_t* p = buf.data() + at;
-  std::memcpy(p, "RLTC", 4);
-  p += 4;
-  put<std::uint8_t>(p, kTraceTrailerVersion);
-  put<std::uint64_t>(p, ctx.trace_id);
-  put<std::uint64_t>(p, ctx.span_id);
-}
-
-bool is_trace_trailer(const std::uint8_t* data, std::size_t size) {
-  return size >= 4 && std::memcmp(data, "RLTC", 4) == 0;
-}
-
-obs::TraceContext decode_trace_trailer(const std::uint8_t* data, std::size_t size) {
-  if (size != kTraceTrailerSize || !is_trace_trailer(data, size)) {
-    throw std::runtime_error("trace trailer: bad size or magic");
-  }
-  const std::uint8_t* p = data + 4;
-  const auto version = take<std::uint8_t>(p);
-  if (version != kTraceTrailerVersion) {
-    throw std::runtime_error("trace trailer: unsupported version");
-  }
-  obs::TraceContext ctx;
-  ctx.trace_id = take<std::uint64_t>(p);
-  ctx.span_id = take<std::uint64_t>(p);
-  if (ctx.trace_id == 0) throw std::runtime_error("trace trailer: zero trace id");
-  return ctx;
 }
 
 }  // namespace rlir::transport

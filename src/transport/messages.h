@@ -10,14 +10,14 @@
 // Every operator question about RLIR's output — one flow, one link, every
 // link, the fleet, the worst flows; live or over an epoch window — is
 // answered by an exact bin-wise merge of latency sketches. So there is one
-// query (a target, an optional epoch window, the trace context) and one
-// reply (an optional coverage block, then sketch entries, a scrape, or
-// spans). Quantiles, ranks and flow summaries are derived from the merged
-// sketches by whoever asked.
+// query (a target and an optional epoch window) and one reply (an optional
+// coverage block, then sketch entries, a scrape, or spans). Quantiles,
+// ranks and flow summaries are derived from the merged sketches by whoever
+// asked. A query's trace context travels in its frame header
+// (transport/frame.h), not in the payload.
 //
 //   query:  u8 target | u8 flags (bit 0 = window) | u32 link | 5-tuple
 //           | u32 k | f64 q | u32 epoch_first | u32 epoch_last
-//           | u64 trace_id (0 = untraced) | u64 parent_span_id
 //   reply:  u8 body | u8 flags (bit 0 = coverage block follows)
 //           [| coverage block: u8 flags | u32 first | u32 last | u64 records]
 //           | body:
@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "collect/history.h"
 #include "collect/sharded_collector.h"
 #include "common/latency_sketch.h"
 #include "net/flow_key.h"
@@ -88,7 +89,8 @@ struct Query {
   /// and rejects first > last.
   std::optional<EpochWindow> window{};
   /// Distributed-trace context; trace_id 0 = untraced. For kSpans it is the
-  /// ring filter instead (see Target).
+  /// ring filter instead (see Target). It travels in the frame header: the
+  /// client writes it there and the agent copies it back before answering.
   obs::TraceContext trace{};
 };
 
@@ -96,19 +98,6 @@ struct Query {
 /// ("fleet", "link", "links", "flow", "top_k", "metrics", "spans"), prefixed
 /// "window_" when the query carries a window.
 [[nodiscard]] std::string query_name(const Query& query);
-
-/// What a window reply's merged answer actually covers — the wire form of
-/// collect::WindowCoverage (requested bounds stay with the asker).
-struct WindowInfo {
-  bool covered = false;   ///< at least one retained segment intersected
-  bool complete = false;  ///< every requested epoch was retained
-  /// Bounds of the segments merged (compaction snaps outward; eviction and
-  /// the future snap inward). Meaningful only when covered.
-  std::uint32_t first = 0;
-  std::uint32_t last = 0;
-  /// Records contributing to the covered segments.
-  std::uint64_t records = 0;
-};
 
 /// One sketch answer: the distribution plus what it is the distribution of.
 /// Coordinates the target does not use are zero (a fleet entry has link 0
@@ -129,7 +118,7 @@ struct QueryReply {
   ReplyBody body = ReplyBody::kSketches;
   /// Window replies only: what the merged answer covers. An agent without a
   /// history store answers covered=false and no entries.
-  std::optional<WindowInfo> coverage;
+  std::optional<collect::WindowCoverage> coverage;
   /// kSketches, in the target's order (see Target).
   std::vector<SketchEntry> entries;
   /// kScrape.
@@ -148,29 +137,5 @@ struct QueryReply {
 /// Throws std::runtime_error on malformed input. A count is checked against
 /// the bytes left before anything is reserved for it.
 [[nodiscard]] QueryReply decode_reply(const std::uint8_t* data, std::size_t size);
-
-// --- Record-batch trace trailer --------------------------------------------
-// A traced client appends one 21-byte trailer after the last RLES batch in a
-// kRecordBatch payload: "RLTC" | u8 version(1) | u64 trace_id | u64 span_id.
-// The agent peeks the 4-byte magic at each batch boundary (unambiguous vs
-// "RLES"), so untraced payloads are bit-identical to before and an agent that
-// predates tracing rejects the trailer like any other corrupt batch — which
-// is why clients only emit it when tracing is attached (version-gated
-// deployment rule in docs/WIRE.md).
-
-inline constexpr std::size_t kTraceTrailerSize = 4 + 1 + 8 + 8;
-inline constexpr std::uint8_t kTraceTrailerVersion = 1;
-
-/// Appends the trailer for `ctx` (which must be valid) to `buf`.
-void append_trace_trailer(std::vector<std::uint8_t>& buf, obs::TraceContext ctx);
-
-/// Does `data` start with the trailer magic? (A cheap boundary peek; does
-/// not validate the rest.)
-[[nodiscard]] bool is_trace_trailer(const std::uint8_t* data, std::size_t size);
-
-/// Decodes a trailer that must occupy exactly [data, data+size). Throws
-/// std::runtime_error on bad version, zero trace id, or size mismatch.
-[[nodiscard]] obs::TraceContext decode_trace_trailer(const std::uint8_t* data,
-                                                     std::size_t size);
 
 }  // namespace rlir::transport

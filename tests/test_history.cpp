@@ -6,9 +6,11 @@
 //     tier (raw log, mid, coarse) the epochs landed in. The reference model
 //     keeps every record in a plain per-epoch vector and merges on demand.
 //   * Boundedness: >= 1000 epochs of ingest stay under max_bytes, with the
-//     rlir_history_* gauges agreeing with the accessors.
+//     rlir_history_* cells, read straight after every batch, agreeing with
+//     the accessors.
 //   * Edge cases: empty store, idle epochs, single-epoch windows, reversed
-//     windows, evicted/future windows, late records, backward growth.
+//     windows, evicted/future windows, late records, backward growth, and
+//     windows ending at the last u32 epoch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -197,13 +199,13 @@ TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
     }
     // Coverage snaps OUTWARD at compacted edges: it must contain the whole
     // retained part of the request, never lose any of it.
-    EXPECT_LE(cov.covered_first, std::max(lo, oldest));
-    EXPECT_GE(cov.covered_last, std::min(hi, newest));
-    EXPECT_EQ(cov.records, direct_records(model, cov.covered_first, cov.covered_last));
+    EXPECT_LE(cov.first, std::max(lo, oldest));
+    EXPECT_GE(cov.last, std::min(hi, newest));
+    EXPECT_EQ(cov.records, direct_records(model, cov.first, cov.last));
     EXPECT_EQ(cov.complete, lo >= oldest && hi <= newest);
 
     // Fleet union == direct merge of every record in the covered range.
-    const auto want_fleet = direct_merge(model, cov.covered_first, cov.covered_last,
+    const auto want_fleet = direct_merge(model, cov.first, cov.last,
                                          [](const EstimateRecord&) { return true; });
     EXPECT_EQ(fleet.bins(), want_fleet.bins()) << "[" << lo << ", " << hi << "]";
     EXPECT_EQ(fleet.count(), want_fleet.count());
@@ -212,7 +214,7 @@ TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
     for (std::uint32_t flow = 0; flow < kFlows; ++flow) {
       const auto key = flow_key(flow);
       const auto got = store.window_flow(w_first, w_last, key);
-      const auto want = direct_merge(model, cov.covered_first, cov.covered_last,
+      const auto want = direct_merge(model, cov.first, cov.last,
                                      [&](const EstimateRecord& r) { return r.key == key; });
       ASSERT_EQ(got.has_value(), !want.empty()) << "flow " << flow;
       if (got.has_value()) {
@@ -223,7 +225,7 @@ TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
     }
     for (LinkId link = 0; link < kLinks; ++link) {
       const auto got = store.window_link(w_first, w_last, link);
-      const auto want = direct_merge(model, cov.covered_first, cov.covered_last,
+      const auto want = direct_merge(model, cov.first, cov.last,
                                      [&](const EstimateRecord& r) { return r.link == link; });
       ASSERT_EQ(got.has_value(), !want.empty()) << "link " << link;
       if (got.has_value()) {
@@ -237,8 +239,8 @@ TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
   (void)store.window_fleet(2, kEpochs - 2, &cov);
   std::vector<net::FiveTuple> want_flows;
   std::vector<LinkId> want_links;
-  for (auto it = model.lower_bound(cov.covered_first);
-       it != model.end() && it->first <= cov.covered_last; ++it) {
+  for (auto it = model.lower_bound(cov.first);
+       it != model.end() && it->first <= cov.last; ++it) {
     for (const auto& r : it->second) {
       want_flows.push_back(r.key);
       want_links.push_back(r.link);
@@ -252,7 +254,7 @@ TEST(HistoryStoreTest, WindowEqualsDirectMergeAcrossTiers) {
   ASSERT_EQ(got_flows.size(), want_flows.size());
   for (std::size_t i = 0; i < want_flows.size(); ++i) {
     EXPECT_EQ(got_flows[i].first, want_flows[i]);
-    const auto want = direct_merge(model, cov.covered_first, cov.covered_last,
+    const auto want = direct_merge(model, cov.first, cov.last,
                                    [&](const EstimateRecord& r) { return r.key == want_flows[i]; });
     EXPECT_EQ(got_flows[i].second.bins(), want.bins()) << "flow " << i;
   }
@@ -290,7 +292,7 @@ TEST(HistoryStoreTest, EvictedAndFutureWindowsAreUncovered) {
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(cov.covered);
   EXPECT_FALSE(cov.complete);
-  EXPECT_GE(cov.covered_first, oldest);
+  EXPECT_GE(cov.first, oldest);
 }
 
 TEST(HistoryStoreTest, LateRecordsMergeIntoCompactedSegments) {
@@ -381,6 +383,20 @@ TEST(HistoryStoreTest, MemoryStaysBoundedAcrossThousandEpochs) {
       const auto flow = static_cast<std::uint32_t>(rng.uniform(0.0, 64.0));
       store.ingest({make_record(epoch, flow, static_cast<LinkId>(flow % 4), rng)});
       ++ingested;
+      // The watchdog cells, read straight after the batch and before any
+      // accessor runs, already hold the store's state.
+      const auto snap = registry.snapshot();
+      std::int64_t bytes_gauge = -1;
+      std::int64_t epochs_gauge = -1;
+      std::uint64_t records_counter = 0;
+      for (const auto& sample : snap.samples) {
+        if (sample.name == "rlir_history_bytes") bytes_gauge = sample.gauge;
+        if (sample.name == "rlir_history_epochs") epochs_gauge = sample.gauge;
+        if (sample.name == "rlir_history_records_total") records_counter = sample.counter;
+      }
+      ASSERT_EQ(records_counter, ingested) << "epoch " << epoch;
+      ASSERT_EQ(bytes_gauge, static_cast<std::int64_t>(store.approx_bytes())) << epoch;
+      ASSERT_EQ(epochs_gauge, static_cast<std::int64_t>(store.epochs_retained())) << epoch;
     }
     if (epoch % 100 == 0) {
       EXPECT_LE(store.approx_bytes(), cfg.max_bytes) << "epoch " << epoch;
@@ -393,20 +409,39 @@ TEST(HistoryStoreTest, MemoryStaysBoundedAcrossThousandEpochs) {
   EXPECT_EQ(*store.last_epoch(), kEpochs - 1);
   // Retention is a contiguous recent range, and old epochs really left.
   EXPECT_GT(*store.first_retained_epoch(), 0u);
+}
 
-  // The watchdog gauges agree with the accessors.
-  const auto snap = registry.snapshot();
-  std::int64_t bytes_gauge = -1;
-  std::int64_t epochs_gauge = -1;
-  std::uint64_t records_counter = 0;
-  for (const auto& sample : snap.samples) {
-    if (sample.name == "rlir_history_bytes") bytes_gauge = sample.gauge;
-    if (sample.name == "rlir_history_epochs") epochs_gauge = sample.gauge;
-    if (sample.name == "rlir_history_records_total") records_counter = sample.counter;
+TEST(HistoryStoreTest, WindowsEndingAtTheLastEpochAreCovered) {
+  // The first record may carry any epoch, 2^32 - 1 included; a window ending
+  // there must visit that raw epoch once and stop.
+  constexpr std::uint32_t kTop = 0xffffffffu;
+  SketchHistoryStore store;
+  common::Xoshiro256 rng(5);
+  const EstimateRecord record = make_record(kTop, 3, 2, rng);
+  store.ingest({record});
+
+  for (const std::uint32_t first : {kTop - 15, kTop}) {
+    WindowCoverage cov;
+    const auto fleet = store.window_fleet(first, kTop, &cov);
+    EXPECT_TRUE(cov.covered) << first;
+    EXPECT_EQ(cov.complete, first == kTop) << first;
+    EXPECT_EQ(cov.first, kTop);
+    EXPECT_EQ(cov.last, kTop);
+    EXPECT_EQ(cov.records, 1u);
+    EXPECT_EQ(fleet.bins(), record.sketch.bins());
+
+    const auto link = store.window_link(first, kTop, record.link, &cov);
+    EXPECT_TRUE(cov.covered);
+    ASSERT_TRUE(link.has_value());
+    EXPECT_EQ(link->bins(), record.sketch.bins());
+
+    const auto flow = store.window_flow(first, kTop, record.key, &cov);
+    EXPECT_TRUE(cov.covered);
+    ASSERT_TRUE(flow.has_value());
+    EXPECT_EQ(flow->bins(), record.sketch.bins());
   }
-  EXPECT_EQ(bytes_gauge, static_cast<std::int64_t>(store.approx_bytes()));
-  EXPECT_EQ(epochs_gauge, static_cast<std::int64_t>(store.epochs_retained()));
-  EXPECT_EQ(records_counter, ingested);
+  EXPECT_EQ(store.window_flow_sketches(0, kTop).size(), 1u);
+  EXPECT_EQ(store.window_links(kTop - 1, kTop).size(), 1u);
 }
 
 // Concurrency smoke for the TSan pass: writers tee while readers window.

@@ -63,15 +63,17 @@ struct BaselineHistory {
           collect::CollectorConfig cfg;
           cfg.shard_count = testutil::kWorkloadShards;
           return cfg;
-        }()) {
-    collector.set_history(&store);
-  }
+        }()) {}
 
   collect::EpochScheduler::BatchSink make_sink() {
     // Only records seal epochs, in the baseline as in the sprayed agents, so
-    // both retain the same range.
+    // both retain the same range. Both stores ingest each record, as an
+    // agent tees each batch.
     return [this](std::uint32_t, const std::vector<collect::EstimateRecord>& batch) {
-      for (const auto& r : batch) collector.ingest({r});
+      for (const auto& r : batch) {
+        collector.ingest({r});
+        store.ingest({r});
+      }
     };
   }
 };
@@ -110,8 +112,8 @@ void expect_windows_match(transport::QueryCoordinator& coord,
     ASSERT_TRUE(got.sketch.has_value());
     EXPECT_EQ(got.sketch->bins(), want_fleet.bins()) << "[" << w_first << ", " << w_last << "]";
     EXPECT_EQ(got.sketch->count(), want_fleet.count());
-    EXPECT_EQ(got.window.first, want_cov.covered_first);
-    EXPECT_EQ(got.window.last, want_cov.covered_last);
+    EXPECT_EQ(got.window.first, want_cov.first);
+    EXPECT_EQ(got.window.last, want_cov.last);
     EXPECT_EQ(got.window.records, want_cov.records);
 
     // Every vantage's windowed distribution.

@@ -11,9 +11,11 @@
 //       shared trace carries the kDisconnect and kRebalance the kill
 //       caused, and every surviving agent's trace carries its connects.
 //
-// Plus the agent-scrape regression: a live agent's scrape carries each of
+// Plus the agent-scrape regressions: a live agent's scrape carries each of
 // the eight rlir_agent_*_total counters exactly once, with the agent's
-// instance label and the values CollectorAgent::stats() reports.
+// instance label and the values CollectorAgent::stats() reports; and with
+// history on, the store's record counter equals the collector's after every
+// frame.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -279,6 +281,38 @@ TEST(AgentScrape, CarriesEveryAgentCounterOnceWithStatsValues) {
       EXPECT_EQ(sample.labels, (obs::Labels{{"instance", "a7"}})) << name;
     }
     EXPECT_EQ(seen, 1u) << name;
+  }
+}
+
+TEST(AgentScrape, HistoryRecordsMatchIngestedAfterEveryFrame) {
+  transport::CollectorAgentConfig cfg;
+  cfg.enable_history = true;
+  transport::CollectorAgent agent(cfg);
+  auto [peer_end, agent_end] = transport::make_loopback();
+  agent.add_connection(std::move(agent_end));
+
+  // Frames that stay in an epoch, open the next, skip ahead and fall back:
+  // the store publishes its count before each batch's lock is released.
+  std::uint64_t records = 0;
+  std::uint16_t port = 1000;
+  for (const std::uint32_t epoch : {0u, 0u, 1u, 4u, 2u, 4u, 9u}) {
+    std::vector<collect::EstimateRecord> batch(1 + epoch % 3);
+    for (auto& record : batch) {
+      record.key.src_port = port++;
+      record.epoch = epoch;
+      record.sketch.add(4e3);
+    }
+    records += batch.size();
+    const auto bytes = transport::encode_frame(transport::FrameType::kRecordBatch,
+                                               collect::encode_records(batch));
+    ASSERT_EQ(peer_end->write_some(bytes.data(), bytes.size()), bytes.size());
+    ASSERT_EQ(agent.poll(), 1u);
+    const auto scrape = agent.scrape();
+    EXPECT_EQ(obs::counter_total(scrape.metrics, "rlir_agent_records_ingested_total"),
+              records)
+        << "epoch " << epoch;
+    EXPECT_EQ(obs::counter_total(scrape.metrics, "rlir_history_records_total"), records)
+        << "epoch " << epoch;
   }
 }
 

@@ -80,33 +80,40 @@ TEST(CoordinatorMerge, TopKDisjointPartsMergeWorstFirst) {
       {ranked(3, 700.0), ranked(4, 100.0)},
       {ranked(5, 800.0)},
   };
-  const auto merged = merge_ranked_top_k(parts, 3);
+  // Disjoint parts have no duplicate to resolve.
+  const FlowResolver never = [](const net::FiveTuple&) {
+    ADD_FAILURE() << "resolver called on disjoint parts";
+    return std::optional<collect::RankedFlowSummary>{};
+  };
+  const auto merged = merge_ranked_top_k(parts, 3, never);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].second.key.src_port, 1);
   EXPECT_EQ(merged[1].second.key.src_port, 5);
   EXPECT_EQ(merged[2].second.key.src_port, 3);
   // k larger than the union: everything, still sorted.
-  EXPECT_EQ(merge_ranked_top_k(parts, 100).size(), 5u);
+  EXPECT_EQ(merge_ranked_top_k(parts, 100, never).size(), 5u);
 }
 
-TEST(CoordinatorMerge, TopKDuplicatesResolveExactlyOrWorstWins) {
+TEST(CoordinatorMerge, TopKDuplicatesResolveExactly) {
   const std::vector<std::vector<collect::RankedFlowSummary>> parts = {
       {ranked(7, 300.0)},
       {ranked(7, 400.0)},
   };
-  // Without a resolver the worse rank is kept (deterministic fallback).
-  auto merged = merge_ranked_top_k(parts, 4);
-  ASSERT_EQ(merged.size(), 1u);
-  EXPECT_EQ(merged[0].first, 400.0);
-
-  // With a resolver the duplicate is re-derived (e.g. from the merged
-  // sketch: 300 + 400 worth of records might rank at 650).
-  merged = merge_ranked_top_k(parts, 4, [](const net::FiveTuple& key) {
+  // The duplicate is re-derived (e.g. from the merged sketch: 300 + 400
+  // worth of records might rank at 650).
+  auto merged = merge_ranked_top_k(parts, 4, [](const net::FiveTuple& key) {
     return collect::RankedFlowSummary{650.0, collect::FlowSummary{key, 60, 0, 0, 650.0, 0}};
   });
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].first, 650.0);
   EXPECT_EQ(merged[0].second.packets, 60u);
+
+  // A resolver that finds nothing keeps the first part's entry.
+  merged = merge_ranked_top_k(parts, 4, [](const net::FiveTuple&) {
+    return std::optional<collect::RankedFlowSummary>{};
+  });
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].first, 300.0);
 }
 
 TEST(CoordinatorMerge, SummarizeFlowMatchesCollectorDerivation) {

@@ -1,11 +1,13 @@
 // ShardedCollector: hash routing, cross-shard/epoch merging, the query API
-// (flow quantiles, link distributions, fleet union, top-k), and the
-// bounded-memory accounting.
+// (flow quantiles, link distributions, fleet union, top-k), the epoch
+// accounting against a set oracle, and the bounded-memory accounting.
 #include "collect/sharded_collector.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -75,6 +77,54 @@ TEST(ShardedCollectorTest, RecordsForSameFlowMergeAcrossLinksAndEpochs) {
   EXPECT_EQ(sketch->count(), direct.count());
   EXPECT_EQ(collector.epoch_count(), 2u);
   EXPECT_EQ(collector.flow_count(), 1u);
+}
+
+TEST(ShardedCollectorTest, EpochsMatchASetOracle) {
+  // Shuffled runs with gaps, random repeats, and both ends of the u32 range,
+  // spread over several shards by flow: the per-shard runs must answer
+  // exactly as one set of every epoch would.
+  common::Xoshiro256 rng(29);
+  CollectorConfig config;
+  config.shard_count = 4;
+  ShardedCollector collector(config);
+  std::vector<std::uint32_t> epochs;
+  for (std::uint32_t e = 100; e < 400; ++e) {
+    if (e % 7 != 3) epochs.push_back(e);
+  }
+  for (int i = 0; i < 300; ++i) {
+    epochs.push_back(static_cast<std::uint32_t>(rng.uniform_u64(1000)));
+  }
+  for (const std::uint32_t e : {0xfffffffdu, 0xfffffffeu, 0xffffffffu, 0u, 1u}) {
+    epochs.push_back(e);
+  }
+  std::shuffle(epochs.begin(), epochs.end(), rng);
+
+  std::set<std::uint32_t> oracle;
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    const auto flow = static_cast<std::uint32_t>(i % 16);
+    collector.ingest({make_record(flow, 0, epochs[i], 1e3, rng, 1)});
+    oracle.insert(epochs[i]);
+    if (i % 50 == 0) {
+      ASSERT_EQ(collector.epoch_count(), oracle.size()) << i;
+    }
+  }
+  EXPECT_EQ(collector.epochs_seen(), std::vector<std::uint32_t>(oracle.begin(), oracle.end()));
+  EXPECT_EQ(collector.epoch_count(), oracle.size());
+  EXPECT_EQ(collector.snapshot().epochs_seen(), collector.epochs_seen());
+}
+
+TEST(ShardedCollectorTest, EpochRunsDoNotMergeAcrossTheWrap) {
+  // 2^32 - 1 and 0 are not neighbours, in either arrival order.
+  for (const auto& order : {std::vector<std::uint32_t>{0xfffffffeu, 0xffffffffu, 0u},
+                            std::vector<std::uint32_t>{0u, 0xffffffffu, 0xfffffffeu},
+                            std::vector<std::uint32_t>{0xffffffffu, 0u, 0xfffffffeu}}) {
+    common::Xoshiro256 rng(31);
+    ShardedCollector collector(CollectorConfig{1});
+    for (const std::uint32_t e : order) collector.ingest({make_record(1, 0, e, 1e3, rng, 1)});
+    EXPECT_EQ(collector.epochs_seen(),
+              (std::vector<std::uint32_t>{0u, 0xfffffffeu, 0xffffffffu}));
+    EXPECT_EQ(collector.epoch_count(), 3u);
+  }
 }
 
 TEST(ShardedCollectorTest, ShardingSpreadsFlowsDeterministically) {

@@ -1,8 +1,8 @@
-// The tracing additions to the wire codecs: the 21-byte RLTC record-batch
-// trailer and the span-ring reply body — round-trips plus the
-// reject-don't-guess validations (bad version, zero ids, out-of-range span
-// kinds, truncation, trailing bytes). The query's trace context is covered
-// with the rest of the query codec in test_transport_query.cpp.
+// The tracing addition to the reply codec: the span-ring reply body —
+// round-trips plus the reject-don't-guess validations (zero span ids,
+// out-of-range span kinds, truncation, trailing bytes). The trace context
+// every frame carries in its header is covered with the rest of the framing
+// in test_transport_frame.cpp.
 #include "transport/messages.h"
 
 #include <gtest/gtest.h>
@@ -27,41 +27,6 @@ obs::Span sample_span(std::uint64_t trace_id, std::uint64_t span_id,
   span.end_ns = 1'700'000'000'123'500'000;
   span.label = std::move(label);
   return span;
-}
-
-TEST(TracingWireTest, TraceTrailerRoundTrips) {
-  std::vector<std::uint8_t> buf;
-  append_trace_trailer(buf, obs::TraceContext{0xdeadbeefULL, 0xfeedfaceULL});
-  ASSERT_EQ(buf.size(), kTraceTrailerSize);
-  EXPECT_TRUE(is_trace_trailer(buf.data(), buf.size()));
-
-  const auto ctx = decode_trace_trailer(buf.data(), buf.size());
-  EXPECT_EQ(ctx.trace_id, 0xdeadbeefULL);
-  EXPECT_EQ(ctx.span_id, 0xfeedfaceULL);
-}
-
-TEST(TracingWireTest, TraceTrailerRejectsMalformed) {
-  std::vector<std::uint8_t> buf;
-  append_trace_trailer(buf, obs::TraceContext{1, 2});
-
-  // The magic peek must not confuse a batch header for a trailer.
-  const std::uint8_t rles[] = {'R', 'L', 'E', 'S', 0, 0, 0, 0};
-  EXPECT_FALSE(is_trace_trailer(rles, sizeof rles));
-  EXPECT_FALSE(is_trace_trailer(buf.data(), 3));  // too short to hold magic
-
-  auto bad_version = buf;
-  bad_version[4] = 9;
-  EXPECT_THROW((void)decode_trace_trailer(bad_version.data(), bad_version.size()),
-               std::runtime_error);
-
-  auto zero_trace = buf;
-  for (std::size_t i = 0; i < 8; ++i) zero_trace[5 + i] = 0;
-  EXPECT_THROW((void)decode_trace_trailer(zero_trace.data(), zero_trace.size()),
-               std::runtime_error);
-
-  EXPECT_THROW((void)decode_trace_trailer(buf.data(), buf.size() - 1), std::runtime_error);
-  buf.push_back(0);  // trailer must occupy EXACTLY the remaining bytes
-  EXPECT_THROW((void)decode_trace_trailer(buf.data(), buf.size()), std::runtime_error);
 }
 
 QueryReply sample_trace_reply() {

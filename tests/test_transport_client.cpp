@@ -213,8 +213,12 @@ TEST(TransportClient, AgentDropsGarbageSpeakingPeer) {
   auto [client_end, agent_end] = make_loopback();
   agent.add_connection(std::move(agent_end));
 
+  // One frame header's worth of bytes, starting with a bad magic.
   const std::uint8_t garbage[] = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x01, 0x02, 0x03,
-                                  0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b};
+                                  0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b,
+                                  0x0c, 0x0d, 0x0e, 0x0f, 0x10, 0x11, 0x12, 0x13,
+                                  0x14, 0x15, 0x16, 0x17, 0x18, 0x19, 0x1a, 0x1b};
+  static_assert(sizeof(garbage) == kFrameHeaderSize);
   ASSERT_EQ(client_end->write_some(garbage, sizeof(garbage)), sizeof(garbage));
   agent.poll();
   EXPECT_EQ(agent.protocol_errors(), 1u);

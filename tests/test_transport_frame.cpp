@@ -1,14 +1,19 @@
 // The framed message layer: exact round-trips under arbitrary stream
-// chunking, and rejection of every corruption class the protocol guards
-// against — bad magic, wrong version, unknown type, reserved bits,
-// implausible lengths, and payload CRC mismatches.
+// chunking, the header's trace context, and rejection of every corruption
+// class the protocol guards against — bad magic, wrong version, unknown
+// type, reserved bits, implausible lengths, and CRC mismatches in the trace
+// bytes or the payload.
 #include "transport/frame.h"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
+
+#include "net/hash.h"
 
 namespace rlir::transport {
 namespace {
@@ -37,6 +42,48 @@ TEST(TransportFrame, RoundTripsOneFrame) {
   EXPECT_EQ(bytes_of(*frame), payload);
   EXPECT_FALSE(decoder.next_view().has_value());
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
+}
+
+/// Header offsets of the CRC and the trace context (docs/WIRE.md).
+constexpr std::size_t kCrcAt = 12;
+constexpr std::size_t kTraceAt = 16;
+
+TEST(TransportFrame, RoundTripsTraceContext) {
+  const auto payload = payload_of(40);
+  const obs::TraceContext trace{0x1122334455667788ULL, 0xa1b2c3d4e5f60718ULL};
+  const auto bytes = encode_frame(FrameType::kRecordBatch, payload, trace);
+  ASSERT_EQ(bytes.size(), kFrameHeaderSize + payload.size());
+  // trace_id then span_id, little-endian, ending the header.
+  EXPECT_EQ(bytes[kTraceAt], 0x88);
+  EXPECT_EQ(bytes[kTraceAt + 7], 0x11);
+  EXPECT_EQ(bytes[kTraceAt + 8], 0x18);
+  EXPECT_EQ(bytes[kTraceAt + 15], 0xa1);
+  // The CRC covers the trace bytes, then the payload: one digest over the
+  // header's tail and the payload, equal to the chained digests.
+  const std::uint32_t crc = static_cast<std::uint32_t>(bytes[kCrcAt]) |
+                            static_cast<std::uint32_t>(bytes[kCrcAt + 1]) << 8 |
+                            static_cast<std::uint32_t>(bytes[kCrcAt + 2]) << 16 |
+                            static_cast<std::uint32_t>(bytes[kCrcAt + 3]) << 24;
+  const auto tail = std::as_bytes(std::span(bytes).subspan(kTraceAt));
+  EXPECT_EQ(crc, net::crc32c(tail));
+  EXPECT_EQ(crc, net::crc32c(tail.subspan(16), net::crc32c(tail.first(16))));
+
+  FrameDecoder decoder;
+  decoder.feed(bytes.data(), bytes.size());
+  const auto frame = decoder.next_view();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->trace.trace_id, trace.trace_id);
+  EXPECT_EQ(frame->trace.span_id, trace.span_id);
+  EXPECT_EQ(bytes_of(*frame), payload);
+
+  // Untraced is sixteen zero bytes, and decodes as no context.
+  const auto plain = encode_frame(FrameType::kRecordBatch, payload);
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(plain[kTraceAt + i], 0u) << i;
+  decoder.feed(plain.data(), plain.size());
+  const auto untraced = decoder.next_view();
+  ASSERT_TRUE(untraced.has_value());
+  EXPECT_FALSE(untraced->trace.valid());
+  EXPECT_EQ(untraced->trace.span_id, 0u);
 }
 
 TEST(TransportFrame, RoundTripsEmptyPayload) {
@@ -141,6 +188,21 @@ TEST(TransportFrame, RejectsCorruptPayload) {
   FrameDecoder decoder;
   decoder.feed(bytes.data(), bytes.size());
   EXPECT_THROW((void)decoder.next_view(), FrameError);
+}
+
+TEST(TransportFrame, RejectsCorruptTraceBytes) {
+  // The trace context is under the CRC like the payload: any flipped bit in
+  // it, traced or untraced, poisons the stream instead of misparenting spans.
+  for (const obs::TraceContext trace : {obs::TraceContext{}, obs::TraceContext{7, 9}}) {
+    const auto good = encode_frame(FrameType::kQuery, payload_of(24), trace);
+    for (std::size_t i = 0; i < 16; ++i) {
+      auto bytes = good;
+      bytes[kTraceAt + i] ^= 0x01;
+      FrameDecoder decoder;
+      decoder.feed(bytes.data(), bytes.size());
+      EXPECT_THROW((void)decoder.next_view(), FrameError) << "trace byte " << i;
+    }
+  }
 }
 
 TEST(TransportFrame, PoisonedDecoderKeepsThrowing) {

@@ -1,12 +1,13 @@
-// The query-plane codec: one Query (a target, an optional epoch window, the
-// trace context) and one QueryReply (an optional coverage block, then sketch
-// entries, a scrape, or spans). Round-trips every valid (target, window)
-// pair and every reply body, and checks each reject-don't-guess rule: an
-// unknown target or body, a window where the history store reports no
-// coverage, a reversed window, reserved flag bits, a quantile outside
-// [0, 1], a wrong size, trailing bytes, and an entry count the payload
-// cannot hold. Known-answer bytes pin one sketch entry. RLTF frames of
-// versions 1-3 are refused.
+// The query-plane codec: one Query (a target and an optional epoch window;
+// its trace context rides the frame header) and one QueryReply (an optional
+// coverage block, then sketch entries, a scrape, or spans). Round-trips
+// every valid (target, window) pair and every reply body, and checks each
+// reject-don't-guess rule: an unknown target or body, a window where the
+// history store reports no coverage, a reversed window, reserved flag bits,
+// a quantile outside [0, 1], a wrong size, trailing bytes, and an entry
+// count the payload cannot hold. Known-answer bytes pin one sketch entry.
+// RLTF frames of versions 1-5 are refused. An agent answers a window that
+// ends at the last u32 epoch and keeps serving.
 #include "transport/messages.h"
 
 #include <gtest/gtest.h>
@@ -14,20 +15,23 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "transport/agent.h"
+#include "transport/byte_stream.h"
+#include "transport/client.h"
 #include "transport/frame.h"
 
 namespace rlir::transport {
 namespace {
 
-/// target | flags | link | 5-tuple | k | q | first | last | trace | parent.
-constexpr std::size_t kQuerySize = 1 + 1 + 4 + 13 + 4 + 8 + 4 + 4 + 8 + 8;
+/// target | flags | link | 5-tuple | k | q | first | last.
+constexpr std::size_t kQuerySize = 1 + 1 + 4 + 13 + 4 + 8 + 4 + 4;
 constexpr std::size_t kQueryFlags = 1;
-constexpr std::size_t kQueryTrace = 1 + 1 + 4 + 13 + 4 + 8 + 4 + 4;
 
 constexpr Target kAllTargets[] = {Target::kFleet,  Target::kLink,    Target::kLinks,
                                   Target::kFlow,   Target::kTopK,    Target::kMetrics,
@@ -53,7 +57,7 @@ bool windowable(Target target) {
 
 void expect_round_trips(const Query& want) {
   const auto bytes = encode_query(want);
-  ASSERT_EQ(bytes.size(), kQuerySize);  // one size, traced or not
+  ASSERT_EQ(bytes.size(), kQuerySize);
   const Query got = decode_query(bytes.data(), bytes.size());
   EXPECT_EQ(got.target, want.target);
   EXPECT_EQ(got.link, want.link);
@@ -65,8 +69,6 @@ void expect_round_trips(const Query& want) {
     EXPECT_EQ(got.window->first, want.window->first);
     EXPECT_EQ(got.window->last, want.window->last);
   }
-  EXPECT_EQ(got.trace.trace_id, want.trace.trace_id);
-  EXPECT_EQ(got.trace.span_id, want.trace.span_id);
 }
 
 void expect_rejected(const std::vector<std::uint8_t>& bytes) {
@@ -90,26 +92,23 @@ common::LatencySketch sample_sketch(int n) {
 // --- Query ------------------------------------------------------------------
 
 TEST(TransportQuery, EveryValidTargetAndWindowRoundTrips) {
-  // Untraced (trace id 0) and traced; for a span pull the trace id is the
-  // ring filter. A window only where the history store reports coverage.
-  const obs::TraceContext traces[] = {
-      {}, {0x1122334455667788ULL, 0xa1b2c3d4e5f60718ULL}, {42, 0}};
+  // A window only where the history store reports coverage.
   for (const Target target : kAllTargets) {
-    for (const auto& trace : traces) {
-      Query q = sample_query(target);
-      q.trace = trace;
-      SCOPED_TRACE(query_name(q) + " trace " + std::to_string(trace.trace_id));
-      expect_round_trips(q);
-      if (!windowable(target)) continue;
-      q.window = EpochWindow{3, 1u << 20};
-      expect_round_trips(q);
-      q.window = EpochWindow{7, 7};  // a one-epoch window is not reversed
-      expect_round_trips(q);
-    }
+    Query q = sample_query(target);
+    SCOPED_TRACE(query_name(q));
+    expect_round_trips(q);
+    if (!windowable(target)) continue;
+    q.window = EpochWindow{3, 1u << 20};
+    expect_round_trips(q);
+    q.window = EpochWindow{7, 7};  // a one-epoch window is not reversed
+    expect_round_trips(q);
+    q.window = EpochWindow{0xfffffff0u, 0xffffffffu};  // up to the last epoch
+    expect_round_trips(q);
   }
-  // Untraced means sixteen zero bytes, not an absent block.
-  const auto bytes = encode_query(sample_query(Target::kTopK));
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(bytes[kQueryTrace + i], 0u);
+  // The trace context is not payload: the frame header carries it.
+  Query traced = sample_query(Target::kTopK);
+  traced.trace = obs::TraceContext{0x1122334455667788ULL, 0xa1b2c3d4e5f60718ULL};
+  EXPECT_EQ(encode_query(traced), encode_query(sample_query(Target::kTopK)));
 }
 
 TEST(TransportQuery, DecodeRejectsMalformedQueries) {
@@ -155,7 +154,7 @@ TEST(TransportQuery, SketchReplyRoundTripsWithAndWithoutCoverage) {
   reply.entries.push_back({4, {}, sample_sketch(0)});               // empty link
   reply.entries.push_back({0, sample_flow(), sample_sketch(100)});  // flow-shaped
   for (const bool covered : {false, true}) {
-    if (covered) reply.coverage = WindowInfo{true, false, 7, 21, 123456};
+    if (covered) reply.coverage = collect::WindowCoverage{true, false, 7, 21, 123456};
     const auto bytes = encode_reply(reply);
     const auto back = decode_reply(bytes.data(), bytes.size());
     EXPECT_EQ(back.body, ReplyBody::kSketches);
@@ -179,7 +178,7 @@ TEST(TransportQuery, SketchReplyRoundTripsWithAndWithoutCoverage) {
 
   // Uncovered window, or an unseen flow or link: no entries at all.
   QueryReply empty;
-  empty.coverage = WindowInfo{};
+  empty.coverage = collect::WindowCoverage{};
   const auto bytes = encode_reply(empty);
   const auto back = decode_reply(bytes.data(), bytes.size());
   ASSERT_TRUE(back.coverage.has_value());
@@ -239,7 +238,7 @@ TEST(TransportQuery, ScrapeReplyRoundTrips) {
 
 TEST(TransportQuery, DecodeRejectsMalformedReplies) {
   QueryReply reply;
-  reply.coverage = WindowInfo{true, true, 1, 2, 3};
+  reply.coverage = collect::WindowCoverage{true, true, 1, 2, 3};
   reply.entries.push_back({1, sample_flow(), sample_sketch(5)});
   const auto good = encode_reply(reply);
   ASSERT_NO_THROW((void)decode_reply(good.data(), good.size()));
@@ -280,18 +279,65 @@ TEST(TransportQuery, DecodeRejectsMalformedReplies) {
 // --- Framing ------------------------------------------------------------------
 
 TEST(TransportQuery, VersionOneFrameIsRefused) {
-  // Frame version 5 carries records without an RLI sender. A peer still
+  // Frame version 6 carries the trace context in its header. A peer still
   // speaking the per-kind query layouts (version 1), the scrape with
-  // per-kind event totals (version 2), the old sketch segment (version 3)
-  // or records with a sender (version 4) is dropped at its first frame.
-  ASSERT_EQ(kFrameVersion, 5);
-  for (const int old_version : {1, 2, 3, 4}) {
+  // per-kind event totals (version 2), the old sketch segment (version 3),
+  // records with a sender (version 4) or trace fields in the query payload
+  // (version 5) is dropped at its first frame.
+  ASSERT_EQ(kFrameVersion, 6);
+  for (const int old_version : {1, 2, 3, 4, 5}) {
     auto bytes = encode_frame(FrameType::kQuery, encode_query(Query{}));
     bytes[4] = static_cast<std::uint8_t>(old_version);
     FrameDecoder decoder;
     decoder.feed(bytes.data(), bytes.size());
     EXPECT_THROW((void)decoder.next_view(), FrameError) << old_version;
   }
+}
+
+// --- Agent over loopback ------------------------------------------------------
+
+TEST(TransportQuery, AgentAnswersAWindowEndingAtTheLastEpoch) {
+  // The first record a store sees may carry any epoch, 2^32 - 1 included,
+  // and decode admits a window ending there: the agent must answer it and
+  // stay up.
+  CollectorAgentConfig cfg;
+  cfg.enable_history = true;
+  CollectorAgent agent(cfg);
+  CollectorClient client(CollectorClientConfig{}, [&agent]() -> std::unique_ptr<ByteStream> {
+    auto [client_end, agent_end] = make_loopback();
+    agent.add_connection(std::move(agent_end));
+    return std::move(client_end);
+  });
+  collect::EstimateRecord record;
+  record.key = sample_flow();
+  record.link = 17;
+  record.epoch = 0xffffffffu;
+  record.sketch = sample_sketch(10);
+  client.submit(record.epoch, {record});
+  ASSERT_TRUE(client.drain());
+  const auto drive = [&agent] { (void)agent.poll(); };
+
+  for (const Target target : {Target::kFleet, Target::kLink, Target::kFlow}) {
+    Query q = sample_query(target);
+    q.window = EpochWindow{0xfffffff0u, 0xffffffffu};
+    SCOPED_TRACE(query_name(q));
+    const auto reply = client.query(q, 1000, drive);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_TRUE(reply->coverage.has_value());
+    EXPECT_TRUE(reply->coverage->covered);
+    EXPECT_FALSE(reply->coverage->complete);  // epochs below it were never seen
+    EXPECT_EQ(reply->coverage->first, 0xffffffffu);
+    EXPECT_EQ(reply->coverage->last, 0xffffffffu);
+    EXPECT_EQ(reply->coverage->records, 1u);
+    ASSERT_EQ(reply->entries.size(), 1u);
+    EXPECT_EQ(reply->entries[0].sketch.bins(), record.sketch.bins());
+  }
+  // Still serving: a live query on the same connection.
+  const auto live = client.query(Query{.target = Target::kFleet}, 1000, drive);
+  ASSERT_TRUE(live.has_value());
+  ASSERT_EQ(live->entries.size(), 1u);
+  EXPECT_EQ(live->entries[0].sketch.count(), record.sketch.count());
+  EXPECT_EQ(agent.protocol_errors(), 0u);
 }
 
 }  // namespace
