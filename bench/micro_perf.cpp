@@ -326,15 +326,14 @@ collect::ShardedCollector& filled_collector(std::size_t flows) {
 
 // top_k_ranked(10, 0.99) over N flows (20,000, and 137,000 for
 // mouse_flows' ~137k) in 8 shards, in two modes. Mode 1: a small ingest
-// before each query, one record per shard, leaves every shard's rank index
-// stale, so each query re-ranks every flow (the ingest is untimed). Mode 0:
-// nothing is ingested between queries, so each reads the fresh indexes. The
-// baseline for work on the rank index.
+// before each query, one record per shard, drops every shard's cached
+// answer, so each query scans every flow (the ingest is untimed). Mode 0:
+// nothing is ingested between queries, so each copies the cached answers.
 void BM_CollectorTopK(benchmark::State& state) {
   const auto flows = static_cast<std::size_t>(state.range(0));
   const bool stale = state.range(1) != 0;
   auto& collector = filled_collector(flows);
-  // One existing flow per shard, re-ingested to mark its shard stale.
+  // One existing flow per shard, re-ingested to drop its shard's cache.
   std::vector<collect::EstimateRecord> touch(8);
   const auto& keys = flow_keys(flows);
   for (std::size_t i = 0, found = 0; found < touch.size() && i < flows; ++i) {
@@ -344,7 +343,7 @@ void BM_CollectorTopK(benchmark::State& state) {
     r.sketch.add(8e3);
     ++found;
   }
-  benchmark::DoNotOptimize(collector.top_k_ranked(10, 0.99));  // index built
+  benchmark::DoNotOptimize(collector.top_k_ranked(10, 0.99));  // answers cached
   for (auto _ : state) {
     if (stale) {
       state.PauseTiming();

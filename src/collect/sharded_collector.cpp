@@ -35,12 +35,11 @@ ShardedCollector::ShardedCollector(CollectorConfig config)
 
 void ShardedCollector::merge_record(Shard& shard, const RecordView& record) {
   merge_sketch_view(shard.flows.try_emplace(record.key).first->second, record.sketch);
-  shard.rank_stale = true;
+  shard.top_k = 0;
   // A link's records scatter across flow shards, so link aggregates are kept
   // per shard and unioned at query time (exact merge makes that lossless).
   merge_sketch_view(shard.links.try_emplace(record.link).first->second, record.sketch);
   note_epoch(shard.epochs, record.epoch);
-  ++shard.records;
   shard.estimates += record.sketch.count();
 }
 
@@ -78,7 +77,6 @@ void ShardedCollector::ingest(const std::vector<RecordView>& batch) {
     g.shard_of[i] = shard_for(batch[i].key);
     ++g.bounds[g.shard_of[i]];
   }
-  submitted_->add(batch.size());
   // Counting sort: the prefix sums make bounds[s] the end of shard s's
   // share, and filling from the back walks it down to the start while
   // keeping each shard's records in batch order.
@@ -106,24 +104,18 @@ void ShardedCollector::ingest(const std::vector<RecordView>& batch) {
       merge_record(shard, batch[g.order[k]]);
     }
   }
+  submitted_->add(batch.size());
 }
 
 void ShardedCollector::ingest(const std::vector<EstimateRecord>& batch) {
   ingest(encode_views(batch).views);
 }
 
-void ShardedCollector::refresh_rank(const Shard& shard, double q) const {
-  if (!shard.rank_stale && shard.rank_q == q) return;
-  shard.rank.clear();
-  for (const auto& [key, sketch] : shard.flows) shard.rank.insert({sketch.quantile(q), key});
-  shard.rank_q = q;
-  shard.rank_stale = false;
-}
-
 ShardedCollector ShardedCollector::snapshot() const {
   CollectorConfig cfg = config_;
   cfg.instruments = {};
   ShardedCollector copy(cfg);
+  copy.submitted_->add(submitted_->value());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& from = *shards_[s];
     Shard& to = *copy.shards_[s];
@@ -136,9 +128,7 @@ ShardedCollector ShardedCollector::snapshot() const {
     for (const auto& [link_id, sketch] : from.links) {
       to.links.try_emplace(link_id).first->second.merge(sketch);
     }
-    to.rank_stale = true;  // the copy ranks its own flows on first top-k
     to.epochs = from.epochs;
-    to.records = from.records;
     to.estimates = from.estimates;
   }
   return copy;
@@ -247,22 +237,41 @@ std::vector<FlowSummary> ShardedCollector::top_k_flows(std::size_t k, double q) 
   return strip_ranks(top_k_ranked(k, q));
 }
 
+void select_worst_first(std::vector<RankedFlowSummary>& ranked, std::size_t k) {
+  const auto last = ranked.begin() + static_cast<std::ptrdiff_t>(std::min(k, ranked.size()));
+  std::partial_sort(ranked.begin(), last, ranked.end(), ranked_worse_first);
+  ranked.erase(last, ranked.end());
+}
+
+void ShardedCollector::rank_shard(const Shard& shard, std::size_t k, double q) {
+  if (k <= shard.top_k && q == shard.top_q) return;
+  // One quantile per flow; only the winners are summarized. The scratch is
+  // sized by the flows present, the cache by the winners.
+  std::vector<RankedFlowSummary> ranked;
+  ranked.reserve(shard.flows.size());
+  for (const auto& [key, sketch] : shard.flows) {
+    ranked.emplace_back(sketch.quantile(q), FlowSummary{.key = key});
+  }
+  select_worst_first(ranked, k);
+  for (auto& [value, summary] : ranked) {
+    summary = summarize(summary.key, shard.flows.at(summary.key));
+  }
+  ranked.shrink_to_fit();  // the cache keeps the winners' room, not the scan's
+  shard.top = std::move(ranked);
+  shard.top_q = q;
+  shard.top_k = k;
+}
+
 std::vector<RankedFlowSummary> ShardedCollector::top_k_ranked(std::size_t k, double q) const {
-  // The global top-k is contained in the union of the per-shard top-k's:
-  // take each shard's first k in rank order, then re-sort with the shared
-  // ordering contract and truncate.
+  // The global top-k is contained in the union of the per-shard top-k's.
   std::vector<RankedFlowSummary> top;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mu);
-    refresh_rank(*shard, q);
-    std::size_t taken = 0;
-    for (auto it = shard->rank.begin(); it != shard->rank.end() && taken < k; ++it, ++taken) {
-      const auto& [value, key] = *it;
-      top.emplace_back(value, summarize(key, shard->flows.at(key)));
-    }
+    rank_shard(*shard, k, q);
+    const auto n = static_cast<std::ptrdiff_t>(std::min(k, shard->top.size()));
+    top.insert(top.end(), shard->top.begin(), shard->top.begin() + n);
   }
-  std::sort(top.begin(), top.end(), ranked_worse_first);
-  if (top.size() > k) top.resize(k);
+  select_worst_first(top, k);
   return top;
 }
 
@@ -288,14 +297,7 @@ std::size_t ShardedCollector::flow_count() const {
   return n;
 }
 
-std::uint64_t ShardedCollector::records_ingested() const {
-  std::uint64_t n = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mu);
-    n += shard->records;
-  }
-  return n;
-}
+std::uint64_t ShardedCollector::records_ingested() const { return submitted_->value(); }
 
 std::uint64_t ShardedCollector::estimates_ingested() const {
   std::uint64_t n = 0;

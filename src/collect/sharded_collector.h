@@ -9,34 +9,32 @@
 // partitioned agents' answers bin for bin (transport/coordinator.h).
 //
 // Threading: every method may be called from any thread (flow()'s pointer
-// carries its own caveat). Each shard owns a mutex over its maps, rank
-// index, epoch runs and counts. An ingest groups the batch by shard and
-// merges each shard's share under one hold of that shard's lock, so
-// producers on different shards merge in parallel. No code path holds two
+// carries its own caveat). Each shard owns a mutex over its maps, cached
+// top-k answer, epoch runs and estimate count. An ingest groups the batch by
+// shard and merges each shard's share under one hold of that shard's lock,
+// so producers on different shards merge in parallel. No code path holds two
 // shard locks at once. An ingest is complete when it returns: a query
-// issued after it sees it. Because merge is exact and commutative, any
-// interleaving of producers converges to the state one thread would reach
-// on the same records, bin for bin.
+// issued after it sees it, and the record count includes it. Because merge
+// is exact and commutative, any interleaving of producers converges to the
+// state one thread would reach on the same records, bin for bin.
 //
 // Query API: per-flow quantiles, per-link latency distributions, fleet-wide
-// distribution, and top-k worst-latency flows. Top-k is served from a
-// per-shard rank index (each shard keeps its flows ordered worst-first at
-// the quantile last asked): each shard contributes its first k entries and
-// the union is re-sorted — O(k·shards) per query instead of a full scan that
-// re-sketches every flow. The index is keyed on the quantile asked and
-// rebuilt lazily: ingest only marks the shard stale, and the first top-k
-// query after a write, or at a different quantile, re-ranks that shard's
-// flows under its lock. Collection is millions of records between queries,
-// and a deployment asks at one quantile, so paying O(flows·log flows) once
-// per query instead of O(log flows) plus a quantile walk on EVERY record is
-// the right side of the trade by orders of magnitude.
+// distribution, and top-k worst-latency flows. Each shard caches its last
+// top-k answer: its worst flows at the quantile last asked, at most as many
+// as were asked for. A top-k query re-scans a shard only if the shard was
+// merged into since its last scan, was last ranked at another quantile, or
+// was last asked for fewer flows; the scan takes one quantile per flow,
+// selects the worst with std::partial_sort and summarizes only those.
+// Otherwise the query copies the cached entries and touches no flow. The
+// shards' answers then go through the same selection. Ingest pays one store
+// per record to drop the cache, and the cache holds at most the largest k
+// asked since the shard last changed (or its flows, if fewer).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -71,7 +69,7 @@ struct FlowSummary {
 /// A summary with its top-k ranking value (the flow's quantile-q latency).
 using RankedFlowSummary = std::pair<double, FlowSummary>;
 
-/// The worst-first ordering contract every top-k path shares — rank index,
+/// The worst-first ordering contract every top-k path shares — shard scan,
 /// full scan, and the coordinator's cross-agent merge: higher value first,
 /// flow key as the deterministic tie-break.
 [[nodiscard]] inline bool ranked_worse_first(const RankedFlowSummary& a,
@@ -80,8 +78,14 @@ using RankedFlowSummary = std::pair<double, FlowSummary>;
   return a.second.key < b.second.key;
 }
 
+/// Keeps the `k` worst entries, worst first (ranked_worse_first): the one
+/// selection every top-k merge shares — a shard's scan, the union of the
+/// shards' answers, and the coordinator's union of agents' answers. It
+/// allocates nothing, so a peer's `k` sizes nothing.
+void select_worst_first(std::vector<RankedFlowSummary>& ranked, std::size_t k);
+
 /// The summary derived from a flow's merged sketch — the one derivation
-/// every top-k path uses (collector, rank index, coordinator), so a summary
+/// every top-k path uses (collector, full scan, coordinator), so a summary
 /// rebuilt from a sketch shipped over the wire is identical to the local one.
 [[nodiscard]] FlowSummary summarize(const net::FiveTuple& key,
                                     const common::LatencySketch& sketch);
@@ -133,28 +137,32 @@ class ShardedCollector {
 
   /// The k flows with the highest latency at quantile `q`, worst first.
   /// Ties break on flow key so results are deterministic. The answer comes
-  /// from the per-shard rank indexes in O(k·shards); a shard re-ranks first
-  /// if it changed since, or was last ranked at another quantile.
+  /// from the shards' cached answers; a shard scans its flows first if it
+  /// changed since, was last ranked at another quantile, or was last asked
+  /// for fewer flows.
   [[nodiscard]] std::vector<FlowSummary> top_k_flows(std::size_t k, double q = 0.99) const;
   /// top_k_flows with each summary's ranking value attached — what a higher
   /// tier needs to merge top-k answers from several collectors without
   /// re-deriving the sort key.
   [[nodiscard]] std::vector<RankedFlowSummary> top_k_ranked(std::size_t k, double q) const;
-  /// Reference implementation: scans and re-sketches every flow. Exposed so
-  /// tests (and operators who suspect the index) can cross-check the fast
-  /// path; results are identical at every quantile.
+  /// Reference implementation: summarizes every flow and sorts them all.
+  /// Exposed so tests (and operators who suspect the cache) can cross-check
+  /// the fast path; results are identical at every quantile.
   [[nodiscard]] std::vector<FlowSummary> top_k_flows_scan(std::size_t k, double q) const;
 
   /// A copy of the current state, taken one shard lock at a time, with the
   /// same shard layout and a private registry — the bridge to code that
   /// holds flow() pointers, and the equivalence oracle in tests. Every
   /// shard is copied whole, so a batch a concurrent ingest is still merging
-  /// may be partly in the copy.
+  /// may be partly in the copy; the copy's record count is read first, so
+  /// it counts no record the copy lacks.
   [[nodiscard]] ShardedCollector snapshot() const;
 
   // --- Accounting (read under the shard locks, like the queries) ------------
 
   [[nodiscard]] std::size_t flow_count() const;
+  /// Records merged so far: the rlir_collect_records_submitted_total
+  /// counter, added to once all of a batch's shares are merged.
   [[nodiscard]] std::uint64_t records_ingested() const;
   [[nodiscard]] std::uint64_t estimates_ingested() const;
   /// Distinct epochs seen in ingested records: the merged runs' lengths
@@ -171,17 +179,6 @@ class ShardedCollector {
   [[nodiscard]] const CollectorConfig& config() const { return config_; }
 
  private:
-  /// Worst-first rank ordering: higher quantile value first, flow key as the
-  /// deterministic tie-break — the same order the scan path sorts by.
-  struct WorstFirst {
-    bool operator()(const std::pair<double, net::FiveTuple>& a,
-                    const std::pair<double, net::FiveTuple>& b) const {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    }
-  };
-  using RankIndex = std::set<std::pair<double, net::FiveTuple>, WorstFirst>;
-
   /// Inclusive run of consecutive epochs. A shard keeps its epochs as
   /// sorted, disjoint, non-adjacent runs, so a long-lived collector holds
   /// one run per gap, not one entry per epoch.
@@ -200,14 +197,15 @@ class ShardedCollector {
     /// determinism sorts, as before.
     common::FlatHashMap<net::FiveTuple, common::LatencySketch> flows;
     common::FlatHashMap<LinkId, common::LatencySketch> links;
-    /// Flows ranked at quantile `rank_q`, rebuilt by top_k_ranked when
-    /// `rank_stale` or asked at another quantile — mutable because the
-    /// rebuild happens inside const queries, under `mu`.
-    mutable RankIndex rank;
-    mutable double rank_q = 0.0;
-    mutable bool rank_stale = false;
+    /// The shard's last top-k answer: its `top_k` worst flows at quantile
+    /// `top_q` (every flow, if it has fewer), worst first. It answers any
+    /// query at `top_q` for at most `top_k` flows; a merge sets `top_k` to 0
+    /// so the next query scans again. Mutable because the scan runs inside
+    /// const queries, under `mu`.
+    mutable std::vector<RankedFlowSummary> top;
+    mutable double top_q = 0.0;
+    mutable std::size_t top_k = 0;
     std::vector<EpochRun> epochs;
-    std::uint64_t records = 0;
     std::uint64_t estimates = 0;
   };
 
@@ -220,16 +218,17 @@ class ShardedCollector {
   static void note_epoch(std::vector<EpochRun>& runs, std::uint32_t epoch);
   /// Every shard's runs merged into one sorted, disjoint, non-adjacent list.
   [[nodiscard]] std::vector<EpochRun> epoch_runs() const;
-  /// Re-ranks a shard's flows at quantile `q` unless its index is fresh and
-  /// already keyed on `q`.
-  void refresh_rank(const Shard& shard, double q) const;
+  /// Re-scans a shard's flows for its `k` worst at quantile `q` unless its
+  /// cached answer already covers them.
+  static void rank_shard(const Shard& shard, std::size_t k, double q);
 
   CollectorConfig config_;
   obs::Instrumented obs_;
   /// unique_ptr: a Shard holds a mutex, so it cannot move; the collector
   /// moves by handing over the slots.
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Records accepted by ingest (rlir_collect_records_submitted_total).
+  /// Records merged by ingest (rlir_collect_records_submitted_total): the
+  /// one count behind records_ingested().
   obs::Counter* submitted_ = nullptr;
 };
 

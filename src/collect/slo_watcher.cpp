@@ -80,12 +80,15 @@ std::vector<SloViolation> SloWatcher::check(std::uint32_t epoch) {
 }
 
 std::vector<SloViolation> SloWatcher::poll() {
+  // The newest epoch seen still admits records (aged flows ship mid-epoch);
+  // a record's epoch seals every epoch before it.
   const auto last = history_->last_epoch();
-  if (!last.has_value()) return {};
-  if (any_checked_ && *last <= last_checked_) return {};
+  if (!last.has_value() || *last == 0) return {};
+  const std::uint32_t sealed = *last - 1;
+  if (any_checked_ && sealed <= last_checked_) return {};
   any_checked_ = true;
-  last_checked_ = *last;
-  return check(*last);
+  last_checked_ = sealed;
+  return check(sealed);
 }
 
 }  // namespace rlir::collect

@@ -79,8 +79,9 @@ class SloWatcher {
   /// every breaching flow, localized.
   std::vector<SloViolation> check(std::uint32_t epoch);
 
-  /// Checks the newest history epoch if it has not been checked yet
-  /// (idempotent between epochs); empty when idle.
+  /// Checks the newest sealed epoch, the one before history's last_epoch(),
+  /// if it has not been checked yet (idempotent between epochs); empty when
+  /// idle or before any epoch is sealed.
   std::vector<SloViolation> poll();
 
   [[nodiscard]] std::uint64_t checks() const { return checks_->value(); }

@@ -1,16 +1,13 @@
 #include "net/hash.h"
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define RLIR_CRC32C_X86 1
+#define RLIR_HW_CRC_X86 1
 #include <nmmintrin.h>
 #elif defined(__aarch64__) && defined(__ARM_FEATURE_CRC32)
-#define RLIR_CRC32C_ARM 1
+#define RLIR_HW_CRC_ARM 1
 #include <arm_acle.h>
 #endif
 
@@ -105,7 +102,7 @@ std::uint32_t crc32c_soft_impl(const std::byte* p, std::size_t len, std::uint32_
   return ~crc32c_soft_raw(p, len, ~seed);
 }
 
-#if defined(RLIR_CRC32C_X86)
+#if defined(RLIR_HW_CRC_X86)
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw_impl(const std::byte* p,
                                                                std::size_t len,
                                                                std::uint32_t seed) {
@@ -125,7 +122,7 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw_impl(const std::byte* 
 }
 
 bool crc32c_hw_usable() { return __builtin_cpu_supports("sse4.2") != 0; }
-#elif defined(RLIR_CRC32C_ARM)
+#elif defined(RLIR_HW_CRC_ARM)
 std::uint32_t crc32c_hw_impl(const std::byte* p, std::size_t len, std::uint32_t seed) {
   std::uint32_t crc = ~seed;
   while (len >= 8) {
@@ -154,27 +151,8 @@ bool crc32c_hw_usable() { return false; }
 
 using CrcFn = std::uint32_t (*)(const std::byte*, std::size_t, std::uint32_t);
 
-CrcFn engine_fn(Crc32cEngine engine) {
-  if (engine == Crc32cEngine::kSoftware) return &crc32c_soft_impl;
-  if (engine == Crc32cEngine::kHardware && crc32c_hw_usable()) return &crc32c_hw_impl;
-  return crc32c_hw_usable() ? &crc32c_hw_impl : &crc32c_soft_impl;  // kAuto
-}
-
-CrcFn detect_startup_engine() {
-  // RLIR_CRC32C=software|hardware forces an engine (CI exercises the
-  // fallback this way); anything else — including unset — is kAuto.
-  if (const char* env = std::getenv("RLIR_CRC32C")) {
-    const std::string_view want(env);
-    if (want == "software") return engine_fn(Crc32cEngine::kSoftware);
-    if (want == "hardware") return engine_fn(Crc32cEngine::kHardware);
-  }
-  return engine_fn(Crc32cEngine::kAuto);
-}
-
-/// The one-time dispatch target behind crc32c(); atomic only so tests may
-/// flip engines while other threads hash (relaxed: any torn-free value is a
-/// valid function, and both produce identical digests).
-std::atomic<CrcFn> g_crc32c_fn{detect_startup_engine()};
+/// The implementation behind crc32c(), picked once from the CPU's features.
+const CrcFn g_crc32c_fn = crc32c_hw_usable() ? &crc32c_hw_impl : &crc32c_soft_impl;
 
 }  // namespace
 
@@ -209,7 +187,7 @@ std::uint32_t jenkins_lookup3(std::span<const std::byte> data, std::uint32_t see
 }
 
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed) {
-  return g_crc32c_fn.load(std::memory_order_relaxed)(data.data(), data.size(), seed);
+  return g_crc32c_fn(data.data(), data.size(), seed);
 }
 
 std::uint32_t crc32c_software(std::span<const std::byte> data, std::uint32_t seed) {
@@ -217,16 +195,5 @@ std::uint32_t crc32c_software(std::span<const std::byte> data, std::uint32_t see
 }
 
 bool crc32c_hardware_available() { return crc32c_hw_usable(); }
-
-Crc32cEngine set_crc32c_engine(Crc32cEngine engine) {
-  g_crc32c_fn.store(engine_fn(engine), std::memory_order_relaxed);
-  return active_crc32c_engine();
-}
-
-Crc32cEngine active_crc32c_engine() {
-  return g_crc32c_fn.load(std::memory_order_relaxed) == &crc32c_hw_impl
-             ? Crc32cEngine::kHardware
-             : Crc32cEngine::kSoftware;
-}
 
 }  // namespace rlir::net

@@ -6,10 +6,10 @@
 //    can "reverse" which next hop a packet was assigned to).
 //
 // Every function returns the same digest on every platform (deterministic,
-// endian-stable). CRC-32C additionally dispatches once at startup to the
-// fastest implementation the CPU offers — the SSE4.2 `crc32` instruction on
-// x86-64, the ARMv8 CRC extension on aarch64 — with a slice-by-8 software
-// table as the always-available fallback and cross-check reference.
+// endian-stable). CRC-32C additionally picks, once at startup, the fastest
+// implementation the CPU offers — the SSE4.2 `crc32` instruction on x86-64,
+// the ARMv8 CRC extension on aarch64 — with a slice-by-8 software table as
+// the fallback elsewhere and the cross-check reference.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +34,8 @@ template <typename T>
                                             std::uint32_t seed = 0);
 
 /// CRC-32C (Castagnoli). Digests chain: crc32c(a+b) == crc32c(b, crc32c(a)).
-/// Served by the engine selected at startup (hardware where available); the
-/// digest is identical whichever engine runs.
+/// Served by the hardware instruction where the CPU has one, else by
+/// crc32c_software; the digest is identical either way.
 [[nodiscard]] std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed = 0);
 
 /// The software (slice-by-8, table-driven) implementation — the fallback on
@@ -44,23 +44,8 @@ template <typename T>
 [[nodiscard]] std::uint32_t crc32c_software(std::span<const std::byte> data,
                                             std::uint32_t seed = 0);
 
-enum class Crc32cEngine : std::uint8_t {
-  kAuto,      ///< re-run detection: hardware when available, else software
-  kSoftware,  ///< force the table-driven path (CI coverage, A/B checks)
-  kHardware,  ///< the CPU CRC instruction; ignored when unavailable
-};
-
 /// True when the CPU advertises a CRC-32C instruction this build can use.
 [[nodiscard]] bool crc32c_hardware_available();
-
-/// Repoints the function pointer behind crc32c(). Returns the engine now
-/// active: asking for kHardware on a CPU without it keeps kSoftware. The
-/// startup default is kAuto, overridable by RLIR_CRC32C=software|hardware in
-/// the environment (forcing the fallback on CI runners).
-Crc32cEngine set_crc32c_engine(Crc32cEngine engine);
-
-/// The engine currently backing crc32c() (kSoftware or kHardware).
-[[nodiscard]] Crc32cEngine active_crc32c_engine();
 
 /// 16-bit xor-fold of a 32-bit word — the simplest hardware ECMP hash.
 [[nodiscard]] constexpr std::uint16_t xor_fold16(std::uint32_t x) {

@@ -264,9 +264,9 @@ QueryReply CollectorAgent::answer(const Query& query) {
       add(0, query.flow, collector_.flow_sketch(query.flow));
       break;
     case Target::kTopK:
-      // Ranked from the live collector's per-shard rank indexes (O(k·shards)),
-      // not a state copy; each flow ships its sketch so a higher tier can
-      // rank, summarize and merge several agents' answers exactly.
+      // Ranked from the live collector's cached per-shard answers, not a
+      // state copy; each flow ships its sketch so a higher tier can rank,
+      // summarize and merge several agents' answers exactly.
       for (const auto& [rank, flow] : collector_.top_k_ranked(query.k, query.q)) {
         add(0, flow.key, collector_.flow_sketch(flow.key));
       }

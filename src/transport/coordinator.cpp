@@ -13,10 +13,9 @@ namespace rlir::transport {
 std::vector<collect::RankedFlowSummary> merge_ranked_top_k(
     const std::vector<std::vector<collect::RankedFlowSummary>>& parts, std::size_t k,
     const FlowResolver& resolve) {
-  // k is small and each part is at most k entries: gather-and-sort beats a
-  // cursor heap in clarity at the same practical cost. Duplicates (one key
-  // in several parts — partitions overlapped) are re-resolved exactly from
-  // the merged flow sketch.
+  // Each part is at most k entries: gather them, then select with the
+  // collector's own rule. Duplicates (one key in several parts — partitions
+  // overlapped) are re-resolved exactly from the merged flow sketch.
   std::unordered_map<net::FiveTuple, collect::RankedFlowSummary> by_key;
   for (const auto& part : parts) {
     for (const auto& entry : part) {
@@ -28,8 +27,7 @@ std::vector<collect::RankedFlowSummary> merge_ranked_top_k(
   std::vector<collect::RankedFlowSummary> merged;
   merged.reserve(by_key.size());
   for (auto& [key, entry] : by_key) merged.push_back(std::move(entry));
-  std::sort(merged.begin(), merged.end(), collect::ranked_worse_first);
-  if (merged.size() > k) merged.resize(k);
+  collect::select_worst_first(merged, k);
   return merged;
 }
 

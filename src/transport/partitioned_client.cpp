@@ -93,7 +93,6 @@ void PartitionedClient::submit(std::uint32_t epoch,
   for (std::size_t e = 0; e < endpoints_.size(); ++e) {
     if (split_[e].empty()) continue;
     endpoints_[e].client->submit(epoch, split_[e]);
-    endpoints_[e].records_routed += split_[e].size();
     split_[e].clear();
   }
   c_.records_submitted->add(batch.size());
@@ -196,7 +195,7 @@ PartitionedClient::Stats PartitionedClient::stats() const {
 }
 
 std::uint64_t PartitionedClient::records_routed(std::size_t endpoint) const {
-  return endpoints_.at(endpoint).records_routed;
+  return endpoints_.at(endpoint).client->stats().records_submitted;
 }
 
 std::uint64_t PartitionedClient::records_shed() const {

@@ -139,8 +139,9 @@ class PartitionedClient {
   [[nodiscard]] obs::MetricsRegistry& metrics() { return obs_.registry(); }
   [[nodiscard]] obs::EventTrace& events() { return obs_.trace(); }
 
-  /// Records routed to one endpoint since construction (conservation:
-  /// these sum to stats().records_submitted).
+  /// Records routed to one endpoint since construction: its client's
+  /// rlir_client_records_submitted_total (conservation: these sum to
+  /// stats().records_submitted).
   [[nodiscard]] std::uint64_t records_routed(std::size_t endpoint) const;
   /// Sums of the per-endpoint client counters (conservation terms).
   [[nodiscard]] std::uint64_t records_shed() const;
@@ -154,7 +155,6 @@ class PartitionedClient {
     bool healthy = true;
     /// Consecutive pump()s observed disconnected (resets on connect).
     std::uint32_t failed_pumps = 0;
-    std::uint64_t records_routed = 0;
   };
 
   /// Marks the first submit/pump so add_endpoint can refuse afterwards.

@@ -1,8 +1,8 @@
-// CRC-32C engine dispatch: the hardware and software paths must be
-// indistinguishable byte-for-byte — same digests on standard vectors,
-// random buffers, and the adversarial shapes (empty, unaligned, >64KiB)
-// a transport frame can present — and the software fallback must be
-// force-selectable so CI covers it even on CRC-capable runners.
+// CRC-32C: crc32c() (the hardware instruction where the CPU has one) and
+// the software fallback must be indistinguishable byte-for-byte — same
+// digests on standard vectors, random buffers, and the adversarial shapes
+// (empty, unaligned, >64KiB) a transport frame can present — and both must
+// match the bit-at-a-time definition.
 #include "net/hash.h"
 
 #include <gtest/gtest.h>
@@ -35,16 +35,6 @@ std::uint32_t crc32c_reference(std::span<const std::byte> data, std::uint32_t se
   return ~crc;
 }
 
-/// Restores the startup engine whatever a test does.
-class EngineGuard {
- public:
-  EngineGuard() : saved_(active_crc32c_engine()) {}
-  ~EngineGuard() { set_crc32c_engine(saved_); }
-
- private:
-  Crc32cEngine saved_;
-};
-
 std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::vector<std::byte> buf(n);
@@ -74,8 +64,6 @@ TEST(Crc32c, HardwareMatchesSoftware) {
   if (!crc32c_hardware_available()) {
     GTEST_SKIP() << "no CRC instruction on this CPU/build";
   }
-  const EngineGuard guard;
-  ASSERT_EQ(set_crc32c_engine(Crc32cEngine::kHardware), Crc32cEngine::kHardware);
   // Every length around the 8-byte block boundaries, plus bulk sizes.
   for (std::size_t n = 0; n <= 40; ++n) {
     const auto buf = random_bytes(n, 0xc0ffee + n);
@@ -92,8 +80,6 @@ TEST(Crc32c, HardwareMatchesSoftwareUnaligned) {
   if (!crc32c_hardware_available()) {
     GTEST_SKIP() << "no CRC instruction on this CPU/build";
   }
-  const EngineGuard guard;
-  set_crc32c_engine(Crc32cEngine::kHardware);
   const auto buf = random_bytes(4096 + 16, 0xa110d);
   for (std::size_t offset = 0; offset < 9; ++offset) {
     for (const std::size_t n : {0u, 1u, 5u, 8u, 17u, 1000u, 4096u}) {
@@ -110,33 +96,18 @@ TEST(Crc32c, DigestsChain) {
     const auto head = whole.subspan(0, split);
     const auto tail = whole.subspan(split);
     EXPECT_EQ(crc32c_software(tail, crc32c_software(head)), crc32c_software(whole));
-    if (crc32c_hardware_available()) {
-      const EngineGuard guard;
-      set_crc32c_engine(Crc32cEngine::kHardware);
-      EXPECT_EQ(crc32c(tail, crc32c(head)), crc32c(whole));
-    }
+    EXPECT_EQ(crc32c(tail, crc32c(head)), crc32c(whole));
   }
 }
 
-TEST(Crc32c, SoftwareEngineIsForceSelectable) {
-  const EngineGuard guard;
-  EXPECT_EQ(set_crc32c_engine(Crc32cEngine::kSoftware), Crc32cEngine::kSoftware);
-  EXPECT_EQ(active_crc32c_engine(), Crc32cEngine::kSoftware);
-  const auto buf = random_bytes(1234, 99);
-  EXPECT_EQ(crc32c(buf), crc32c_reference(buf));
-  // kAuto restores detection; whichever engine that picks, digests agree.
-  const auto restored = set_crc32c_engine(Crc32cEngine::kAuto);
-  EXPECT_EQ(restored, crc32c_hardware_available() ? Crc32cEngine::kHardware
-                                                  : Crc32cEngine::kSoftware);
-  EXPECT_EQ(crc32c(buf), crc32c_reference(buf));
-}
-
-TEST(Crc32c, HardwareRequestWithoutHardwareKeepsSoftware) {
-  if (crc32c_hardware_available()) {
-    GTEST_SKIP() << "CPU has the instruction; the downgrade path is moot here";
+TEST(Crc32c, MatchesBitwiseReference) {
+  // Whichever implementation the CPU got, crc32c() is the definition.
+  EXPECT_EQ(crc32c(bytes_of("123456789")), 0xe3069283u);
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 1021u, 1234u}) {
+    const auto buf = random_bytes(n, 99 + n);
+    EXPECT_EQ(crc32c(buf), crc32c_reference(buf)) << "length " << n;
+    EXPECT_EQ(crc32c(buf, 0xdeadbeef), crc32c_reference(buf, 0xdeadbeef)) << "length " << n;
   }
-  const EngineGuard guard;
-  EXPECT_EQ(set_crc32c_engine(Crc32cEngine::kHardware), Crc32cEngine::kSoftware);
 }
 
 }  // namespace

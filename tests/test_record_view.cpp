@@ -134,7 +134,7 @@ TEST(RecordViewTest, CollectorViewIngestMatchesOwningIngest) {
   for (const LinkId link : from_records.links()) {
     expect_same_sketch(*from_views.link_distribution(link), *from_records.link_distribution(link));
   }
-  // The rank indexes agree too: top-k at the indexed quantile is identical.
+  // The top-k answers agree too: identical at the default quantile.
   const auto top_a = from_views.top_k_flows(5);
   const auto top_b = from_records.top_k_flows(5);
   ASSERT_EQ(top_a.size(), top_b.size());

@@ -36,6 +36,27 @@ EstimateRecord make_record(std::uint32_t flow, LinkId link, std::uint32_t epoch,
   return r;
 }
 
+/// top_k_ranked(k, q) must equal the full scan key for key and value for
+/// value: every summary field, and a ranking value that is the flow's own
+/// quantile.
+void expect_top_k_matches_scan(const ShardedCollector& collector, std::size_t k, double q,
+                               const char* what) {
+  const auto ranked = collector.top_k_ranked(k, q);
+  const auto scan = collector.top_k_flows_scan(k, q);
+  ASSERT_EQ(ranked.size(), scan.size()) << what << " k=" << k << " q=" << q;
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    const auto& [value, got] = ranked[i];
+    const auto& want = scan[i];
+    ASSERT_EQ(got.key, want.key) << what << " k=" << k << " rank " << i;
+    EXPECT_EQ(got.packets, want.packets) << what << " k=" << k << " rank " << i;
+    EXPECT_EQ(got.mean_ns, want.mean_ns) << what << " k=" << k << " rank " << i;
+    EXPECT_EQ(got.p50_ns, want.p50_ns) << what << " k=" << k << " rank " << i;
+    EXPECT_EQ(got.p99_ns, want.p99_ns) << what << " k=" << k << " rank " << i;
+    EXPECT_EQ(got.max_ns, want.max_ns) << what << " k=" << k << " rank " << i;
+    EXPECT_EQ(value, collector.flow_quantile(got.key, q)) << what << " k=" << k << " rank " << i;
+  }
+}
+
 TEST(ShardedCollectorTest, ZeroShardsThrows) {
   EXPECT_THROW(ShardedCollector(CollectorConfig{0}), std::invalid_argument);
 }
@@ -208,11 +229,11 @@ TEST(ShardedCollectorTest, TopKWorstFlows) {
 }
 
 TEST(ShardedCollectorTest, TopKIndexMatchesFullScanOn10kRandomFlows) {
-  // The acceptance bar for the ingest-maintained rank index: on a 10k-flow
+  // The acceptance bar for the shards' cached top-k answers: on a 10k-flow
   // randomized workload with repeated per-flow updates (quantiles move both
-  // up and down as records merge), the O(k·shards) heap path must return
-  // exactly what the full scan returns — same flows, same order, same
-  // values — for every k.
+  // up and down as records merge), the cached path must return exactly
+  // what the full scan returns — same flows, same order, same values — for
+  // every k, whether a shard re-scans or answers from its cache.
   common::Xoshiro256 rng(31);
   CollectorConfig config;
   config.shard_count = 8;
@@ -255,6 +276,31 @@ TEST(ShardedCollectorTest, TopKIndexMatchesFullScanOn10kRandomFlows) {
       EXPECT_EQ(value, *want) << "q=" << q << " rank " << i;
     }
   }
+
+  // A larger k, then smaller ones: each shard's cached answer for the
+  // larger k serves the smaller ones.
+  for (const std::size_t k : {std::size_t{500}, std::size_t{40}, std::size_t{3},
+                              std::size_t{0}}) {
+    expect_top_k_matches_scan(collector, k, 0.99, "smaller k");
+  }
+
+  // One record creates a new worst flow in one shard: that shard re-scans,
+  // the others answer from their caches, and the new flow leads.
+  const auto worst = make_record(kFlows, 0, 2, 50e6, rng, /*samples=*/4);
+  collector.ingest({worst});
+  ASSERT_EQ(collector.top_k_flows(10, 0.99).front().key, worst.key);
+  for (const std::size_t k : {std::size_t{10}, std::size_t{1}, std::size_t{100}}) {
+    expect_top_k_matches_scan(collector, k, 0.99, "new worst flow");
+  }
+
+  // A snapshot answers the same, from its own first scans.
+  const ShardedCollector copy = collector.snapshot();
+  for (const double q : {0.99, 0.5}) {
+    for (const std::size_t k : {std::size_t{100}, std::size_t{10}, std::size_t{20'000}}) {
+      expect_top_k_matches_scan(copy, k, q, "snapshot");
+    }
+  }
+  EXPECT_EQ(copy.top_k_flows(1, 0.99).front().key, worst.key);
 }
 
 TEST(ShardedCollectorTest, MemoryIsBoundedBySketchSizeNotSamples) {

@@ -148,6 +148,35 @@ TEST(SloWatcherTest, PollChecksEachSealedEpochOnce) {
   EXPECT_EQ(watcher.checks(), 2u);
 }
 
+TEST(SloWatcherTest, PollJudgesAnEpochOnlyOnceItIsSealed) {
+  // The newest epoch seen still admits records (an aged flow ships
+  // mid-epoch), so a poll must not judge it: a breach recorded after the
+  // poll would never be reported. A record of the next epoch seals it.
+  SketchHistoryStore store;
+  SloWatcherConfig cfg;
+  cfg.threshold_ns = 200e3;
+  cfg.window_epochs = 1;
+  SloWatcher watcher(cfg, &store);
+  const auto record = [](std::uint32_t flow, std::uint32_t epoch, double ns) {
+    EstimateRecord r;
+    r.key = flow_key(flow);
+    r.link = 0;
+    r.epoch = epoch;
+    for (int s = 0; s < 12; ++s) r.sketch.add(ns);
+    return r;
+  };
+
+  store.ingest({record(0, 5, 40e3)});
+  EXPECT_TRUE(watcher.poll().empty());
+  store.ingest({record(1, 5, 900e3)});
+  store.ingest({record(0, 6, 40e3)});
+  const auto violations = watcher.poll();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].key, flow_key(1));
+  EXPECT_EQ(violations[0].window_first, 5u);
+  EXPECT_EQ(violations[0].window_last, 5u);
+}
+
 TEST(SloWatcherTest, CheckReadsTheWindowOnceNotOncePerFlow) {
   // A check lists the window's flows with their merged sketches in one pass
   // over the store. A per-flow window_flow() read would re-decode every raw

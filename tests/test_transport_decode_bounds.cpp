@@ -3,18 +3,22 @@
 // replaces the global operator new to record the largest single request,
 // then feeds each decoder a header that claims 0x0fffff entries and carries
 // no body: every decoder must throw std::runtime_error having requested no
-// block above 64 KiB. (A RLIMIT_AS cap would be the blunter tool, but it
-// breaks AddressSanitizer's shadow mapping.)
+// block above 64 KiB. A top-k query's k is a peer's u32 too, so the
+// collector's answer must be sized by the flows present, never by k. (A
+// RLIMIT_AS cap would be the blunter tool, but it breaks AddressSanitizer's
+// shadow mapping.)
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "collect/estimate_record.h"
+#include "collect/sharded_collector.h"
 #include "obs/event_trace.h"
 #include "obs/wire.h"
 #include "transport/messages.h"
@@ -96,6 +100,29 @@ TEST(DecodeAllocationBound, RecordBatches) {
   });
   expect_bounded("owning",
                  [&] { (void)collect::decode_records_prefix(batch.data(), batch.size()); });
+}
+
+TEST(DecodeAllocationBound, TopKOfEveryFlowIsSizedByTheFlows) {
+  // The largest k a peer can ask for, over a few hundred flows: the answer
+  // is every flow once, and nothing reserves room for k entries.
+  collect::ShardedCollector collector;
+  constexpr std::uint32_t kFlows = 300;
+  std::vector<collect::EstimateRecord> batch(kFlows);
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    batch[i].key.src = net::Ipv4Address(10, 0, static_cast<std::uint8_t>(i >> 8),
+                                        static_cast<std::uint8_t>(i));
+    batch[i].key.src_port = static_cast<std::uint16_t>(i);
+    batch[i].sketch.add(1e3 + i);
+  }
+  collector.ingest(batch);
+
+  g_largest_request.store(0);
+  const auto top = collector.top_k_ranked(0xFFFFFFFF, 0.99);
+  EXPECT_LE(g_largest_request.load(), kMaxRequest);
+  ASSERT_EQ(top.size(), kFlows);
+  std::set<net::FiveTuple> keys;
+  for (const auto& [value, summary] : top) keys.insert(summary.key);
+  EXPECT_EQ(keys.size(), kFlows);
 }
 
 }  // namespace
